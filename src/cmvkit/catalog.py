@@ -14,11 +14,14 @@ Three families live here.
   test for every nontrivial partition.
 
 Everything is exact data, kept in one place so tests and the bundled
-campaign agree on it.
+campaign agree on it.  The worked examples that factor across an
+overlap are also listed as `SPLIT_CASES` rows, which the campaign checks
+through one factorization runner.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,3 +247,54 @@ def walk_pair_right_schur(order: int) -> MatrixPowerSeries:
         [((-2.0, -1.0, 2.0), den), ((0.0, -1.0, 0.0), den)],
         [((0.0, -1.0, 0.0), den), ((-2.0, 1.0, 2.0), den)],
     ], order)
+
+
+# ---------------------------------------------------------------------------
+# Worked examples checked through the overlap factorization rule.
+
+SeriesMaker = Callable[[int], MatrixPowerSeries]
+
+
+@dataclass(frozen=True)
+class SplitCase:
+    """A closed-form campaign case that factors across an overlap.
+
+    The runner computes f_V on V = v_left + center + v_right of the
+    unitary, f^L and f^R from the known factor pair, checks
+    f_V = (1 + f^R)(f^L + 1), and compares each of the three series
+    with its closed form here; `None` claims no closed form.
+    """
+
+    maker: Callable[[], FactoredUnitary]
+    v_left: tuple[int, ...]
+    v_right: tuple[int, ...]
+    f_v: SeriesMaker | None
+    f_left: SeriesMaker | None
+    f_right: SeriesMaker | None
+    left_provenance: str
+    right_provenance: str
+
+
+SPLIT_CASES = {
+    "diffusion-center": SplitCase(
+        double_diffusion_six, (), (), diffusion_center_schur, None, None,
+        "first-return series of the product unitary",
+        "rational (2z-1)(3z-1)/((2-z)(3-z)) and factor split"),
+    "diffusion-pair": SplitCase(
+        double_diffusion_six, (), (3,), diffusion_pair_schur, None, None,
+        "first-return series of states (2,3)",
+        "displayed 2x2 factored form"),
+    "diffusion-five-center": SplitCase(
+        double_diffusion_five, (), (), diffusion_five_center_schur, None, None,
+        "first-return series of the two-state center",
+        "displayed 2x2 factored form"),
+    "walk-factors": SplitCase(
+        coined_walk_six, (), (), walk_center_schur, walk_left_schur,
+        walk_right_schur,
+        "first-return series of the walk and its two factors",
+        "degree-2 and degree-3 rational closed forms"),
+    "walk-pair": SplitCase(
+        coined_walk_six, (), (4,), None, None, walk_pair_right_schur,
+        "first-return series of states (2,4)",
+        "displayed right factor times (left rational + 1)"),
+}

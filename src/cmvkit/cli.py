@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -35,7 +34,13 @@ from .khrushchev import (
     verify_site_formula,
 )
 from .linalg import matrix_from_json, matrix_to_json, require_unitary
-from .overlap import SubspacePartition, check_overlap, construct_overlap, verify_gauge
+from .overlap import (
+    SubspacePartition,
+    abstract_khrushchev_check,
+    check_overlap,
+    construct_overlap,
+    verify_gauge,
+)
 from .pathcount import N_CAP, oracle_first_return
 from .schur import (
     SchurParameters,
@@ -47,13 +52,8 @@ from .schur import (
     schur_forward,
     synthesize,
 )
-from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
-from .spectral import (
-    first_return_amplitudes,
-    index_tuple,
-    return_statistics,
-    schur_of_subspace,
-)
+from .series import MatrixPowerSeries, coeff_distance
+from .spectral import first_return_amplitudes, return_statistics, schur_of_subspace
 
 SCHEMA_VERSION = 1
 
@@ -109,19 +109,14 @@ def _as_complex(value) -> complex:
               help="default series truncation order")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="seed for randomized inputs")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="parallel jobs in campaigns")
 @click.option("--out", type=click.Path(), default=None,
               help="write output here instead of stdout")
 @click.pass_context
-def main(ctx, tol, order, seed, threads, out):
+def main(ctx, tol, order, seed, out):
     """Schur functions of unitary operators and their factorizations."""
     if order < 0:
         _die(2, "--order must be nonnegative")
-    if threads < 1:
-        _die(2, "--threads must be positive")
-    ctx.obj = {"tol": tol, "order": order, "seed": seed,
-               "threads": threads, "out": out}
+    ctx.obj = {"tol": tol, "order": order, "seed": seed, "out": out}
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +354,12 @@ def _superposition_report(params, j, beta, gamma, order, tolerance,
 
 
 def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
-    """Path-enumeration cross-check of the first-return amplitudes at V_j."""
-    horizon = min(order, 6, N_CAP)
+    """Path-enumeration cross-check of the first-return amplitudes at V_j.
+
+    An order-N Schur function consumes a_1..a_{N+1}; the horizon covers
+    them up to the enumeration's affordable length.
+    """
+    horizon = min(order + 1, 6, N_CAP)
     spec = _window_spec(params, family, j, horizon)
     op = build(spec)
     d = params.block_dim
@@ -465,72 +464,20 @@ def _report(case, residual, tolerance, left, right) -> VerificationReport:
                               left_provenance=left, right_provenance=right)
 
 
-def _cf_diffusion_center(order, tol):
-    dd = catalog.double_diffusion_six()
-    f = schur_of_subspace(dd.unitary, (2,), order)
-    resid = coeff_distance(f, catalog.diffusion_center_schur(order))
-    f_l = schur_of_subspace(dd.u_lc, (2,), order)
-    f_r = schur_of_subspace(dd.u_cr, (0,), order)
-    resid = max(resid, coeff_distance(f, f_r * f_l))
-    return _report("diffusion-center", resid, tol,
-                   "first-return series of the product unitary",
-                   "rational (2z-1)(3z-1)/((2-z)(3-z)) and factor split")
-
-
-def _cf_diffusion_pair(order, tol):
-    dd = catalog.double_diffusion_six()
-    f = schur_of_subspace(dd.unitary, (2, 3), order)
-    resid = coeff_distance(f, catalog.diffusion_pair_schur(order))
-    f_l = schur_of_subspace(dd.u_lc, (2,), order)
-    f_r = schur_of_subspace(dd.u_cr, (0, 1), order)
-    resid = max(resid, coeff_distance(
-        f, f_r * direct_sum_series(f_l, MatrixPowerSeries.one(1, order))))
-    return _report("diffusion-pair", resid, tol,
-                   "first-return series of states (2,3)",
-                   "displayed 2x2 factored form")
-
-
-def _cf_diffusion_five(order, tol):
-    d5 = catalog.double_diffusion_five()
-    f = schur_of_subspace(d5.unitary, (1, 2), order)
-    resid = coeff_distance(f, catalog.diffusion_five_center_schur(order))
-    f_l = schur_of_subspace(d5.u_lc, (1, 2), order)
-    f_r = schur_of_subspace(d5.u_cr, (0, 1), order)
-    resid = max(resid, coeff_distance(f, f_r * f_l))
-    return _report("diffusion-five-center", resid, tol,
-                   "first-return series of the two-state center",
-                   "displayed 2x2 factored form")
-
-
-def _cf_walk_factors(order, tol):
-    w = catalog.coined_walk_six()
-    f = schur_of_subspace(w.unitary, (2,), order)
-    f_l = schur_of_subspace(w.u_lc, (2,), order)
-    f_r = schur_of_subspace(w.u_cr, (0,), order)
-    resid = max(
-        coeff_distance(f_l, catalog.walk_left_schur(order)),
-        coeff_distance(f_r, catalog.walk_right_schur(order)),
-        coeff_distance(f, catalog.walk_center_schur(order)),
-        coeff_distance(f, f_r * f_l),
-    )
-    return _report("walk-factors", resid, tol,
-                   "first-return series of the walk and its two factors",
-                   "degree-2 and degree-3 rational closed forms")
-
-
-def _cf_walk_pair(order, tol):
-    w = catalog.coined_walk_six()
-    f = schur_of_subspace(w.unitary, (2, 4), order)
-    f_l = schur_of_subspace(w.u_lc, (2,), order)
-    f_rv = schur_of_subspace(w.u_cr, (0, 2), order)
-    resid = max(
-        coeff_distance(f_rv, catalog.walk_pair_right_schur(order)),
-        coeff_distance(f, f_rv * direct_sum_series(
-            f_l, MatrixPowerSeries.one(1, order))),
-    )
-    return _report("walk-pair", resid, tol,
-                   "first-return series of states (2,4)",
-                   "displayed right factor times (left rational + 1)")
+def _split_case_report(case, row: catalog.SplitCase, order,
+                       tol) -> VerificationReport:
+    """Check a catalog split row: the factorization rule plus its closed forms."""
+    fu = row.maker()
+    res = abstract_khrushchev_check(fu.unitary, fu.partition, row.v_left,
+                                    row.v_right, order,
+                                    factorization=fu.factorization())
+    resid = res.residual
+    for computed, closed in ((res.f_v, row.f_v), (res.f_left, row.f_left),
+                             (res.f_right, row.f_right)):
+        if closed is not None:
+            resid = max(resid, coeff_distance(computed, closed(order)))
+    return _report(case, resid, tol, row.left_provenance,
+                   row.right_provenance)
 
 
 def _cf_walk_alternate(order, tol):
@@ -586,12 +533,8 @@ def _cf_superposition_extremes(order, tol):
                    "single-site products b_j f_j and f_{j+1} b_{j+1}")
 
 
+# closed-form cases that are not factor splits; the rest are catalog rows
 CLOSED_FORM_CASES = {
-    "diffusion-center": _cf_diffusion_center,
-    "diffusion-pair": _cf_diffusion_pair,
-    "diffusion-five-center": _cf_diffusion_five,
-    "walk-factors": _cf_walk_factors,
-    "walk-pair": _cf_walk_pair,
     "walk-alternate": _cf_walk_alternate,
     "hadamard-no-overlap": _cf_hadamard,
     "superposition-extremes": _cf_superposition_extremes,
@@ -601,11 +544,14 @@ CLOSED_FORM_CASES = {
 def _run_job(job, defaults) -> list[VerificationReport]:
     if "case" in job:
         case = job["case"]
-        if case not in CLOSED_FORM_CASES:
-            raise ValueError(f"unknown closed-form case {case!r}")
         order = int(job.get("order", defaults["order"]))
         tolerance = float(job.get("tolerance", defaults["tol"]))
-        return [CLOSED_FORM_CASES[case](order, tolerance)]
+        if case in catalog.SPLIT_CASES:
+            return [_split_case_report(case, catalog.SPLIT_CASES[case],
+                                       order, tolerance)]
+        if case in CLOSED_FORM_CASES:
+            return [CLOSED_FORM_CASES[case](order, tolerance)]
+        raise ValueError(f"unknown closed-form case {case!r}")
     if "theorem" in job:
         return _run_theorem_job(job, defaults)
     raise ValueError("job must carry a 'theorem' tag or a closed-form 'case'")
@@ -695,6 +641,8 @@ def campaign(ctx, action, config_path):
     try:
         config = (_load_json(config_path) if config_path
                   else _bundled_campaign())
+        if not isinstance(config, dict):
+            raise ValueError("campaign config must be a JSON object")
         if config.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema {config.get('schema')!r}")
         jobs = config.get("jobs", [])
@@ -703,14 +651,8 @@ def campaign(ctx, action, config_path):
     except PARSE_ERRORS as exc:
         _die(2, str(exc))
 
-    results: list[list[VerificationReport]] = []
     try:
-        if ctx.obj["threads"] > 1:
-            with ThreadPoolExecutor(max_workers=ctx.obj["threads"]) as pool:
-                results = list(pool.map(lambda jb: _run_job(jb, defaults),
-                                        jobs))
-        else:
-            results = [_run_job(jb, defaults) for jb in jobs]
+        results = [_run_job(jb, defaults) for jb in jobs]
     except ArithmeticError as exc:
         _die(1, str(exc))
     except PARSE_ERRORS as exc:

@@ -60,6 +60,14 @@ def matrix_from_json(obj) -> np.ndarray:
     return out
 
 
+def column_selector(dim: int, indices) -> np.ndarray:
+    """dim x len(indices) matrix whose k-th column is the basis vector e_{indices[k]}."""
+    b = np.zeros((dim, len(indices)), dtype=np.complex128)
+    for col, i in enumerate(indices):
+        b[i, col] = 1.0
+    return b
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A coordinate subspace: a strictly increasing set of basis indices."""
@@ -84,10 +92,7 @@ class Subspace:
 
     def basis(self) -> np.ndarray:
         """ambient_dim x dim matrix whose columns are the selected basis vectors."""
-        b = np.zeros((self.ambient_dim, self.dim), dtype=np.complex128)
-        for col, i in enumerate(self.indices):
-            b[i, col] = 1.0
-        return b
+        return column_selector(self.ambient_dim, self.indices)
 
     def complement(self) -> "Subspace":
         chosen = set(self.indices)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, numerical_rank, require_unitary
+from .linalg import Subspace, as_matrix, numerical_rank, projector, require_unitary
 from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
 from .spectral import schur_of_subspace
 
@@ -57,13 +57,6 @@ class SubspacePartition:
             return ",".join(str(i) for i in group) or "-"
 
         return f"L={fmt(self.left)} C={fmt(self.center)} R={fmt(self.right)}"
-
-
-def _diag_projector(dim: int, idx) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    for i in idx:
-        p[i, i] = 1.0
-    return p
 
 
 @dataclass(frozen=True)
@@ -153,9 +146,9 @@ def construct_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_R
             f"{chk.rank} vs center dimension {chk.center_dim}"
         )
     n = partition.ambient_dim
-    p_l = _diag_projector(n, partition.left)
-    p_c = _diag_projector(n, partition.center)
-    p_r = _diag_projector(n, partition.right)
+    p_l = projector(Subspace(n, partition.left))
+    p_c = projector(Subspace(n, partition.center))
+    p_r = projector(Subspace(n, partition.right))
     p_lc = p_l + p_c
     p_cr = p_c + p_r
     k = p_lc @ u @ p_cr
@@ -234,11 +227,18 @@ def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization, tol: float 
 
 @dataclass(frozen=True)
 class KhrushchevResidual:
-    """Residual of the factorization f_V = (1 + f^R)(f^L + 1)."""
+    """Residual of the factorization f_V = (1 + f^R)(f^L + 1).
+
+    Carries the three Schur functions it compared, so callers can test
+    them against closed forms without computing them again.
+    """
 
     residual: float
     order: int
     tolerance: float
+    f_v: MatrixPowerSeries
+    f_left: MatrixPowerSeries
+    f_right: MatrixPowerSeries
 
     @property
     def ok(self) -> bool:
@@ -283,4 +283,4 @@ def abstract_khrushchev_check(
     lhs = direct_sum_series(MatrixPowerSeries.one(len(vl), order), f_right)
     rhs = direct_sum_series(f_left, MatrixPowerSeries.one(len(vr), order))
     residual = coeff_distance(f_v, lhs * rhs)
-    return KhrushchevResidual(residual, order, tolerance)
+    return KhrushchevResidual(residual, order, tolerance, f_v, f_left, f_right)

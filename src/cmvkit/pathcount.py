@@ -31,9 +31,10 @@ class PathSum:
     """Sum of amplitudes over all admissible paths between two states.
 
     `amplitude` is a complex number for scalar enumeration and a d x d
-    array for block enumeration.  `n_paths` counts the paths actually
-    visited; with pruning enabled, zero-amplitude steps are skipped, so
-    the count may shrink while the sum stays put.
+    array for block enumeration.  `n_paths` counts the scalar index
+    paths actually summed; for blocks these run between the d indices
+    of each end block.  With pruning enabled, zero-amplitude steps are
+    skipped, so the count may shrink while the sum stays put.
     """
 
     source: int
@@ -51,60 +52,38 @@ def _check_length(n: int) -> None:
         raise ValueError(f"path length {n} exceeds the enumeration cap {N_CAP}")
 
 
-def _scalar_walk(u, source, target, avoid, n, prune):
-    dim = u.shape[0]
-    blocked = set(avoid)
-    interior = [s for s in range(dim) if s not in blocked]
-    total = 0.0 + 0.0j
+def _enumerate(u, sources, targets, interior, n, prune):
+    """Sum step-amplitude products over n-step index paths.
+
+    Entry (r, c) of the returned len(targets) x len(sources) matrix sums
+    every path from sources[c] to targets[r] whose intermediate states
+    all lie in `interior`; the second return value counts the paths
+    summed.  Successor lists are built once, with their steps pruned.
+    """
+    entries = u.tolist()
+
+    def steps(cur, rows):
+        return [(k, entries[s][cur]) for k, s in enumerate(rows)
+                if not (prune and abs(entries[s][cur]) < PRUNE_FLOOR)]
+
+    inner = {s: steps(s, interior) for s in (*sources, *interior)}
+    ends = {s: steps(s, targets) for s in (*sources, *interior)}
+    out = np.zeros((len(targets), len(sources)), dtype=np.complex128)
     count = 0
 
-    def extend(cur: int, remaining: int, amp: complex) -> None:
-        nonlocal total, count
+    def extend(c: int, cur: int, remaining: int, amp: complex) -> None:
+        nonlocal count
         if remaining == 1:
-            step = u[target, cur]
-            if prune and abs(step) < PRUNE_FLOOR:
-                return
-            total += step * amp
-            count += 1
+            for r, step in ends[cur]:
+                out[r, c] += step * amp
+                count += 1
             return
-        for nxt in interior:
-            step = u[nxt, cur]
-            if prune and abs(step) < PRUNE_FLOOR:
-                continue
-            extend(nxt, remaining - 1, amp * step)
+        for k, step in inner[cur]:
+            extend(c, interior[k], remaining - 1, amp * step)
 
-    extend(source, n, 1.0 + 0.0j)
-    return total, count
-
-
-def _block_walk(u, source, target, avoid, n, d, prune):
-    n_blocks = u.shape[0] // d
-    blocked = set(avoid)
-    interior = [s for s in range(n_blocks) if s not in blocked]
-
-    def block(r: int, c: int) -> np.ndarray:
-        return u[r * d:(r + 1) * d, c * d:(c + 1) * d]
-
-    total = np.zeros((d, d), dtype=np.complex128)
-    count = 0
-
-    def extend(cur: int, remaining: int, amp: np.ndarray) -> None:
-        nonlocal total, count
-        if remaining == 1:
-            step = block(target, cur)
-            if prune and np.linalg.norm(step) < PRUNE_FLOOR:
-                return
-            total += step @ amp
-            count += 1
-            return
-        for nxt in interior:
-            step = block(nxt, cur)
-            if prune and np.linalg.norm(step) < PRUNE_FLOOR:
-                continue
-            extend(nxt, remaining - 1, step @ amp)
-
-    extend(source, n, np.eye(d, dtype=np.complex128))
-    return total, count
+    for c, s in enumerate(sources):
+        extend(c, s, n, 1.0 + 0.0j)
+    return out, count
 
 
 def path_amplitude_sum(U, source: int, target: int, avoid, n: int,
@@ -115,23 +94,28 @@ def path_amplitude_sum(U, source: int, target: int, avoid, n: int,
     may not belong to it.  With block_dim = d > 1 the matrix is read as
     a block matrix, states are block indices, and the amplitude is the
     d x d product of one-step blocks, later steps multiplied on the
-    left.
+    left; it is summed as the scalar paths between the end blocks'
+    indices through the indices of every state not avoided.
     """
     u = as_matrix(U)
     _check_length(n)
-    if block_dim < 1 or u.shape[0] % block_dim:
+    d = block_dim
+    if d < 1 or u.shape[0] % d:
         raise ValueError("matrix size is not a multiple of the block dimension")
-    n_states = u.shape[0] // block_dim
+    n_states = u.shape[0] // d
     avoided = tuple(sorted({int(s) for s in avoid}))
     for s in (source, target, *avoided):
         if not 0 <= s < n_states:
             raise ValueError(f"state {s} outside 0..{n_states - 1}")
-    if block_dim == 1:
-        amp, count = _scalar_walk(u, source, target, avoided, n, prune)
-    else:
-        amp, count = _block_walk(u, source, target, avoided, n, block_dim, prune)
+    blocked = set(avoided)
+    interior = [i for s in range(n_states) if s not in blocked
+                for i in range(s * d, (s + 1) * d)]
+    amp, count = _enumerate(u, range(source * d, (source + 1) * d),
+                            range(target * d, (target + 1) * d),
+                            interior, n, prune)
     return PathSum(source=int(source), target=int(target), avoided=avoided,
-                   length=n, amplitude=amp, n_paths=count)
+                   length=n, amplitude=amp[0, 0] if d == 1 else amp,
+                   n_paths=count)
 
 
 def oracle_first_return(U, v, n: int, prune: bool = True) -> np.ndarray:
@@ -147,24 +131,4 @@ def oracle_first_return(U, v, n: int, prune: bool = True) -> np.ndarray:
     idx = index_tuple(u.shape[0], v)
     blocked = set(idx)
     interior = [s for s in range(u.shape[0]) if s not in blocked]
-    m = len(idx)
-    out = np.zeros((m, m), dtype=np.complex128)
-
-    for c in range(m):
-
-        def extend(cur: int, remaining: int, amp: complex) -> None:
-            if remaining == 1:
-                for r in range(m):
-                    step = u[idx[r], cur]
-                    if prune and abs(step) < PRUNE_FLOOR:
-                        continue
-                    out[r, c] += step * amp
-                return
-            for nxt in interior:
-                step = u[nxt, cur]
-                if prune and abs(step) < PRUNE_FLOOR:
-                    continue
-                extend(nxt, remaining - 1, amp * step)
-
-        extend(idx[c], n, 1.0 + 0.0j)
-    return out
+    return _enumerate(u, idx, idx, interior, n, prune)[0]

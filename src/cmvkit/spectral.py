@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Subspace, as_matrix, require_unitary
+from .linalg import Subspace, column_selector, require_unitary
 from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
@@ -45,11 +45,7 @@ def index_tuple(dim: int, v) -> tuple[int, ...]:
 
 def basis_columns(dim: int, v) -> np.ndarray:
     """Column-selector matrix for ``v``; column order fixes the basis order."""
-    idx = index_tuple(dim, v)
-    b = np.zeros((dim, len(idx)), dtype=np.complex128)
-    for col, i in enumerate(idx):
-        b[i, col] = 1.0
-    return b
+    return column_selector(dim, index_tuple(dim, v))
 
 
 @dataclass(frozen=True)

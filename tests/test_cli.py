@@ -1,12 +1,19 @@
 """Command-line behavior: payload shapes, exit codes, byte stability."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cmvkit.catalog import diffusion_center_schur, double_diffusion_six, hadamard_coin
+from cmvkit import catalog
+from cmvkit.catalog import (
+    coined_walk_six,
+    diffusion_center_schur,
+    double_diffusion_six,
+    hadamard_coin,
+)
 from cmvkit.cli import main
 from cmvkit.linalg import is_unitary, matrix_from_json, matrix_to_json
 from cmvkit.schur import parameters_to_json, random_parameters
@@ -215,6 +222,18 @@ class TestVerify:
             "path-count",
         ]
 
+    def test_oracle_at_order_zero_checks_the_first_amplitude(self, runner, tmp_path):
+        out = tmp_path / "r.json"
+        res = runner.invoke(
+            main,
+            ["--order", "0", "--seed", "3", "verify", "--theorem", "site",
+             "--random", "1,20", "--j", "1", "--oracle", "--report", str(out)],
+        )
+        assert res.exit_code == 0, res.output
+        oracle = json.loads(out.read_text())["reports"][1]
+        assert oracle["theorem"] == "path-count"
+        assert oracle["params"]["horizon"] >= 1
+
     def test_superposition_routes(self, runner, tmp_path):
         out = tmp_path / "r.json"
         res = runner.invoke(
@@ -295,31 +314,6 @@ class TestCampaign:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_do_not_change_the_report(self, runner, tmp_path):
-        cfg = write_json(
-            tmp_path / "c.json",
-            {
-                "defaults": {"order": 6, "tol": 1e-8},
-                "jobs": [
-                    {"theorem": "site", "j": 0,
-                     "source": {"random": {"d": 1, "length": 20, "seed": 2}}},
-                    {"theorem": "site", "j": 1,
-                     "source": {"random": {"d": 1, "length": 20, "seed": 3}}},
-                ],
-            },
-        )
-        bodies = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"r{threads}.json"
-            res = runner.invoke(
-                main,
-                ["--threads", threads, "--out", str(out), "campaign", "run",
-                 "--config", cfg],
-            )
-            assert res.exit_code == 0, res.output
-            bodies.append(out.read_bytes())
-        assert bodies[0] == bodies[1]
-
     def test_zero_tolerance_fails_with_exit_one(self, runner, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -362,12 +356,37 @@ class TestCampaign:
         res = runner.invoke(main, ["campaign", "run", "--config", cfg])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("config", [[1, 2], None, "jobs"])
+    def test_config_that_is_not_an_object_exits_two(self, runner, tmp_path, config):
+        cfg = write_json(tmp_path / "c.json", config)
+        res = runner.invoke(main, ["campaign", "run", "--config", cfg])
+        assert res.exit_code == 2
+        assert "error:" in res.output
+
+    @pytest.mark.parametrize("wrong", ["closed form", "factorization"])
+    def test_split_case_with_a_wrong_claim_fails(self, runner, tmp_path,
+                                                 monkeypatch, wrong):
+        row = catalog.SPLIT_CASES["walk-factors"]
+        if wrong == "closed form":
+            row = dataclasses.replace(row, f_left=row.f_right, f_right=row.f_left)
+        else:
+            walk = coined_walk_six()
+            bad = dataclasses.replace(walk, u_lc=-walk.u_lc)
+            row = dataclasses.replace(row, maker=lambda: bad)
+        monkeypatch.setitem(catalog.SPLIT_CASES, "walk-factors", row)
+        cfg = write_json(tmp_path / "c.json",
+                         {"jobs": [{"case": "walk-factors", "order": 16,
+                                    "tolerance": 1e-10}]})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run",
+                                   "--config", cfg])
+        assert res.exit_code == 1, res.output
+        body = json.loads(out.read_text())
+        assert body["ok"] is False
+        assert body["jobs"][0]["reports"][0]["residual"] > 1e-3
+
 
 class TestGlobalFlags:
     def test_bad_order_rejected_at_the_group(self, runner):
         res = runner.invoke(main, ["--order", "-1", "campaign", "run"])
-        assert res.exit_code == 2
-
-    def test_bad_threads_rejected_at_the_group(self, runner):
-        res = runner.invoke(main, ["--threads", "0", "campaign", "run"])
         assert res.exit_code == 2

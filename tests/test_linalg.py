@@ -20,6 +20,7 @@ from cmvkit.linalg import (
     require_unitary,
 )
 from cmvkit.schur import random_contraction, random_unitary, rho_left, rho_right
+from cmvkit.spectral import basis_columns
 
 
 class TestSubspace:
@@ -36,6 +37,7 @@ class TestSubspace:
         assert b.shape == (4, 2)
         assert b[1, 0] == 1.0 and b[3, 1] == 1.0
         assert np.count_nonzero(b) == 2
+        assert np.array_equal(basis_columns(4, (3, 1)), b[:, ::-1])
 
     def test_complement(self):
         assert Subspace(5, (0, 2)).complement().indices == (1, 3, 4)
