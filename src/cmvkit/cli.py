@@ -507,7 +507,7 @@ def _cf_hadamard(order, tol):
     f_sq = schur_of_subspace(h @ h, (0,), order)
     resid = max(resid, coeff_distance(
         f_sq, MatrixPowerSeries.one(1, order)))
-    if coeff_distance(f * f, f_sq) < 0.5:
+    if coeff_distance(f * f, f_sq) <= tol:
         resid = float("inf")  # f^2 must NOT reproduce the squared coin
     return _report("hadamard-no-overlap", resid, tol,
                    "first-return series of the coin and its square",
@@ -519,10 +519,10 @@ def _cf_superposition_extremes(order, tol):
     params = random_parameters(1, 6, rng)
     resid = 0.0
     for j in (1, 2):
-        b_j = synthesize(inverse_iterate(params, j), order + 2).truncate(order)
-        f_j = synthesize(iterate(params, j), order + 2).truncate(order)
-        b_n = synthesize(inverse_iterate(params, j + 1), order + 2).truncate(order)
-        f_n = synthesize(iterate(params, j + 1), order + 2).truncate(order)
+        b_j = synthesize(inverse_iterate(params, j), order)
+        f_j = synthesize(iterate(params, j), order)
+        b_n = synthesize(inverse_iterate(params, j + 1), order)
+        f_n = synthesize(iterate(params, j + 1), order)
         pure_j = scalar_superposition_schur(params, j, 1.0, 0.0, order)
         pure_next = scalar_superposition_schur(params, j, 0.0, 1.0, order)
         resid = max(resid,

@@ -54,10 +54,6 @@ from .series import (
 from .spectral import schur_of_subspace
 
 DEFAULT_TOL = 1e-8
-# Synthesis headroom: series enter products, so build them slightly longer
-# and truncate; coefficient k of any product depends only on coefficients
-# <= k of the factors, making the headroom a pure safety margin.
-ORDER_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -93,10 +89,6 @@ class VerificationReport:
             f"{json.dumps(dict(sorted(self.params.items())))} "
             f"residual {self.residual:.3e} (tol {self.tolerance:.1e})"
         )
-
-
-def _synth(params: SchurParameters, order: int) -> MatrixPowerSeries:
-    return synthesize(params, order + ORDER_MARGIN).truncate(order)
 
 
 def _window_spec(params: SchurParameters, family: str, last_block: int, order: int) -> BlockOperatorSpec:
@@ -139,8 +131,8 @@ def verify_site_formula(
         raise ValueError("site index must be nonnegative")
     spec = _window_spec(params, family, j, order)
     operator_side = schur_of_subspace(build(spec), _block_range(spec, j, j), order)
-    f_j = _synth(iterate(params, j), order)
-    b_j = _synth(inverse_iterate(params, j), order)
+    f_j = synthesize(iterate(params, j), order)
+    b_j = synthesize(inverse_iterate(params, j), order)
     b_first = (j % 2 == 0) == (family == "C")
     formula_side = b_j * f_j if b_first else f_j * b_j
     residual = coeff_distance(operator_side, formula_side)
@@ -185,8 +177,8 @@ def substitute_into_truncation(
     n_blocks = len(params) + 1 if params.finite else k + 1
     trunc = unitary_truncation(BlockOperatorSpec(params, family, n_blocks), j, k)
     mid = MatrixPowerSeries.constant(trunc.conj().T, order)
-    f_k = _synth(iterate(params, k), order)
-    b_j = _synth(inverse_iterate(params, j), order)
+    f_k = synthesize(iterate(params, k), order)
+    b_j = synthesize(inverse_iterate(params, j), order)
     one = MatrixPowerSeries.one
     w = (k - j) * d
 
@@ -332,8 +324,8 @@ def scalar_superposition_schur(
         f_pair = schur_of_subspace(build(spec), _block_range(spec, j, j + 1), order)
         return compress_to_vector(f_pair, [beta, gamma])
 
-    b = _synth(inverse_iterate(params, j), order)
-    f = _synth(iterate(params, j + 1), order)
+    b = synthesize(inverse_iterate(params, j), order)
+    f = synthesize(iterate(params, j + 1), order)
     alpha = complex(params.alpha(j)[0, 0])
     bb, gg = (beta, gamma) if j % 2 == 0 else (np.conj(beta), np.conj(gamma))
     u, v = _superposition_uv(alpha, bb, gg)
@@ -377,8 +369,8 @@ def hessenberg_superposition(
     if route != "formula":
         raise ValueError("routes here are 'formula' and 'operator_compress'")
 
-    b = _synth(inverse_iterate(params, j), order)
-    f = _synth(iterate(params, j + 1), order)
+    b = synthesize(inverse_iterate(params, j), order)
+    f = synthesize(iterate(params, j + 1), order)
     a = complex(params.alpha(j)[0, 0])
     r = float(np.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
     bc, gc, ac = np.conj(beta), np.conj(gamma), np.conj(a)

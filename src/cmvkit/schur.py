@@ -125,22 +125,22 @@ def synthesize(p: SchurParameters, order: int) -> MatrixPowerSeries:
     """Series of the measure with the given parameters, truncated at the
     stated order.
 
-    The backward recursion is seeded with the terminal when present and
-    with the zero function otherwise.  With L available parameters the
-    first L coefficients never depend on the seed, so unterminated
-    sequences still determine every coefficient any verification consumes.
+    Coefficient k depends only on a_0..a_k, so only a_0..a_order are used.
+    The backward recursion is seeded with the terminal when those reach
+    it (at most order + 1 parameters) and with the zero function
+    otherwise; the seed never reaches a coefficient below order + 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if len(p) == 0 and p.terminal is None:
         raise ValueError("need at least one parameter or a terminal")
-    d = p.block_dim
-    if p.terminal is not None:
+    used = p.alphas[: order + 1]
+    if p.terminal is not None and len(used) == len(p):
         f = MatrixPowerSeries.constant(p.terminal, order)
     else:
-        f = MatrixPowerSeries.zero(d, order)
-    for j in range(len(p) - 1, -1, -1):
-        f = mobius_step(p.alphas[j], f).truncate(order)
+        f = MatrixPowerSeries.zero(p.block_dim, order)
+    for a in reversed(used):
+        f = mobius_step(a, f).truncate(order)
     return f.mark_schur()
 
 

@@ -83,10 +83,6 @@ def _padded_window(params, family, last_block, order):
     return BlockOperatorSpec(params, family, last_block + 2 * (order + 1) + 2)
 
 
-def _synth(params, order):
-    return synthesize(params, order + 2).truncate(order)
-
-
 @pytest.mark.criterion(
     1, "center-state Schur function of the six-state double diffusion matches its rational form"
 )
@@ -227,8 +223,8 @@ def test_range_formula_suite():
         p = random_parameters(1, 20, np.random.default_rng(seed))
         for j in (0, 2):
             sub = substitute_into_truncation(p, "C", j, j + 1, order)
-            b = _synth(inverse_iterate(p, j), order)
-            f = _synth(iterate(p, j + 1), order)
+            b = synthesize(inverse_iterate(p, j), order)
+            f = synthesize(iterate(p, j + 1), order)
             rotation = MatrixPowerSeries.constant(theta(p.alpha(j)).conj().T, order)
             assert coeff_distance(sub, direct_sum_series(b, f) * rotation) <= 1e-12
 
@@ -289,10 +285,10 @@ def test_superposition_suite():
             # route shares one first-return computation per (seed, j)
             window = _padded_window(p, "C", j + 1, order)
             f_pair = schur_of_subspace(build(window), (j, j + 1), order)
-            b_j = _synth(inverse_iterate(p, j), order)
-            f_j = _synth(iterate(p, j), order)
-            b_next = _synth(inverse_iterate(p, j + 1), order)
-            f_next = _synth(iterate(p, j + 1), order)
+            b_j = synthesize(inverse_iterate(p, j), order)
+            f_j = synthesize(iterate(p, j), order)
+            b_next = synthesize(inverse_iterate(p, j + 1), order)
+            f_next = synthesize(iterate(p, j + 1), order)
 
             for beta, gamma in SUPERPOSITION_STATES:
                 formula = scalar_superposition_schur(p, j, beta, gamma, order, route="formula")

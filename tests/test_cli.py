@@ -14,7 +14,7 @@ from cmvkit.catalog import (
     double_diffusion_six,
     hadamard_coin,
 )
-from cmvkit.cli import main
+from cmvkit.cli import CLOSED_FORM_CASES, main
 from cmvkit.linalg import is_unitary, matrix_from_json, matrix_to_json
 from cmvkit.schur import parameters_to_json, random_parameters
 from cmvkit.series import MatrixPowerSeries
@@ -313,6 +313,19 @@ class TestCampaign:
             assert res.exit_code == 0, res.output
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_closed_form_cases_pass_at_low_orders(self, runner, tmp_path):
+        cases = sorted(catalog.SPLIT_CASES) + sorted(CLOSED_FORM_CASES)
+        assert len(cases) == 8
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"jobs": [{"case": case, "order": order, "tolerance": 1e-8}
+                      for order in (0, 1, 2, 3, 5) for case in cases]},
+        )
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 0, res.output
+        assert json.loads(out.read_text())["n_pass"] == 40
 
     def test_zero_tolerance_fails_with_exit_one(self, runner, tmp_path):
         cfg = write_json(

@@ -5,6 +5,7 @@ keeps hypothesis shrinking useful while staying in valid input space.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmvkit.cmv import BlockOperatorSpec, build, standard_overlap, theta
@@ -22,6 +23,7 @@ from cmvkit.schur import (
     synthesize,
 )
 from cmvkit.series import (
+    CONTRACTIVITY_GRID,
     MatrixPowerSeries,
     caratheodory_to_schur,
     coeff_distance,
@@ -160,6 +162,57 @@ def test_standard_overlap_passes_corner_test(seed, j):
     fact = standard_overlap(spec, j)
     assert check_overlap(u, fact.partition).ok
     assert fact.reconstruction_residual(u) < 1e-10
+
+
+def _synthesize_stepping_every_parameter(p, order):
+    """Reference backward recursion: seed with the terminal or with zero,
+    then step through every parameter, whether or not the order reaches it."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if len(p) == 0 and p.terminal is None:
+        raise ValueError("need at least one parameter or a terminal")
+    if p.terminal is not None:
+        f = MatrixPowerSeries.constant(p.terminal, order)
+    else:
+        f = MatrixPowerSeries.zero(p.block_dim, order)
+    for j in range(len(p) - 1, -1, -1):
+        f = mobius_step(p.alphas[j], f).truncate(order)
+    return f.mark_schur()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(1, 4),
+    order=st.integers(0, 40),
+    top=st.floats(0.0, 0.999),
+    terminal=st.booleans(),
+    data=st.data(),
+)
+def test_synthesize_matches_the_full_length_loop(seed, d, order, top, terminal, data):
+    length = data.draw(st.one_of(st.integers(0, 45), st.integers(order, order + 2)))
+    rng = np.random.default_rng(seed)
+    alphas = []
+    for _ in range(length):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        alphas.append(g * (top / np.linalg.norm(g, 2)))
+    p = SchurParameters(d, tuple(alphas), random_unitary(d, rng) if terminal else None)
+    try:
+        want = _synthesize_stepping_every_parameter(p, order)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            synthesize(p, order)
+        return
+    assert np.array_equal(synthesize(p, order).coeffs, want.coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, d=st.integers(1, 4), order=st.integers(0, 64))
+def test_grid_norms_match_pointwise_evaluation(seed, d, order):
+    rng = np.random.default_rng(seed)
+    f = synthesize(random_parameters(d, 5, rng, terminal=True), order)
+    pointwise = max(np.linalg.norm(f.evaluate(z), 2) for z in CONTRACTIVITY_GRID)
+    assert abs(f.max_disk_norm() - pointwise) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)

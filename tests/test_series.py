@@ -121,6 +121,13 @@ class TestTransforms:
         with pytest.raises(ValueError, match="not contractive"):
             scalar(np.ones(9)).mark_schur()
 
+    def test_mark_schur_names_the_outer_ring(self):
+        # 0.6 + 0.6 z stays below 0.87 on |z| = 0.45 but reaches 1.14 on
+        # |z| = 0.9, above the order-64 tail allowance 0.9^65 / 0.1 ~ 0.01
+        f = scalar(np.r_[0.6, 0.6, np.zeros(63)])
+        with pytest.raises(ValueError, match=r"not contractive .*\(1\.140000 at \|z\| = 0\.9\)"):
+            f.mark_schur()
+
 
 
 class TestCayleyPair:
