@@ -39,7 +39,9 @@ from .pathcount import oracle_first_return, path_amplitude_sum
 from .schur import (
     SchurParameters,
     inverse_iterate,
+    inverse_iterate_series,
     iterate,
+    iterate_series,
     mobius_step,
     schur_forward,
     synthesize,
@@ -76,8 +78,10 @@ __all__ = [
     "first_return_amplitudes",
     "hessenberg_superposition",
     "inverse_iterate",
+    "inverse_iterate_series",
     "is_unitary",
     "iterate",
+    "iterate_series",
     "mobius_step",
     "oracle_first_return",
     "path_amplitude_sum",

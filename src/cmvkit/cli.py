@@ -44,8 +44,8 @@ from .overlap import (
 from .pathcount import N_CAP, oracle_first_return
 from .schur import (
     SchurParameters,
-    inverse_iterate,
-    iterate,
+    inverse_iterate_series,
+    iterate_series,
     parameters_from_json,
     parameters_to_json,
     random_parameters,
@@ -519,10 +519,10 @@ def _cf_superposition_extremes(order, tol):
     params = random_parameters(1, 6, rng)
     resid = 0.0
     for j in (1, 2):
-        b_j = synthesize(inverse_iterate(params, j), order)
-        f_j = synthesize(iterate(params, j), order)
-        b_n = synthesize(inverse_iterate(params, j + 1), order)
-        f_n = synthesize(iterate(params, j + 1), order)
+        b_j = inverse_iterate_series(params, j, order)
+        f_j = iterate_series(params, j, order)
+        b_n = inverse_iterate_series(params, j + 1, order)
+        f_n = iterate_series(params, j + 1, order)
         pure_j = scalar_superposition_schur(params, j, 1.0, 0.0, order)
         pure_next = scalar_superposition_schur(params, j, 0.0, 1.0, order)
         resid = max(resid,

@@ -27,11 +27,16 @@ HESSENBERG_FAMILIES = ("H", "Hhat")
 FAMILIES = CMV_FAMILIES + HESSENBERG_FAMILIES
 
 
-def theta(alpha) -> np.ndarray:
-    """The 2d x 2d unitary rotation [[alpha^dagger, rho^L], [rho^R, -alpha]]."""
+def theta(alpha, defects: tuple | None = None) -> np.ndarray:
+    """The 2d x 2d unitary rotation [[alpha^dagger, rho^L], [rho^R, -alpha]].
+
+    ``defects`` is alpha's (rho_L, rho_R, ...) from SchurParameters.defects
+    when already computed.
+    """
     a = as_matrix(alpha)
-    top = np.hstack([a.conj().T, rho_left(a)])
-    bottom = np.hstack([rho_right(a), -a])
+    rl, rr = (rho_left(a), rho_right(a)) if defects is None else defects[:2]
+    top = np.hstack([a.conj().T, rl])
+    bottom = np.hstack([rr, -a])
     return np.vstack([top, bottom])
 
 
@@ -92,33 +97,37 @@ def exact_horizon(spec: BlockOperatorSpec, last_block: int) -> int | None:
     return max(0, (spec.n_blocks - last_block - 2) // 2)
 
 
-def _window(spec: BlockOperatorSpec) -> tuple[list[np.ndarray], np.ndarray]:
-    """Inner coefficients alpha_0..alpha_{M-1} plus the boundary unitary."""
-    m = spec.n_blocks - 1
-    inner = [spec.params.alpha(i) for i in range(m)]
+def _boundary(spec: BlockOperatorSpec) -> np.ndarray:
+    """The unitary closing the window: the terminal, or the identity."""
     if spec.params.finite:
-        boundary = spec.params.terminal
-    else:
-        boundary = np.eye(spec.block_dim, dtype=np.complex128)
-    return inner, boundary
+        return spec.params.terminal
+    return np.eye(spec.block_dim, dtype=np.complex128)
 
 
-def _l_factor(inner, boundary) -> np.ndarray:
+def _window(spec: BlockOperatorSpec) -> tuple[list[np.ndarray], np.ndarray]:
+    """Theta blocks of alpha_0..alpha_{M-1}, from the defects stored on
+    the parameter set, plus the boundary unitary."""
+    p = spec.params
+    thetas = [theta(p.alpha(i), p.defects(i)) for i in range(spec.n_blocks - 1)]
+    return thetas, _boundary(spec)
+
+
+def _l_factor(thetas, boundary) -> np.ndarray:
     """Direct sum of Theta blocks at even offsets; the boundary adjoint
     closes the last block when the count is even."""
-    pieces = [theta(a) for a in inner[0::2]]
-    if len(inner) % 2 == 0:
+    pieces = list(thetas[0::2])
+    if len(thetas) % 2 == 0:
         pieces.append(boundary.conj().T)
     return direct_sum(*pieces)
 
 
-def _m_factor(inner, boundary) -> np.ndarray:
+def _m_factor(thetas, boundary) -> np.ndarray:
     """Identity on block zero, Theta blocks at odd offsets, boundary
     adjoint closing when the count is odd."""
     d = boundary.shape[0]
     pieces = [np.eye(d, dtype=np.complex128)]
-    pieces.extend(theta(a) for a in inner[1::2])
-    if len(inner) % 2 == 1:
+    pieces.extend(thetas[1::2])
+    if len(thetas) % 2 == 1:
         pieces.append(boundary.conj().T)
     return direct_sum(*pieces)
 
@@ -126,8 +135,8 @@ def _m_factor(inner, boundary) -> np.ndarray:
 def cmv_factors(spec: BlockOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """The two block-diagonal band factors whose products give the two
     five-diagonal orderings."""
-    inner, boundary = _window(spec)
-    return _l_factor(inner, boundary), _m_factor(inner, boundary)
+    thetas, boundary = _window(spec)
+    return _l_factor(thetas, boundary), _m_factor(thetas, boundary)
 
 
 def build_cmv(spec: BlockOperatorSpec) -> np.ndarray:
@@ -146,15 +155,13 @@ def build_hessenberg(spec: BlockOperatorSpec) -> np.ndarray:
             "Hessenberg matrices are full above the subdiagonal; only "
             "terminal (finitely supported) sequences build one exactly"
         )
-    inner, boundary = _window(spec)
+    thetas, boundary = _window(spec)
     d = spec.block_dim
-    n = len(inner)
+    n = len(thetas)
     dim = spec.dim
     closing = np.eye(dim, dtype=np.complex128)
     closing[n * d :, n * d :] = boundary.conj().T
-    rotations = [
-        embed(theta(a), range(i * d, (i + 2) * d), dim) for i, a in enumerate(inner)
-    ]
+    rotations = [embed(t, range(i * d, (i + 2) * d), dim) for i, t in enumerate(thetas)]
     out = np.eye(dim, dtype=np.complex128)
     if spec.family == "H":
         for r in rotations:
@@ -232,9 +239,8 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
         raise ValueError(f"overlap site must satisfy 1 <= j <= {spec.n_blocks - 2}")
     d = spec.block_dim
     m = spec.n_blocks - 1
-    inner, boundary = _window(spec)
-    head = SchurParameters(d, inner[:j], terminal=np.eye(d, dtype=np.complex128))
-    tail = SchurParameters(d, inner[j:], terminal=boundary)
+    head = SchurParameters(d, spec.params.alphas[:j], terminal=np.eye(d, dtype=np.complex128))
+    tail = SchurParameters(d, spec.params.alphas[j:m], terminal=_boundary(spec))
     head_blocks = range(0, j + 1)
     tail_blocks = range(j, m + 1)
 

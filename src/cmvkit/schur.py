@@ -12,7 +12,7 @@ iterates reverse a negated-adjoint prefix and terminate with the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,6 +54,11 @@ class SchurParameters:
     block_dim: int
     alphas: tuple
     terminal: Optional[np.ndarray] = None
+    # Derived data, computed once per parameter set and kept out of ==,
+    # repr and JSON: defect triples per parameter, and the synthesized
+    # iterates and inverse iterates per (kind, order, j).
+    _defects: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.block_dim
@@ -88,6 +93,17 @@ class SchurParameters:
     def alpha(self, j: int) -> np.ndarray:
         return self.alphas[j]
 
+    def defects(self, j: int) -> tuple:
+        """(rho_L, rho_R, rho_L^-1) of alpha_j, computed on first use."""
+        return self._defects_of(j, self.alphas[j])
+
+    def _defects_of(self, key, a) -> tuple:
+        """Defect triple of the matrix a, stored under key on first use."""
+        if key not in self._defects:
+            rl = rho_left(a)
+            self._defects[key] = (rl, rho_right(a), np.linalg.inv(rl))
+        return self._defects[key]
+
 
 def iterate(p: SchurParameters, j: int) -> SchurParameters:
     """Parameters of the j-th Schur iterate: drop the first j entries."""
@@ -105,18 +121,25 @@ def inverse_iterate(p: SchurParameters, j: int) -> SchurParameters:
     return SchurParameters(p.block_dim, rev, np.eye(p.block_dim))
 
 
-def mobius_step(alpha, f: MatrixPowerSeries) -> MatrixPowerSeries:
+def mobius_step(alpha, f: MatrixPowerSeries, defects: tuple | None = None) -> MatrixPowerSeries:
     """One backward Schur step: the series with leading parameter alpha
-    whose first iterate is f."""
+    whose first iterate is f.
+
+    ``defects`` is alpha's (rho_L, rho_R, rho_L^-1) when a SchurParameters
+    has already validated alpha and computed them; the norm check is then
+    skipped.
+    """
     a = as_matrix(alpha)
     d = f.block_dim
     if a.shape != (d, d):
         raise ValueError("parameter dimension mismatch")
-    if op_norm(a) >= 1.0 - STRICT_MARGIN:
-        raise ValueError("backward step needs a strict contraction")
-    rl = rho_left(a)
-    rr = rho_right(a)
-    g = f.lmul_const(rr).rmul_const(np.linalg.inv(rl)).shift()
+    if defects is None:
+        if op_norm(a) >= 1.0 - STRICT_MARGIN:
+            raise ValueError("backward step needs a strict contraction")
+        rl = rho_left(a)
+        defects = (rl, rho_right(a), np.linalg.inv(rl))
+    _, rr, rl_inv = defects
+    g = f.lmul_const(rr).rmul_const(rl_inv).shift()
     one = MatrixPowerSeries.one(d, g.order)
     return (one + g.rmul_const(a.conj().T)).inverse() * (g + MatrixPowerSeries.constant(a, g.order))
 
@@ -134,14 +157,77 @@ def synthesize(p: SchurParameters, order: int) -> MatrixPowerSeries:
         raise ValueError("order must be nonnegative")
     if len(p) == 0 and p.terminal is None:
         raise ValueError("need at least one parameter or a terminal")
-    used = p.alphas[: order + 1]
-    if p.terminal is not None and len(used) == len(p):
-        f = MatrixPowerSeries.constant(p.terminal, order)
-    else:
-        f = MatrixPowerSeries.zero(p.block_dim, order)
-    for a in reversed(used):
-        f = mobius_step(a, f).truncate(order)
-    return f.mark_schur()
+    return _steps_down(p, 0, min(len(p), order + 1), None, order).mark_schur()
+
+
+def _steps_down(p: SchurParameters, j: int, stop: int, f, order: int) -> MatrixPowerSeries:
+    """Backward steps over a_{stop-1}, ..., a_j starting from f; f = None
+    seeds with the terminal when stop is the end of the sequence and with
+    zero otherwise."""
+    if f is None:
+        if p.terminal is not None and stop == len(p):
+            f = MatrixPowerSeries.constant(p.terminal, order)
+        else:
+            f = MatrixPowerSeries.zero(p.block_dim, order)
+    for i in range(stop - 1, j - 1, -1):
+        f = mobius_step(p.alphas[i], f, p.defects(i)).truncate(order)
+    return f
+
+
+def _memoize(p: SchurParameters, key: tuple, f: MatrixPowerSeries) -> MatrixPowerSeries:
+    """Store a finished series on p, read-only so no caller can alter it."""
+    f.mark_schur().coeffs.setflags(write=False)
+    p._series[key] = f
+    return f
+
+
+def iterate_series(p: SchurParameters, j: int, order: int) -> MatrixPowerSeries:
+    """synthesize(iterate(p, j), order), memoized on p.
+
+    f_j = mobius(a_j, f_{j+1}): one step from f_{j+1} when it is cached at
+    this order, otherwise a fresh run down from a_{min(len-1, j+order)}.
+    Both give the same bits: the coefficients a fresh run would not reach
+    drop out below the truncation.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if j < 0 or j > len(p):
+        raise ValueError(f"iterate index {j} outside 0..{len(p)}")
+    if j == len(p) and p.terminal is None:
+        raise ValueError("need at least one parameter or a terminal")
+    hit = p._series.get(("f", order, j))
+    if hit is not None:
+        return hit
+    after = p._series.get(("f", order, j + 1))
+    stop = j + 1 if after is not None else min(len(p), j + order + 1)
+    return _memoize(p, ("f", order, j), _steps_down(p, j, stop, after, order))
+
+
+def inverse_iterate_series(p: SchurParameters, j: int, order: int) -> MatrixPowerSeries:
+    """synthesize(inverse_iterate(p, j), order), memoized on p.
+
+    b_j = mobius(-a_{j-1}†, b_{j-1}): one step from b_{j-1} when it is
+    cached at this order, otherwise a fresh run up from
+    -a_{max(0, j-1-order)}†, seeded with the identity terminal when that
+    is -a_0†.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if j < 0 or j > len(p):
+        raise ValueError(f"inverse iterate index {j} outside 0..{len(p)}")
+    hit = p._series.get(("b", order, j))
+    if hit is not None:
+        return hit
+    f = p._series.get(("b", order, j - 1))
+    start = j - 1 if f is not None else max(0, j - 1 - order)
+    if f is None:
+        seed = MatrixPowerSeries.one if start == 0 else MatrixPowerSeries.zero
+        f = seed(p.block_dim, order)
+    for i in range(start, j):
+        # the same expression as inverse_iterate, so the same bits
+        a = -p.alphas[i].conj().T
+        f = mobius_step(a, f, p._defects_of(("reflected", i), a)).truncate(order)
+    return _memoize(p, ("b", order, j), f)
 
 
 def schur_forward(f: MatrixPowerSeries, steps: int) -> SchurParameters:

@@ -151,13 +151,12 @@ class MatrixPowerSeries:
 
     def inverse(self) -> "MatrixPowerSeries":
         """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        cond = float(np.linalg.cond(c0)) if np.linalg.det(c0) != 0 else np.inf
-        if not np.isfinite(cond):
-            raise ValueError("constant term is singular; series has no inverse")
+        try:
+            inv0 = np.linalg.inv(self.coeffs[0])
+        except np.linalg.LinAlgError:
+            raise ValueError("constant term is singular; series has no inverse") from None
         d = self.block_dim
         n = self.order
-        inv0 = np.linalg.inv(c0)
         out = np.zeros((n + 1, d, d), dtype=np.complex128)
         out[0] = inv0
         for k in range(1, n + 1):
@@ -211,11 +210,15 @@ class MatrixPowerSeries:
             acc = acc * z + self.coeffs[k]
         return acc
 
+    def values_at(self, grid: Iterable[complex]) -> np.ndarray:
+        """The truncated sum at each grid point, stacked along the first
+        axis, from one Vandermonde product."""
+        z = np.asarray(list(grid), dtype=np.complex128)
+        return np.einsum("gn,nij->gij", np.vander(z, self.order + 1, increasing=True), self.coeffs)
+
     def _norms_at(self, grid: Iterable[complex]) -> np.ndarray:
         """Operator norms of the truncated sum at each grid point."""
-        z = np.asarray(list(grid), dtype=np.complex128)
-        values = np.einsum("gn,nij->gij", np.vander(z, self.order + 1, increasing=True), self.coeffs)
-        return np.linalg.norm(values, ord=2, axis=(1, 2))
+        return np.linalg.norm(self.values_at(grid), ord=2, axis=(1, 2))
 
     def max_disk_norm(self, grid: Iterable[complex] = CONTRACTIVITY_GRID) -> float:
         return float(self._norms_at(grid).max())

@@ -53,8 +53,8 @@ from cmvkit.overlap import (
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import (
     SchurParameters,
-    inverse_iterate,
-    iterate,
+    inverse_iterate_series,
+    iterate_series,
     random_contraction,
     random_parameters,
     random_unitary,
@@ -223,8 +223,8 @@ def test_range_formula_suite():
         p = random_parameters(1, 20, np.random.default_rng(seed))
         for j in (0, 2):
             sub = substitute_into_truncation(p, "C", j, j + 1, order)
-            b = synthesize(inverse_iterate(p, j), order)
-            f = synthesize(iterate(p, j + 1), order)
+            b = inverse_iterate_series(p, j, order)
+            f = iterate_series(p, j + 1, order)
             rotation = MatrixPowerSeries.constant(theta(p.alpha(j)).conj().T, order)
             assert coeff_distance(sub, direct_sum_series(b, f) * rotation) <= 1e-12
 
@@ -285,10 +285,10 @@ def test_superposition_suite():
             # route shares one first-return computation per (seed, j)
             window = _padded_window(p, "C", j + 1, order)
             f_pair = schur_of_subspace(build(window), (j, j + 1), order)
-            b_j = synthesize(inverse_iterate(p, j), order)
-            f_j = synthesize(iterate(p, j), order)
-            b_next = synthesize(inverse_iterate(p, j + 1), order)
-            f_next = synthesize(iterate(p, j + 1), order)
+            b_j = inverse_iterate_series(p, j, order)
+            f_j = iterate_series(p, j, order)
+            b_next = inverse_iterate_series(p, j + 1, order)
+            f_next = iterate_series(p, j + 1, order)
 
             for beta, gamma in SUPERPOSITION_STATES:
                 formula = scalar_superposition_schur(p, j, beta, gamma, order, route="formula")

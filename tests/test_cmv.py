@@ -17,7 +17,7 @@ from cmvkit.cmv import (
     theta,
     unitary_truncation,
 )
-from cmvkit.linalg import direct_sum, is_unitary
+from cmvkit.linalg import direct_sum, embed, is_unitary
 from cmvkit.overlap import check_overlap
 from cmvkit.schur import (
     SchurParameters,
@@ -27,6 +27,7 @@ from cmvkit.schur import (
     rho_left,
     rho_right,
 )
+from cmvkit.spectral import schur_of_subspace
 
 SQ3 = float(np.sqrt(3.0))
 
@@ -189,6 +190,57 @@ class TestBuildHessenberg:
     def test_refuses_padded_window(self):
         with pytest.raises(ValueError, match="terminal"):
             build_hessenberg(spec_of([0.1, 0.2, 0.3], "H", blocks=3))
+
+
+def _from_public_theta(spec):
+    """The operator assembled from public theta(alpha) calls, without the
+    defects stored on the parameter set."""
+    p, d, m = spec.params, spec.block_dim, spec.n_blocks - 1
+    thetas = [theta(p.alpha(i)) for i in range(m)]
+    closing = (p.terminal if p.finite else np.eye(d)).conj().T
+    if spec.family in ("C", "Chat"):
+        lf = direct_sum(*thetas[0::2], *[closing] * (m % 2 == 0))
+        mf = direct_sum(np.eye(d), *thetas[1::2], *[closing] * (m % 2 == 1))
+        return lf @ mf if spec.family == "C" else mf @ lf
+    rotations = [embed(t, range(i * d, (i + 2) * d), spec.dim) for i, t in enumerate(thetas)]
+    last = embed(closing, range(m * d, spec.dim), spec.dim)
+    if spec.family == "H":
+        out = np.eye(spec.dim)
+        for r in rotations + [last]:
+            out = out @ r
+        return out
+    out = last
+    for r in reversed(rotations):
+        out = out @ r
+    return out
+
+
+class TestStoredDefects:
+    @pytest.mark.parametrize(
+        "family, n_blocks, terminal",
+        [("C", 6, False), ("C", 7, False), ("C", 7, True),
+         ("Chat", 6, False), ("Chat", 7, False), ("Chat", 7, True),
+         ("H", 7, True), ("Hhat", 7, True)],
+    )
+    def test_build_matches_public_theta(self, family, n_blocks, terminal, rng):
+        for d in (1, 3):
+            p = random_parameters(d, 6, rng, terminal=terminal)
+            spec = BlockOperatorSpec(p, family, n_blocks)
+            want = _from_public_theta(spec)
+            assert np.array_equal(build(spec), want)
+            assert p._defects
+            assert np.array_equal(build(spec), want)
+
+    def test_operator_route_reads_no_series(self, rng):
+        p = random_parameters(2, 12, rng)
+        for family in ("C", "Chat"):
+            u = build(BlockOperatorSpec(p, family, 12))
+            schur_of_subspace(u, range(2, 6), 4)
+        q = random_parameters(1, 4, rng, terminal=True)
+        for family in ("H", "Hhat"):
+            schur_of_subspace(build(BlockOperatorSpec(q, family, 5)), (1, 2), 4)
+        assert p._defects and q._defects
+        assert p._series == {} and q._series == {}
 
 
 class TestSubmatrixRange:

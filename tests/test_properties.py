@@ -14,6 +14,10 @@ from cmvkit.overlap import check_overlap, construct_overlap
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import (
     SchurParameters,
+    inverse_iterate,
+    inverse_iterate_series,
+    iterate,
+    iterate_series,
     mobius_step,
     random_parameters,
     random_unitary,
@@ -180,6 +184,16 @@ def _synthesize_stepping_every_parameter(p, order):
     return f.mark_schur()
 
 
+def _parameters_of_norm(seed, d, length, top, terminal):
+    """Random parameters, each scaled to operator norm ``top``."""
+    rng = np.random.default_rng(seed)
+    alphas = []
+    for _ in range(length):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        alphas.append(g * (top / np.linalg.norm(g, 2)))
+    return SchurParameters(d, tuple(alphas), random_unitary(d, rng) if terminal else None)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=seeds,
@@ -191,12 +205,7 @@ def _synthesize_stepping_every_parameter(p, order):
 )
 def test_synthesize_matches_the_full_length_loop(seed, d, order, top, terminal, data):
     length = data.draw(st.one_of(st.integers(0, 45), st.integers(order, order + 2)))
-    rng = np.random.default_rng(seed)
-    alphas = []
-    for _ in range(length):
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        alphas.append(g * (top / np.linalg.norm(g, 2)))
-    p = SchurParameters(d, tuple(alphas), random_unitary(d, rng) if terminal else None)
+    p = _parameters_of_norm(seed, d, length, top, terminal)
     try:
         want = _synthesize_stepping_every_parameter(p, order)
     except Exception as exc:
@@ -204,6 +213,41 @@ def test_synthesize_matches_the_full_length_loop(seed, d, order, top, terminal, 
             synthesize(p, order)
         return
     assert np.array_equal(synthesize(p, order).coeffs, want.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(1, 4),
+    top=st.floats(0.0, 0.999),
+    terminal=st.booleans(),
+    data=st.data(),
+)
+def test_shared_series_match_fresh_synthesis_in_any_request_order(seed, d, top, terminal, data):
+    length = data.draw(st.integers(0, 8), label="length")
+    p = _parameters_of_norm(seed, d, length, top, terminal)
+    orders = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=2), label="orders")
+    sweep = data.draw(st.sampled_from(["ascending", "descending", "shuffled"]), label="sweep")
+    js = list(range(length + 1))
+    if sweep == "descending":
+        js.reverse()
+    elif sweep == "shuffled":
+        js = data.draw(st.permutations(js), label="js")
+    # the first two requests come again at the end: they must hit the memo
+    for j in js + js[:2]:
+        for order in orders:
+            for shared, parameters_of in ((iterate_series, iterate), (inverse_iterate_series, inverse_iterate)):
+                try:
+                    want = synthesize(parameters_of(p, j), order)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        shared(p, j, order)
+                    continue
+                got = shared(p, j, order)
+                assert np.array_equal(got.coeffs, want.coeffs), (shared.__name__, j, order)
+                assert got.schur and shared(p, j, order) is got
+                with pytest.raises(ValueError, match="read-only"):
+                    got.coeffs[0, 0, 0] = 0.0
 
 
 @settings(max_examples=25, deadline=None)

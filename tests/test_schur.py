@@ -8,8 +8,11 @@ from cmvkit.schur import (
     SchurParameters,
     binary_transform,
     inverse_iterate,
+    inverse_iterate_series,
     iterate,
+    iterate_series,
     mobius_step,
+    parameters_to_json,
     random_parameters,
     rho_left,
     rho_right,
@@ -151,6 +154,39 @@ class TestIterates:
         assert np.allclose(b.alpha(0), -p.alpha(2).conj().T)
         assert np.allclose(b.alpha(2), -p.alpha(0).conj().T)
         assert np.allclose(b.terminal, np.eye(2))
+
+
+class TestParameterMemo:
+    def test_memo_leaves_equality_repr_and_json_alone(self):
+        p = scalar_params([0.3, -0.2j, 0.5], terminal=1j)
+        fresh = scalar_params([0.3, -0.2j, 0.5], terminal=1j)
+        before = (repr(p), parameters_to_json(p))
+        p.defects(1)
+        iterate_series(p, 1, 6)
+        inverse_iterate_series(p, 2, 6)
+        assert p._defects and p._series
+        assert p == fresh
+        assert (repr(p), parameters_to_json(p)) == before
+
+    def test_defects_are_the_public_defect_matrices(self, rng):
+        p = random_parameters(3, 4, rng)
+        rl, rr, rl_inv = p.defects(2)
+        assert np.array_equal(rl, rho_left(p.alpha(2)))
+        assert np.array_equal(rr, rho_right(p.alpha(2)))
+        assert np.array_equal(rl_inv, np.linalg.inv(rl))
+        assert p.defects(2) is p.defects(2)
+
+    def test_shared_series_reject_out_of_range_indices(self):
+        p = scalar_params([0.3, 0.2])
+        for fn in (iterate_series, inverse_iterate_series):
+            with pytest.raises(ValueError):
+                fn(p, 3, 4)
+            with pytest.raises(ValueError):
+                fn(p, -1, 4)
+            with pytest.raises(ValueError):
+                fn(p, 0, -1)
+        with pytest.raises(ValueError, match="terminal"):
+            iterate_series(p, 2, 4)
 
 
 def _forward_step(f, alpha):

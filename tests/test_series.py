@@ -77,6 +77,13 @@ class TestInverse:
         with pytest.raises(ValueError):
             scalar([0.0, 1.0]).inverse()
 
+    def test_requires_invertible_matrix_constant_term(self):
+        c = np.zeros((3, 2, 2), dtype=complex)
+        c[0] = [[1.0, 2.0], [2.0, 4.0]]  # exactly singular
+        c[1] = np.eye(2)
+        with pytest.raises(ValueError, match="singular"):
+            MatrixPowerSeries(c).inverse()
+
 
 class TestTransforms:
     def test_dagger_is_an_involution(self, rng):

@@ -14,7 +14,10 @@ from cmvkit.linalg import Subspace
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import SchurParameters, random_unitary
 from cmvkit.series import MatrixPowerSeries, coeff_distance
+from cmvkit import spectral
 from cmvkit.spectral import (
+    RESOLVENT_SAMPLES,
+    ReturnAmplitudes,
     amplitudes_to_schur,
     caratheodory_of_subspace,
     first_return_amplitudes,
@@ -140,6 +143,37 @@ class TestSchurOfSubspace:
         z = 0.4 * np.exp(0.7j)
         gap = np.abs(f.evaluate(z) - resolvent_compression(u, v, z)).max()
         assert gap < 1e-9
+
+    def test_resolvent_at_a_sequence_stacks_the_pointwise_values(self, rng):
+        u = random_unitary(6, rng)
+        stacked = resolvent_compression(u, (1, 3), RESOLVENT_SAMPLES)
+        assert stacked.shape == (len(RESOLVENT_SAMPLES), 2, 2)
+        for z, value in zip(RESOLVENT_SAMPLES, stacked):
+            assert np.array_equal(value, resolvent_compression(u, (1, 3), z))
+
+    def test_cross_check_catches_a_perturbed_amplitude(self, rng, monkeypatch):
+        u = random_unitary(6, rng)
+        schur_of_subspace(u, (1, 3), 8)
+        honest = spectral.first_return_amplitudes
+
+        def perturbed(*args, **kwargs):
+            ra = honest(*args, **kwargs)
+            amps = list(ra.amplitudes)
+            amps[3] = amps[3] + 1e-6
+            return ReturnAmplitudes(ra.basis_indices, ra.horizon, tuple(amps), ra.exact)
+
+        monkeypatch.setattr(spectral, "first_return_amplitudes", perturbed)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            schur_of_subspace(u, (1, 3), 8)
+        schur_of_subspace(u, (1, 3), 8, cross_check=False)
+
+    def test_non_unitary_matrix_is_refused(self, rng):
+        u = random_unitary(5, rng)
+        u[0, 0] += 1e-6
+        with pytest.raises(ValueError, match="not unitary"):
+            schur_of_subspace(u, (0, 2), 6)
+        with pytest.raises(ValueError, match="not unitary"):
+            resolvent_compression(u, (0, 2), RESOLVENT_SAMPLES)
 
     def test_order_needs_enough_horizon(self):
         ra = first_return_amplitudes(np.eye(3), (0,), 4)
