@@ -21,7 +21,13 @@ import click
 import numpy as np
 
 from . import catalog
-from .cmv import FAMILIES, HESSENBERG_FAMILIES, BlockOperatorSpec, build
+from .cmv import (
+    FAMILIES,
+    HESSENBERG_FAMILIES,
+    BlockOperatorSpec,
+    block_subspace,
+    build,
+)
 from .khrushchev import (
     DEFAULT_TOL,
     SUPERPOSITION_ROUTES,
@@ -74,11 +80,7 @@ def _load_json(path: str):
 
 
 def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -261,11 +263,9 @@ def overlap():
     """Overlapping factorizations of explicit unitaries."""
 
 
-@overlap.command("check")
-@_partition_options
-@click.pass_context
-def overlap_check(ctx, matrix_path, left, center, right):
-    """Corner and rank test for an overlapping factorization."""
+def _checked_partition(ctx, matrix_path, left, center, right):
+    """Read the matrix and the partition and run the corner and rank test;
+    returns both with the test's JSON payload."""
     try:
         u = require_unitary(matrix_from_json(_load_json(matrix_path)))
         part = SubspacePartition(u.shape[0], _indices(left), _indices(center),
@@ -281,8 +281,17 @@ def overlap_check(ctx, matrix_path, left, center, right):
         "rank": int(chk.rank),
         "center_dim": int(chk.center_dim),
     }
+    return u, part, chk.ok, payload
+
+
+@overlap.command("check")
+@_partition_options
+@click.pass_context
+def overlap_check(ctx, matrix_path, left, center, right):
+    """Corner and rank test for an overlapping factorization."""
+    _, _, ok, payload = _checked_partition(ctx, matrix_path, left, center, right)
     _emit(payload, ctx.obj["out"])
-    sys.exit(0 if chk.ok else 1)
+    sys.exit(0 if ok else 1)
 
 
 @overlap.command("construct")
@@ -290,19 +299,10 @@ def overlap_check(ctx, matrix_path, left, center, right):
 @click.pass_context
 def overlap_construct(ctx, matrix_path, left, center, right):
     """Build the two factors and report the reconstruction residual."""
-    try:
-        u = require_unitary(matrix_from_json(_load_json(matrix_path)))
-        part = SubspacePartition(u.shape[0], _indices(left), _indices(center),
-                                 _indices(right))
-        chk = check_overlap(u, part, rel_tol=min(ctx.obj["tol"], 1e-10))
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
-    if not chk.ok:
-        _emit({"schema": SCHEMA_VERSION, "ok": False,
-               "corner_norm": float(chk.corner_norm),
-               "corner_tol": float(chk.corner_tol),
-               "rank": int(chk.rank), "center_dim": int(chk.center_dim)},
-              ctx.obj["out"])
+    u, part, ok, payload = _checked_partition(ctx, matrix_path, left, center,
+                                              right)
+    if not ok:
+        _emit(payload, ctx.obj["out"])
         sys.exit(1)
     try:
         fact = construct_overlap(u, part)
@@ -362,8 +362,7 @@ def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
     horizon = min(order + 1, 6, N_CAP)
     spec = _window_spec(params, family, j, horizon)
     op = build(spec)
-    d = params.block_dim
-    v = tuple(range(j * d, (j + 1) * d))
+    v = block_subspace(spec, [j])
     ra = first_return_amplitudes(op, v, horizon)
     residual = 0.0
     for n in range(1, horizon + 1):
@@ -372,7 +371,7 @@ def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
     return VerificationReport(
         theorem="path-count",
         params={"family": family, "j": j, "horizon": horizon,
-                "d": d, "dim": op.shape[0]},
+                "d": params.block_dim, "dim": op.shape[0]},
         residual=residual,
         tolerance=tolerance,
         left_provenance="explicit path enumeration",

@@ -139,12 +139,36 @@ def cmv_factors(spec: BlockOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     return _l_factor(thetas, boundary), _m_factor(thetas, boundary)
 
 
+def _assemble(family: str, thetas, boundary) -> np.ndarray:
+    """The finite operator of the given family on len(thetas)+1 blocks:
+    the band factor products L M / M L, or the Hessenberg product of the
+    Theta rotations, closed by the boundary unitary."""
+    if family in CMV_FAMILIES:
+        lf, mf = _l_factor(thetas, boundary), _m_factor(thetas, boundary)
+        out = lf @ mf if family == "C" else mf @ lf
+        return require_unitary(out, what="built CMV matrix")
+    d = boundary.shape[0]
+    n = len(thetas)
+    dim = (n + 1) * d
+    closing = np.eye(dim, dtype=np.complex128)
+    closing[n * d :, n * d :] = boundary.conj().T
+    rotations = [embed(t, range(i * d, (i + 2) * d), dim) for i, t in enumerate(thetas)]
+    out = np.eye(dim, dtype=np.complex128)
+    if family == "H":
+        for r in rotations:
+            out = out @ r
+        out = out @ closing
+    else:
+        out = closing
+        for r in reversed(rotations):
+            out = out @ r
+    return require_unitary(out, what="built Hessenberg matrix")
+
+
 def build_cmv(spec: BlockOperatorSpec) -> np.ndarray:
     if spec.family not in CMV_FAMILIES:
         raise ValueError(f"build_cmv expects a CMV family, got {spec.family!r}")
-    lf, mf = cmv_factors(spec)
-    out = lf @ mf if spec.family == "C" else mf @ lf
-    return require_unitary(out, what="built CMV matrix")
+    return _assemble(spec.family, *_window(spec))
 
 
 def build_hessenberg(spec: BlockOperatorSpec) -> np.ndarray:
@@ -155,23 +179,7 @@ def build_hessenberg(spec: BlockOperatorSpec) -> np.ndarray:
             "Hessenberg matrices are full above the subdiagonal; only "
             "terminal (finitely supported) sequences build one exactly"
         )
-    thetas, boundary = _window(spec)
-    d = spec.block_dim
-    n = len(thetas)
-    dim = spec.dim
-    closing = np.eye(dim, dtype=np.complex128)
-    closing[n * d :, n * d :] = boundary.conj().T
-    rotations = [embed(t, range(i * d, (i + 2) * d), dim) for i, t in enumerate(thetas)]
-    out = np.eye(dim, dtype=np.complex128)
-    if spec.family == "H":
-        for r in rotations:
-            out = out @ r
-        out = out @ closing
-    else:
-        out = closing
-        for r in reversed(rotations):
-            out = out @ r
-    return require_unitary(out, what="built Hessenberg matrix")
+    return _assemble(spec.family, *_window(spec))
 
 
 def build(spec: BlockOperatorSpec) -> np.ndarray:
@@ -198,12 +206,6 @@ def submatrix_range(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
     return build(spec)[np.ix_(sel, sel)]
 
 
-def _segment(spec: BlockOperatorSpec, start: int, stop: int, terminal: np.ndarray) -> SchurParameters:
-    """Coefficients alpha_start..alpha_{stop-1} with an explicit terminal."""
-    inner = [spec.params.alpha(i) for i in range(start, stop)]
-    return SchurParameters(spec.block_dim, inner, terminal=terminal)
-
-
 def unitary_truncation(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
     """Unitary closure of the blocks j..k: the boundary coefficients are
     replaced by -1 (below) and +1 (above), which decouples the range.
@@ -214,16 +216,24 @@ def unitary_truncation(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
     """
     if not 0 <= j < k < spec.n_blocks:
         raise ValueError(f"need 0 <= j < k < n_blocks, got ({j}, {k})")
-    d = spec.block_dim
-    segment = _segment(spec, j, k, np.eye(d, dtype=np.complex128))
-    if spec.family in CMV_FAMILIES:
-        swap = j % 2 == 1
-        family = spec.family
-        if swap:
-            family = "Chat" if family == "C" else "C"
-    else:
-        family = spec.family
-    return build(BlockOperatorSpec(segment, family, k - j + 1))
+    p = spec.params
+    thetas = [theta(p.alpha(i), p.defects(i)) for i in range(j, k)]
+    family = spec.family
+    if family in CMV_FAMILIES and j % 2 == 1:
+        family = "Chat" if family == "C" else "C"
+    return _assemble(family, thetas, np.eye(spec.block_dim, dtype=np.complex128))
+
+
+# family, parity of j -> (the head factor is U_LC, family of U_LC, family of
+# U_CR); the Hessenberg families use no parity
+_OVERLAP_ROLES = {
+    ("C", 0): (False, "C", "C"),
+    ("C", 1): (True, "C", "Chat"),
+    ("Chat", 0): (True, "Chat", "Chat"),
+    ("Chat", 1): (False, "C", "Chat"),
+    ("H", 0): (True, "H", "H"),
+    ("Hhat", 0): (False, "Hhat", "Hhat"),
+}
 
 
 def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
@@ -237,45 +247,20 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
     """
     if not 1 <= j <= spec.n_blocks - 2:
         raise ValueError(f"overlap site must satisfy 1 <= j <= {spec.n_blocks - 2}")
-    d = spec.block_dim
-    m = spec.n_blocks - 1
-    head = SchurParameters(d, spec.params.alphas[:j], terminal=np.eye(d, dtype=np.complex128))
-    tail = SchurParameters(d, spec.params.alphas[j:m], terminal=_boundary(spec))
-    head_blocks = range(0, j + 1)
-    tail_blocks = range(j, m + 1)
-
-    def finite(params, family):
-        return build(BlockOperatorSpec(params, family, len(params) + 1))
-
-    even = j % 2 == 0
-    if spec.family == "C":
-        if even:
-            u_lc, lc_blocks = finite(tail, "C"), tail_blocks
-            u_cr, cr_blocks = finite(head, "C"), head_blocks
-        else:
-            u_lc, lc_blocks = finite(head, "C"), head_blocks
-            u_cr, cr_blocks = finite(tail, "Chat"), tail_blocks
-    elif spec.family == "Chat":
-        if even:
-            u_lc, lc_blocks = finite(head, "Chat"), head_blocks
-            u_cr, cr_blocks = finite(tail, "Chat"), tail_blocks
-        else:
-            u_lc, lc_blocks = finite(tail, "C"), tail_blocks
-            u_cr, cr_blocks = finite(head, "Chat"), head_blocks
-    elif spec.family == "H":
-        u_lc, lc_blocks = finite(head, "H"), head_blocks
-        u_cr, cr_blocks = finite(tail, "H"), tail_blocks
-    else:
-        u_lc, lc_blocks = finite(tail, "Hhat"), tail_blocks
-        u_cr, cr_blocks = finite(head, "Hhat"), head_blocks
+    thetas, boundary = _window(spec)
+    head = (thetas[:j], np.eye(spec.block_dim, dtype=np.complex128)), range(0, j + 1)
+    tail = (thetas[j:], boundary), range(j, spec.n_blocks)
+    parity = j % 2 if spec.family in CMV_FAMILIES else 0
+    head_is_lc, lc_family, cr_family = _OVERLAP_ROLES[spec.family, parity]
+    (lc_factor, lc_blocks), (cr_factor, cr_blocks) = (head, tail) if head_is_lc else (tail, head)
+    u_lc = _assemble(lc_family, *lc_factor)
+    u_cr = _assemble(cr_family, *cr_factor)
 
     def coords(blocks):
-        return tuple(b * d + t for b in blocks for t in range(d))
+        return block_subspace(spec, blocks).indices
 
-    left_blocks = [b for b in lc_blocks if b != j]
-    right_blocks = [b for b in cr_blocks if b != j]
     partition = SubspacePartition(
-        spec.dim, coords(left_blocks), coords([j]), coords(right_blocks)
+        spec.dim, coords(set(lc_blocks) - {j}), coords([j]), coords(set(cr_blocks) - {j})
     )
     fact = OverlapFactorization(partition, u_lc, u_cr)
     resid = fact.reconstruction_residual(build(spec))

@@ -34,6 +34,7 @@ from .cmv import (
     FAMILIES,
     HESSENBERG_FAMILIES,
     BlockOperatorSpec,
+    block_subspace,
     build,
     unitary_truncation,
 )
@@ -113,9 +114,12 @@ def _window_spec(params: SchurParameters, family: str, last_block: int, order: i
     return BlockOperatorSpec(params, family, n_blocks)
 
 
-def _block_range(spec: BlockOperatorSpec, j: int, k: int) -> tuple[int, ...]:
-    d = spec.block_dim
-    return tuple(range(j * d, (k + 1) * d))
+def _operator_side(
+    params: SchurParameters, family: str, j: int, k: int, order: int
+) -> MatrixPowerSeries:
+    """Schur function of blocks j..k read off the built operator."""
+    spec = _window_spec(params, family, k, order)
+    return schur_of_subspace(build(spec), block_subspace(spec, range(j, k + 1)), order)
 
 
 def verify_site_formula(
@@ -124,26 +128,21 @@ def verify_site_formula(
     j: int,
     order: int,
     tolerance: float = DEFAULT_TOL,
-    context: dict | None = None,
 ) -> VerificationReport:
     """V_j Schur function of a five-diagonal family against b_j f_j / f_j b_j."""
     if family not in CMV_FAMILIES:
         raise ValueError(f"site formula covers families {CMV_FAMILIES}, got {family!r}")
     if j < 0:
         raise ValueError("site index must be nonnegative")
-    spec = _window_spec(params, family, j, order)
-    operator_side = schur_of_subspace(build(spec), _block_range(spec, j, j), order)
+    operator_side = _operator_side(params, family, j, j, order)
     f_j = iterate_series(params, j, order)
     b_j = inverse_iterate_series(params, j, order)
     b_first = (j % 2 == 0) == (family == "C")
     formula_side = b_j * f_j if b_first else f_j * b_j
-    residual = coeff_distance(operator_side, formula_side)
-    detail = {"d": params.block_dim, "family": family, "j": j, "order": order}
-    detail.update(context or {})
     return VerificationReport(
         "site-schur-function",
-        detail,
-        residual,
+        {"d": params.block_dim, "family": family, "j": j, "order": order},
+        coeff_distance(operator_side, formula_side),
         tolerance,
         "first-return amplitudes of the built matrix",
         "product of synthesized iterate and inverse iterate",
@@ -199,6 +198,28 @@ def substitute_into_truncation(
     return ends * mid if j_even else mid * ends
 
 
+def _range_report(
+    theorem: str,
+    params: SchurParameters,
+    family: str,
+    j: int,
+    k: int,
+    order: int,
+    tolerance: float,
+) -> VerificationReport:
+    """Blocks j..k of the built operator against the substitution series."""
+    operator_side = _operator_side(params, family, j, k, order)
+    formula_side = substitute_into_truncation(params, family, j, k, order)
+    return VerificationReport(
+        theorem,
+        {"d": params.block_dim, "family": family, "j": j, "k": k, "order": order},
+        coeff_distance(operator_side, formula_side),
+        tolerance,
+        "first-return amplitudes of the built matrix",
+        "substitution into the adjoint unitary truncation",
+    )
+
+
 def verify_range_formula(
     params: SchurParameters,
     family: str,
@@ -206,25 +227,11 @@ def verify_range_formula(
     k: int,
     order: int,
     tolerance: float = DEFAULT_TOL,
-    context: dict | None = None,
 ) -> VerificationReport:
     """Blocks j..k of a five-diagonal family against the substitution series."""
     if family not in CMV_FAMILIES:
         raise ValueError(f"range formula covers families {CMV_FAMILIES}, got {family!r}")
-    spec = _window_spec(params, family, k, order)
-    operator_side = schur_of_subspace(build(spec), _block_range(spec, j, k), order)
-    formula_side = substitute_into_truncation(params, family, j, k, order)
-    residual = coeff_distance(operator_side, formula_side)
-    detail = {"d": params.block_dim, "family": family, "j": j, "k": k, "order": order}
-    detail.update(context or {})
-    return VerificationReport(
-        "range-schur-function",
-        detail,
-        residual,
-        tolerance,
-        "first-return amplitudes of the built matrix",
-        "substitution into the adjoint unitary truncation",
-    )
+    return _range_report("range-schur-function", params, family, j, k, order, tolerance)
 
 
 def verify_hessenberg_formula(
@@ -234,7 +241,6 @@ def verify_hessenberg_formula(
     k: int,
     order: int,
     tolerance: float = DEFAULT_TOL,
-    context: dict | None = None,
 ) -> VerificationReport:
     """Blocks j..k of a Hessenberg family against its substitution series.
 
@@ -247,19 +253,8 @@ def verify_hessenberg_formula(
         )
     if not params.finite:
         raise ValueError("Hessenberg verification needs a terminal sequence")
-    spec = _window_spec(params, family, k, order)
-    operator_side = schur_of_subspace(build(spec), _block_range(spec, j, k), order)
-    formula_side = substitute_into_truncation(params, family, j, k, order)
-    residual = coeff_distance(operator_side, formula_side)
-    detail = {"d": params.block_dim, "family": family, "j": j, "k": k, "order": order}
-    detail.update(context or {})
-    return VerificationReport(
-        "hessenberg-range-schur-function",
-        detail,
-        residual,
-        tolerance,
-        "first-return amplitudes of the built matrix",
-        "substitution into the adjoint unitary truncation",
+    return _range_report(
+        "hessenberg-range-schur-function", params, family, j, k, order, tolerance
     )
 
 
@@ -322,9 +317,7 @@ def scalar_superposition_schur(
     beta, gamma = _check_state(beta, gamma)
 
     if route == "operator_compress":
-        spec = _window_spec(params, "C", j + 1, order)
-        f_pair = schur_of_subspace(build(spec), _block_range(spec, j, j + 1), order)
-        return compress_to_vector(f_pair, [beta, gamma])
+        return compress_to_vector(_operator_side(params, "C", j, j + 1, order), [beta, gamma])
 
     b = inverse_iterate_series(params, j, order)
     f = iterate_series(params, j + 1, order)
@@ -365,9 +358,7 @@ def hessenberg_superposition(
         raise ValueError(f"need 0 <= j < {len(params)} so that blocks j, j+1 exist")
     beta, gamma = _check_state(beta, gamma)
     if route == "operator_compress":
-        spec = _window_spec(params, "H", j + 1, order)
-        h_pair = schur_of_subspace(build(spec), _block_range(spec, j, j + 1), order)
-        return compress_to_vector(h_pair, [beta, gamma])
+        return compress_to_vector(_operator_side(params, "H", j, j + 1, order), [beta, gamma])
     if route != "formula":
         raise ValueError("routes here are 'formula' and 'operator_compress'")
 

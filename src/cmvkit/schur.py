@@ -46,6 +46,16 @@ def rho_right(alpha) -> np.ndarray:
     return hermitian_psd_sqrt(np.eye(a.shape[0]) - a @ a.conj().T)
 
 
+def _frozen(m) -> np.ndarray:
+    """m as a read-only array owning its data, so no caller can alter a
+    checked parameter later; one that already is such an array is shared."""
+    a = as_matrix(m)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SchurParameters:
     """An ordered family of d x d strict contractions, optionally closed by
@@ -66,7 +76,7 @@ class SchurParameters:
             raise ValueError("block_dim must be positive")
         mats = []
         for j, a in enumerate(self.alphas):
-            m = as_matrix(a)
+            m = _frozen(a)
             if m.shape != (d, d):
                 raise ValueError(f"parameter {j} is not {d}x{d}")
             norm = op_norm(m)
@@ -75,7 +85,7 @@ class SchurParameters:
             mats.append(m)
         object.__setattr__(self, "alphas", tuple(mats))
         if self.terminal is not None:
-            t = as_matrix(self.terminal)
+            t = _frozen(self.terminal)
             if t.shape != (d, d):
                 raise ValueError(f"terminal is not {d}x{d}")
             check = is_unitary(t)

@@ -50,16 +50,11 @@ def basis_columns(dim: int, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReturnAmplitudes:
-    """First-return amplitudes a_1..a_horizon of a subspace.
-
-    ``exact`` records whether the ambient matrix was wide enough that a
-    window edge (if any) cannot have touched these values.
-    """
+    """First-return amplitudes a_1..a_horizon of a subspace."""
 
     basis_indices: tuple[int, ...]
     horizon: int
     amplitudes: tuple[np.ndarray, ...]
-    exact: bool = True
 
     @property
     def dim(self) -> int:
@@ -84,7 +79,7 @@ def spectral_moments(U, v, n: int) -> np.ndarray:
     return b.conj().T @ np.linalg.matrix_power(u, n) @ b
 
 
-def first_return_amplitudes(U, v, horizon: int, exact: bool = True) -> ReturnAmplitudes:
+def first_return_amplitudes(U, v, horizon: int) -> ReturnAmplitudes:
     """a_n = P U (Q U)^{n-1} P for n = 1..horizon, via the obvious recursion:
     keep a block of vectors, apply U, record the compression, project out V,
     repeat."""
@@ -100,7 +95,7 @@ def first_return_amplitudes(U, v, horizon: int, exact: bool = True) -> ReturnAmp
         a = b.conj().T @ y
         amps.append(a)
         x = y - b @ a
-    return ReturnAmplitudes(idx, horizon, tuple(amps), exact)
+    return ReturnAmplitudes(idx, horizon, tuple(amps))
 
 
 def amplitudes_to_schur(ra: ReturnAmplitudes, order: int) -> MatrixPowerSeries:
@@ -127,31 +122,23 @@ def resolvent_compression(U, v, z) -> np.ndarray:
     return np.stack([b.conj().T @ np.linalg.solve(u - w * q, b) for w in z])
 
 
-def schur_of_subspace(
-    U,
-    v,
-    order: int,
-    exact: bool = True,
-    cross_check: bool = True,
-) -> MatrixPowerSeries:
+def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     """Schur function of the subspace, as a truncated series.
 
-    When ``cross_check`` is on, the Taylor route is compared with the
-    resolvent route at the standard sample points; a mismatch beyond
-    RESOLVENT_TOL raises ArithmeticError, since it would mean one of the
-    two primary computations is wrong.
+    The Taylor route is compared with the resolvent route at the standard
+    sample points; a mismatch beyond RESOLVENT_TOL raises ArithmeticError,
+    since it would mean one of the two primary computations is wrong.
     """
-    horizon = max(order + 1, _CHECK_HORIZON if cross_check else 0)
-    ra = first_return_amplitudes(U, v, horizon, exact)
-    if cross_check:
-        long_series = amplitudes_to_schur(ra, horizon - 1)
-        taylor = long_series.values_at(RESOLVENT_SAMPLES)
-        worst = float(np.abs(taylor - resolvent_compression(U, v, RESOLVENT_SAMPLES)).max())
-        if worst > RESOLVENT_TOL:
-            raise ArithmeticError(
-                "internal-consistency failure: Taylor and resolvent routes "
-                f"disagree by {worst:.3e}"
-            )
+    horizon = max(order + 1, _CHECK_HORIZON)
+    ra = first_return_amplitudes(U, v, horizon)
+    long_series = amplitudes_to_schur(ra, horizon - 1)
+    taylor = long_series.values_at(RESOLVENT_SAMPLES)
+    worst = float(np.abs(taylor - resolvent_compression(U, v, RESOLVENT_SAMPLES)).max())
+    if worst > RESOLVENT_TOL:
+        raise ArithmeticError(
+            "internal-consistency failure: Taylor and resolvent routes "
+            f"disagree by {worst:.3e}"
+        )
     f = amplitudes_to_schur(ra, order)
     return MatrixPowerSeries(f.coeffs, schur=True)
 

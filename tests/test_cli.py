@@ -188,11 +188,11 @@ class TestOverlapCommands:
 
     def test_construct_refuses_bad_partition(self, runner, tmp_path):
         path = write_json(tmp_path / "u.json", matrix_to_json(hadamard_coin()))
-        res = runner.invoke(
-            main,
-            ["overlap", "construct", "--matrix", path, "--left", "0", "--right", "1"],
-        )
+        args = ["--matrix", path, "--left", "0", "--right", "1"]
+        res = runner.invoke(main, ["overlap", "construct", *args])
         assert res.exit_code == 1
+        # the refusal carries the payload of the check itself
+        assert res.output == runner.invoke(main, ["overlap", "check", *args]).output
 
 
 class TestVerify:
@@ -326,6 +326,40 @@ class TestCampaign:
         res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
         assert res.exit_code == 0, res.output
         assert json.loads(out.read_text())["n_pass"] == 40
+
+    def test_range_and_hessenberg_jobs_run_every_pair_with_j_below_k(self, runner, tmp_path):
+        jobs = [
+            {"theorem": "range", "family": family, "j": [0, 2], "k": [1, 3],
+             "source": {"random": {"d": 1, "length": 24, "seed": 6}}}
+            for family in ("C", "Chat")
+        ] + [
+            {"theorem": "hessenberg", "family": family, "j": [0, 2], "k": [1, 3],
+             "source": {"random": {"d": 2, "length": 4, "seed": 7}}}
+            for family in ("H", "Hhat")
+        ]
+        cfg = write_json(tmp_path / "c.json", {"defaults": {"order": 6}, "jobs": jobs})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 0, res.output
+        body = json.loads(out.read_text())
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert body["n_pass"] == 4 * len(pairs) and body["n_fail"] == 0
+        theorems = ["range-schur-function"] * 2 + ["hessenberg-range-schur-function"] * 2
+        for entry, family, theorem in zip(body["jobs"], ("C", "Chat", "H", "Hhat"), theorems):
+            reps = entry["reports"]
+            assert [(r["params"]["j"], r["params"]["k"]) for r in reps] == pairs
+            assert {(r["theorem"], r["params"]["family"]) for r in reps} == {(theorem, family)}
+
+    @pytest.mark.parametrize("job, message", [
+        ({"theorem": "hessenberg", "family": "C", "j": 0, "k": 1}, "not a Hessenberg family"),
+        ({"theorem": "range", "j": [2, 3], "k": [1, 2]}, "no cases"),
+    ])
+    def test_range_job_that_cannot_run_exits_two(self, runner, tmp_path, job, message):
+        job["source"] = {"random": {"d": 1, "length": 6, "seed": 8, "terminal": True}}
+        cfg = write_json(tmp_path / "c.json", {"jobs": [job]})
+        res = runner.invoke(main, ["campaign", "run", "--config", cfg])
+        assert res.exit_code == 2
+        assert message in res.output
 
     def test_zero_tolerance_fails_with_exit_one(self, runner, tmp_path):
         cfg = write_json(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmvkit.cmv import (
+    FAMILIES,
     BlockOperatorSpec,
     build,
     build_cmv,
@@ -17,6 +18,7 @@ from cmvkit.cmv import (
     theta,
     unitary_truncation,
 )
+from cmvkit.khrushchev import substitute_into_truncation
 from cmvkit.linalg import direct_sum, embed, is_unitary
 from cmvkit.overlap import check_overlap
 from cmvkit.schur import (
@@ -242,6 +244,23 @@ class TestStoredDefects:
         assert p._defects and q._defects
         assert p._series == {} and q._series == {}
 
+    def test_slices_build_no_parameter_sets(self, rng, monkeypatch):
+        p = random_parameters(2, 8, rng, terminal=True)
+        built = []
+        original = SchurParameters.__post_init__
+
+        def counting(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(SchurParameters, "__post_init__", counting)
+        for family in FAMILIES:
+            spec = BlockOperatorSpec(p, family, 9)
+            unitary_truncation(spec, 1, 4)
+            standard_overlap(spec, 3)
+            substitute_into_truncation(p, family, 1, 4, 3)
+        assert built == []
+
 
 class TestSubmatrixRange:
     def test_top_left_block_is_first_parameter(self, rng):
@@ -293,20 +312,22 @@ class TestSubmatrixRange:
 
 class TestUnitaryTruncation:
     def test_odd_start_swaps_to_hat_family(self, rng):
-        p = random_parameters(2, 6, rng)
-        spec = BlockOperatorSpec(p, "C", 6)
-        got = unitary_truncation(spec, 1, 4)
-        inner = SchurParameters(2, p.alphas[1:4], np.eye(2))
-        want = build(BlockOperatorSpec(inner, "Chat", 4))
-        assert np.abs(got - want).max() < 1e-13
+        for d in (2, 3):
+            p = random_parameters(d, 6, rng)
+            spec = BlockOperatorSpec(p, "C", 6)
+            got = unitary_truncation(spec, 1, 4)
+            inner = SchurParameters(d, p.alphas[1:4], np.eye(d))
+            want = build(BlockOperatorSpec(inner, "Chat", 4))
+            assert np.array_equal(got, want), d
 
     def test_even_start_keeps_family(self, rng):
-        p = random_parameters(2, 6, rng)
-        spec = BlockOperatorSpec(p, "C", 6)
-        got = unitary_truncation(spec, 2, 5)
-        inner = SchurParameters(2, p.alphas[2:5], np.eye(2))
-        want = build(BlockOperatorSpec(inner, "C", 4))
-        assert np.abs(got - want).max() < 1e-13
+        for d in (2, 3):
+            p = random_parameters(d, 6, rng)
+            spec = BlockOperatorSpec(p, "C", 6)
+            got = unitary_truncation(spec, 2, 5)
+            inner = SchurParameters(d, p.alphas[2:5], np.eye(d))
+            want = build(BlockOperatorSpec(inner, "C", 4))
+            assert np.array_equal(got, want), d
 
     def test_corner_entries_after_closure(self, rng):
         # closing blocks 1..4 puts a_1^dagger, rL_1 on top and rR_3, -a_3
@@ -329,12 +350,14 @@ class TestUnitaryTruncation:
                 assert chk.ok, (fam, j, k, chk.residual)
 
     def test_hessenberg_truncation_matches_inner_build(self, rng):
-        p = random_parameters(1, 5, rng, terminal=True)
-        spec = BlockOperatorSpec(p, "H", 6)
-        got = unitary_truncation(spec, 1, 3)
-        inner = SchurParameters(1, p.alphas[1:3], np.eye(1))
-        want = build(BlockOperatorSpec(inner, "H", 3))
-        assert np.abs(got - want).max() < 1e-13
+        for family in ("H", "Hhat"):
+            for d in (1, 3):
+                p = random_parameters(d, 5, rng, terminal=True)
+                spec = BlockOperatorSpec(p, family, 6)
+                got = unitary_truncation(spec, 1, 3)
+                inner = SchurParameters(d, p.alphas[1:3], np.eye(d))
+                want = build(BlockOperatorSpec(inner, family, 3))
+                assert np.array_equal(got, want), (family, d)
 
     def test_hessenberg_submatrix_truncation_relation(self, rng):
         # H_[j,k] = (-a_{j-1} + 1) H_(j,k) (1 + a_k^dagger)
@@ -356,27 +379,48 @@ class TestUnitaryTruncation:
 
 class TestStandardOverlap:
     def test_even_site_factors_are_head_and_tail_builds(self, rng):
-        p = random_parameters(1, 8, rng)
-        spec = BlockOperatorSpec(p, "C", 8)
-        fact = standard_overlap(spec, 2)
-        head = SchurParameters(1, p.alphas[:2], np.eye(1))
-        tail = SchurParameters(1, p.alphas[2:7], np.eye(1))
-        assert np.abs(fact.u_cr - build(BlockOperatorSpec(head, "C", 3))).max() < 1e-13
-        assert np.abs(fact.u_lc - build(BlockOperatorSpec(tail, "C", 6))).max() < 1e-13
-        # even site of the LM ordering: the head factor acts on the low
-        # blocks as the center-right piece
-        assert fact.partition.center == (2,)
-        assert fact.partition.right == (0, 1)
+        for d in (1, 3):
+            p = random_parameters(d, 8, rng)
+            spec = BlockOperatorSpec(p, "C", 8)
+            fact = standard_overlap(spec, 2)
+            head = SchurParameters(d, p.alphas[:2], np.eye(d))
+            tail = SchurParameters(d, p.alphas[2:7], np.eye(d))
+            assert np.array_equal(fact.u_cr, build(BlockOperatorSpec(head, "C", 3)))
+            assert np.array_equal(fact.u_lc, build(BlockOperatorSpec(tail, "C", 6)))
+            # even site of the LM ordering: the head factor acts on the low
+            # blocks as the center-right piece
+            assert fact.partition.center == tuple(range(2 * d, 3 * d))
+            assert fact.partition.right == tuple(range(2 * d))
 
     def test_odd_site_factors(self, rng):
-        p = random_parameters(1, 8, rng)
-        spec = BlockOperatorSpec(p, "C", 8)
-        fact = standard_overlap(spec, 3)
-        head = SchurParameters(1, p.alphas[:3], np.eye(1))
-        tail = SchurParameters(1, p.alphas[3:7], np.eye(1))
-        assert np.abs(fact.u_lc - build(BlockOperatorSpec(head, "C", 4))).max() < 1e-13
-        assert np.abs(fact.u_cr - build(BlockOperatorSpec(tail, "Chat", 5))).max() < 1e-13
-        assert fact.partition.left == (0, 1, 2)
+        for d in (1, 3):
+            p = random_parameters(d, 8, rng)
+            spec = BlockOperatorSpec(p, "C", 8)
+            fact = standard_overlap(spec, 3)
+            head = SchurParameters(d, p.alphas[:3], np.eye(d))
+            tail = SchurParameters(d, p.alphas[3:7], np.eye(d))
+            assert np.array_equal(fact.u_lc, build(BlockOperatorSpec(head, "C", 4)))
+            assert np.array_equal(fact.u_cr, build(BlockOperatorSpec(tail, "Chat", 5)))
+            assert fact.partition.left == tuple(range(3 * d))
+
+    @pytest.mark.parametrize(
+        "family, j, head_is_lc, lc_family, cr_family",
+        [("Chat", 2, True, "Chat", "Chat"), ("Chat", 3, False, "C", "Chat"),
+         ("H", 2, True, "H", "H"), ("Hhat", 3, False, "Hhat", "Hhat")],
+    )
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_terminal_factors_are_head_and_tail_builds(
+        self, family, j, head_is_lc, lc_family, cr_family, d, rng
+    ):
+        p = random_parameters(d, 6, rng, terminal=True)
+        fact = standard_overlap(BlockOperatorSpec(p, family, 7), j)
+        head = SchurParameters(d, p.alphas[:j], np.eye(d)), range(0, j + 1)
+        tail = SchurParameters(d, p.alphas[j:], p.terminal), range(j, 7)
+        (lc, lc_blocks), (cr, cr_blocks) = (head, tail) if head_is_lc else (tail, head)
+        assert np.array_equal(fact.u_lc, build(BlockOperatorSpec(lc, lc_family, len(lc) + 1)))
+        assert np.array_equal(fact.u_cr, build(BlockOperatorSpec(cr, cr_family, len(cr) + 1)))
+        assert fact.partition.lc == tuple(b * d + t for b in lc_blocks for t in range(d))
+        assert fact.partition.cr == tuple(b * d + t for b in cr_blocks for t in range(d))
 
     def test_product_reconstructs_for_block_parameters(self, rng):
         p = random_parameters(2, 7, rng)

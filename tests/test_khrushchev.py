@@ -75,7 +75,7 @@ class TestSiteFormula:
         p = random_parameters(2, 36, rng)
         for family in ("C", "Chat"):
             for j in range(6):
-                rep = verify_site_formula(p, family, j, 12, context={"case": "unit"})
+                rep = verify_site_formula(p, family, j, 12)
                 assert rep.ok, (family, j, rep.residual)
 
     def test_window_too_small_is_refused(self):

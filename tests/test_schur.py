@@ -176,6 +176,23 @@ class TestParameterMemo:
         assert np.array_equal(rl_inv, np.linalg.inv(rl))
         assert p.defects(2) is p.defects(2)
 
+    def test_caller_arrays_are_copied_read_only(self):
+        a = np.array([[0.5]], dtype=np.complex128)
+        t = np.array([[1.0]], dtype=np.complex128)
+        p = SchurParameters(1, (a, 0.2 * a), terminal=t)
+        series = iterate_series(p, 0, 4)
+        a[0, 0] = 0.99999999999
+        t[0, 0] = 1j
+        assert p.alpha(0)[0, 0] == 0.5 and p.alpha(1)[0, 0] == 0.1
+        assert p.terminal[0, 0] == 1.0
+        fresh = scalar_params([0.5, 0.1], terminal=1.0)
+        assert np.array_equal(series.coeffs, iterate_series(fresh, 0, 4).coeffs)
+        for m in (p.alpha(0), p.terminal):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
+        # a set built from another set's parameters shares them
+        assert iterate(p, 1).alpha(0) is p.alpha(1)
+
     def test_shared_series_reject_out_of_range_indices(self):
         p = scalar_params([0.3, 0.2])
         for fn in (iterate_series, inverse_iterate_series):
