@@ -27,12 +27,12 @@ from .cmv import (
     BlockOperatorSpec,
     block_subspace,
     build,
+    window_spec,
 )
 from .khrushchev import (
     DEFAULT_TOL,
     SUPERPOSITION_ROUTES,
     VerificationReport,
-    _window_spec,
     hessenberg_superposition,
     scalar_superposition_schur,
     verify_hessenberg_formula,
@@ -327,29 +327,20 @@ def overlap_construct(ctx, matrix_path, left, center, right):
 
 def _superposition_report(params, j, beta, gamma, order, tolerance,
                           hessenberg=False) -> VerificationReport:
-    """Compare every computation route for one superposed state pairwise."""
-    if hessenberg:
-        series = {r: hessenberg_superposition(params, j, beta, gamma, order,
-                                              route=r)
-                  for r in ("formula", "operator_compress")}
-    else:
-        series = {r: scalar_superposition_schur(params, j, beta, gamma, order,
-                                                route=r)
-                  for r in SUPERPOSITION_ROUTES}
-    names = sorted(series)
-    residual = max(
-        coeff_distance(series[a], series[b])
-        for i, a in enumerate(names) for b in names[i + 1:]
-    )
+    """Compare the formula and operator routes for one superposed state."""
+    schur_fn = (hessenberg_superposition if hessenberg
+                else scalar_superposition_schur)
+    formula, operator = (schur_fn(params, j, beta, gamma, order, route=r)
+                         for r in SUPERPOSITION_ROUTES)
     return VerificationReport(
         theorem="hessenberg-superposition" if hessenberg else "superposition",
         params={"j": j, "beta": [beta.real, beta.imag],
                 "gamma": [gamma.real, gamma.imag], "order": order,
-                "d": params.block_dim, "routes": names},
-        residual=float(residual),
+                "d": params.block_dim, "routes": list(SUPERPOSITION_ROUTES)},
+        residual=coeff_distance(formula, operator),
         tolerance=tolerance,
-        left_provenance="route " + names[0],
-        right_provenance="routes " + ", ".join(names[1:]),
+        left_provenance="route " + SUPERPOSITION_ROUTES[0],
+        right_provenance="routes " + SUPERPOSITION_ROUTES[1],
     )
 
 
@@ -360,7 +351,7 @@ def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
     them up to the enumeration's affordable length.
     """
     horizon = min(order + 1, 6, N_CAP)
-    spec = _window_spec(params, family, j, horizon)
+    spec = window_spec(params, family, j, horizon)
     op = build(spec)
     v = block_subspace(spec, [j])
     ra = first_return_amplitudes(op, v, horizon)
@@ -397,11 +388,14 @@ def _job_params(job, theorem) -> SchurParameters:
 
 
 def _expand(value, what) -> list[int]:
+    """An index or an inclusive [lo, hi] range of indices."""
     if value is None:
         raise ValueError(f"missing '{what}'")
-    if isinstance(value, int):
-        return [value]
-    lo, hi = int(value[0]), int(value[1])
+    bounds = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in bounds):
+        raise ValueError(f"'{what}' must be an integer or an [lo, hi] pair "
+                         f"of integers, got {json.dumps(value)}")
+    lo, hi = bounds[0], bounds[-1]
     if hi < lo:
         raise ValueError(f"empty {what} range")
     return list(range(lo, hi + 1))

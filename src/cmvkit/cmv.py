@@ -6,7 +6,7 @@ the exact finite operator on N+1 blocks.  Without a terminal the builder
 returns a window: the first out-of-window coefficient is replaced by the
 identity, which preserves unitarity but perturbs the last two block rows,
 so consumers must keep their horizon away from the edge (see
-exact_horizon).
+window_spec).
 
 Family names: "C" and "Chat" are the two five-diagonal orderings LM and
 ML of the same Theta factors; "H" and "Hhat" are the Hessenberg products.
@@ -84,17 +84,29 @@ class BlockOperatorSpec:
         return not self.params.finite
 
 
-def exact_horizon(spec: BlockOperatorSpec, last_block: int) -> int | None:
-    """Largest first-return horizon unaffected by the window edge.
+def window_spec(params: SchurParameters, family: str, last_block: int, order: int) -> BlockOperatorSpec:
+    """Spec whose first-return amplitudes through last_block are exact at
+    horizon order+1: the terminal build, or a window padded far enough
+    that the edge is out of reach.
 
     One application of a five-diagonal operator moves at most two block
     indices, so a window of M blocks keeps horizons up to
-    (M - last_block - 2) / 2 honest.  Terminal builds are exact at every
-    horizon (None).
+    (M - last_block - 2) / 2 honest.
     """
-    if not spec.padded:
-        return None
-    return max(0, (spec.n_blocks - last_block - 2) // 2)
+    if params.finite:
+        if last_block > len(params):
+            raise ValueError(
+                f"block {last_block} does not exist for {len(params)} "
+                "coefficients with a terminal"
+            )
+        return BlockOperatorSpec(params, family, len(params) + 1)
+    n_blocks = last_block + 2 * (order + 1) + 2
+    if len(params) < n_blocks - 1:
+        raise ValueError(
+            f"window of {n_blocks} blocks needs {n_blocks - 1} coefficients "
+            f"for exact horizon {order + 1}; have {len(params)}"
+        )
+    return BlockOperatorSpec(params, family, n_blocks)
 
 
 def _boundary(spec: BlockOperatorSpec) -> np.ndarray:

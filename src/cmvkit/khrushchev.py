@@ -18,8 +18,8 @@ here:
   inverted.  The Hessenberg families use one fixed placement each, no
   parity involved.
 * scalar superposition: for the state beta e_j + gamma e_{j+1}, the
-  closed form and its binary-transform rewriting take conjugated
-  (beta, gamma) at odd j; the Hessenberg analog does not.
+  closed form is the binary transform of (b_j, f_{j+1}) and takes
+  conjugated (beta, gamma) at odd j; the Hessenberg analog does not.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .cmv import (
     block_subspace,
     build,
     unitary_truncation,
+    window_spec,
 )
 # synthesize is not called here; it stays a name of this module because
 # perfbench's tracer test checks that the tracer wraps this alias
@@ -94,31 +95,11 @@ class VerificationReport:
         )
 
 
-def _window_spec(params: SchurParameters, family: str, last_block: int, order: int) -> BlockOperatorSpec:
-    """Spec whose first-return amplitudes through last_block are exact at
-    horizon order+1: either the terminal build, or a window padded far
-    enough that the edge is out of reach."""
-    if params.finite:
-        if last_block > len(params):
-            raise ValueError(
-                f"block {last_block} does not exist for {len(params)} "
-                "coefficients with a terminal"
-            )
-        return BlockOperatorSpec(params, family, len(params) + 1)
-    n_blocks = last_block + 2 * (order + 1) + 2
-    if len(params) < n_blocks - 1:
-        raise ValueError(
-            f"window of {n_blocks} blocks needs {n_blocks - 1} coefficients "
-            f"for exact horizon {order + 1}; have {len(params)}"
-        )
-    return BlockOperatorSpec(params, family, n_blocks)
-
-
 def _operator_side(
     params: SchurParameters, family: str, j: int, k: int, order: int
 ) -> MatrixPowerSeries:
     """Schur function of blocks j..k read off the built operator."""
-    spec = _window_spec(params, family, k, order)
+    spec = window_spec(params, family, k, order)
     return schur_of_subspace(build(spec), block_subspace(spec, range(j, k + 1)), order)
 
 
@@ -291,7 +272,7 @@ def _check_state(beta: complex, gamma: complex) -> tuple[complex, complex]:
     return beta, gamma
 
 
-SUPERPOSITION_ROUTES = ("formula", "binary_transform", "operator_compress")
+SUPERPOSITION_ROUTES = ("formula", "operator_compress")
 
 
 def scalar_superposition_schur(
@@ -303,12 +284,12 @@ def scalar_superposition_schur(
     route: str = "formula",
 ) -> MatrixPowerSeries:
     """Scalar Schur function of the state beta e_j + gamma e_{j+1} of a
-    scalar five-diagonal matrix, by one of three routes.
+    scalar five-diagonal matrix, formula route or operator route.
 
-    The closed form and its binary-transform version use conjugated
-    weights at odd j; the operator route computes on the built matrix and
-    involves no such rule, which is exactly what makes it an oracle for
-    the other two.
+    The formula route is the binary transform T_{u,v}(b_j, f_{j+1}) and
+    uses conjugated weights at odd j; the operator route computes on the
+    built matrix and involves no such rule, which is exactly what makes
+    it an oracle for the formula.
     """
     if params.block_dim != 1:
         raise ValueError("superposition formulas are scalar (d = 1) only")
@@ -323,12 +304,7 @@ def scalar_superposition_schur(
     f = iterate_series(params, j + 1, order)
     alpha = complex(params.alpha(j)[0, 0])
     bb, gg = (beta, gamma) if j % 2 == 0 else (np.conj(beta), np.conj(gamma))
-    u, v = _superposition_uv(alpha, bb, gg)
-    if route == "binary_transform":
-        return binary_transform(u, v, b, f)
-    num = (b * f).shift() + u * b + v * f
-    den = 1 + np.conj(v) * b.shift() + np.conj(u) * f.shift()
-    return (num * den.inverse()).truncate(order).mark_schur()
+    return binary_transform(*_superposition_uv(alpha, bb, gg), b, f)
 
 
 def hessenberg_superposition(
@@ -356,11 +332,11 @@ def hessenberg_superposition(
         raise ValueError("Hessenberg superposition needs a terminal sequence")
     if not 0 <= j < len(params):
         raise ValueError(f"need 0 <= j < {len(params)} so that blocks j, j+1 exist")
+    if route not in SUPERPOSITION_ROUTES:
+        raise ValueError(f"route must be one of {SUPERPOSITION_ROUTES}")
     beta, gamma = _check_state(beta, gamma)
     if route == "operator_compress":
         return compress_to_vector(_operator_side(params, "H", j, j + 1, order), [beta, gamma])
-    if route != "formula":
-        raise ValueError("routes here are 'formula' and 'operator_compress'")
 
     b = inverse_iterate_series(params, j, order)
     f = iterate_series(params, j + 1, order)

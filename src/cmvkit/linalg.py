@@ -16,7 +16,6 @@ import numpy as np
 # dimension at most a few hundred, so double precision leaves ample headroom.
 UNITARY_TOL = 1e-10
 RANK_REL_TOL = 1e-9
-COEFF_TOL = 1e-8
 EIG_CLAMP = 1e-12
 
 
@@ -93,11 +92,6 @@ class Subspace:
     def basis(self) -> np.ndarray:
         """ambient_dim x dim matrix whose columns are the selected basis vectors."""
         return column_selector(self.ambient_dim, self.indices)
-
-    def complement(self) -> "Subspace":
-        chosen = set(self.indices)
-        rest = tuple(i for i in range(self.ambient_dim) if i not in chosen)
-        return Subspace(self.ambient_dim, rest)
 
 
 def projector(sub: Subspace) -> np.ndarray:

@@ -69,14 +69,6 @@ class OverlapCheck:
     rank: int
     center_dim: int
 
-    @property
-    def corner_ok(self) -> bool:
-        return self.corner_norm <= self.corner_tol
-
-    @property
-    def rank_ok(self) -> bool:
-        return self.rank == self.center_dim
-
 
 @dataclass(frozen=True)
 class OverlapFactorization:
@@ -137,7 +129,7 @@ def construct_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_R
     first (ties resolved to the lowest index), matched to the center
     indices in ascending order.
     """
-    u = require_unitary(U)
+    u = as_matrix(U)  # check_overlap certifies it unitary
     chk = check_overlap(u, partition, rel_tol)
     if not chk.ok:
         raise ValueError(
@@ -263,7 +255,7 @@ def abstract_khrushchev_check(
     factor on center + V_R.  The product is gauge invariant even though
     the individual factors are not.
     """
-    u = require_unitary(U)
+    u = as_matrix(U)  # construct_overlap or schur_of_subspace certifies it unitary
     vl = tuple(sorted(int(i) for i in v_l))
     vr = tuple(sorted(int(i) for i in v_r))
     if not set(vl) <= set(partition.left):

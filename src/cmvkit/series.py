@@ -12,11 +12,11 @@ special-cased for it.
 from __future__ import annotations
 
 import csv
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .linalg import COEFF_TOL, as_matrix
+from .linalg import as_matrix
 
 # Fixed sampling grid for the contractivity check: two rings of eight
 # points inside the closed disk of radius 0.9.
@@ -62,10 +62,6 @@ class MatrixPowerSeries:
     @classmethod
     def one(cls, block_dim: int, order: int) -> "MatrixPowerSeries":
         return cls.constant(np.eye(block_dim), order)
-
-    @classmethod
-    def from_scalar(cls, values: Sequence[complex]) -> "MatrixPowerSeries":
-        return cls(np.asarray(list(values), dtype=np.complex128).reshape(-1, 1, 1))
 
     # -- basic queries --------------------------------------------------------
 
@@ -192,15 +188,6 @@ class MatrixPowerSeries:
             raise ValueError("truncate cannot extend a series")
         return MatrixPowerSeries(self.coeffs[: order + 1].copy(), schur=self.schur)
 
-    def pad_zeros(self, order: int) -> "MatrixPowerSeries":
-        """Extend with zero coefficients.  Only valid when the tail is known
-        to vanish, e.g. for polynomials."""
-        if order < self.order:
-            raise ValueError("pad_zeros cannot shorten a series")
-        d = self.block_dim
-        pad = np.zeros((order - self.order, d, d), dtype=np.complex128)
-        return MatrixPowerSeries(np.concatenate([self.coeffs, pad]), schur=self.schur)
-
     # -- evaluation and checks ------------------------------------------------
 
     def evaluate(self, z: complex) -> np.ndarray:
@@ -281,10 +268,14 @@ class MatrixPowerSeries:
             raise ValueError("coefficient CSV must start with header n,row,col,re,im")
         entries = {}
         max_n = max_d = 0
-        for line in rows[1:]:
+        for number, line in enumerate(rows[1:], start=2):
             if not line:
                 continue
             n, r, c = int(line[0]), int(line[1]), int(line[2])
+            if min(n, r, c) < 0:
+                raise ValueError(f"coefficient CSV line {number}: negative index in {line}")
+            if (n, r, c) in entries:
+                raise ValueError(f"coefficient CSV line {number}: repeats entry ({n},{r},{c})")
             entries[(n, r, c)] = complex(float(line[3]), float(line[4]))
             max_n = max(max_n, n)
             max_d = max(max_d, r + 1, c + 1)
@@ -306,10 +297,6 @@ def coeff_distance(a: MatrixPowerSeries, b: MatrixPowerSeries, order: int | None
     return float(np.abs(diff).max())
 
 
-def series_close(a: MatrixPowerSeries, b: MatrixPowerSeries, tol: float = COEFF_TOL) -> bool:
-    return coeff_distance(a, b) <= tol
-
-
 def direct_sum_series(*parts: MatrixPowerSeries) -> MatrixPowerSeries:
     """Block-diagonal direct sum; the order is the shortest one involved."""
     if not parts:
@@ -322,21 +309,6 @@ def direct_sum_series(*parts: MatrixPowerSeries) -> MatrixPowerSeries:
         k = p.block_dim
         out[:, at : at + k, at : at + k] = p.coeffs[: n + 1]
         at += k
-    return MatrixPowerSeries(out)
-
-
-def embed_series(s: MatrixPowerSeries, positions: Sequence[int], total_dim: int) -> MatrixPowerSeries:
-    """Embed a series at the given coordinate positions, acting as the
-    identity on the remaining positions."""
-    pos = [int(p) for p in positions]
-    if s.block_dim != len(pos):
-        raise ValueError("series block_dim does not match the position list")
-    if any(p < 0 or p >= total_dim for p in pos):
-        raise ValueError("embedding position out of range")
-    out = np.zeros((s.order + 1, total_dim, total_dim), dtype=np.complex128)
-    out[0] = np.eye(total_dim)
-    out[0][np.ix_(pos, pos)] = 0.0
-    out[:, np.array(pos).reshape(-1, 1), np.array(pos)] = s.coeffs
     return MatrixPowerSeries(out)
 
 

@@ -1,13 +1,15 @@
 """Command-line behavior: payload shapes, exit codes, byte stability."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cmvkit import catalog
+from cmvkit import catalog, cli
 from cmvkit.catalog import (
     coined_walk_six,
     diffusion_center_schur,
@@ -86,6 +88,14 @@ class TestSchurCommands:
         body = json.loads(out.read_text())
         first = matrix_from_json(body["alphas"][0])
         assert abs(first[0, 0] - 1.0 / 6.0) < 1e-10
+
+    @pytest.mark.parametrize("bad_row", ["-1,0,0,0.9,0", "0,0,0,0.9,0", "0,0,-1,0.9,0"])
+    def test_params_rejects_bad_csv_indices(self, runner, tmp_path, bad_row):
+        csv = tmp_path / "f.csv"
+        csv.write_text("n,row,col,re,im\n0,0,0,0.5,0\n1,0,0,0.1,0\n" + bad_row + "\n")
+        res = runner.invoke(main, ["schur", "params", "--coeffs", str(csv)])
+        assert res.exit_code == 2
+        assert "line 4" in res.output
 
     def test_synthesize_round_trip(self, runner, tmp_path, rng):
         path = terminal_params_file(tmp_path, rng, length=2)
@@ -244,11 +254,7 @@ class TestVerify:
         )
         assert res.exit_code == 0, res.output
         body = json.loads(out.read_text())
-        assert body["reports"][0]["params"]["routes"] == [
-            "binary_transform",
-            "formula",
-            "operator_compress",
-        ]
+        assert body["reports"][0]["params"]["routes"] == ["formula", "operator_compress"]
 
     def test_impossible_tolerance_fails_with_exit_one(self, runner, tmp_path, rng):
         path = write_json(
@@ -361,6 +367,16 @@ class TestCampaign:
         assert res.exit_code == 2
         assert message in res.output
 
+    @pytest.mark.parametrize("field, value", [("j", [0, 1, 5]), ("j", True), ("k", [3])])
+    def test_index_field_of_the_wrong_shape_exits_two(self, runner, tmp_path, field, value):
+        job = {"theorem": "range", "j": 0, "k": 2,
+               "source": {"random": {"d": 1, "length": 12, "seed": 8}}}
+        job[field] = value
+        cfg = write_json(tmp_path / "c.json", {"jobs": [job]})
+        res = runner.invoke(main, ["campaign", "run", "--config", cfg])
+        assert res.exit_code == 2
+        assert f"'{field}' must be an integer or an [lo, hi] pair" in res.output
+
     def test_zero_tolerance_fails_with_exit_one(self, runner, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -437,3 +453,21 @@ class TestGlobalFlags:
     def test_bad_order_rejected_at_the_group(self, runner):
         res = runner.invoke(main, ["--order", "-1", "campaign", "run"])
         assert res.exit_code == 2
+
+
+def test_cli_imports_no_private_name_from_another_module():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert imported
+    private = [a.name for node in imported for a in node.names if a.name.startswith("_")]
+    modules = {a.asname or a.name for node in imported if node.module is None
+               for a in node.names}
+    private += [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert private == []

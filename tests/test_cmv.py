@@ -8,15 +8,16 @@ import pytest
 from cmvkit.cmv import (
     FAMILIES,
     BlockOperatorSpec,
+    block_subspace,
     build,
     build_cmv,
     build_hessenberg,
     cmv_factors,
-    exact_horizon,
     standard_overlap,
     submatrix_range,
     theta,
     unitary_truncation,
+    window_spec,
 )
 from cmvkit.khrushchev import substitute_into_truncation
 from cmvkit.linalg import direct_sum, embed, is_unitary
@@ -29,7 +30,7 @@ from cmvkit.schur import (
     rho_left,
     rho_right,
 )
-from cmvkit.spectral import schur_of_subspace
+from cmvkit.spectral import first_return_amplitudes, schur_of_subspace
 
 SQ3 = float(np.sqrt(3.0))
 
@@ -83,12 +84,47 @@ class TestSpecValidation:
             BlockOperatorSpec(scalar_params([0.1]), "X", 2)
 
     def test_exact_horizon_window_rule(self):
-        spec = spec_of([0.0] * 12, blocks=12)
+        # two blocks per step for order + 1 steps past the last block, plus
+        # the two edge rows the padding perturbs
+        p = scalar_params([0.0] * 12)
+        spec = window_spec(p, "C", 2, 3)
         assert spec.padded
-        assert exact_horizon(spec, 2) == (12 - 2 - 2) // 2
-        term = spec_of([0.1, 0.2], terminal=1.0)
-        assert not term.padded
-        assert exact_horizon(term, 1) is None
+        assert spec.n_blocks == 2 + 2 * (3 + 1) + 2
+        with pytest.raises(ValueError, match="coefficients"):
+            window_spec(p, "C", 2, 4)
+
+
+def _amplitudes(spec, block, horizon):
+    ra = first_return_amplitudes(build(spec), block_subspace(spec, [block]), horizon)
+    return np.stack(ra.amplitudes)
+
+
+class TestWindowSpec:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", ["C", "Chat"])
+    def test_open_window_matches_a_window_two_blocks_longer(self, family, d, rng):
+        p = random_parameters(d, 24, rng)
+        for last_block in range(4):
+            for order in (0, 1, 4, 7):
+                spec = window_spec(p, family, last_block, order)
+                longer = BlockOperatorSpec(p, family, spec.n_blocks + 2)
+                assert np.array_equal(
+                    _amplitudes(spec, last_block, order + 1),
+                    _amplitudes(longer, last_block, order + 1),
+                ), (last_block, order)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", ["C", "Chat"])
+    def test_terminal_sequence_gets_its_exact_build(self, family, d, rng):
+        # a terminal build has no edge, so there is no longer window to
+        # compare with: the rule must pick the exact build at every order
+        p = random_parameters(d, 5, rng, terminal=True)
+        for last_block in range(len(p) + 1):
+            for order in (0, 7, 40):
+                spec = window_spec(p, family, last_block, order)
+                assert spec.n_blocks == len(p) + 1 and not spec.padded
+        with pytest.raises(ValueError, match="does not exist"):
+            window_spec(p, family, len(p) + 1, 0)
 
 
 class TestBuildFiveDiagonal:

@@ -208,7 +208,7 @@ class TestScalarSuperposition:
         assert coeff_distance(f, g * b) < 1e-10
 
     @pytest.mark.parametrize("j", [1, 2])
-    def test_three_routes_agree(self, rng, j):
+    def test_routes_agree(self, rng, j):
         p = random_parameters(1, 32, rng)
         beta, gamma = 0.6, 0.8j
         outs = [

@@ -39,9 +39,6 @@ class TestSubspace:
         assert np.count_nonzero(b) == 2
         assert np.array_equal(basis_columns(4, (3, 1)), b[:, ::-1])
 
-    def test_complement(self):
-        assert Subspace(5, (0, 2)).complement().indices == (1, 3, 4)
-
 
 class TestProjector:
     def test_first_coordinate_of_two(self):

@@ -4,6 +4,7 @@ gauge freedom, and the abstract Schur-function factorization."""
 import numpy as np
 import pytest
 
+from cmvkit import linalg
 from cmvkit.catalog import (
     coined_walk_six,
     coined_walk_six_alternate,
@@ -81,7 +82,7 @@ class TestCheckOverlap:
         part = SubspacePartition(2, (0,), (), (1,))
         chk = check_overlap(hadamard_coin(), part)
         assert not chk.ok
-        assert not chk.corner_ok
+        assert chk.corner_norm > chk.corner_tol
 
     def test_rank_matches_center_whenever_corner_vanishes(self, rng):
         for nl, nc, nr in [(2, 1, 3), (3, 2, 2), (1, 3, 4)]:
@@ -219,3 +220,30 @@ class TestAbstractKhrushchev:
         cat = double_diffusion_six()
         with pytest.raises(ValueError, match="left group"):
             abstract_khrushchev_check(cat.unitary, cat.partition, (3,), (), 8)
+
+
+class TestUnitarityCertificate:
+    @pytest.mark.parametrize("call", ["construct", "check", "check with factors"])
+    def test_non_unitary_input_is_rejected(self, rng, call):
+        u, part, a, b = random_overlapping(rng, 2, 1, 2)
+        bad = 1.01 * u
+        with pytest.raises(ValueError, match="^matrix is not unitary"):
+            if call == "construct":
+                construct_overlap(bad, part)
+            elif call == "check":
+                abstract_khrushchev_check(bad, part, (), (), 8)
+            else:
+                abstract_khrushchev_check(bad, part, (), (), 8, OverlapFactorization(part, a, b))
+
+    def test_construction_certifies_the_source_once(self, rng, monkeypatch):
+        u, part, _, _ = random_overlapping(rng, 2, 1, 2)
+        seen = []
+        original = linalg.is_unitary
+
+        def counting(m, *args, **kwargs):
+            seen.append(np.array_equal(m, u))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "is_unitary", counting)
+        construct_overlap(u, part)
+        assert seen.count(True) == 1

@@ -11,14 +11,12 @@ from cmvkit.series import (
     caratheodory_to_schur,
     coeff_distance,
     direct_sum_series,
-    embed_series,
     schur_to_caratheodory,
-    series_close,
 )
 
 
 def scalar(values):
-    return MatrixPowerSeries.from_scalar(values)
+    return MatrixPowerSeries(values)
 
 
 class TestArithmetic:
@@ -172,12 +170,6 @@ class TestAssembly:
         assert s.coeff(1)[0, 0] == 2.0 and s.coeff(1)[1, 1] == 4.0
         assert s.coeff(1)[0, 1] == 0.0
 
-    def test_embed_series_identity_elsewhere(self):
-        f = scalar([0.5, 0.5])
-        s = embed_series(f, (1,), 3)
-        assert s.coeff(0)[0, 0] == 1.0 and s.coeff(0)[2, 2] == 1.0
-        assert s.coeff(0)[1, 1] == 0.5 and s.coeff(1)[1, 1] == 0.5
-
     def test_coeff_distance_requires_matching_dims(self):
         with pytest.raises(ValueError):
             coeff_distance(scalar([1.0]), MatrixPowerSeries.one(2, 0))
@@ -197,11 +189,21 @@ class TestCsv:
         f = scalar(rng.standard_normal(6))
         path = str(tmp_path / "series.csv")
         f.to_csv(path)
-        assert series_close(MatrixPowerSeries.from_csv(path), f, tol=0.0)
+        assert coeff_distance(MatrixPowerSeries.from_csv(path), f) == 0.0
 
     def test_rejects_wrong_header(self):
         with pytest.raises(ValueError):
             MatrixPowerSeries.from_csv(io.StringIO("a,b,c\n"))
+
+    @pytest.mark.parametrize("bad_row", [
+        "-1,0,0,0.9,0",  # negative n would land on the last coefficient
+        "0,0,0,0.9,0",  # repeats the first row
+        "1,0,-1,0.9,0",  # negative col would land on the last column
+    ])
+    def test_rejects_bad_indices_naming_the_line(self, bad_row):
+        text = "n,row,col,re,im\n0,0,0,0.1,0\n1,0,0,0.2,0\n" + bad_row + "\n"
+        with pytest.raises(ValueError, match="line 4"):
+            MatrixPowerSeries.from_csv(io.StringIO(text))
 
 
 class TestRationalSeries:
@@ -213,7 +215,7 @@ class TestRationalSeries:
         num = rng.standard_normal(3)
         den = np.concatenate([[1.0], rng.standard_normal(2) * 0.3])
         f = rational_series(num, den, 10)
-        prod = f * MatrixPowerSeries.from_scalar(den).pad_zeros(10)
+        prod = f * scalar(np.concatenate([den, np.zeros(8)]))
         want = np.zeros(11)
         want[:3] = num
         assert np.abs(prod.scalar_coeffs() - want).max() < 1e-12

@@ -9,7 +9,7 @@ from cmvkit.catalog import (
     hadamard_coin,
     hadamard_coin_schur,
 )
-from cmvkit.cmv import BlockOperatorSpec, block_subspace, build_cmv, exact_horizon
+from cmvkit.cmv import block_subspace, build_cmv, window_spec
 from cmvkit.linalg import Subspace
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import SchurParameters, random_unitary
@@ -27,11 +27,6 @@ from cmvkit.spectral import (
     schur_of_subspace,
     spectral_moments,
 )
-
-
-def free_cmv_spec(n_blocks):
-    zeros = tuple(np.zeros((1, 1)) for _ in range(n_blocks - 1))
-    return BlockOperatorSpec(SchurParameters(1, zeros), "C", n_blocks)
 
 
 class TestIndexHandling:
@@ -213,10 +208,10 @@ class TestReturnStatistics:
         assert abs(st.partial_expected_time - 1.0) < 1e-12
 
     def test_free_sequence_never_returns_inside_horizon(self):
-        spec = free_cmv_spec(16)
+        zeros = tuple(np.zeros((1, 1)) for _ in range(15))
+        spec = window_spec(SchurParameters(1, zeros), "C", 0, 6)
         u = build_cmv(spec)
-        h = exact_horizon(spec, 0)
-        st = return_statistics(u, block_subspace(spec, [0]), [1.0], h)
+        st = return_statistics(u, block_subspace(spec, [0]), [1.0], 6 + 1)
         assert max(st.probabilities) < 1e-14
 
     def test_hadamard_first_probability(self):
