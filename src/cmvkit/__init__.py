@@ -12,6 +12,7 @@ from .cmv import (
     build,
     build_cmv,
     build_hessenberg,
+    build_unitary,
     cmv_factors,
     standard_overlap,
     unitary_truncation,
@@ -26,7 +27,7 @@ from .khrushchev import (
     verify_range_formula,
     verify_site_formula,
 )
-from .linalg import Subspace, is_unitary, require_unitary
+from .linalg import Subspace, Unitary, certify, is_unitary, require_unitary
 from .overlap import (
     OverlapFactorization,
     SubspacePartition,
@@ -64,11 +65,14 @@ __all__ = [
     "SchurParameters",
     "Subspace",
     "SubspacePartition",
+    "Unitary",
     "VerificationReport",
     "abstract_khrushchev_check",
     "build",
     "build_cmv",
     "build_hessenberg",
+    "build_unitary",
+    "certify",
     "check_overlap",
     "cmv_factors",
     "coeff_distance",

@@ -27,6 +27,7 @@ from .cmv import (
     BlockOperatorSpec,
     block_subspace,
     build,
+    build_unitary,
     window_spec,
 )
 from .khrushchev import (
@@ -348,11 +349,13 @@ def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
     """Path-enumeration cross-check of the first-return amplitudes at V_j.
 
     An order-N Schur function consumes a_1..a_{N+1}; the horizon covers
-    them up to the enumeration's affordable length.
+    them up to the enumeration's affordable length, and the window is the
+    one exact at that horizon (window_spec's order is horizon - 1).  The
+    operator is certified once, at its assembly.
     """
     horizon = min(order + 1, 6, N_CAP)
-    spec = window_spec(params, family, j, horizon)
-    op = build(spec)
+    spec = window_spec(params, family, j, horizon - 1)
+    op = build_unitary(spec)
     v = block_subspace(spec, [j])
     ra = first_return_amplitudes(op, v, horizon)
     residual = 0.0
@@ -362,7 +365,7 @@ def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
     return VerificationReport(
         theorem="path-count",
         params={"family": family, "j": j, "horizon": horizon,
-                "d": params.block_dim, "dim": op.shape[0]},
+                "d": params.block_dim, "dim": spec.dim},
         residual=residual,
         tolerance=tolerance,
         left_provenance="explicit path enumeration",

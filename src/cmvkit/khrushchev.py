@@ -35,7 +35,7 @@ from .cmv import (
     HESSENBERG_FAMILIES,
     BlockOperatorSpec,
     block_subspace,
-    build,
+    build_unitary,
     unitary_truncation,
     window_spec,
 )
@@ -98,9 +98,10 @@ class VerificationReport:
 def _operator_side(
     params: SchurParameters, family: str, j: int, k: int, order: int
 ) -> MatrixPowerSeries:
-    """Schur function of blocks j..k read off the built operator."""
+    """Schur function of blocks j..k read off the built operator, which
+    carries its unitarity certificate from the Theta blocks."""
     spec = window_spec(params, family, k, order)
-    return schur_of_subspace(build(spec), block_subspace(spec, range(j, k + 1)), order)
+    return schur_of_subspace(build_unitary(spec), block_subspace(spec, range(j, k + 1)), order)
 
 
 def verify_site_formula(

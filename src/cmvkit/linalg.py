@@ -137,6 +137,18 @@ def numerical_rank(m, rel_tol: float = RANK_REL_TOL) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
+def unitary_residuals(stack) -> np.ndarray:
+    """is_unitary's residual, max(||M^dagger M - 1||_F, ||M M^dagger - 1||_F),
+    of each matrix M in a (k, n, n) stack, in one batched pass."""
+    s = np.asarray(stack, dtype=np.complex128)
+    adj = s.conj().swapaxes(-1, -2)
+    eye = np.eye(s.shape[-1])
+    return np.maximum(
+        np.linalg.norm(adj @ s - eye, axis=(-2, -1)),
+        np.linalg.norm(s @ adj - eye, axis=(-2, -1)),
+    )
+
+
 class UnitaryCheck(NamedTuple):
     ok: bool
     residual: float
@@ -156,12 +168,35 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> UnitaryCheck:
     return UnitaryCheck(residual <= tol, residual)
 
 
-def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Unitary:
+    """A matrix certified unitary once: a read-only array and a bound on
+    its is_unitary residual.  Made only by ``certify`` and by the operator
+    assembler in ``cmv``, which bounds the residual from its Theta blocks."""
+
+    matrix: np.ndarray
+    residual: float
+
+
+def certify(m, tol: float = UNITARY_TOL, what: str = "matrix") -> Unitary:
+    """The is_unitary test, kept with its matrix; a Unitary passes through
+    without recomputing anything."""
+    if isinstance(m, Unitary):
+        if m.residual > tol:
+            raise ValueError(f"{what} is not unitary (residual {m.residual:.3e})")
+        return m
     a = as_matrix(m)
     check = is_unitary(a, tol)
     if not check.ok:
         raise ValueError(f"{what} is not unitary (residual {check.residual:.3e})")
-    return a
+    a = a.copy()
+    a.flags.writeable = False
+    return Unitary(a, check.residual)
+
+
+def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
+    """The matrix of ``certify(m)``: certified here unless m is a Unitary."""
+    return certify(m, tol, what).matrix
 
 
 def op_norm(m) -> float:

@@ -271,12 +271,20 @@ class MatrixPowerSeries:
         for number, line in enumerate(rows[1:], start=2):
             if not line:
                 continue
-            n, r, c = int(line[0]), int(line[1]), int(line[2])
+            if len(line) != 5:
+                raise ValueError(
+                    f"coefficient CSV line {number}: expected 5 fields n,row,col,re,im, got {len(line)}"
+                )
+            try:
+                n, r, c = (int(x) for x in line[:3])
+                value = complex(float(line[3]), float(line[4]))
+            except ValueError as exc:
+                raise ValueError(f"coefficient CSV line {number}: {exc}") from None
             if min(n, r, c) < 0:
                 raise ValueError(f"coefficient CSV line {number}: negative index in {line}")
             if (n, r, c) in entries:
                 raise ValueError(f"coefficient CSV line {number}: repeats entry ({n},{r},{c})")
-            entries[(n, r, c)] = complex(float(line[3]), float(line[4]))
+            entries[(n, r, c)] = value
             max_n = max(max_n, n)
             max_d = max(max_d, r + 1, c + 1)
         coeffs = np.zeros((max_n + 1, max_d, max_d), dtype=np.complex128)

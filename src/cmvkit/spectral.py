@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Subspace, column_selector, require_unitary
+from .linalg import Subspace, certify, column_selector, require_unitary
 from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
@@ -81,20 +81,19 @@ def spectral_moments(U, v, n: int) -> np.ndarray:
 
 def first_return_amplitudes(U, v, horizon: int) -> ReturnAmplitudes:
     """a_n = P U (Q U)^{n-1} P for n = 1..horizon, via the obvious recursion:
-    keep a block of vectors, apply U, record the compression, project out V,
-    repeat."""
+    keep a block of vectors, apply U, record the compression (v's rows, in
+    v's order), project out V (zero those rows), repeat."""
     u = require_unitary(U)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     idx = index_tuple(u.shape[0], v)
-    b = basis_columns(u.shape[0], v)
+    rows = np.array(idx, dtype=np.intp)
     amps = []
-    x = b
+    x = column_selector(u.shape[0], idx)
     for _ in range(horizon):
-        y = u @ x
-        a = b.conj().T @ y
-        amps.append(a)
-        x = y - b @ a
+        x = u @ x
+        amps.append(x[rows])
+        x[rows] = 0.0
     return ReturnAmplitudes(idx, horizon, tuple(amps))
 
 
@@ -114,12 +113,23 @@ def resolvent_compression(U, v, z) -> np.ndarray:
     """
     u = require_unitary(U)
     n = u.shape[0]
-    b = basis_columns(n, v)
-    q = np.eye(n) - b @ b.conj().T
+    idx = index_tuple(n, v)
+    rows = np.array(idx, dtype=np.intp)
+    b = column_selector(n, idx)
+    # U - z Q differs from U only on the diagonal outside V
+    keep = np.ones(n, dtype=bool)
+    keep[rows] = False
+    diagonal = np.flatnonzero(keep) * (n + 1)
+
+    def compress(w):
+        shifted = u.copy()
+        shifted.flat[diagonal] -= w
+        return np.linalg.solve(shifted, b)[rows]
+
     if np.ndim(z) == 0:
-        return b.conj().T @ np.linalg.solve(u - z * q, b)
+        return compress(z)
     # one solve per point: a stacked solve holds every shifted matrix at once
-    return np.stack([b.conj().T @ np.linalg.solve(u - w * q, b) for w in z])
+    return np.stack([compress(w) for w in z])
 
 
 def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
@@ -128,12 +138,14 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     The Taylor route is compared with the resolvent route at the standard
     sample points; a mismatch beyond RESOLVENT_TOL raises ArithmeticError,
     since it would mean one of the two primary computations is wrong.
+    ``U`` is certified once, here, unless it is already a Unitary.
     """
+    u = certify(U)
     horizon = max(order + 1, _CHECK_HORIZON)
-    ra = first_return_amplitudes(U, v, horizon)
+    ra = first_return_amplitudes(u, v, horizon)
     long_series = amplitudes_to_schur(ra, horizon - 1)
     taylor = long_series.values_at(RESOLVENT_SAMPLES)
-    worst = float(np.abs(taylor - resolvent_compression(U, v, RESOLVENT_SAMPLES)).max())
+    worst = float(np.abs(taylor - resolvent_compression(u, v, RESOLVENT_SAMPLES)).max())
     if worst > RESOLVENT_TOL:
         raise ArithmeticError(
             "internal-consistency failure: Taylor and resolvent routes "

@@ -17,9 +17,12 @@ from cmvkit.catalog import (
     hadamard_coin,
 )
 from cmvkit.cli import CLOSED_FORM_CASES, main
+from cmvkit.cmv import block_subspace, build, window_spec
 from cmvkit.linalg import is_unitary, matrix_from_json, matrix_to_json
+from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import parameters_to_json, random_parameters
 from cmvkit.series import MatrixPowerSeries
+from cmvkit.spectral import first_return_amplitudes
 
 
 @pytest.fixture
@@ -89,7 +92,8 @@ class TestSchurCommands:
         first = matrix_from_json(body["alphas"][0])
         assert abs(first[0, 0] - 1.0 / 6.0) < 1e-10
 
-    @pytest.mark.parametrize("bad_row", ["-1,0,0,0.9,0", "0,0,0,0.9,0", "0,0,-1,0.9,0"])
+    @pytest.mark.parametrize("bad_row", ["-1,0,0,0.9,0", "0,0,0,0.9,0", "0,0,-1,0.9,0",
+                                         "1,0,0", "1,0,x,0.1,0", "2,0,0,0.1,0,0"])
     def test_params_rejects_bad_csv_indices(self, runner, tmp_path, bad_row):
         csv = tmp_path / "f.csv"
         csv.write_text("n,row,col,re,im\n0,0,0,0.5,0\n1,0,0,0.1,0\n" + bad_row + "\n")
@@ -243,6 +247,33 @@ class TestVerify:
         oracle = json.loads(out.read_text())["reports"][1]
         assert oracle["theorem"] == "path-count"
         assert oracle["params"]["horizon"] >= 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_oracle_window_is_exact_for_its_horizon(self, runner, tmp_path, rng, d):
+        # the oracle reads a_1..a_horizon, so its window is the one exact at
+        # order horizon - 1; one block larger gives the same residual
+        params = random_parameters(d, 20, rng)
+        path = write_json(tmp_path / "p.json", parameters_to_json(params))
+        for family in ("C", "Chat"):
+            for order, j in [(0, 0), (3, 2), (6, 1)]:
+                out = tmp_path / "r.json"
+                res = runner.invoke(
+                    main,
+                    ["--order", str(order), "verify", "--theorem", "site", "--params", path,
+                     "--family", family, "--j", str(j), "--oracle", "--report", str(out)],
+                )
+                assert res.exit_code == 0, res.output
+                oracle = json.loads(out.read_text())["reports"][1]["params"]
+                horizon = oracle["horizon"]
+                assert oracle["dim"] == window_spec(params, family, j, horizon - 1).dim
+                larger = window_spec(params, family, j, horizon)
+                op = build(larger)
+                v = block_subspace(larger, [j])
+                ra = first_return_amplitudes(op, v, horizon)
+                old = max(float(np.abs(oracle_first_return(op, v, n) - ra.amplitude(n)).max())
+                          for n in range(1, horizon + 1))
+                got = json.loads(out.read_text())["reports"][1]["residual"]
+                assert abs(got - old) <= 1e-15, (family, order, j, got, old)
 
     def test_superposition_routes(self, runner, tmp_path):
         out = tmp_path / "r.json"

@@ -4,7 +4,9 @@ single-block overlapping factorization."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cmvkit import khrushchev, linalg
 from cmvkit.cmv import (
     FAMILIES,
     BlockOperatorSpec,
@@ -12,6 +14,7 @@ from cmvkit.cmv import (
     build,
     build_cmv,
     build_hessenberg,
+    build_unitary,
     cmv_factors,
     standard_overlap,
     submatrix_range,
@@ -84,34 +87,59 @@ class TestSpecValidation:
             BlockOperatorSpec(scalar_params([0.1]), "X", 2)
 
     def test_exact_horizon_window_rule(self):
-        # two blocks per step for order + 1 steps past the last block, plus
-        # the two edge rows the padding perturbs
-        p = scalar_params([0.0] * 12)
+        # a return path of order + 1 steps reaches at most order + 1 blocks
+        # past the last block; one more block closes it and one is margin
+        p = scalar_params([0.0] * 7)
         spec = window_spec(p, "C", 2, 3)
         assert spec.padded
-        assert spec.n_blocks == 2 + 2 * (3 + 1) + 2
+        assert spec.n_blocks == 2 + 3 + 3
         with pytest.raises(ValueError, match="coefficients"):
             window_spec(p, "C", 2, 4)
 
 
-def _amplitudes(spec, block, horizon):
-    ra = first_return_amplitudes(build(spec), block_subspace(spec, [block]), horizon)
+def _amplitudes(spec, blocks, horizon):
+    ra = first_return_amplitudes(build(spec), block_subspace(spec, blocks), horizon)
     return np.stack(ra.amplitudes)
 
 
 class TestWindowSpec:
-    @pytest.mark.parametrize("d", [1, 2])
-    @pytest.mark.parametrize("family", ["C", "Chat"])
-    def test_open_window_matches_a_window_two_blocks_longer(self, family, d, rng):
-        p = random_parameters(d, 24, rng)
-        for last_block in range(4):
-            for order in (0, 1, 4, 7):
-                spec = window_spec(p, family, last_block, order)
-                longer = BlockOperatorSpec(p, family, spec.n_blocks + 2)
-                assert np.array_equal(
-                    _amplitudes(spec, last_block, order + 1),
-                    _amplitudes(longer, last_block, order + 1),
-                ), (last_block, order)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        family=st.sampled_from(["C", "Chat"]),
+        k=st.integers(0, 6),
+        j_back=st.integers(0, 6),
+        order=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_open_window_matches_a_much_longer_window(self, d, family, k, j_back, order, seed):
+        # the longer window pads for twice the reach, the old rule
+        j = max(0, k - j_back)
+        spec = window_spec(
+            random_parameters(d, k + 3 * order + 7, np.random.default_rng(seed)), family, k, order
+        )
+        longer = BlockOperatorSpec(spec.params, family, spec.n_blocks + 2 * (order + 1) + 2)
+        got = _amplitudes(spec, range(j, k + 1), order + 1)
+        want = _amplitudes(longer, range(j, k + 1), order + 1)
+        assert np.abs(got - want).max() <= 1e-14
+
+    def test_one_block_short_of_the_reach_misses(self, rng):
+        # last_block + order + 2 blocks is the least that is exact, so the
+        # rule's last_block + order + 3 keeps one block of margin
+        worst = 0.0
+        for d in (1, 2):
+            p = random_parameters(d, 20, rng)
+            for family in ("C", "Chat"):
+                for last_block in range(3):
+                    for order in range(4):
+                        exact = window_spec(p, family, last_block, order)
+                        short = BlockOperatorSpec(p, family, last_block + order + 1)
+                        miss = np.abs(
+                            _amplitudes(short, [last_block], order + 1)
+                            - _amplitudes(exact, [last_block], order + 1)
+                        ).max()
+                        worst = max(worst, miss)
+        assert worst > 1e-6
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("family", ["C", "Chat"])
@@ -485,3 +513,69 @@ class TestStandardOverlap:
             standard_overlap(spec, 0)
         with pytest.raises(ValueError):
             standard_overlap(spec, 4)
+
+
+class TestCertificate:
+    # Hessenberg families build terminal sequences only
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "family, terminal",
+        [("C", False), ("Chat", False), ("C", True), ("Chat", True), ("H", True), ("Hhat", True)],
+    )
+    def test_certificate_bounds_the_dense_residual(self, family, d, terminal, rng):
+        for length in (0, 1, 2, 5, 8):
+            p = random_parameters(d, length, rng, terminal=terminal)
+            n_blocks = length + 1 if terminal else max(1, length)
+            spec = BlockOperatorSpec(p, family, n_blocks)
+            u = build_unitary(spec)
+            assert not u.matrix.flags.writeable
+            assert np.array_equal(u.matrix, build(spec))
+            assert is_unitary(u.matrix).residual <= u.residual + 1e-13, (length, u.residual)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_corrupted_defects_name_their_block(self, family, rng):
+        p = random_parameters(2, 6, rng, terminal=True)
+        rl, rr, rl_inv = p.defects(3)
+        p._defects[3] = (1.01 * rl, rr, rl_inv)
+        with pytest.raises(ValueError, match="not unitary.*alpha_3"):
+            build(BlockOperatorSpec(p, family, 7))
+
+    def test_factors_place_the_theta_blocks(self, rng):
+        for n_blocks in (1, 2, 5, 6):
+            p = random_parameters(2, 6, rng)
+            spec = BlockOperatorSpec(p, "C", n_blocks)
+            thetas = [theta(p.alpha(i)) for i in range(n_blocks - 1)]
+            eye = np.eye(2)
+            lf, mf = cmv_factors(spec)
+            want_l = direct_sum(*thetas[0::2], *([eye] if len(thetas) % 2 == 0 else []))
+            want_m = direct_sum(eye, *thetas[1::2], *([eye] if len(thetas) % 2 == 1 else []))
+            assert np.array_equal(lf, want_l) and np.array_equal(mf, want_m), n_blocks
+
+    def test_verifiers_make_no_dense_unitarity_check(self, rng, monkeypatch):
+        shapes = []
+        original = linalg.is_unitary
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "is_unitary", counting)
+        d = 2
+        open_p = random_parameters(d, 30, rng)
+        finite_p = random_parameters(d, 5, rng, terminal=True)
+        assert khrushchev.verify_site_formula(open_p, "C", 2, 6).ok
+        assert khrushchev.verify_range_formula(open_p, "Chat", 1, 3, 6).ok
+        assert khrushchev.verify_hessenberg_formula(finite_p, "H", 1, 3, 6).ok
+        assert all(shape[0] <= d for shape in shapes), shapes
+
+    def test_raw_input_is_certified_once(self, rng, monkeypatch):
+        shapes = []
+        original = linalg.is_unitary
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "is_unitary", counting)
+        schur_of_subspace(random_unitary(7, rng), (1, 4), 8)
+        assert shapes == [(7, 7)]

@@ -4,10 +4,12 @@ unitarity, and the JSON wire format."""
 import numpy as np
 import pytest
 
+from cmvkit import linalg
 from cmvkit.catalog import double_diffusion_six
 from cmvkit.linalg import (
     Subspace,
     as_matrix,
+    certify,
     direct_sum,
     embed,
     hermitian_psd_sqrt,
@@ -18,6 +20,7 @@ from cmvkit.linalg import (
     op_norm,
     projector,
     require_unitary,
+    unitary_residuals,
 )
 from cmvkit.schur import random_contraction, random_unitary, rho_left, rho_right
 from cmvkit.spectral import basis_columns
@@ -119,6 +122,36 @@ class TestIsUnitary:
     def test_require_unitary_raises_with_residual(self):
         with pytest.raises(ValueError, match="not unitary"):
             require_unitary(np.ones((2, 2)))
+
+    def test_batched_residuals_match_is_unitary(self, rng):
+        stack = np.stack([random_unitary(3, rng), 1.1 * np.eye(3), random_unitary(3, rng)])
+        got = unitary_residuals(stack)
+        want = [is_unitary(m).residual for m in stack]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+class TestCertify:
+    def test_certificate_is_a_read_only_copy(self, rng):
+        u = random_unitary(4, rng)
+        cert = certify(u)
+        assert cert.residual == is_unitary(u).residual
+        assert np.array_equal(cert.matrix, u) and cert.matrix is not u
+        assert not cert.matrix.flags.writeable and u.flags.writeable
+
+    def test_a_certificate_is_not_checked_again(self, rng, monkeypatch):
+        cert = certify(random_unitary(4, rng))
+        calls = []
+        monkeypatch.setattr(linalg, "is_unitary", lambda *a, **k: calls.append(a))
+        assert certify(cert) is cert
+        assert require_unitary(cert) is cert.matrix
+        assert calls == []
+
+    def test_a_certificate_above_the_tolerance_is_refused(self, rng):
+        cert = certify(random_unitary(4, rng))
+        with pytest.raises(ValueError, match="^gauge is not unitary"):
+            require_unitary(cert, tol=cert.residual / 2, what="gauge")
+        with pytest.raises(ValueError, match="^matrix is not unitary"):
+            certify(1.01 * cert.matrix)
 
 
 class TestIntertwining:

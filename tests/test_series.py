@@ -199,6 +199,10 @@ class TestCsv:
         "-1,0,0,0.9,0",  # negative n would land on the last coefficient
         "0,0,0,0.9,0",  # repeats the first row
         "1,0,-1,0.9,0",  # negative col would land on the last column
+        "2,0,0",  # short row
+        "2,0,0,0.9,0,7",  # extra field
+        "2,0,x,0.9,0",  # index that is not an integer
+        "2,0,0,0.9,i",  # value that is not a number
     ])
     def test_rejects_bad_indices_naming_the_line(self, bad_row):
         text = "n,row,col,re,im\n0,0,0,0.1,0\n1,0,0,0.2,0\n" + bad_row + "\n"

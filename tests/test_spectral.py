@@ -12,13 +12,14 @@ from cmvkit.catalog import (
 from cmvkit.cmv import block_subspace, build_cmv, window_spec
 from cmvkit.linalg import Subspace
 from cmvkit.pathcount import oracle_first_return
-from cmvkit.schur import SchurParameters, random_unitary
+from cmvkit.schur import SchurParameters, random_parameters, random_unitary
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit import spectral
 from cmvkit.spectral import (
     RESOLVENT_SAMPLES,
     ReturnAmplitudes,
     amplitudes_to_schur,
+    basis_columns,
     caratheodory_of_subspace,
     first_return_amplitudes,
     index_tuple,
@@ -104,6 +105,41 @@ class TestFirstReturn:
         for n in range(1, 6):
             want = oracle_first_return(u, v, n)
             assert np.abs(ra.amplitude(n) - want).max() < 1e-10, n
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_indexed_recursion_matches_the_selector_recursion(self, d, rng):
+        def selector_recursion(u, idx, horizon):
+            b = basis_columns(u.shape[0], idx)
+            amps, x = [], b
+            for _ in range(horizon):
+                y = u @ x
+                a = b.conj().T @ y
+                amps.append(a)
+                x = y - b @ a
+            return amps
+
+        p = random_parameters(d, 30, rng)
+        for family in ("C", "Chat"):
+            spec = window_spec(p, family, 5, 20)
+            u = build_cmv(spec)
+            n = u.shape[0]
+            for idx in [(0,), (3 * d, d, 4 * d), tuple(rng.permutation(n)[:4]),
+                        tuple(range(2 * d, 4 * d))]:
+                got = first_return_amplitudes(u, idx, 24).amplitudes
+                want = selector_recursion(u, idx, 24)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (family, idx)
+        u = random_unitary(9, rng)
+        got = first_return_amplitudes(u, (7, 2, 4), 30).amplitudes
+        assert all(np.array_equal(g, w) for g, w in zip(got, selector_recursion(u, (7, 2, 4), 30)))
+
+    def test_resolvent_matches_the_projector_form(self, rng):
+        u = random_unitary(8, rng)
+        for idx in [(2,), (6, 1, 3)]:
+            b = basis_columns(8, idx)
+            q = np.eye(8) - b @ b.conj().T
+            for z in RESOLVENT_SAMPLES:
+                want = b.conj().T @ np.linalg.solve(u - z * q, b)
+                assert np.array_equal(resolvent_compression(u, idx, z), want), (idx, z)
 
     def test_amplitude_index_bounds(self):
         ra = first_return_amplitudes(np.eye(3), (0,), 2)
