@@ -102,7 +102,45 @@ def _amplitudes(spec, blocks, horizon):
     return np.stack(ra.amplitudes)
 
 
+def _in_column_order(a, b):
+    # a @ b summed over the inner index one term at a time: entries away
+    # from a window's edge then round the same in every window size, which
+    # a BLAS product, blocked by the matrix size, does not promise
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
+def _amplitudes_in_column_order(spec, block, horizon):
+    # the recursion of first_return_amplitudes on the band factor product
+    lf, mf = cmv_factors(spec)
+    u = _in_column_order(lf, mf) if spec.family == "C" else _in_column_order(mf, lf)
+    rows = np.array(block_subspace(spec, [block]).indices)
+    x = np.eye(u.shape[0], dtype=np.complex128)[:, rows]
+    amps = []
+    for _ in range(horizon):
+        x = _in_column_order(u, x)
+        amps.append(x[rows].copy())
+        x[rows] = 0.0
+    return np.stack(amps)
+
+
 class TestWindowSpec:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", ["C", "Chat"])
+    def test_open_window_matches_a_window_two_blocks_longer(self, family, d, rng):
+        # exact to the bit once the arithmetic does not depend on the size
+        p = random_parameters(d, 24, rng)
+        for last_block in range(4):
+            for order in (0, 1, 4, 7):
+                spec = window_spec(p, family, last_block, order)
+                longer = BlockOperatorSpec(p, family, spec.n_blocks + 2)
+                assert np.array_equal(
+                    _amplitudes_in_column_order(spec, last_block, order + 1),
+                    _amplitudes_in_column_order(longer, last_block, order + 1),
+                ), (last_block, order)
+
     @settings(max_examples=30, deadline=None)
     @given(
         d=st.integers(1, 3),
