@@ -27,7 +27,7 @@ from .khrushchev import (
     verify_range_formula,
     verify_site_formula,
 )
-from .linalg import Subspace, Unitary, certify, is_unitary, require_unitary
+from .linalg import Unitary, certify, is_unitary
 from .overlap import (
     OverlapFactorization,
     SubspacePartition,
@@ -63,7 +63,6 @@ __all__ = [
     "OverlapFactorization",
     "ReturnAmplitudes",
     "SchurParameters",
-    "Subspace",
     "SubspacePartition",
     "Unitary",
     "VerificationReport",
@@ -89,7 +88,6 @@ __all__ = [
     "mobius_step",
     "oracle_first_return",
     "path_amplitude_sum",
-    "require_unitary",
     "return_statistics",
     "scalar_superposition_schur",
     "schur_forward",

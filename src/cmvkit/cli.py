@@ -40,7 +40,7 @@ from .khrushchev import (
     verify_range_formula,
     verify_site_formula,
 )
-from .linalg import matrix_from_json, matrix_to_json, require_unitary
+from .linalg import certify, matrix_from_json, matrix_to_json
 from .overlap import (
     SubspacePartition,
     abstract_khrushchev_check,
@@ -216,7 +216,7 @@ def walk():
 def walk_return(ctx, matrix_path, indices, state, horizon):
     """Return probabilities, their cumulative sum and the partial mean time."""
     try:
-        u = require_unitary(matrix_from_json(_load_json(matrix_path)))
+        u = certify(matrix_from_json(_load_json(matrix_path)))
         v = _indices(indices)
         if not v:
             _die(2, "--indices must name at least one index")
@@ -265,12 +265,13 @@ def overlap():
 
 
 def _checked_partition(ctx, matrix_path, left, center, right):
-    """Read the matrix and the partition and run the corner and rank test;
-    returns both with the test's JSON payload."""
+    """Read and certify the matrix, read the partition, and run the corner
+    and rank test; returns the certified matrix and the partition with the
+    test's JSON payload."""
     try:
-        u = require_unitary(matrix_from_json(_load_json(matrix_path)))
-        part = SubspacePartition(u.shape[0], _indices(left), _indices(center),
-                                 _indices(right))
+        u = certify(matrix_from_json(_load_json(matrix_path)))
+        part = SubspacePartition(u.matrix.shape[0], _indices(left),
+                                 _indices(center), _indices(right))
         chk = check_overlap(u, part, rel_tol=min(ctx.obj["tol"], 1e-10))
     except PARSE_ERRORS as exc:
         _die(2, str(exc))
@@ -309,7 +310,7 @@ def overlap_construct(ctx, matrix_path, left, center, right):
         fact = construct_overlap(u, part)
     except ArithmeticError as exc:
         _die(1, str(exc))
-    residual = float(fact.reconstruction_residual(u))
+    residual = float(fact.reconstruction_residual(u.matrix))
     payload = {
         "schema": SCHEMA_VERSION,
         "ok": True,

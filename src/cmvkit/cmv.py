@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, Subspace, Unitary, as_matrix, embed, unitary_residuals
+from .linalg import UNITARY_TOL, Unitary, as_matrix, embed, unitary_residuals
 from .overlap import OverlapFactorization, SubspacePartition
 from .schur import SchurParameters, rho_left, rho_right
 
@@ -252,15 +252,14 @@ def build(spec: BlockOperatorSpec) -> np.ndarray:
     return build_unitary(spec).matrix
 
 
-def block_subspace(spec: BlockOperatorSpec, blocks) -> Subspace:
-    """Coordinate subspace spanned by the listed block indices."""
+def block_subspace(spec: BlockOperatorSpec, blocks) -> tuple[int, ...]:
+    """Ascending coordinate indices of the listed blocks."""
     d = spec.block_dim
     wanted = sorted({int(b) for b in blocks})
     for b in wanted:
         if not 0 <= b < spec.n_blocks:
             raise ValueError(f"block {b} outside 0..{spec.n_blocks - 1}")
-    idx = tuple(b * d + t for b in wanted for t in range(d))
-    return Subspace(spec.dim, idx)
+    return tuple(b * d + t for b in wanted for t in range(d))
 
 
 def submatrix_range(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
@@ -321,11 +320,11 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
     u_lc = _assemble(lc_family, *lc_factor).matrix
     u_cr = _assemble(cr_family, *cr_factor).matrix
 
-    def coords(blocks):
-        return block_subspace(spec, blocks).indices
-
     partition = SubspacePartition(
-        spec.dim, coords(set(lc_blocks) - {j}), coords([j]), coords(set(cr_blocks) - {j})
+        spec.dim,
+        block_subspace(spec, set(lc_blocks) - {j}),
+        block_subspace(spec, [j]),
+        block_subspace(spec, set(cr_blocks) - {j}),
     )
     fact = OverlapFactorization(partition, u_lc, u_cr)
     resid = fact.reconstruction_residual(build(spec))

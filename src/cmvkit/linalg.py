@@ -67,41 +67,6 @@ def column_selector(dim: int, indices) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A coordinate subspace: a strictly increasing set of basis indices."""
-
-    ambient_dim: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        object.__setattr__(self, "indices", idx)
-        if self.ambient_dim < 0:
-            raise ValueError("ambient_dim must be nonnegative")
-        for a, b in zip(idx, idx[1:]):
-            if b <= a:
-                raise ValueError("indices must be strictly increasing")
-        if idx and (idx[0] < 0 or idx[-1] >= self.ambient_dim):
-            raise ValueError("subspace index out of range")
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
-    def basis(self) -> np.ndarray:
-        """ambient_dim x dim matrix whose columns are the selected basis vectors."""
-        return column_selector(self.ambient_dim, self.indices)
-
-
-def projector(sub: Subspace) -> np.ndarray:
-    """Orthogonal projection onto the subspace, as a full-size matrix."""
-    p = np.zeros((sub.ambient_dim, sub.ambient_dim), dtype=np.complex128)
-    for i in sub.indices:
-        p[i, i] = 1.0
-    return p
-
-
 def hermitian_psd_sqrt(m, clamp: float = EIG_CLAMP) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix via eigendecomposition.
 
@@ -192,11 +157,6 @@ def certify(m, tol: float = UNITARY_TOL, what: str = "matrix") -> Unitary:
     a = a.copy()
     a.flags.writeable = False
     return Unitary(a, check.residual)
-
-
-def require_unitary(m, tol: float = UNITARY_TOL, what: str = "matrix") -> np.ndarray:
-    """The matrix of ``certify(m)``: certified here unless m is a Unitary."""
-    return certify(m, tol, what).matrix
 
 
 def op_norm(m) -> float:

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Subspace, as_matrix, numerical_rank, projector, require_unitary
+from .linalg import as_matrix, certify, embed, numerical_rank
 from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
 from .spectral import schur_of_subspace
 
 CORNER_REL_TOL = 1e-10
 FACTOR_TOL = 1e-10
+TIE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,20 +83,10 @@ class OverlapFactorization:
     u_lc: np.ndarray
     u_cr: np.ndarray
 
-    def embedded_lc(self) -> np.ndarray:
-        n = self.partition.ambient_dim
-        out = np.eye(n, dtype=np.complex128)
-        out[np.ix_(self.partition.lc, self.partition.lc)] = self.u_lc
-        return out
-
-    def embedded_cr(self) -> np.ndarray:
-        n = self.partition.ambient_dim
-        out = np.eye(n, dtype=np.complex128)
-        out[np.ix_(self.partition.cr, self.partition.cr)] = self.u_cr
-        return out
-
     def product(self) -> np.ndarray:
-        return self.embedded_lc() @ self.embedded_cr()
+        part = self.partition
+        n = part.ambient_dim
+        return embed(self.u_lc, part.lc, n) @ embed(self.u_cr, part.cr, n)
 
     def reconstruction_residual(self, U) -> float:
         return float(np.linalg.norm(self.product() - as_matrix(U)))
@@ -103,7 +94,7 @@ class OverlapFactorization:
 
 def check_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_REL_TOL) -> OverlapCheck:
     """Corner test P_R U P_L = 0 plus the rank consistency assertion."""
-    u = require_unitary(U)
+    u = certify(U).matrix
     if u.shape[0] != partition.ambient_dim:
         raise ValueError("matrix size does not match the partition")
     if partition.right and partition.left:
@@ -122,61 +113,60 @@ def check_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_REL_T
 def construct_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_REL_TOL) -> OverlapFactorization:
     """Build the factor pair via the partial isometry K = P_LC U P_CR.
 
+    Everything is read on index slices: K is U's lc rows and cr columns.
     K^dagger K is the projection onto the initial space of K; a gauge
     isometry W maps an orthonormal basis of that space onto the canonical
     basis of the center.  The basis is chosen deterministically: pivoted
     orthonormalization of the columns of K^dagger K, largest column norm
-    first (ties resolved to the lowest index), matched to the center
-    indices in ascending order.
+    first, matched to the center indices in ascending order.  Norms
+    within a relative TIE_REL_TOL of the largest are tied, and a tie goes
+    to the lowest index, so rounding does not pick the pivot.
     """
-    u = as_matrix(U)  # check_overlap certifies it unitary
-    chk = check_overlap(u, partition, rel_tol)
+    cert = certify(U)
+    chk = check_overlap(cert, partition, rel_tol)
     if not chk.ok:
         raise ValueError(
             "no overlapping factorization: corner norm "
             f"{chk.corner_norm:.3e} (tol {chk.corner_tol:.3e}), rank "
             f"{chk.rank} vs center dimension {chk.center_dim}"
         )
-    n = partition.ambient_dim
-    p_l = projector(Subspace(n, partition.left))
-    p_c = projector(Subspace(n, partition.center))
-    p_r = projector(Subspace(n, partition.right))
-    p_lc = p_l + p_c
-    p_cr = p_c + p_r
-    k = p_lc @ u @ p_cr
+    u = cert.matrix
+    left, center, right = partition.left, partition.center, partition.right
+    lc, cr = partition.lc, partition.cr
+    k = u[np.ix_(lc, cr)]
     kdk = k.conj().T @ k
     proj_defect = float(np.linalg.norm(kdk @ kdk - kdk))
     scale = max(1.0, float(np.linalg.norm(u)))
     if proj_defect > FACTOR_TOL * scale:
         raise ValueError(f"K^dagger K is not a projection (defect {proj_defect:.3e})")
 
-    r = len(partition.center)
+    # the gauge W, center x cr: row t is the conjugate of the t-th basis vector
     cols = kdk.copy()
-    basis = []
-    for _ in range(r):
+    w = np.zeros((len(center), len(cr)), dtype=np.complex128)
+    for t in range(len(center)):
         norms = np.linalg.norm(cols, axis=0)
-        p = int(np.argmax(norms))
-        if norms[p] <= 1e-8:
+        top = float(norms.max())
+        if top <= 1e-8:
             raise ValueError("rank collapse while orthonormalizing the overlap basis")
-        w = cols[:, p].copy()
-        for b in basis:
-            w -= b * (b.conj() @ w)
-        w /= np.linalg.norm(w)
-        basis.append(w)
-        cols -= np.outer(w, w.conj() @ cols)
+        b = cols[:, np.flatnonzero(norms >= (1.0 - TIE_REL_TOL) * top)[0]].copy()
+        for e in w[:t].conj():
+            b -= e * (e.conj() @ b)
+        b /= np.linalg.norm(b)
+        w[t] = b.conj()
+        cols -= np.outer(b, b.conj() @ cols)
 
-    w_op = np.zeros((n, n), dtype=np.complex128)
-    for t, c in enumerate(partition.center):
-        w_op[c, :] = basis[t].conj()
-
-    one_ucr = p_l + w_op @ kdk + p_r @ u
-    ulc_one = u @ p_l + k @ w_op.conj().T @ p_c + p_r
-    u_cr = one_ucr[np.ix_(partition.cr, partition.cr)]
-    u_lc = ulc_one[np.ix_(partition.lc, partition.lc)]
+    # U_CR is 1_L + U_CR = P_L + W K^dagger K + P_R U read on cr x cr, and
+    # U_LC is U_LC + 1_R = U P_L + K W^dagger P_C + P_R read on lc x lc
+    u_cr = np.empty((len(cr), len(cr)), dtype=np.complex128)
+    u_cr[_positions(cr, center)] = w @ kdk
+    u_cr[_positions(cr, right)] = u[np.ix_(right, cr)]
+    u_lc = np.empty((len(lc), len(lc)), dtype=np.complex128)
+    u_lc[:, _positions(lc, left)] = u[np.ix_(lc, left)]
+    u_lc[:, _positions(lc, center)] = k @ w.conj().T
     fact = OverlapFactorization(
         partition,
-        require_unitary(u_lc, what="left-center factor"),
-        require_unitary(u_cr, what="center-right factor"),
+        certify(u_lc, what="left-center factor").matrix,
+        certify(u_cr, what="center-right factor").matrix,
     )
     resid = fact.reconstruction_residual(u)
     if resid > FACTOR_TOL * scale:
@@ -206,7 +196,7 @@ def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization, tol: float 
     scale = max(1.0, float(np.linalg.norm(g)))
     if float(np.linalg.norm(g - expected)) > tol * scale:
         raise ValueError("left factors are not related by a center gauge")
-    require_unitary(u_c, what="gauge")
+    certify(u_c, what="gauge")
 
     pc_cr = _positions(part.cr, part.center)
     h = f2.u_cr @ f1.u_cr.conj().T
@@ -255,7 +245,7 @@ def abstract_khrushchev_check(
     factor on center + V_R.  The product is gauge invariant even though
     the individual factors are not.
     """
-    u = as_matrix(U)  # construct_overlap or schur_of_subspace certifies it unitary
+    u = certify(U)
     vl = tuple(sorted(int(i) for i in v_l))
     vr = tuple(sorted(int(i) for i in v_r))
     if not set(vl) <= set(partition.left):

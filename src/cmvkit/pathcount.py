@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, require_unitary
+from .linalg import as_matrix, certify
 from .spectral import index_tuple
 
 N_CAP = 8
@@ -126,7 +126,7 @@ def oracle_first_return(U, v, n: int, prune: bool = True) -> np.ndarray:
     between.  Agrees with spectral.first_return_amplitudes, which
     computes the same matrix from powers of the sliced operator.
     """
-    u = require_unitary(U)
+    u = certify(U).matrix
     _check_length(n)
     idx = index_tuple(u.shape[0], v)
     blocked = set(idx)

@@ -1,8 +1,10 @@
 """Spectral moments, first-return amplitudes, and subspace Schur functions.
 
-For a unitary U and a coordinate subspace V with projection P, the n-th
-first-return amplitude is a_n = P U (Q U)^{n-1} P with Q = 1 - P, and the
-Schur function of V is the series f_V(z) = sum_{n>=1} a_n^dagger z^{n-1}.
+A coordinate subspace V is a sequence of distinct basis indices whose
+order is the order of V's basis.  For a unitary U and V with projection
+P, the n-th first-return amplitude is a_n = P U (Q U)^{n-1} P with
+Q = 1 - P, and the Schur function of V is the series
+f_V(z) = sum_{n>=1} a_n^dagger z^{n-1}.
 Two independent computations are kept side by side: the amplitude
 recursion, and the resolvent compression P (U - z Q)^{-1} P sampled on a
 small disk.  Any disagreement is raised, never papered over.
@@ -15,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Subspace, certify, column_selector, require_unitary
+from .linalg import certify, column_selector
 from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
@@ -26,26 +28,14 @@ _CHECK_HORIZON = 48
 
 
 def index_tuple(dim: int, v) -> tuple[int, ...]:
-    """Basis indices of ``v`` in the order that defines its basis.
-
-    ``v`` is either a Subspace (ascending index order) or an explicit index
-    sequence, kept in the given order.
-    """
-    if isinstance(v, Subspace):
-        if v.ambient_dim != dim:
-            raise ValueError("subspace ambient dimension does not match")
-        return v.indices
+    """The index sequence ``v`` as a tuple, in the given order, which is
+    the order of the basis; the indices must be distinct and below dim."""
     idx = tuple(int(i) for i in v)
     if len(set(idx)) != len(idx):
         raise ValueError("basis indices must be distinct")
     if idx and (min(idx) < 0 or max(idx) >= dim):
         raise ValueError("basis index out of range")
     return idx
-
-
-def basis_columns(dim: int, v) -> np.ndarray:
-    """Column-selector matrix for ``v``; column order fixes the basis order."""
-    return column_selector(dim, index_tuple(dim, v))
 
 
 @dataclass(frozen=True)
@@ -71,19 +61,19 @@ def spectral_moments(U, v, n: int) -> np.ndarray:
 
     Negative n uses the adjoint, so moments satisfy mu_{-n} = mu_n^dagger.
     """
-    u = require_unitary(U)
-    b = basis_columns(u.shape[0], v)
+    u = certify(U).matrix
+    rows = np.array(index_tuple(u.shape[0], v), dtype=np.intp)
     if n < 0:
         u = u.conj().T
         n = -n
-    return b.conj().T @ np.linalg.matrix_power(u, n) @ b
+    return np.linalg.matrix_power(u, n)[np.ix_(rows, rows)]
 
 
 def first_return_amplitudes(U, v, horizon: int) -> ReturnAmplitudes:
     """a_n = P U (Q U)^{n-1} P for n = 1..horizon, via the obvious recursion:
     keep a block of vectors, apply U, record the compression (v's rows, in
     v's order), project out V (zero those rows), repeat."""
-    u = require_unitary(U)
+    u = certify(U).matrix
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     idx = index_tuple(u.shape[0], v)
@@ -111,7 +101,7 @@ def resolvent_compression(U, v, z) -> np.ndarray:
     ``z`` is one point or a sequence of points; a sequence gives the values
     stacked along a leading axis, with U certified unitary once.
     """
-    u = require_unitary(U)
+    u = certify(U).matrix
     n = u.shape[0]
     idx = index_tuple(n, v)
     rows = np.array(idx, dtype=np.intp)
@@ -157,15 +147,15 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
 
 def caratheodory_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     """F(z) = 1 + 2 sum_{n>=1} mu_n^dagger z^n built from spectral moments."""
-    u = require_unitary(U)
-    b = basis_columns(u.shape[0], v)
-    k = b.shape[1]
+    u = certify(U).matrix
+    rows = np.array(index_tuple(u.shape[0], v), dtype=np.intp)
+    k = rows.size
     coeffs = np.zeros((order + 1, k, k), dtype=np.complex128)
     coeffs[0] = np.eye(k)
-    x = b
+    x = u[:, rows]  # U^n restricted to v's columns, for n = 1, 2, ...
     for n in range(1, order + 1):
+        coeffs[n] = 2.0 * x[rows].conj().T
         x = u @ x
-        coeffs[n] = 2.0 * (b.conj().T @ x).conj().T
     return MatrixPowerSeries(coeffs)
 
 

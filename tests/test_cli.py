@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cmvkit import catalog, cli
+from cmvkit import catalog, cli, linalg
 from cmvkit.catalog import (
     coined_walk_six,
     diffusion_center_schur,
@@ -207,6 +207,27 @@ class TestOverlapCommands:
         assert res.exit_code == 1
         # the refusal carries the payload of the check itself
         assert res.output == runner.invoke(main, ["overlap", "check", *args]).output
+
+
+@pytest.mark.parametrize("command", [
+    ["overlap", "check", "--left", "0,1", "--center", "2", "--right", "3,4,5"],
+    ["overlap", "construct", "--left", "0,1", "--center", "2", "--right", "3,4,5"],
+    ["walk", "return", "--indices", "2", "--horizon", "6"],
+])
+def test_each_command_certifies_its_input_matrix_once(runner, tmp_path, monkeypatch, command):
+    u = double_diffusion_six().unitary
+    path = write_json(tmp_path / "u.json", matrix_to_json(u))
+    seen = []
+    original = linalg.is_unitary
+
+    def counting(m, *args, **kwargs):
+        seen.append(np.array_equal(m, u))
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "is_unitary", counting)
+    res = runner.invoke(main, [*command[:2], "--matrix", path, *command[2:]])
+    assert res.exit_code == 0, res.output
+    assert seen.count(True) == 1
 
 
 class TestVerify:

@@ -86,6 +86,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="family"):
             BlockOperatorSpec(scalar_params([0.1]), "X", 2)
 
+    def test_block_subspace_is_the_ascending_index_tuple(self, rng):
+        spec = BlockOperatorSpec(random_parameters(2, 6, rng), "C", 5)
+        assert block_subspace(spec, [3, 0, 3]) == (0, 1, 6, 7)
+        with pytest.raises(ValueError, match="block 5"):
+            block_subspace(spec, [5])
+
     def test_exact_horizon_window_rule(self):
         # a return path of order + 1 steps reaches at most order + 1 blocks
         # past the last block; one more block closes it and one is margin
@@ -116,7 +122,7 @@ def _amplitudes_in_column_order(spec, block, horizon):
     # the recursion of first_return_amplitudes on the band factor product
     lf, mf = cmv_factors(spec)
     u = _in_column_order(lf, mf) if spec.family == "C" else _in_column_order(mf, lf)
-    rows = np.array(block_subspace(spec, [block]).indices)
+    rows = np.array(block_subspace(spec, [block]))
     x = np.eye(u.shape[0], dtype=np.complex128)[:, rows]
     amps = []
     for _ in range(horizon):

@@ -1,4 +1,4 @@
-"""Dense-matrix helper tests: projectors, PSD square roots, rank,
+"""Dense-matrix helper tests: index subspaces, PSD square roots, rank,
 unitarity, and the JSON wire format."""
 
 import numpy as np
@@ -7,9 +7,9 @@ import pytest
 from cmvkit import linalg
 from cmvkit.catalog import double_diffusion_six
 from cmvkit.linalg import (
-    Subspace,
     as_matrix,
     certify,
+    column_selector,
     direct_sum,
     embed,
     hermitian_psd_sqrt,
@@ -18,44 +18,27 @@ from cmvkit.linalg import (
     matrix_to_json,
     numerical_rank,
     op_norm,
-    projector,
-    require_unitary,
     unitary_residuals,
 )
 from cmvkit.schur import random_contraction, random_unitary, rho_left, rho_right
-from cmvkit.spectral import basis_columns
+from cmvkit.spectral import index_tuple
 
 
 class TestSubspace:
-    def test_indices_must_increase(self):
-        with pytest.raises(ValueError):
-            Subspace(4, (2, 1))
+    # a subspace is a sequence of distinct indices; its order is the basis order
 
     def test_indices_must_fit(self):
-        with pytest.raises(ValueError):
-            Subspace(3, (0, 3))
+        with pytest.raises(ValueError, match="out of range"):
+            index_tuple(3, (0, 3))
+        with pytest.raises(ValueError, match="out of range"):
+            index_tuple(3, (-1,))
 
     def test_basis_columns(self):
-        b = Subspace(4, (1, 3)).basis()
+        b = column_selector(4, (1, 3))
         assert b.shape == (4, 2)
         assert b[1, 0] == 1.0 and b[3, 1] == 1.0
         assert np.count_nonzero(b) == 2
-        assert np.array_equal(basis_columns(4, (3, 1)), b[:, ::-1])
-
-
-class TestProjector:
-    def test_first_coordinate_of_two(self):
-        p = projector(Subspace(2, (0,)))
-        assert np.array_equal(p, np.diag([1.0, 0.0]).astype(complex))
-
-    def test_empty_subspace_is_zero(self):
-        p = projector(Subspace(3, ()))
-        assert np.array_equal(p, np.zeros((3, 3)))
-
-    def test_idempotent_and_hermitian(self):
-        p = projector(Subspace(6, (1, 2, 5)))
-        assert np.allclose(p @ p, p)
-        assert np.allclose(p.conj().T, p)
+        assert np.array_equal(column_selector(4, (3, 1)), b[:, ::-1])
 
 
 class TestPsdSqrt:
@@ -92,7 +75,7 @@ class TestNumericalRank:
         assert numerical_rank(np.zeros((4, 4))) == 0
 
     def test_projector_rank(self):
-        assert numerical_rank(projector(Subspace(5, (1, 3)))) == 2
+        assert numerical_rank(np.diag([0.0, 1.0, 0.0, 1.0, 0.0])) == 2
 
     def test_diffusion_product_corner_has_rank_one(self):
         # the lc x cr corner of the six-state double diffusion: exactly the
@@ -119,9 +102,9 @@ class TestIsUnitary:
         chk = is_unitary(1.1 * np.eye(3))
         assert not chk.ok and chk.residual > 0.1
 
-    def test_require_unitary_raises_with_residual(self):
-        with pytest.raises(ValueError, match="not unitary"):
-            require_unitary(np.ones((2, 2)))
+    def test_certify_raises_with_residual(self):
+        with pytest.raises(ValueError, match=r"not unitary \(residual 3\.162e\+00\)"):
+            certify(np.ones((2, 2)))
 
     def test_batched_residuals_match_is_unitary(self, rng):
         stack = np.stack([random_unitary(3, rng), 1.1 * np.eye(3), random_unitary(3, rng)])
@@ -143,13 +126,12 @@ class TestCertify:
         calls = []
         monkeypatch.setattr(linalg, "is_unitary", lambda *a, **k: calls.append(a))
         assert certify(cert) is cert
-        assert require_unitary(cert) is cert.matrix
         assert calls == []
 
     def test_a_certificate_above_the_tolerance_is_refused(self, rng):
         cert = certify(random_unitary(4, rng))
         with pytest.raises(ValueError, match="^gauge is not unitary"):
-            require_unitary(cert, tol=cert.residual / 2, what="gauge")
+            certify(cert, tol=cert.residual / 2, what="gauge")
         with pytest.raises(ValueError, match="^matrix is not unitary"):
             certify(1.01 * cert.matrix)
 

@@ -13,8 +13,9 @@ from cmvkit.catalog import (
     double_diffusion_six,
     hadamard_coin,
 )
-from cmvkit.linalg import Subspace, direct_sum, is_unitary, projector
+from cmvkit.linalg import direct_sum, is_unitary
 from cmvkit.overlap import (
+    TIE_REL_TOL,
     OverlapFactorization,
     SubspacePartition,
     abstract_khrushchev_check,
@@ -37,6 +38,13 @@ def random_overlapping(rng, nl, nc, nr):
     )
     u = direct_sum(a, np.eye(nr)) @ direct_sum(np.eye(nl), b)
     return u, part, a, b
+
+
+def projection(n, indices):
+    """The n x n orthogonal projection onto the listed coordinates."""
+    p = np.zeros((n, n), dtype=np.complex128)
+    p[list(indices), list(indices)] = 1.0
+    return p
 
 
 class TestPartition:
@@ -94,10 +102,10 @@ class TestCheckOverlap:
     def test_projection_identities_when_corner_vanishes(self, rng):
         u, part, _, _ = random_overlapping(rng, 2, 2, 3)
         n = part.ambient_dim
-        p_l = projector(Subspace(n, part.left))
-        p_r = projector(Subspace(n, part.right))
-        p_lc = projector(Subspace(n, part.lc))
-        p_cr = projector(Subspace(n, part.cr))
+        p_l = projection(n, part.left)
+        p_r = projection(n, part.right)
+        p_lc = projection(n, part.lc)
+        p_cr = projection(n, part.cr)
         k = p_lc @ u @ p_cr
         assert np.abs(k.conj().T @ k - (p_cr - u.conj().T @ p_r @ u)).max() < 1e-10
         assert np.abs(k @ k.conj().T - (p_lc - u @ p_l @ u.conj().T)).max() < 1e-10
@@ -140,6 +148,64 @@ class TestConstructOverlap:
         fact = construct_overlap(u, part)
         assert np.abs(fact.u_lc - a).max() < 1e-12
         assert np.abs(fact.u_cr - b).max() < 1e-12
+
+
+def projector_factors(u, part):
+    """construct_overlap's algebra on n x n projections, as it was before
+    the factors were read off index slices; pivots use the same tie rule."""
+    n = part.ambient_dim
+    p_l, p_c, p_r = (projection(n, g) for g in (part.left, part.center, part.right))
+    k = (p_l + p_c) @ u @ (p_c + p_r)
+    kdk = k.conj().T @ k
+    cols = kdk.copy()
+    basis = []
+    for _ in part.center:
+        norms = np.linalg.norm(cols, axis=0)
+        w = cols[:, np.flatnonzero(norms >= (1.0 - TIE_REL_TOL) * norms.max())[0]].copy()
+        for b in basis:
+            w -= b * (b.conj() @ w)
+        w /= np.linalg.norm(w)
+        basis.append(w)
+        cols -= np.outer(w, w.conj() @ cols)
+    w_op = np.zeros((n, n), dtype=np.complex128)
+    for t, c in enumerate(part.center):
+        w_op[c, :] = basis[t].conj()
+    one_ucr = p_l + w_op @ kdk + p_r @ u
+    ulc_one = u @ p_l + k @ w_op.conj().T @ p_c + p_r
+    return ulc_one[np.ix_(part.lc, part.lc)], one_ucr[np.ix_(part.cr, part.cr)]
+
+
+class TestSliceConstruction:
+    def test_matches_the_projector_form_on_every_small_shape(self, rng):
+        for nl in range(5):
+            for nc in range(5):
+                for nr in range(5):
+                    u, part, _, _ = random_overlapping(rng, nl, nc, nr)
+                    fact = construct_overlap(u, part)
+                    u_lc, u_cr = projector_factors(u, part)
+                    assert np.abs(fact.u_lc - u_lc).max(initial=0.0) < 1e-13, (nl, nc, nr)
+                    assert np.abs(fact.u_cr - u_cr).max(initial=0.0) < 1e-13, (nl, nc, nr)
+
+    @pytest.mark.parametrize("case", [double_diffusion_six, double_diffusion_five,
+                                      coined_walk_six, coined_walk_six_alternate])
+    def test_catalog_factors_match_the_projector_form_bit_for_bit(self, case):
+        cat = case()
+        fact = construct_overlap(cat.unitary, cat.partition)
+        u_lc, u_cr = projector_factors(cat.unitary, cat.partition)
+        assert np.array_equal(fact.u_lc, u_lc)
+        assert np.array_equal(fact.u_cr, u_cr)
+
+    def test_tied_pivots_go_to_the_lowest_index(self):
+        # with no right group K^dagger K is the identity on the center up to
+        # rounding, so every column norm ties and the gauge must be 1
+        rng = np.random.default_rng(5)
+        for nl in (1, 3):
+            for nc in (2, 3, 4):
+                n = nl + nc
+                u = random_unitary(n, rng)
+                part = SubspacePartition(n, tuple(range(nl)), tuple(range(nl, n)), ())
+                fact = construct_overlap(u, part)
+                assert np.linalg.norm(fact.u_cr - np.eye(nc)) < 1e-12, (nl, nc)
 
 
 class TestVerifyGauge:

@@ -9,6 +9,7 @@ import pytest
 
 from cmvkit.catalog import coined_walk_six, diffusion_center_schur, double_diffusion_six
 from cmvkit.cmv import BlockOperatorSpec, build_cmv
+from cmvkit.linalg import embed
 from cmvkit.pathcount import N_CAP, oracle_first_return, path_amplitude_sum
 from cmvkit.schur import random_parameters, random_unitary
 from cmvkit.spectral import first_return_amplitudes
@@ -71,8 +72,8 @@ class TestSplitDiagrams:
         cat = coined_walk_six()
         u = cat.unitary
         fact = cat.factorization()
-        lc = fact.embedded_lc()
-        cr = fact.embedded_cr()
+        lc = embed(fact.u_lc, fact.partition.lc, 6)
+        cr = embed(fact.u_cr, fact.partition.cr, 6)
         loop = path_amplitude_sum(u, 2, 2, (2,), 1).amplitude
         left = path_amplitude_sum(lc, 2, 2, (), 1).amplitude
         right = path_amplitude_sum(cr, 2, 2, (), 1).amplitude
@@ -85,8 +86,8 @@ class TestSplitDiagrams:
         cat = coined_walk_six()
         u = cat.unitary
         fact = cat.factorization()
-        lc = fact.embedded_lc()
-        cr = fact.embedded_cr()
+        lc = embed(fact.u_lc, fact.partition.lc, 6)
+        cr = embed(fact.u_cr, fact.partition.cr, 6)
         loop = path_amplitude_sum(u, 2, 2, (2,), 2).amplitude
         byparts = sum(
             sum(lc[2, i] * cr[i, m] for i in range(6))
