@@ -10,8 +10,6 @@ against independent routes.
 from .cmv import (
     BlockOperatorSpec,
     build,
-    build_cmv,
-    build_hessenberg,
     build_unitary,
     cmv_factors,
     standard_overlap,
@@ -68,8 +66,6 @@ __all__ = [
     "VerificationReport",
     "abstract_khrushchev_check",
     "build",
-    "build_cmv",
-    "build_hessenberg",
     "build_unitary",
     "certify",
     "check_overlap",

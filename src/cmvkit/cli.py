@@ -40,7 +40,7 @@ from .khrushchev import (
     verify_range_formula,
     verify_site_formula,
 )
-from .linalg import certify, matrix_from_json, matrix_to_json
+from .linalg import as_integer, certify, matrix_from_json, matrix_to_json
 from .overlap import (
     SubspacePartition,
     abstract_khrushchev_check,
@@ -384,9 +384,10 @@ def _job_params(job, theorem) -> SchurParameters:
         r = source["random"]
         if "seed" not in r:
             raise ValueError("randomized jobs must carry an explicit seed")
-        rng = np.random.default_rng(int(r["seed"]))
+        d, length, seed = (as_integer(r[k], f"'{k}'")
+                           for k in ("d", "length", "seed"))
         terminal = bool(r.get("terminal", theorem == "hessenberg"))
-        return random_parameters(int(r["d"]), int(r["length"]), rng,
+        return random_parameters(d, length, np.random.default_rng(seed),
                                  terminal=terminal)
     raise ValueError("source must name a file or a random block")
 
@@ -396,10 +397,11 @@ def _expand(value, what) -> list[int]:
     if value is None:
         raise ValueError(f"missing '{what}'")
     bounds = value if isinstance(value, list) and len(value) == 2 else [value]
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in bounds):
+    try:
+        lo, hi = as_integer(bounds[0]), as_integer(bounds[-1])
+    except ValueError:
         raise ValueError(f"'{what}' must be an integer or an [lo, hi] pair "
-                         f"of integers, got {json.dumps(value)}")
-    lo, hi = bounds[0], bounds[-1]
+                         f"of integers, got {json.dumps(value)}") from None
     if hi < lo:
         raise ValueError(f"empty {what} range")
     return list(range(lo, hi + 1))
@@ -407,7 +409,7 @@ def _expand(value, what) -> list[int]:
 
 def _run_theorem_job(job, defaults) -> list[VerificationReport]:
     theorem = job["theorem"]
-    order = int(job.get("order", defaults["order"]))
+    order = as_integer(job.get("order", defaults["order"]), "'order'")
     tolerance = float(job.get("tolerance", defaults["tol"]))
     params = _job_params(job, theorem)
     reports: list[VerificationReport] = []
@@ -541,7 +543,7 @@ CLOSED_FORM_CASES = {
 def _run_job(job, defaults) -> list[VerificationReport]:
     if "case" in job:
         case = job["case"]
-        order = int(job.get("order", defaults["order"]))
+        order = as_integer(job.get("order", defaults["order"]), "'order'")
         tolerance = float(job.get("tolerance", defaults["tol"]))
         if case in catalog.SPLIT_CASES:
             return [_split_case_report(case, catalog.SPLIT_CASES[case],

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, Unitary, as_matrix, embed, unitary_residuals
+from .linalg import UNITARY_TOL, Unitary, as_integer, as_matrix, embed, unitary_residuals
 from .overlap import OverlapFactorization, SubspacePartition
 from .schur import SchurParameters, rho_left, rho_right
 
@@ -236,18 +236,6 @@ def build_unitary(spec: BlockOperatorSpec) -> Unitary:
     return _assemble(spec.family, spec.params, 0, spec.n_blocks - 1, _boundary(spec))
 
 
-def build_cmv(spec: BlockOperatorSpec) -> np.ndarray:
-    if spec.family not in CMV_FAMILIES:
-        raise ValueError(f"build_cmv expects a CMV family, got {spec.family!r}")
-    return build_unitary(spec).matrix
-
-
-def build_hessenberg(spec: BlockOperatorSpec) -> np.ndarray:
-    if spec.family not in HESSENBERG_FAMILIES:
-        raise ValueError(f"build_hessenberg expects a Hessenberg family, got {spec.family!r}")
-    return build_unitary(spec).matrix
-
-
 def build(spec: BlockOperatorSpec) -> np.ndarray:
     return build_unitary(spec).matrix
 
@@ -255,20 +243,11 @@ def build(spec: BlockOperatorSpec) -> np.ndarray:
 def block_subspace(spec: BlockOperatorSpec, blocks) -> tuple[int, ...]:
     """Ascending coordinate indices of the listed blocks."""
     d = spec.block_dim
-    wanted = sorted({int(b) for b in blocks})
+    wanted = sorted({as_integer(b, "block") for b in blocks})
     for b in wanted:
         if not 0 <= b < spec.n_blocks:
             raise ValueError(f"block {b} outside 0..{spec.n_blocks - 1}")
     return tuple(b * d + t for b in wanted for t in range(d))
-
-
-def submatrix_range(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
-    """Principal submatrix on blocks j..k of the built operator."""
-    if not 0 <= j <= k < spec.n_blocks:
-        raise ValueError(f"block range {j}..{k} outside the {spec.n_blocks}-block window")
-    d = spec.block_dim
-    sel = np.arange(j * d, (k + 1) * d)
-    return build(spec)[np.ix_(sel, sel)]
 
 
 def unitary_truncation(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:

@@ -7,6 +7,7 @@ with ``data`` flattened in row-major order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +30,17 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def as_integer(value, what: str = "index") -> int:
+    """value as a Python int.  Python and numpy integers pass; bools,
+    floats, strings and everything else raise, so nothing is truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def matrix_to_json(m) -> dict:
     a = as_matrix(m)
     data = [[float(x.real), float(x.imag)] for x in a.ravel()]
@@ -37,11 +49,10 @@ def matrix_to_json(m) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except (KeyError, TypeError) as exc:
         raise ValueError("matrix object needs integer 'rows', 'cols' and a 'data' list") from exc
+    rows, cols = as_integer(rows, "'rows'"), as_integer(cols, "'cols'")
     if rows < 0 or cols < 0:
         raise ValueError("negative matrix dimensions")
     if len(data) != rows * cols:

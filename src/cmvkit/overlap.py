@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, certify, embed, numerical_rank
+from .linalg import as_integer, as_matrix, certify, embed, numerical_rank
 from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
 from .spectral import schur_of_subspace
 
@@ -33,9 +33,9 @@ class SubspacePartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(int(i) for i in self.left))
-        center = tuple(sorted(int(i) for i in self.center))
-        right = tuple(sorted(int(i) for i in self.right))
+        left = tuple(sorted(as_integer(i) for i in self.left))
+        center = tuple(sorted(as_integer(i) for i in self.center))
+        right = tuple(sorted(as_integer(i) for i in self.right))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "right", right)
@@ -246,8 +246,8 @@ def abstract_khrushchev_check(
     the individual factors are not.
     """
     u = certify(U)
-    vl = tuple(sorted(int(i) for i in v_l))
-    vr = tuple(sorted(int(i) for i in v_r))
+    vl = tuple(sorted(as_integer(i) for i in v_l))
+    vr = tuple(sorted(as_integer(i) for i in v_r))
     if not set(vl) <= set(partition.left):
         raise ValueError("V_L must lie inside the left group")
     if not set(vr) <= set(partition.right):

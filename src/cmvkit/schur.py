@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    as_integer,
     as_matrix,
     hermitian_psd_sqrt,
     is_unitary,
@@ -65,8 +66,8 @@ class SchurParameters:
     alphas: tuple
     terminal: Optional[np.ndarray] = None
     # Derived data, computed once per parameter set and kept out of ==,
-    # repr and JSON: defect triples per parameter, and the synthesized
-    # iterates and inverse iterates per (kind, order, j).
+    # repr and JSON: the defects of each parameter, and the synthesized
+    # iterates of p ("f") and of its reflection ("b") per (kind, order, m).
     _defects: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -104,15 +105,13 @@ class SchurParameters:
         return self.alphas[j]
 
     def defects(self, j: int) -> tuple:
-        """(rho_L, rho_R, rho_L^-1) of alpha_j, computed on first use."""
-        return self._defects_of(j, self.alphas[j])
-
-    def _defects_of(self, key, a) -> tuple:
-        """Defect triple of the matrix a, stored under key on first use."""
-        if key not in self._defects:
-            rl = rho_left(a)
-            self._defects[key] = (rl, rho_right(a), np.linalg.inv(rl))
-        return self._defects[key]
+        """(rho_L, rho_R, rho_L^-1, rho_R^-1) of alpha_j, computed on first
+        use."""
+        if j not in self._defects:
+            a = self.alphas[j]
+            rl, rr = rho_left(a), rho_right(a)
+            self._defects[j] = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
+        return self._defects[j]
 
 
 def iterate(p: SchurParameters, j: int) -> SchurParameters:
@@ -135,9 +134,9 @@ def mobius_step(alpha, f: MatrixPowerSeries, defects: tuple | None = None) -> Ma
     """One backward Schur step: the series with leading parameter alpha
     whose first iterate is f.
 
-    ``defects`` is alpha's (rho_L, rho_R, rho_L^-1) when a SchurParameters
-    has already validated alpha and computed them; the norm check is then
-    skipped.
+    ``defects`` is alpha's (rho_L, rho_R, rho_L^-1, rho_R^-1) when a
+    SchurParameters has already validated alpha and computed them; the
+    norm check is then skipped.
     """
     a = as_matrix(alpha)
     d = f.block_dim
@@ -146,9 +145,9 @@ def mobius_step(alpha, f: MatrixPowerSeries, defects: tuple | None = None) -> Ma
     if defects is None:
         if op_norm(a) >= 1.0 - STRICT_MARGIN:
             raise ValueError("backward step needs a strict contraction")
-        rl = rho_left(a)
-        defects = (rl, rho_right(a), np.linalg.inv(rl))
-    _, rr, rl_inv = defects
+        rr, rl_inv = rho_right(a), np.linalg.inv(rho_left(a))
+    else:
+        rr, rl_inv = defects[1], defects[2]
     g = f.lmul_const(rr).rmul_const(rl_inv).shift()
     one = MatrixPowerSeries.one(d, g.order)
     return (one + g.rmul_const(a.conj().T)).inverse() * (g + MatrixPowerSeries.constant(a, g.order))
@@ -156,88 +155,71 @@ def mobius_step(alpha, f: MatrixPowerSeries, defects: tuple | None = None) -> Ma
 
 def synthesize(p: SchurParameters, order: int) -> MatrixPowerSeries:
     """Series of the measure with the given parameters, truncated at the
-    stated order.
+    stated order: iterate_series(p, 0, order), the read-only series shared
+    with every other caller of p.
 
     Coefficient k depends only on a_0..a_k, so only a_0..a_order are used.
-    The backward recursion is seeded with the terminal when those reach
-    it (at most order + 1 parameters) and with the zero function
-    otherwise; the seed never reaches a coefficient below order + 1.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if len(p) == 0 and p.terminal is None:
-        raise ValueError("need at least one parameter or a terminal")
-    return _steps_down(p, 0, min(len(p), order + 1), None, order).mark_schur()
-
-
-def _steps_down(p: SchurParameters, j: int, stop: int, f, order: int) -> MatrixPowerSeries:
-    """Backward steps over a_{stop-1}, ..., a_j starting from f; f = None
-    seeds with the terminal when stop is the end of the sequence and with
-    zero otherwise."""
-    if f is None:
-        if p.terminal is not None and stop == len(p):
-            f = MatrixPowerSeries.constant(p.terminal, order)
-        else:
-            f = MatrixPowerSeries.zero(p.block_dim, order)
-    for i in range(stop - 1, j - 1, -1):
-        f = mobius_step(p.alphas[i], f, p.defects(i)).truncate(order)
-    return f
-
-
-def _memoize(p: SchurParameters, key: tuple, f: MatrixPowerSeries) -> MatrixPowerSeries:
-    """Store a finished series on p, read-only so no caller can alter it."""
-    f.mark_schur().coeffs.setflags(write=False)
-    p._series[key] = f
-    return f
+    return iterate_series(p, 0, order)
 
 
 def iterate_series(p: SchurParameters, j: int, order: int) -> MatrixPowerSeries:
-    """synthesize(iterate(p, j), order), memoized on p.
-
-    f_j = mobius(a_j, f_{j+1}): one step from f_{j+1} when it is cached at
-    this order, otherwise a fresh run down from a_{min(len-1, j+order)}.
-    Both give the same bits: the coefficients a fresh run would not reach
-    drop out below the truncation.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    """synthesize(iterate(p, j), order), memoized on p."""
     if j < 0 or j > len(p):
         raise ValueError(f"iterate index {j} outside 0..{len(p)}")
     if j == len(p) and p.terminal is None:
         raise ValueError("need at least one parameter or a terminal")
-    hit = p._series.get(("f", order, j))
-    if hit is not None:
-        return hit
-    after = p._series.get(("f", order, j + 1))
-    stop = j + 1 if after is not None else min(len(p), j + order + 1)
-    return _memoize(p, ("f", order, j), _steps_down(p, j, stop, after, order))
+    return _series(p, "f", j, order)
 
 
 def inverse_iterate_series(p: SchurParameters, j: int, order: int) -> MatrixPowerSeries:
-    """synthesize(inverse_iterate(p, j), order), memoized on p.
+    """synthesize(inverse_iterate(p, j), order), memoized on p."""
+    if j < 0 or j > len(p):
+        raise ValueError(f"inverse iterate index {j} outside 0..{len(p)}")
+    return _series(p, "b", len(p) - j, order)
 
-    b_j = mobius(-a_{j-1}†, b_{j-1}): one step from b_{j-1} when it is
-    cached at this order, otherwise a fresh run up from
-    -a_{max(0, j-1-order)}†, seeded with the identity terminal when that
-    is -a_0†.
+
+def _series(p: SchurParameters, kind: str, m: int, order: int) -> MatrixPowerSeries:
+    """The m-th iterate at the given order of p (kind "f") or of its
+    reflection (kind "b"), memoized on p and read-only.
+
+    The reflection of (a_0, ..., a_{n-1}) is (-a_{n-1}†, ..., -a_0†) closed
+    by the identity, so its (n - j)-th iterate is inverse_iterate(p, j).
+    It is read in place: its step i uses a_{n-1-i} with the defects of
+    a_{n-1-i} swapped, since rho_L(-a†) = rho_R(a) and rho_R(-a†) = rho_L(a).
+
+    The m-th iterate is one backward step from the (m+1)-th when that is
+    cached at this order, otherwise a fresh run down from parameter
+    min(n, m + order + 1) - 1, seeded with the terminal when that is the
+    last parameter and with zero otherwise.  Both give the same bits: the
+    coefficients a fresh run would not reach drop out below the truncation.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if j < 0 or j > len(p):
-        raise ValueError(f"inverse iterate index {j} outside 0..{len(p)}")
-    hit = p._series.get(("b", order, j))
+    key = (kind, order, m)
+    hit = p._series.get(key)
     if hit is not None:
         return hit
-    f = p._series.get(("b", order, j - 1))
-    start = j - 1 if f is not None else max(0, j - 1 - order)
+    n, d = len(p), p.block_dim
+    f = p._series.get((kind, order, m + 1))
+    stop = m + 1 if f is not None else min(n, m + order + 1)
     if f is None:
-        seed = MatrixPowerSeries.one if start == 0 else MatrixPowerSeries.zero
-        f = seed(p.block_dim, order)
-    for i in range(start, j):
-        # the same expression as inverse_iterate, so the same bits
-        a = -p.alphas[i].conj().T
-        f = mobius_step(a, f, p._defects_of(("reflected", i), a)).truncate(order)
-    return _memoize(p, ("b", order, j), f)
+        terminal = p.terminal if kind == "f" else np.eye(d)
+        if terminal is not None and stop == n:
+            f = MatrixPowerSeries.constant(terminal, order)
+        else:
+            f = MatrixPowerSeries.zero(d, order)
+    for i in range(stop - 1, m - 1, -1):
+        if kind == "f":
+            a, defects = p.alphas[i], p.defects(i)
+        else:
+            rl, rr, rl_inv, rr_inv = p.defects(n - 1 - i)
+            # the same expression as inverse_iterate, so the same bits
+            a, defects = -p.alphas[n - 1 - i].conj().T, (rr, rl, rr_inv, rl_inv)
+        f = mobius_step(a, f, defects).truncate(order)
+    f.mark_schur().coeffs.setflags(write=False)
+    p._series[key] = f
+    return f
 
 
 def schur_forward(f: MatrixPowerSeries, steps: int) -> SchurParameters:
@@ -342,11 +324,10 @@ def parameters_to_json(p: SchurParameters) -> dict:
 
 def parameters_from_json(obj) -> SchurParameters:
     try:
-        d = int(obj["d"])
-        alphas = obj["alphas"]
-        terminal = obj.get("terminal")
-    except (KeyError, TypeError, ValueError) as exc:
+        d, alphas, terminal = obj["d"], obj["alphas"], obj.get("terminal")
+    except (KeyError, TypeError) as exc:
         raise ValueError("parameter object needs 'd', 'alphas' and optional 'terminal'") from exc
+    d = as_integer(d, "'d'")
     mats = tuple(matrix_from_json(a) for a in alphas)
     term = matrix_from_json(terminal) if terminal is not None else None
     return SchurParameters(d, mats, term)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import certify, column_selector
+from .linalg import as_integer, certify, column_selector
 from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
@@ -30,7 +30,7 @@ _CHECK_HORIZON = 48
 def index_tuple(dim: int, v) -> tuple[int, ...]:
     """The index sequence ``v`` as a tuple, in the given order, which is
     the order of the basis; the indices must be distinct and below dim."""
-    idx = tuple(int(i) for i in v)
+    idx = tuple(as_integer(i) for i in v)
     if len(set(idx)) != len(idx):
         raise ValueError("basis indices must be distinct")
     if idx and (min(idx) < 0 or max(idx) >= dim):

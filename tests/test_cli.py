@@ -429,6 +429,41 @@ class TestCampaign:
         assert res.exit_code == 2
         assert f"'{field}' must be an integer or an [lo, hi] pair" in res.output
 
+    @pytest.mark.parametrize("where, field, value", [
+        ("job", "order", 6.9),
+        ("case", "order", 6.9),
+        ("defaults", "order", 6.9),
+        ("random", "d", 1.9),
+        ("random", "d", True),
+        ("random", "length", 20.5),
+        ("random", "seed", 3.7),
+        ("file", "d", 1.9),
+        ("file", "d", True),
+        ("matrix", "rows", 1.0),
+        ("matrix", "cols", "1"),
+    ])
+    def test_integer_field_that_is_not_an_integer_exits_two(self, runner, tmp_path, rng,
+                                                           where, field, value):
+        job = {"theorem": "site", "j": 0,
+               "source": {"random": {"d": 1, "length": 20, "seed": 3}}}
+        config = {"jobs": [job]}
+        if where in ("job", "case"):
+            job[field] = value
+            if where == "case":
+                config["jobs"] = [{"case": "walk-factors", field: value}]
+        elif where == "defaults":
+            config["defaults"] = {field: value}
+        elif where == "random":
+            job["source"]["random"][field] = value
+        else:
+            raw = parameters_to_json(random_parameters(1, 20, rng))
+            (raw if where == "file" else raw["alphas"][0])[field] = value
+            job["source"] = {"file": write_json(tmp_path / "p.json", raw)}
+        cfg = write_json(tmp_path / "c.json", config)
+        res = runner.invoke(main, ["campaign", "run", "--config", cfg])
+        assert res.exit_code == 2
+        assert f"'{field}' must be an integer, got {value!r}" in res.output
+
     def test_zero_tolerance_fails_with_exit_one(self, runner, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",

@@ -12,12 +12,9 @@ from cmvkit.cmv import (
     BlockOperatorSpec,
     block_subspace,
     build,
-    build_cmv,
-    build_hessenberg,
     build_unitary,
     cmv_factors,
     standard_overlap,
-    submatrix_range,
     theta,
     unitary_truncation,
     window_spec,
@@ -42,6 +39,12 @@ def scalar_params(values, terminal=None):
     alphas = tuple(np.array([[v]], dtype=complex) for v in values)
     term = None if terminal is None else np.array([[terminal]], dtype=complex)
     return SchurParameters(1, alphas, term)
+
+
+def block_range(spec, j, k):
+    """Principal submatrix of the built operator on blocks j..k."""
+    d = spec.block_dim
+    return build(spec)[j * d : (k + 1) * d, j * d : (k + 1) * d]
 
 
 def spec_of(values, family="C", blocks=None, terminal=None):
@@ -91,6 +94,13 @@ class TestSpecValidation:
         assert block_subspace(spec, [3, 0, 3]) == (0, 1, 6, 7)
         with pytest.raises(ValueError, match="block 5"):
             block_subspace(spec, [5])
+
+    @pytest.mark.parametrize("bad", [1.7, True, "1"])
+    def test_block_subspace_rejects_blocks_that_are_not_integers(self, bad, rng):
+        spec = BlockOperatorSpec(random_parameters(2, 6, rng), "C", 5)
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+            block_subspace(spec, [0, bad])
+        assert block_subspace(spec, np.arange(2)) == (0, 1, 2, 3)
 
     def test_exact_horizon_window_rule(self):
         # a return path of order + 1 steps reaches at most order + 1 blocks
@@ -203,7 +213,7 @@ class TestBuildFiveDiagonal:
     def test_free_case_is_a_permutation(self):
         # all-zero coefficients: every rotation is a swap, so the operator
         # permutes the basis
-        c = build_cmv(spec_of([0, 0, 0], blocks=4))
+        c = build(spec_of([0, 0, 0], blocks=4))
         want = np.zeros((4, 4))
         want[0, 2] = want[1, 0] = want[2, 3] = want[3, 1] = 1.0
         assert np.abs(c - want).max() < 1e-15
@@ -211,21 +221,21 @@ class TestBuildFiveDiagonal:
     def test_unitary_for_random_blocks(self, rng):
         p = random_parameters(2, 6, rng)
         for fam in ("C", "Chat"):
-            chk = is_unitary(build_cmv(BlockOperatorSpec(p, fam, 6)))
+            chk = is_unitary(build(BlockOperatorSpec(p, fam, 6)))
             assert chk.ok, (fam, chk.residual)
 
     def test_product_of_band_factors(self, rng):
         spec = BlockOperatorSpec(random_parameters(2, 7, rng), "C", 7)
         lf, mf = cmv_factors(spec)
-        assert np.abs(lf @ mf - build_cmv(spec)).max() < 1e-14
+        assert np.abs(lf @ mf - build(spec)).max() < 1e-14
         hat = BlockOperatorSpec(spec.params, "Chat", 7)
-        assert np.abs(mf @ lf - build_cmv(hat)).max() < 1e-14
+        assert np.abs(mf @ lf - build(hat)).max() < 1e-14
 
     def test_hat_family_is_transpose_of_transposed_parameters(self, rng):
         p = random_parameters(2, 6, rng)
         pt = SchurParameters(2, tuple(a.T for a in p.alphas))
-        chat = build_cmv(BlockOperatorSpec(p, "Chat", 6))
-        c_t = build_cmv(BlockOperatorSpec(pt, "C", 6)).T
+        chat = build(BlockOperatorSpec(p, "Chat", 6))
+        c_t = build(BlockOperatorSpec(pt, "C", 6)).T
         assert np.abs(chat - c_t).max() < 1e-12
 
     def test_band_and_parity_zero_pattern(self, rng):
@@ -234,7 +244,7 @@ class TestBuildFiveDiagonal:
         d = 2
         n = 7
         spec = BlockOperatorSpec(random_parameters(d, n, rng), "C", n)
-        c = build_cmv(spec)
+        c = build(spec)
         for j in range(n):
             lo = 2 * (j // 2) - 1
             hi = 2 * (j // 2) + 2
@@ -245,7 +255,7 @@ class TestBuildFiveDiagonal:
                 assert np.abs(blk).max() < 1e-14, (j, k)
 
     def test_terminal_build_is_exact_finite_case(self):
-        c = build_cmv(spec_of([0.25, -0.4], terminal=-1.0))
+        c = build(spec_of([0.25, -0.4], terminal=-1.0))
         assert c.shape == (3, 3)
         assert is_unitary(c).ok
 
@@ -253,7 +263,7 @@ class TestBuildFiveDiagonal:
 class TestBuildHessenberg:
     def test_two_block_top_row(self):
         a0, a1 = 0.3, -0.5
-        h = build_hessenberg(spec_of([a0, a1], "H", terminal=1.0))
+        h = build(spec_of([a0, a1], "H", terminal=1.0))
         r0 = np.sqrt(1 - a0 * a0)
         r1 = np.sqrt(1 - a1 * a1)
         assert np.abs(h[0] - [a0, r0 * a1, r0 * r1]).max() < 1e-14
@@ -264,7 +274,7 @@ class TestBuildHessenberg:
         # parameter; the first subdiagonal carries rR_k and below is zero
         d = 2
         p = random_parameters(d, 4, rng, terminal=True)
-        h = build_hessenberg(BlockOperatorSpec(p, "H", 5))
+        h = build(BlockOperatorSpec(p, "H", 5))
         alphas = list(p.alphas) + [None]
         n = 4
 
@@ -287,19 +297,19 @@ class TestBuildHessenberg:
     def test_unitary_for_random_blocks(self, rng):
         p = random_parameters(2, 5, rng, terminal=True)
         for fam in ("H", "Hhat"):
-            chk = is_unitary(build_hessenberg(BlockOperatorSpec(p, fam, 6)))
+            chk = is_unitary(build(BlockOperatorSpec(p, fam, 6)))
             assert chk.ok, (fam, chk.residual)
 
     def test_hat_family_transpose_relation(self, rng):
         p = random_parameters(2, 4, rng, terminal=True)
         pt = SchurParameters(2, tuple(a.T for a in p.alphas), p.terminal.T)
-        hhat = build_hessenberg(BlockOperatorSpec(p, "Hhat", 5))
-        h_t = build_hessenberg(BlockOperatorSpec(pt, "H", 5)).T
+        hhat = build(BlockOperatorSpec(p, "Hhat", 5))
+        h_t = build(BlockOperatorSpec(pt, "H", 5)).T
         assert np.abs(hhat - h_t).max() < 1e-12
 
     def test_refuses_padded_window(self):
         with pytest.raises(ValueError, match="terminal"):
-            build_hessenberg(spec_of([0.1, 0.2, 0.3], "H", blocks=3))
+            build(spec_of([0.1, 0.2, 0.3], "H", blocks=3))
 
 
 def _from_public_theta(spec):
@@ -374,14 +384,14 @@ class TestSubmatrixRange:
     def test_top_left_block_is_first_parameter(self, rng):
         p = random_parameters(2, 6, rng)
         spec = BlockOperatorSpec(p, "C", 6)
-        assert np.abs(submatrix_range(spec, 0, 0) - p.alpha(0).conj().T).max() < 1e-14
+        assert np.abs(block_range(spec, 0, 0) - p.alpha(0).conj().T).max() < 1e-14
 
     def test_five_diagonal_staircase_corners(self, rng):
         # blocks 1..4: the first block row reaches only blocks 1, 2 and the
         # last only blocks 3, 4
         d = 2
         spec = BlockOperatorSpec(random_parameters(d, 7, rng), "C", 7)
-        sub = submatrix_range(spec, 1, 4)
+        sub = block_range(spec, 1, 4)
 
         def blk(r, c):
             return sub[r * d : (r + 1) * d, c * d : (c + 1) * d]
@@ -398,7 +408,7 @@ class TestSubmatrixRange:
         d = 2
         p = random_parameters(d, 5, rng, terminal=True)
         spec = BlockOperatorSpec(p, "H", 6)
-        sub = submatrix_range(spec, 1, 3)
+        sub = block_range(spec, 1, 3)
         a = p.alphas
 
         def blk(r, c):
@@ -411,11 +421,6 @@ class TestSubmatrixRange:
         assert np.abs(blk(2, 0)).max() < 1e-14
         assert np.abs(blk(2, 1) - rho_right(a[2])).max() < 1e-12
         assert np.abs(blk(2, 2) + a[2] @ a[3].conj().T).max() < 1e-12
-
-    def test_range_must_fit_window(self, rng):
-        spec = BlockOperatorSpec(random_parameters(1, 4, rng), "C", 4)
-        with pytest.raises(ValueError):
-            submatrix_range(spec, 2, 4)
 
 
 class TestUnitaryTruncation:
@@ -473,7 +478,7 @@ class TestUnitaryTruncation:
         p = random_parameters(d, 5, rng, terminal=True)
         spec = BlockOperatorSpec(p, "H", 6)
         j, k = 1, 3
-        sub = submatrix_range(spec, j, k)
+        sub = block_range(spec, j, k)
         trunc = unitary_truncation(spec, j, k)
         head = direct_sum(-p.alpha(j - 1), np.eye((k - j) * d))
         tail = direct_sum(np.eye((k - j) * d), p.alpha(k).conj().T)
@@ -579,8 +584,8 @@ class TestCertificate:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_corrupted_defects_name_their_block(self, family, rng):
         p = random_parameters(2, 6, rng, terminal=True)
-        rl, rr, rl_inv = p.defects(3)
-        p._defects[3] = (1.01 * rl, rr, rl_inv)
+        rl, *rest = p.defects(3)
+        p._defects[3] = (1.01 * rl, *rest)
         with pytest.raises(ValueError, match="not unitary.*alpha_3"):
             build(BlockOperatorSpec(p, family, 7))
 

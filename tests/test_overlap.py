@@ -68,6 +68,15 @@ class TestPartition:
         with pytest.raises(ValueError, match="cover"):
             SubspacePartition(4, (0,), (1,), (2,))
 
+    @pytest.mark.parametrize("bad", [1.7, True, "1"])
+    def test_rejects_indices_that_are_not_integers(self, bad):
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+            SubspacePartition(3, (0,), (bad,), (2,))
+
+    def test_numpy_integers_are_indices(self):
+        p = SubspacePartition(5, np.arange(2), np.arange(2, 3), np.arange(3, 5))
+        assert (p.left, p.center, p.right) == ((0, 1), (2,), (3, 4))
+
 
 class TestCheckOverlap:
     def test_six_state_diffusion_passes(self):
@@ -280,6 +289,20 @@ class TestAbstractKhrushchev:
         u, part, a, b = random_overlapping(rng, 2, 1, 2)
         fact = OverlapFactorization(part, a, b)
         rep = abstract_khrushchev_check(u, part, part.left, part.right, 12, fact)
+        assert rep.ok, rep.residual
+
+    @pytest.mark.parametrize("bad", [1.7, True, "1"])
+    def test_rejects_subspace_indices_that_are_not_integers(self, bad):
+        cat = double_diffusion_six()
+        left, right = cat.partition.left[0], cat.partition.right[0]
+        for v_l, v_r in (((bad,), ()), ((), (bad,)), ((left,), (right, bad))):
+            with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+                abstract_khrushchev_check(cat.unitary, cat.partition, v_l, v_r, 4)
+
+    def test_numpy_subspace_indices_are_accepted(self):
+        cat = double_diffusion_six()
+        v_r = np.array(cat.partition.right[:1])
+        rep = abstract_khrushchev_check(cat.unitary, cat.partition, np.arange(0), v_r, 8)
         assert rep.ok, rep.residual
 
     def test_rejects_indices_outside_groups(self):

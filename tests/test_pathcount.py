@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cmvkit.catalog import coined_walk_six, diffusion_center_schur, double_diffusion_six
-from cmvkit.cmv import BlockOperatorSpec, build_cmv
+from cmvkit.cmv import BlockOperatorSpec, build
 from cmvkit.linalg import embed
 from cmvkit.pathcount import N_CAP, oracle_first_return, path_amplitude_sum
 from cmvkit.schur import random_parameters, random_unitary
@@ -121,7 +121,7 @@ class TestOracleFirstReturn:
     def test_block_paths_match_block_amplitudes(self, rng):
         d = 2
         p = random_parameters(d, 9, rng)
-        u = build_cmv(BlockOperatorSpec(p, "C", 9))
+        u = build(BlockOperatorSpec(p, "C", 9))
         ra = first_return_amplitudes(u, (4, 5), 4)
         for n in range(1, 5):
             ps = path_amplitude_sum(u, 2, 2, (2,), n, block_dim=d)
@@ -131,7 +131,7 @@ class TestOracleFirstReturn:
 class TestPruning:
     def test_skipping_zero_steps_changes_nothing(self, rng):
         p = random_parameters(1, 9, rng)
-        u = build_cmv(BlockOperatorSpec(p, "C", 9))
+        u = build(BlockOperatorSpec(p, "C", 9))
         for n in (2, 3, 4):
             a = path_amplitude_sum(u, 2, 2, (2,), n, prune=True)
             b = path_amplitude_sum(u, 2, 2, (2,), n, prune=False)
@@ -140,7 +140,7 @@ class TestPruning:
 
     def test_pruning_cuts_the_path_count_on_sparse_matrices(self, rng):
         p = random_parameters(1, 9, rng)
-        u = build_cmv(BlockOperatorSpec(p, "C", 9))
+        u = build(BlockOperatorSpec(p, "C", 9))
         a = path_amplitude_sum(u, 2, 2, (2,), 4, prune=True)
         b = path_amplitude_sum(u, 2, 2, (2,), 4, prune=False)
         assert a.n_paths < b.n_paths

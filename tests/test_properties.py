@@ -233,9 +233,18 @@ def test_shared_series_match_fresh_synthesis_in_any_request_order(seed, d, top, 
         js.reverse()
     elif sweep == "shuffled":
         js = data.draw(st.permutations(js), label="js")
-    # the first two requests come again at the end: they must hit the memo
+    # the first two requests come again at the end: they must hit the memo;
+    # requests for the whole series of p are interleaved with them
     for j in js + js[:2]:
         for order in orders:
+            if data.draw(st.booleans(), label="whole series first"):
+                try:
+                    whole = synthesize(p, order)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        iterate_series(p, 0, order)
+                else:
+                    assert whole is iterate_series(p, 0, order)
             for shared, parameters_of in ((iterate_series, iterate), (inverse_iterate_series, inverse_iterate)):
                 try:
                     want = synthesize(parameters_of(p, j), order)
@@ -248,6 +257,21 @@ def test_shared_series_match_fresh_synthesis_in_any_request_order(seed, d, top, 
                 assert got.schur and shared(p, j, order) is got
                 with pytest.raises(ValueError, match="read-only"):
                     got.coeffs[0, 0, 0] = 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, d=st.integers(1, 4), top=st.floats(0.0, 0.999))
+def test_reflected_defects_are_read_off_the_parameter_bit_for_bit(seed, d, top):
+    # an inverse-iterate step uses -a† with a's own defects swapped:
+    # rho_L(-a†) = rho_R(a) and rho_R(-a†) = rho_L(a), to the last bit
+    p = _parameters_of_norm(seed, d, 1, top, False)
+    rl, rr, rl_inv, rr_inv = p.defects(0)
+    b = -p.alpha(0).conj().T
+    for got, want in ((rr, rho_left(b)), (rl, rho_right(b)),
+                      (rr_inv, np.linalg.inv(rho_left(b))), (rl_inv, np.linalg.inv(rho_right(b)))):
+        assert np.array_equal(got, want)
+    reflected = inverse_iterate(p, 1)
+    assert all(np.array_equal(x, y) for x, y in zip(reflected.defects(0), (rr, rl, rr_inv, rl_inv)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmvkit import schur
 from cmvkit.catalog import diffusion_center_schur, rational_series
 from cmvkit.schur import (
     SchurParameters,
@@ -170,10 +171,11 @@ class TestParameterMemo:
 
     def test_defects_are_the_public_defect_matrices(self, rng):
         p = random_parameters(3, 4, rng)
-        rl, rr, rl_inv = p.defects(2)
+        rl, rr, rl_inv, rr_inv = p.defects(2)
         assert np.array_equal(rl, rho_left(p.alpha(2)))
         assert np.array_equal(rr, rho_right(p.alpha(2)))
         assert np.array_equal(rl_inv, np.linalg.inv(rl))
+        assert np.array_equal(rr_inv, np.linalg.inv(rr))
         assert p.defects(2) is p.defects(2)
 
     def test_caller_arrays_are_copied_read_only(self):
@@ -192,6 +194,24 @@ class TestParameterMemo:
                 m[0, 0] = 0.0
         # a set built from another set's parameters shares them
         assert iterate(p, 1).alpha(0) is p.alpha(1)
+
+    @pytest.mark.parametrize("d, length", [(1, 1), (2, 6), (3, 4)])
+    def test_every_iterate_and_inverse_iterate_takes_two_roots_per_parameter(
+        self, d, length, rng, monkeypatch
+    ):
+        p = random_parameters(d, length, rng, terminal=True)
+        calls = []
+        original = schur.hermitian_psd_sqrt
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(schur, "hermitian_psd_sqrt", counting)
+        for j in range(length + 1):
+            iterate_series(p, j, 7)
+            inverse_iterate_series(p, j, 7)
+        assert len(calls) == 2 * length
 
     def test_shared_series_reject_out_of_range_indices(self):
         p = scalar_params([0.3, 0.2])

@@ -9,7 +9,7 @@ from cmvkit.catalog import (
     hadamard_coin,
     hadamard_coin_schur,
 )
-from cmvkit.cmv import block_subspace, build_cmv, window_spec
+from cmvkit.cmv import block_subspace, build, window_spec
 from cmvkit.linalg import column_selector
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import SchurParameters, random_parameters, random_unitary
@@ -36,6 +36,14 @@ class TestIndexHandling:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             index_tuple(4, (1, 1))
+
+    @pytest.mark.parametrize("bad", [1.7, True, "1"])
+    def test_rejects_indices_that_are_not_integers(self, bad):
+        with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
+            index_tuple(4, (0, bad))
+
+    def test_numpy_integers_are_indices(self):
+        assert index_tuple(4, np.arange(3)[::-1]) == (2, 1, 0)
 
     def test_reordering_the_basis_permutes_amplitudes(self, rng):
         u = random_unitary(5, rng)
@@ -114,7 +122,7 @@ class TestFirstReturn:
         p = random_parameters(d, 30, rng)
         for family in ("C", "Chat"):
             spec = window_spec(p, family, 5, 20)
-            u = build_cmv(spec)
+            u = build(spec)
             n = u.shape[0]
             for idx in [(0,), (3 * d, d, 4 * d), tuple(rng.permutation(n)[:4]),
                         tuple(range(2 * d, 4 * d))]:
@@ -239,7 +247,7 @@ class TestReturnStatistics:
     def test_free_sequence_never_returns_inside_horizon(self):
         zeros = tuple(np.zeros((1, 1)) for _ in range(15))
         spec = window_spec(SchurParameters(1, zeros), "C", 0, 6)
-        u = build_cmv(spec)
+        u = build(spec)
         st = return_statistics(u, block_subspace(spec, [0]), [1.0], 6 + 1)
         assert max(st.probabilities) < 1e-14
 
