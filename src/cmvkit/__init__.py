@@ -34,7 +34,7 @@ from .overlap import (
     construct_overlap,
     verify_gauge,
 )
-from .pathcount import oracle_first_return, path_amplitude_sum
+from .pathcount import oracle_first_return
 from .schur import (
     SchurParameters,
     inverse_iterate,
@@ -47,7 +47,6 @@ from .schur import (
 )
 from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
 from .spectral import (
-    ReturnAmplitudes,
     first_return_amplitudes,
     return_statistics,
     schur_of_subspace,
@@ -59,7 +58,6 @@ __all__ = [
     "BlockOperatorSpec",
     "MatrixPowerSeries",
     "OverlapFactorization",
-    "ReturnAmplitudes",
     "SchurParameters",
     "SubspacePartition",
     "Unitary",
@@ -83,7 +81,6 @@ __all__ = [
     "iterate_series",
     "mobius_step",
     "oracle_first_return",
-    "path_amplitude_sum",
     "return_statistics",
     "scalar_superposition_schur",
     "schur_forward",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -98,11 +99,36 @@ def _indices(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.split(","))
 
 
-def _as_complex(value) -> complex:
-    if isinstance(value, (list, tuple)):
-        re, im = value
-        return complex(float(re), float(im))
-    return complex(value)
+def _finite(value) -> bool:
+    """True for an int or float within double range; bools are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _tolerance(value, what: str = "'tolerance'") -> float:
+    """A verification tolerance: a finite, nonnegative int or float."""
+    if not (_finite(value) and value >= 0):
+        raise ValueError(f"{what} must be a finite nonnegative number, "
+                         f"got {value!r}")
+    return float(value)
+
+
+def _flag(job, key: str, default: bool) -> bool:
+    """A JSON boolean field of a job, or the default when it is absent."""
+    value = job.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _as_complex(job, key: str, default: float) -> complex:
+    """A complex field of a job: a finite number or an [re, im] pair."""
+    value = job.get(key, default)
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0]
+    if not all(_finite(x) for x in parts):
+        raise ValueError(f"'{key}' must be a number or an [re, im] pair of "
+                         f"numbers, got {value!r}")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 @click.group()
@@ -119,6 +145,8 @@ def main(ctx, tol, order, seed, out):
     """Schur functions of unitary operators and their factorizations."""
     if order < 0:
         _die(2, "--order must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        _die(2, "--tol must be finite and nonnegative")
     ctx.obj = {"tol": tol, "order": order, "seed": seed, "out": out}
 
 
@@ -358,11 +386,8 @@ def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
     spec = window_spec(params, family, j, horizon - 1)
     op = build_unitary(spec)
     v = block_subspace(spec, [j])
-    ra = first_return_amplitudes(op, v, horizon)
-    residual = 0.0
-    for n in range(1, horizon + 1):
-        enum = oracle_first_return(op, v, n)
-        residual = max(residual, float(np.abs(enum - ra.amplitude(n)).max()))
+    residual = float(np.abs(oracle_first_return(op, v, horizon)
+                            - first_return_amplitudes(op, v, horizon)).max())
     return VerificationReport(
         theorem="path-count",
         params={"family": family, "j": j, "horizon": horizon,
@@ -386,7 +411,7 @@ def _job_params(job, theorem) -> SchurParameters:
             raise ValueError("randomized jobs must carry an explicit seed")
         d, length, seed = (as_integer(r[k], f"'{k}'")
                            for k in ("d", "length", "seed"))
-        terminal = bool(r.get("terminal", theorem == "hessenberg"))
+        terminal = _flag(r, "terminal", theorem == "hessenberg")
         return random_parameters(d, length, np.random.default_rng(seed),
                                  terminal=terminal)
     raise ValueError("source must name a file or a random block")
@@ -407,41 +432,34 @@ def _expand(value, what) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _run_theorem_job(job, defaults) -> list[VerificationReport]:
+def _run_theorem_job(job, order, tolerance) -> list[VerificationReport]:
     theorem = job["theorem"]
-    order = as_integer(job.get("order", defaults["order"]), "'order'")
-    tolerance = float(job.get("tolerance", defaults["tol"]))
     params = _job_params(job, theorem)
     reports: list[VerificationReport] = []
 
     if theorem == "site":
         family = job.get("family", "C")
+        oracle = _flag(job, "oracle", False)
         for j in _expand(job.get("j"), "j"):
             reports.append(verify_site_formula(params, family, j, order,
                                                tolerance))
-            if job.get("oracle"):
+            if oracle:
                 reports.append(_oracle_report(params, family, j, order,
                                               tolerance))
-    elif theorem == "range":
-        family = job.get("family", "C")
-        for j in _expand(job.get("j"), "j"):
-            for k in _expand(job.get("k"), "k"):
-                if j < k:
-                    reports.append(verify_range_formula(
-                        params, family, j, k, order, tolerance))
-    elif theorem == "hessenberg":
-        family = job.get("family", "H")
-        if family not in HESSENBERG_FAMILIES:
+    elif theorem in ("range", "hessenberg"):
+        hess = theorem == "hessenberg"
+        family = job.get("family", "H" if hess else "C")
+        if hess and family not in HESSENBERG_FAMILIES:
             raise ValueError(f"family {family!r} is not a Hessenberg family")
+        check = verify_hessenberg_formula if hess else verify_range_formula
         for j in _expand(job.get("j"), "j"):
             for k in _expand(job.get("k"), "k"):
                 if j < k:
-                    reports.append(verify_hessenberg_formula(
-                        params, family, j, k, order, tolerance))
+                    reports.append(check(params, family, j, k, order, tolerance))
     elif theorem == "superposition":
-        beta = _as_complex(job.get("beta", 1.0))
-        gamma = _as_complex(job.get("gamma", 0.0))
-        hess = bool(job.get("hessenberg", False))
+        beta = _as_complex(job, "beta", 1.0)
+        gamma = _as_complex(job, "gamma", 0.0)
+        hess = _flag(job, "hessenberg", False)
         for j in _expand(job.get("j"), "j"):
             reports.append(_superposition_report(params, j, beta, gamma,
                                                  order, tolerance,
@@ -541,10 +559,12 @@ CLOSED_FORM_CASES = {
 
 
 def _run_job(job, defaults) -> list[VerificationReport]:
+    """Reports of one job; ``defaults`` holds a checked 'tol' and the
+    'order' that apply where the job names none."""
+    order = as_integer(job.get("order", defaults["order"]), "'order'")
+    tolerance = _tolerance(job.get("tolerance", defaults["tol"]))
     if "case" in job:
         case = job["case"]
-        order = as_integer(job.get("order", defaults["order"]), "'order'")
-        tolerance = float(job.get("tolerance", defaults["tol"]))
         if case in catalog.SPLIT_CASES:
             return [_split_case_report(case, catalog.SPLIT_CASES[case],
                                        order, tolerance)]
@@ -552,7 +572,7 @@ def _run_job(job, defaults) -> list[VerificationReport]:
             return [CLOSED_FORM_CASES[case](order, tolerance)]
         raise ValueError(f"unknown closed-form case {case!r}")
     if "theorem" in job:
-        return _run_theorem_job(job, defaults)
+        return _run_theorem_job(job, order, tolerance)
     raise ValueError("job must carry a 'theorem' tag or a closed-form 'case'")
 
 
@@ -591,8 +611,9 @@ def verify(ctx, theorem, params_path, random_spec, family, j_index, k_index,
         job["oracle"] = True
     if theorem == "superposition":
         try:
-            job["beta"] = complex(beta)
-            job["gamma"] = complex(gamma)
+            for key, text in (("beta", beta), ("gamma", gamma)):
+                z = complex(text)
+                job[key] = [z.real, z.imag]
         except ValueError as exc:
             _die(2, f"bad --beta/--gamma: {exc}")
     if params_path:
@@ -647,6 +668,7 @@ def campaign(ctx, action, config_path):
         jobs = config.get("jobs", [])
         defaults = dict(ctx.obj)
         defaults.update(config.get("defaults", {}))
+        defaults["tol"] = _tolerance(defaults["tol"], "'tol'")
     except PARSE_ERRORS as exc:
         _die(2, str(exc))
 

@@ -44,15 +44,10 @@ def _fill_thetas(alphas, rls, rrs) -> np.ndarray:
     return out
 
 
-def theta(alpha, defects: tuple | None = None) -> np.ndarray:
-    """The 2d x 2d unitary rotation [[alpha^dagger, rho^L], [rho^R, -alpha]].
-
-    ``defects`` is alpha's (rho_L, rho_R, ...) from SchurParameters.defects
-    when already computed.
-    """
+def theta(alpha) -> np.ndarray:
+    """The 2d x 2d unitary rotation [[alpha^dagger, rho^L], [rho^R, -alpha]]."""
     a = as_matrix(alpha)
-    rl, rr = (rho_left(a), rho_right(a)) if defects is None else defects[:2]
-    return _fill_thetas(a[None], np.asarray(rl)[None], np.asarray(rr)[None])[0]
+    return _fill_thetas(a[None], rho_left(a)[None], rho_right(a)[None])[0]
 
 
 def _theta_stack(p: SchurParameters, lo: int, hi: int) -> np.ndarray:

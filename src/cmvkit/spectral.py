@@ -4,7 +4,9 @@ A coordinate subspace V is a sequence of distinct basis indices whose
 order is the order of V's basis.  For a unitary U and V with projection
 P, the n-th first-return amplitude is a_n = P U (Q U)^{n-1} P with
 Q = 1 - P, and the Schur function of V is the series
-f_V(z) = sum_{n>=1} a_n^dagger z^{n-1}.
+f_V(z) = sum_{n>=1} a_n^dagger z^{n-1}.  Amplitudes a_1..a_h travel as
+one (h, k, k) stack whose entry n - 1 is a_n, the adjoint of f_V's z^{n-1}
+coefficient.
 Two independent computations are kept side by side: the amplitude
 recursion, and the resolvent compression P (U - z Q)^{-1} P sampled on a
 small disk.  Any disagreement is raised, never papered over.
@@ -13,7 +15,6 @@ small disk.  Any disagreement is raised, never papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,24 +39,6 @@ def index_tuple(dim: int, v) -> tuple[int, ...]:
     return idx
 
 
-@dataclass(frozen=True)
-class ReturnAmplitudes:
-    """First-return amplitudes a_1..a_horizon of a subspace."""
-
-    basis_indices: tuple[int, ...]
-    horizon: int
-    amplitudes: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_indices)
-
-    def amplitude(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.horizon:
-            raise ValueError(f"amplitude index {n} outside 1..{self.horizon}")
-        return self.amplitudes[n - 1]
-
-
 def spectral_moments(U, v, n: int) -> np.ndarray:
     """Compression P U^n P of a power of the unitary, as a dim(v) matrix.
 
@@ -69,30 +52,23 @@ def spectral_moments(U, v, n: int) -> np.ndarray:
     return np.linalg.matrix_power(u, n)[np.ix_(rows, rows)]
 
 
-def first_return_amplitudes(U, v, horizon: int) -> ReturnAmplitudes:
-    """a_n = P U (Q U)^{n-1} P for n = 1..horizon, via the obvious recursion:
-    keep a block of vectors, apply U, record the compression (v's rows, in
-    v's order), project out V (zero those rows), repeat."""
+def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
+    """a_n = P U (Q U)^{n-1} P for n = 1..horizon, as a (horizon, k, k)
+    stack whose entry n - 1 is a_n, via the obvious recursion: keep a block
+    of vectors, apply U, record the compression (v's rows, in v's order),
+    project out V (zero those rows), repeat."""
     u = certify(U).matrix
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     idx = index_tuple(u.shape[0], v)
     rows = np.array(idx, dtype=np.intp)
-    amps = []
+    amps = np.empty((horizon, rows.size, rows.size), dtype=np.complex128)
     x = column_selector(u.shape[0], idx)
-    for _ in range(horizon):
+    for n in range(horizon):
         x = u @ x
-        amps.append(x[rows])
+        amps[n] = x[rows]
         x[rows] = 0.0
-    return ReturnAmplitudes(idx, horizon, tuple(amps))
-
-
-def amplitudes_to_schur(ra: ReturnAmplitudes, order: int) -> MatrixPowerSeries:
-    """Assemble f(z) = sum a_n^dagger z^{n-1} up to the given order."""
-    if order + 1 > ra.horizon:
-        raise ValueError("horizon too small for the requested order")
-    coeffs = np.stack([ra.amplitudes[n].conj().T for n in range(order + 1)])
-    return MatrixPowerSeries(coeffs)
+    return amps
 
 
 def resolvent_compression(U, v, z) -> np.ndarray:
@@ -132,17 +108,17 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     """
     u = certify(U)
     horizon = max(order + 1, _CHECK_HORIZON)
-    ra = first_return_amplitudes(u, v, horizon)
-    long_series = amplitudes_to_schur(ra, horizon - 1)
-    taylor = long_series.values_at(RESOLVENT_SAMPLES)
+    # entry n of the stack is a_{n+1}, so its adjoints are f_V's coefficients
+    coeffs = np.ascontiguousarray(
+        first_return_amplitudes(u, v, horizon).transpose(0, 2, 1).conj())
+    taylor = MatrixPowerSeries(coeffs).values_at(RESOLVENT_SAMPLES)
     worst = float(np.abs(taylor - resolvent_compression(u, v, RESOLVENT_SAMPLES)).max())
     if worst > RESOLVENT_TOL:
         raise ArithmeticError(
             "internal-consistency failure: Taylor and resolvent routes "
             f"disagree by {worst:.3e}"
         )
-    f = amplitudes_to_schur(ra, order)
-    return MatrixPowerSeries(f.coeffs, schur=True)
+    return MatrixPowerSeries(coeffs[: order + 1].copy(), schur=True)
 
 
 def caratheodory_of_subspace(U, v, order: int) -> MatrixPowerSeries:
@@ -177,10 +153,10 @@ def return_statistics(U, v, psi, horizon: int) -> ReturnStatistics:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-8:
         raise ValueError(f"state must be normalized (|psi| = {norm:.6f})")
-    ra = first_return_amplitudes(U, v, horizon)
-    if ra.dim != psi.size:
+    amps = first_return_amplitudes(U, v, horizon)
+    if amps.shape[1] != psi.size:
         raise ValueError("state length does not match the subspace dimension")
-    probs = tuple(float(np.linalg.norm(a @ psi) ** 2) for a in ra.amplitudes)
+    probs = tuple(float(np.linalg.norm(a @ psi) ** 2) for a in amps)
     cumulative = float(sum(probs))
     expected = float(sum((n + 1) * p for n, p in enumerate(probs)))
     return ReturnStatistics(probs, cumulative, expected)

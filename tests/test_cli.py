@@ -24,6 +24,8 @@ from cmvkit.schur import parameters_to_json, random_parameters
 from cmvkit.series import MatrixPowerSeries
 from cmvkit.spectral import first_return_amplitudes
 
+MIXED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "mixed_campaign.json"
+
 
 @pytest.fixture
 def runner():
@@ -290,9 +292,8 @@ class TestVerify:
                 larger = window_spec(params, family, j, horizon)
                 op = build(larger)
                 v = block_subspace(larger, [j])
-                ra = first_return_amplitudes(op, v, horizon)
-                old = max(float(np.abs(oracle_first_return(op, v, n) - ra.amplitude(n)).max())
-                          for n in range(1, horizon + 1))
+                old = float(np.abs(oracle_first_return(op, v, horizon)
+                                   - first_return_amplitudes(op, v, horizon)).max())
                 got = json.loads(out.read_text())["reports"][1]["residual"]
                 assert abs(got - old) <= 1e-15, (family, order, j, got, old)
 
@@ -371,6 +372,28 @@ class TestCampaign:
             assert res.exit_code == 0, res.output
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_mixed_campaign_covers_every_kind_and_passes(self, runner, tmp_path):
+        # the fixed config that CI runs twice and compares byte for byte
+        config = json.loads(MIXED_CAMPAIGN.read_text())
+        sources = [jb["source"]["random"] for jb in config["jobs"] if "source" in jb]
+        assert {(s["d"], s["terminal"]) for s in sources} >= {
+            (d, t) for d in (1, 2, 3) for t in (False, True)}
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run",
+                                   "--config", str(MIXED_CAMPAIGN)])
+        assert res.exit_code == 0, res.output
+        reports = [r for jb in json.loads(out.read_text())["jobs"] for r in jb["reports"]]
+        seen = {(r["theorem"], r["params"].get("family")) for r in reports}
+        assert seen >= {("site-schur-function", "C"), ("site-schur-function", "Chat"),
+                        ("range-schur-function", "C"), ("range-schur-function", "Chat"),
+                        ("hessenberg-range-schur-function", "H"),
+                        ("hessenberg-range-schur-function", "Hhat"),
+                        ("path-count", "C"), ("path-count", "Chat"),
+                        ("superposition", None), ("hessenberg-superposition", None)}
+        cases = {(jb["case"], jb["order"]) for jb in config["jobs"] if "case" in jb}
+        assert cases == {(c, n) for c in [*catalog.SPLIT_CASES, *CLOSED_FORM_CASES]
+                         for n in range(17)}
 
     def test_closed_form_cases_pass_at_low_orders(self, runner, tmp_path):
         cases = sorted(catalog.SPLIT_CASES) + sorted(CLOSED_FORM_CASES)
@@ -464,6 +487,62 @@ class TestCampaign:
         assert res.exit_code == 2
         assert f"'{field}' must be an integer, got {value!r}" in res.output
 
+    @pytest.mark.parametrize("where, field, value", [
+        ("job", "tolerance", True),
+        ("job", "tolerance", "1e-300"),
+        ("job", "tolerance", "0.5"),
+        ("job", "tolerance", float("nan")),
+        ("job", "tolerance", -1),
+        ("case", "tolerance", float("inf")),
+        ("defaults", "tol", "1e-3"),
+        ("defaults", "tol", float("nan")),
+        ("random", "terminal", "false"),
+        ("job", "oracle", "no"),
+        ("job", "oracle", 1),
+        ("superposition", "hessenberg", "false"),
+        ("superposition", "beta", True),
+        ("superposition", "beta", [0.6, "0"]),
+        ("superposition", "gamma", "0.8"),
+        ("superposition", "gamma", [0.0, 0.8, 0.0]),
+        ("superposition", "gamma", float("nan")),
+    ])
+    def test_loose_field_exits_two_and_names_it(self, runner, tmp_path, where, field, value):
+        job = {"theorem": "site", "j": 0, "order": 4,
+               "source": {"random": {"d": 1, "length": 20, "seed": 3}}}
+        config = {"jobs": [job]}
+        if where == "case":
+            config["jobs"] = [{"case": "walk-factors", "order": 4, field: value}]
+        elif where == "defaults":
+            config["defaults"] = {field: value}
+        elif where == "random":
+            job["source"]["random"][field] = value
+        else:
+            if where == "superposition":
+                job.update(theorem="superposition", beta=[0.6, 0.0], gamma=[0.0, 0.8])
+            job[field] = value
+        cfg = write_json(tmp_path / "c.json", config)
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert f"'{field}' must be" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("tolerance", 0), ("tolerance", 1e-300), ("oracle", False), ("terminal", True),
+        ("beta", 1), ("gamma", [0, 0]),
+    ])
+    def test_strict_fields_accept_their_json_types(self, runner, tmp_path, field, value):
+        job = {"theorem": "superposition" if field in ("beta", "gamma") else "site",
+               "j": 0, "order": 4, "source": {"random": {"d": 1, "length": 20, "seed": 3}}}
+        if field == "terminal":
+            job["source"]["random"]["terminal"] = value
+        else:
+            job[field] = value
+        cfg = write_json(tmp_path / "c.json", {"jobs": [job]})
+        res = runner.invoke(main, ["campaign", "run", "--config", cfg])
+        # a tiny tolerance may fail the check (exit 1), but it is read
+        assert res.exit_code in (0, 1) and "error:" not in res.output, res.output
+
     def test_zero_tolerance_fails_with_exit_one(self, runner, tmp_path):
         cfg = write_json(
             tmp_path / "c.json",
@@ -540,6 +619,18 @@ class TestGlobalFlags:
     def test_bad_order_rejected_at_the_group(self, runner):
         res = runner.invoke(main, ["--order", "-1", "campaign", "run"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_rejected_at_the_group(self, runner, tol):
+        res = runner.invoke(main, ["--tol", tol, "campaign", "run"])
+        assert res.exit_code == 2
+        assert "--tol must be finite and nonnegative" in res.output
+
+    def test_verify_rejects_a_weight_that_is_not_finite(self, runner):
+        res = runner.invoke(main, ["verify", "--theorem", "superposition", "--random", "1,20",
+                                   "--j", "0", "--beta", "nan"])
+        assert res.exit_code == 2
+        assert "'beta' must be" in res.output
 
 
 def test_cli_imports_no_private_name_from_another_module():

@@ -114,8 +114,7 @@ class TestSpecValidation:
 
 
 def _amplitudes(spec, blocks, horizon):
-    ra = first_return_amplitudes(build(spec), block_subspace(spec, blocks), horizon)
-    return np.stack(ra.amplitudes)
+    return first_return_amplitudes(build(spec), block_subspace(spec, blocks), horizon)
 
 
 def _in_column_order(a, b):

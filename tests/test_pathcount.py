@@ -1,67 +1,116 @@
 """Path-enumeration oracle tests.
 
 The enumeration is deliberately naive: it never touches the amplitude
-recursion it is meant to check.
+recursion it is meant to check.  Entry [n - 1][r, c] of the oracle's
+stack is the sum over n-step paths from v[c] to v[r] with every
+intermediate state outside v.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from cmvkit.catalog import coined_walk_six, diffusion_center_schur, double_diffusion_six
-from cmvkit.cmv import BlockOperatorSpec, build
+from cmvkit.cmv import BlockOperatorSpec, block_subspace, build, window_spec
 from cmvkit.linalg import embed
-from cmvkit.pathcount import N_CAP, oracle_first_return, path_amplitude_sum
+from cmvkit.pathcount import N_CAP, PRUNE_FLOOR, oracle_first_return
 from cmvkit.schur import random_parameters, random_unitary
 from cmvkit.spectral import first_return_amplitudes
+
+
+def _per_length(u, v, n):
+    """The n-step amplitude alone, by the per-length enumeration the
+    one-pass oracle replaced: same successor lists and pruning, and the
+    same depth-first order, so the sums must agree to the bit."""
+    entries = u.tolist()
+    blocked = set(v)
+    interior = [s for s in range(u.shape[0]) if s not in blocked]
+
+    def steps(cur, rows):
+        return [(k, entries[s][cur]) for k, s in enumerate(rows)
+                if not abs(entries[s][cur]) < PRUNE_FLOOR]
+
+    inner = {s: steps(s, interior) for s in (*v, *interior)}
+    ends = {s: steps(s, v) for s in (*v, *interior)}
+    out = np.zeros((len(v), len(v)), dtype=np.complex128)
+
+    def extend(c, cur, remaining, amp):
+        if remaining == 1:
+            for r, step in ends[cur]:
+                out[r, c] += step * amp
+            return
+        for k, step in inner[cur]:
+            extend(c, interior[k], remaining - 1, amp * step)
+
+    for c, s in enumerate(v):
+        extend(c, s, n, 1.0 + 0.0j)
+    return out
+
+
+def _brute_force(u, v, horizon):
+    """Every index path spelled out with itertools, no pruning."""
+    interior = [s for s in range(u.shape[0]) if s not in set(v)]
+    out = np.zeros((horizon, len(v), len(v)), dtype=np.complex128)
+    for n in range(1, horizon + 1):
+        for mid in itertools.product(interior, repeat=n - 1):
+            for c, s in enumerate(v):
+                for r, t in enumerate(v):
+                    path = (s, *mid, t)
+                    amp = 1.0 + 0.0j
+                    for a, b in zip(path, path[1:]):
+                        amp = u[b, a] * amp
+                    out[n - 1, r, c] += amp
+    return out
 
 
 class TestPathAmplitudeSum:
     def test_single_step_is_the_entry(self, rng):
         u = random_unitary(5, rng)
-        ps = path_amplitude_sum(u, 3, 1, (), 1)
-        assert abs(ps.amplitude - u[1, 3]) < 1e-15
-        assert ps.n_paths == 1
+        a = oracle_first_return(u, (3, 1), 1)
+        assert abs(a[0][1, 0] - u[1, 3]) < 1e-15
 
     def test_no_intermediate_room_gives_zero(self, rng):
         u = random_unitary(4, rng)
-        ps = path_amplitude_sum(u, 0, 1, (0, 1, 2, 3), 2)
-        assert ps.amplitude == 0
-        assert ps.n_paths == 0
+        a = oracle_first_return(u, (0, 1, 2, 3), 2)
+        assert a[1][1, 0] == 0
+        assert not a[1].any()
 
     def test_two_step_sum_over_allowed_midpoints(self, rng):
         u = random_unitary(6, rng)
-        avoid = (0, 2)
-        ps = path_amplitude_sum(u, 0, 2, avoid, 2)
+        a = oracle_first_return(u, (0, 2), 2)
         want = sum(u[2, m] * u[m, 0] for m in (1, 3, 4, 5))
-        assert abs(ps.amplitude - want) < 1e-14
+        assert abs(a[1][1, 0] - want) < 1e-14
 
     def test_endpoints_may_sit_inside_the_avoided_set(self, rng):
         u = random_unitary(4, rng)
-        ps = path_amplitude_sum(u, 2, 2, (2,), 1)
-        assert abs(ps.amplitude - u[2, 2]) < 1e-15
+        a = oracle_first_return(u, (2,), 1)
+        assert abs(a[0][0, 0] - u[2, 2]) < 1e-15
 
     def test_block_steps_multiply_later_on_the_left(self, rng):
+        # blocks 0 and 2 of a 2 x 2 block matrix span v; block 1 is the
+        # only way through, so the two-step amplitude is one block product
         d = 2
         u = random_unitary(6, rng)
 
         def block(r, c):
             return u[r * d : (r + 1) * d, c * d : (c + 1) * d]
 
-        ps = path_amplitude_sum(u, 0, 2, (0, 2), 2, block_dim=d)
+        a = oracle_first_return(u, (0, 1, 4, 5), 2)
         want = block(2, 1) @ block(1, 0)
-        assert np.abs(ps.amplitude - want).max() < 1e-14
+        assert np.abs(a[1][2:, :2] - want).max() < 1e-14
 
     def test_length_bounds(self, rng):
         u = random_unitary(3, rng)
-        with pytest.raises(ValueError):
-            path_amplitude_sum(u, 0, 1, (), 0)
-        with pytest.raises(ValueError):
-            path_amplitude_sum(u, 0, 1, (), N_CAP + 1)
+        for horizon in (0, N_CAP + 1):
+            with pytest.raises(ValueError, match=f"horizon {horizon} outside 1..{N_CAP}"):
+                oracle_first_return(u, (0, 1), horizon)
+        assert oracle_first_return(u, (0, 1), N_CAP).shape == (N_CAP, 2, 2)
 
     def test_state_bounds(self, rng):
         u = random_unitary(3, rng)
         with pytest.raises(ValueError):
-            path_amplitude_sum(u, 0, 3, (), 1)
+            oracle_first_return(u, (0, 3), 1)
 
 
 class TestSplitDiagrams:
@@ -74,9 +123,9 @@ class TestSplitDiagrams:
         fact = cat.factorization()
         lc = embed(fact.u_lc, fact.partition.lc, 6)
         cr = embed(fact.u_cr, fact.partition.cr, 6)
-        loop = path_amplitude_sum(u, 2, 2, (2,), 1).amplitude
-        left = path_amplitude_sum(lc, 2, 2, (), 1).amplitude
-        right = path_amplitude_sum(cr, 2, 2, (), 1).amplitude
+        loop = oracle_first_return(u, (2,), 1)[0][0, 0]
+        left = oracle_first_return(lc, (2,), 1)[0][0, 0]
+        right = oracle_first_return(cr, (2,), 1)[0][0, 0]
         assert abs(left * right - loop) < 1e-14
         assert abs(loop - 0.5) < 1e-14
 
@@ -88,7 +137,7 @@ class TestSplitDiagrams:
         fact = cat.factorization()
         lc = embed(fact.u_lc, fact.partition.lc, 6)
         cr = embed(fact.u_cr, fact.partition.cr, 6)
-        loop = path_amplitude_sum(u, 2, 2, (2,), 2).amplitude
+        loop = oracle_first_return(u, (2,), 2)[1][0, 0]
         byparts = sum(
             sum(lc[2, i] * cr[i, m] for i in range(6))
             * sum(lc[m, i] * cr[i, 2] for i in range(6))
@@ -100,47 +149,58 @@ class TestSplitDiagrams:
 
 class TestOracleFirstReturn:
     def test_identity_case(self):
-        a1 = oracle_first_return(np.eye(5), (1, 3), 1)
-        assert np.abs(a1 - np.eye(2)).max() < 1e-15
-        for n in (2, 3):
-            assert np.abs(oracle_first_return(np.eye(5), (1, 3), n)).max() < 1e-15
+        a = oracle_first_return(np.eye(5), (1, 3), 3)
+        assert np.abs(a[0] - np.eye(2)).max() < 1e-15
+        assert np.abs(a[1:]).max() < 1e-15
 
     def test_diffusion_first_amplitude_is_one_sixth(self):
         cat = double_diffusion_six()
-        a1 = oracle_first_return(cat.unitary, cat.partition.center, 1)
+        a1 = oracle_first_return(cat.unitary, cat.partition.center, 1)[0]
         assert abs(a1[0, 0] - 1.0 / 6.0) < 1e-14
         assert abs(a1[0, 0] - diffusion_center_schur(0).coeff(0)[0, 0]) < 1e-14
 
     def test_matches_operator_route_on_random_unitary(self, rng):
         u = random_unitary(6, rng)
         v = (0, 4)
-        ra = first_return_amplitudes(u, v, 5)
-        for n in range(1, 6):
-            assert np.abs(oracle_first_return(u, v, n) - ra.amplitude(n)).max() < 1e-10
+        want = first_return_amplitudes(u, v, 5)
+        assert np.abs(oracle_first_return(u, v, 5) - want).max() < 1e-10
 
     def test_block_paths_match_block_amplitudes(self, rng):
         d = 2
         p = random_parameters(d, 9, rng)
         u = build(BlockOperatorSpec(p, "C", 9))
-        ra = first_return_amplitudes(u, (4, 5), 4)
-        for n in range(1, 5):
-            ps = path_amplitude_sum(u, 2, 2, (2,), n, block_dim=d)
-            assert np.abs(ps.amplitude - ra.amplitude(n)).max() < 1e-10, n
+        want = first_return_amplitudes(u, (4, 5), 4)
+        assert np.abs(oracle_first_return(u, (4, 5), 4) - want).max() < 1e-10
 
 
-class TestPruning:
-    def test_skipping_zero_steps_changes_nothing(self, rng):
-        p = random_parameters(1, 9, rng)
-        u = build(BlockOperatorSpec(p, "C", 9))
-        for n in (2, 3, 4):
-            a = path_amplitude_sum(u, 2, 2, (2,), n, prune=True)
-            b = path_amplitude_sum(u, 2, 2, (2,), n, prune=False)
-            assert abs(a.amplitude - b.amplitude) < 1e-12
-            assert a.n_paths <= b.n_paths
+class TestOnePass:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stack_equals_the_per_length_enumeration(self, d, rng):
+        p = random_parameters(d, 16, rng)
+        for family in ("C", "Chat"):
+            for j in range(4):
+                for horizon in range(1, 7):
+                    spec = window_spec(p, family, j, horizon - 1)
+                    u = build(spec)
+                    v = block_subspace(spec, [j])
+                    got = oracle_first_return(u, v, horizon)
+                    want = np.stack([_per_length(u, v, n) for n in range(1, horizon + 1)])
+                    assert np.array_equal(got, want), (family, j, horizon)
 
-    def test_pruning_cuts_the_path_count_on_sparse_matrices(self, rng):
-        p = random_parameters(1, 9, rng)
-        u = build(BlockOperatorSpec(p, "C", 9))
-        a = path_amplitude_sum(u, 2, 2, (2,), 4, prune=True)
-        b = path_amplitude_sum(u, 2, 2, (2,), 4, prune=False)
-        assert a.n_paths < b.n_paths
+    def test_dense_stack_equals_the_per_length_enumeration(self, rng):
+        for v in [(0,), (5, 2), (1, 3, 4)]:
+            u = random_unitary(6, rng)
+            got = oracle_first_return(u, v, 6)
+            want = np.stack([_per_length(u, v, n) for n in range(1, 7)])
+            assert np.array_equal(got, want), v
+
+    def test_brute_force_path_sums(self, rng):
+        d = 2
+        spec = window_spec(random_parameters(d, 12, rng), "Chat", 1, 4)
+        u = build(spec)
+        v = block_subspace(spec, [1])
+        assert np.abs(oracle_first_return(u, v, 5) - _brute_force(u, v, 5)).max() < 1e-13
+        u = random_unitary(6, rng)
+        for v, horizon in [((3,), 4), ((4, 1), N_CAP)]:
+            got = oracle_first_return(u, v, horizon)
+            assert np.abs(got - _brute_force(u, v, horizon)).max() < 1e-13, v

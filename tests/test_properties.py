@@ -132,8 +132,8 @@ def test_path_enumeration_equals_operator_amplitudes(seed, n, steps):
     rng = np.random.default_rng(seed)
     u = random_unitary(n, rng)
     v = (0, n - 1)
-    ra = first_return_amplitudes(u, v, steps)
-    assert np.abs(oracle_first_return(u, v, steps) - ra.amplitude(steps)).max() < 1e-10
+    amps = first_return_amplitudes(u, v, steps)
+    assert np.abs(oracle_first_return(u, v, steps) - amps).max() < 1e-10
 
 
 @settings(max_examples=12, deadline=None)
