@@ -5,8 +5,9 @@ computes first-return statistics of subspaces, checks and constructs
 overlapping factorizations, and runs verification campaigns that
 compare the factorization formulas against independent routes.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 bad input
-(unparseable files, broken invariants, missing options).
+Exit codes: 0 all checks pass, 1 a verification or a campaign job failed,
+2 bad input (unparseable files, broken invariants, missing options); a
+campaign checks every job before it runs any, so 2 means nothing ran.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from . import catalog
 from .cmv import (
+    CMV_FAMILIES,
     FAMILIES,
     HESSENBERG_FAMILIES,
     BlockOperatorSpec,
@@ -355,11 +357,9 @@ def overlap_construct(ctx, matrix_path, left, center, right):
 # verification plumbing shared by `verify` and `campaign run`
 
 
-def _superposition_report(params, j, beta, gamma, order, tolerance,
-                          hessenberg=False) -> VerificationReport:
+def _superposition_report(params, j, beta, gamma, order, tolerance, hessenberg):
     """Compare the formula and operator routes for one superposed state."""
-    schur_fn = (hessenberg_superposition if hessenberg
-                else scalar_superposition_schur)
+    schur_fn = hessenberg_superposition if hessenberg else scalar_superposition_schur
     formula, operator = (schur_fn(params, j, beta, gamma, order, route=r)
                          for r in SUPERPOSITION_ROUTES)
     return VerificationReport(
@@ -432,43 +432,12 @@ def _expand(value, what) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _run_theorem_job(job, order, tolerance) -> list[VerificationReport]:
-    theorem = job["theorem"]
-    params = _job_params(job, theorem)
-    reports: list[VerificationReport] = []
-
-    if theorem == "site":
-        family = job.get("family", "C")
-        oracle = _flag(job, "oracle", False)
-        for j in _expand(job.get("j"), "j"):
-            reports.append(verify_site_formula(params, family, j, order,
-                                               tolerance))
-            if oracle:
-                reports.append(_oracle_report(params, family, j, order,
-                                              tolerance))
-    elif theorem in ("range", "hessenberg"):
-        hess = theorem == "hessenberg"
-        family = job.get("family", "H" if hess else "C")
-        if hess and family not in HESSENBERG_FAMILIES:
-            raise ValueError(f"family {family!r} is not a Hessenberg family")
-        check = verify_hessenberg_formula if hess else verify_range_formula
-        for j in _expand(job.get("j"), "j"):
-            for k in _expand(job.get("k"), "k"):
-                if j < k:
-                    reports.append(check(params, family, j, k, order, tolerance))
-    elif theorem == "superposition":
-        beta = _as_complex(job, "beta", 1.0)
-        gamma = _as_complex(job, "gamma", 0.0)
-        hess = _flag(job, "hessenberg", False)
-        for j in _expand(job.get("j"), "j"):
-            reports.append(_superposition_report(params, j, beta, gamma,
-                                                 order, tolerance,
-                                                 hessenberg=hess))
-    else:
-        raise ValueError(f"unknown theorem tag {theorem!r}")
-    if not reports:
-        raise ValueError("job expanded to no cases (check j/k ranges)")
-    return reports
+def _family(job, families, kind) -> str:
+    """The job's operator family, one of its row's families."""
+    family = job.get("family", families[0])
+    if family not in families:
+        raise ValueError(f"family {family!r} is not a {kind} family")
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +450,9 @@ def _report(case, residual, tolerance, left, right) -> VerificationReport:
                               left_provenance=left, right_provenance=right)
 
 
-def _split_case_report(case, row: catalog.SplitCase, order,
-                       tol) -> VerificationReport:
+def _split_case_report(case, order, tol) -> VerificationReport:
     """Check a catalog split row: the factorization rule plus its closed forms."""
+    row = catalog.SPLIT_CASES[case]
     fu = row.maker()
     res = abstract_khrushchev_check(fu.unitary, fu.partition, row.v_left,
                                     row.v_right, order,
@@ -558,22 +527,77 @@ CLOSED_FORM_CASES = {
 }
 
 
-def _run_job(job, defaults) -> list[VerificationReport]:
-    """Reports of one job; ``defaults`` holds a checked 'tol' and the
-    'order' that apply where the job names none."""
+# ---------------------------------------------------------------------------
+# job kinds: each row checks a job and returns its cases, closures of one
+# report each that look their verifier up when run, so a rebound name is seen
+
+
+def _site_job(job, order, tol):
+    params, family = _job_params(job, "site"), _family(job, CMV_FAMILIES, "CMV")
+    oracle = _flag(job, "oracle", False)
+    cases = []
+    for j in _expand(job.get("j"), "j"):
+        cases.append(lambda j=j: verify_site_formula(params, family, j, order, tol))
+        if oracle:
+            cases.append(lambda j=j: _oracle_report(params, family, j, order, tol))
+    return cases
+
+
+def _range_job(job, order, tol):
+    params, family = _job_params(job, "range"), _family(job, CMV_FAMILIES, "CMV")
+    return [lambda j=j, k=k: verify_range_formula(params, family, j, k, order, tol)
+            for j in _expand(job.get("j"), "j") for k in _expand(job.get("k"), "k")
+            if j < k]
+
+
+def _hessenberg_job(job, order, tol):
+    params = _job_params(job, "hessenberg")
+    family = _family(job, HESSENBERG_FAMILIES, "Hessenberg")
+    return [lambda j=j, k=k: verify_hessenberg_formula(params, family, j, k, order, tol)
+            for j in _expand(job.get("j"), "j") for k in _expand(job.get("k"), "k")
+            if j < k]
+
+
+def _superposition_job(job, order, tol):
+    params = _job_params(job, "superposition")
+    beta, gamma = _as_complex(job, "beta", 1.0), _as_complex(job, "gamma", 0.0)
+    hess = _flag(job, "hessenberg", False)
+    return [lambda j=j: _superposition_report(params, j, beta, gamma, order, tol, hess)
+            for j in _expand(job.get("j"), "j")]
+
+
+def _closed_form_job(job, order, tol):
+    case = job.get("case")
+    if case in catalog.SPLIT_CASES:
+        return [lambda: _split_case_report(case, order, tol)]
+    if case not in CLOSED_FORM_CASES:
+        raise ValueError(f"unknown closed-form case {case!r}")
+    return [lambda: CLOSED_FORM_CASES[case](order, tol)]
+
+
+# job kind -> parse function; a job naming a closed-form 'case' is of kind
+# "case", any other job of the kind its 'theorem' tag names
+JOB_KINDS = {
+    "site": _site_job,
+    "range": _range_job,
+    "hessenberg": _hessenberg_job,
+    "superposition": _superposition_job,
+    "case": _closed_form_job,
+}
+
+
+def _parse_job(job, defaults) -> list:
+    """The checked cases of one job; ``defaults`` give a missing order or tol."""
     order = as_integer(job.get("order", defaults["order"]), "'order'")
     tolerance = _tolerance(job.get("tolerance", defaults["tol"]))
-    if "case" in job:
-        case = job["case"]
-        if case in catalog.SPLIT_CASES:
-            return [_split_case_report(case, catalog.SPLIT_CASES[case],
-                                       order, tolerance)]
-        if case in CLOSED_FORM_CASES:
-            return [CLOSED_FORM_CASES[case](order, tolerance)]
-        raise ValueError(f"unknown closed-form case {case!r}")
-    if "theorem" in job:
-        return _run_theorem_job(job, order, tolerance)
-    raise ValueError("job must carry a 'theorem' tag or a closed-form 'case'")
+    kind = "case" if "case" in job else job.get("theorem")
+    if not isinstance(kind, str) or kind not in JOB_KINDS:
+        raise ValueError(f"unknown theorem tag {kind!r}; a job carries a "
+                         "'theorem' tag or a closed-form 'case'")
+    cases = JOB_KINDS[kind](job, order, tolerance)
+    if not cases:
+        raise ValueError("job expanded to no cases (check j/k ranges)")
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +606,7 @@ def _run_job(job, defaults) -> list[VerificationReport]:
 
 @main.command()
 @click.option("--theorem", required=True,
-              type=click.Choice(["site", "range", "hessenberg",
-                                 "superposition"]))
+              type=click.Choice([k for k in JOB_KINDS if k != "case"]))
 @click.option("--params", "params_path", type=click.Path(), default=None,
               help="parameter sequence JSON")
 @click.option("--random", "random_spec", default=None,
@@ -601,21 +624,16 @@ def _run_job(job, defaults) -> list[VerificationReport]:
 def verify(ctx, theorem, params_path, random_spec, family, j_index, k_index,
            beta, gamma, oracle, report_path):
     """Verify one factorization formula at explicit indices."""
-    job = {"theorem": theorem, "j": j_index,
+    job = {"theorem": theorem, "j": j_index, "k": k_index, "oracle": oracle,
            "order": ctx.obj["order"], "tolerance": ctx.obj["tol"]}
     if family:
         job["family"] = family
-    if k_index is not None:
-        job["k"] = k_index
-    if oracle:
-        job["oracle"] = True
-    if theorem == "superposition":
-        try:
-            for key, text in (("beta", beta), ("gamma", gamma)):
-                z = complex(text)
-                job[key] = [z.real, z.imag]
-        except ValueError as exc:
-            _die(2, f"bad --beta/--gamma: {exc}")
+    try:
+        for key, text in (("beta", beta), ("gamma", gamma)):
+            z = complex(text)
+            job[key] = [z.real, z.imag]
+    except ValueError as exc:
+        _die(2, f"bad --beta/--gamma: {exc}")
     if params_path:
         job["source"] = {"file": params_path}
     elif random_spec:
@@ -628,7 +646,7 @@ def verify(ctx, theorem, params_path, random_spec, family, j_index, k_index,
     else:
         _die(2, "provide --params or --random")
     try:
-        reports = _run_job(job, ctx.obj)
+        reports = [case() for case in _parse_job(job, ctx.obj)]
     except ArithmeticError as exc:
         _die(1, str(exc))
     except PARSE_ERRORS as exc:
@@ -659,40 +677,44 @@ def _bundled_campaign() -> dict:
 def campaign(ctx, action, config_path):
     """Run a batch of verification jobs and write one merged report."""
     try:
-        config = (_load_json(config_path) if config_path
-                  else _bundled_campaign())
+        config = _load_json(config_path) if config_path else _bundled_campaign()
         if not isinstance(config, dict):
             raise ValueError("campaign config must be a JSON object")
         if config.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema {config.get('schema')!r}")
         jobs = config.get("jobs", [])
+        if not isinstance(jobs, list) or not all(isinstance(jb, dict) for jb in jobs):
+            raise ValueError("'jobs' must be a list of JSON objects")
         defaults = dict(ctx.obj)
         defaults.update(config.get("defaults", {}))
         defaults["tol"] = _tolerance(defaults["tol"], "'tol'")
     except PARSE_ERRORS as exc:
         _die(2, str(exc))
 
-    try:
-        results = [_run_job(jb, defaults) for jb in jobs]
-    except ArithmeticError as exc:
-        _die(1, str(exc))
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+    planned = []
+    for index, jb in enumerate(jobs):
+        name = jb.get("name", jb.get("case", jb.get("theorem", "job")))
+        try:
+            planned.append((jb, name, _parse_job(jb, defaults)))
+        except PARSE_ERRORS as exc:
+            _die(2, f"job {index} ({name}): {exc}")
 
-    entries = []
-    n_pass = n_fail = 0
-    for jb, reps in zip(jobs, results):
-        for rep in reps:
-            click.echo(rep.summary(), err=True)
-            if rep.ok:
-                n_pass += 1
-            else:
-                n_fail += 1
-        entries.append({
-            "name": jb.get("name", jb.get("case", jb.get("theorem", "job"))),
-            "ok": all(r.ok for r in reps),
-            "reports": [r.to_json() for r in reps],
-        })
+    entries, n_pass, n_fail = [], 0, 0
+    for jb, name, cases in planned:
+        entry = {"name": name, "reports": []}
+        try:
+            for case in cases:
+                rep = case()
+                click.echo(rep.summary(), err=True)
+                entry["reports"].append(rep.to_json())
+        except (ArithmeticError, *PARSE_ERRORS) as exc:
+            entry["error"] = {"type": type(exc).__name__, "message": str(exc), "job": jb}
+            click.echo(f"[error] {name}: {exc!r}", err=True)
+        passed = [r["pass"] for r in entry["reports"]]
+        n_pass += sum(passed)
+        n_fail += len(passed) - sum(passed) + ("error" in entry)
+        entry["ok"] = all(passed) and "error" not in entry
+        entries.append(entry)
     payload = {"schema": SCHEMA_VERSION, "ok": n_fail == 0,
                "n_pass": n_pass, "n_fail": n_fail, "jobs": entries}
     _emit(payload, ctx.obj["out"])

@@ -53,12 +53,6 @@ class SubspacePartition:
     def cr(self) -> tuple[int, ...]:
         return tuple(sorted(self.center + self.right))
 
-    def describe(self) -> str:
-        def fmt(group):
-            return ",".join(str(i) for i in group) or "-"
-
-        return f"L={fmt(self.left)} C={fmt(self.center)} R={fmt(self.right)}"
-
 
 @dataclass(frozen=True)
 class OverlapCheck:

@@ -1,4 +1,4 @@
-"""Spectral moments, first-return amplitudes, and subspace Schur functions.
+"""First-return amplitudes and Schur functions of coordinate subspaces.
 
 A coordinate subspace V is a sequence of distinct basis indices whose
 order is the order of V's basis.  For a unitary U and V with projection
@@ -37,19 +37,6 @@ def index_tuple(dim: int, v) -> tuple[int, ...]:
     if idx and (min(idx) < 0 or max(idx) >= dim):
         raise ValueError("basis index out of range")
     return idx
-
-
-def spectral_moments(U, v, n: int) -> np.ndarray:
-    """Compression P U^n P of a power of the unitary, as a dim(v) matrix.
-
-    Negative n uses the adjoint, so moments satisfy mu_{-n} = mu_n^dagger.
-    """
-    u = certify(U).matrix
-    rows = np.array(index_tuple(u.shape[0], v), dtype=np.intp)
-    if n < 0:
-        u = u.conj().T
-        n = -n
-    return np.linalg.matrix_power(u, n)[np.ix_(rows, rows)]
 
 
 def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
@@ -142,9 +129,6 @@ class ReturnStatistics:
     probabilities: tuple[float, ...]
     cumulative: float
     partial_expected_time: float
-
-    def rows(self):
-        return [(n + 1, p) for n, p in enumerate(self.probabilities)]
 
 
 def return_statistics(U, v, psi, horizon: int) -> ReturnStatistics:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from cmvkit.series import MatrixPowerSeries
 from cmvkit.spectral import first_return_amplitudes
 
 MIXED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "mixed_campaign.json"
+POISONED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "poisoned_campaign.json"
 
 
 @pytest.fixture
@@ -321,9 +323,29 @@ class TestVerify:
         )
         assert res.exit_code == 1
 
+    def test_arithmetic_error_exits_one_and_a_bad_index_exits_two(
+            self, runner, tmp_path, rng, monkeypatch):
+        path = terminal_params_file(tmp_path, rng, length=4)
+        args = ["--order", "6", "verify", "--theorem", "site", "--params", path]
+        res = runner.invoke(main, [*args, "--j", "9"])
+        assert res.exit_code == 2 and "block 9 does not exist" in res.output
+
+        def singular(*args, **kwargs):
+            raise ZeroDivisionError("singular defect")
+
+        monkeypatch.setattr(cli, "verify_site_formula", singular)
+        res = runner.invoke(main, [*args, "--j", "1"])
+        assert res.exit_code == 1 and "singular defect" in res.output
+
     def test_needs_a_source(self, runner):
         res = runner.invoke(main, ["verify", "--theorem", "site", "--j", "0"])
         assert res.exit_code == 2
+
+    def test_help_lists_exactly_the_theorem_tags_of_the_job_table(self, runner):
+        res = runner.invoke(main, ["verify", "--help"])
+        assert res.exit_code == 0, res.output
+        choices = re.search(r"--theorem \[([^\]]*)\]", res.output).group(1)
+        assert choices.split("|") == [k for k in cli.JOB_KINDS if k != "case"]
 
     def test_summaries_go_to_stderr(self, runner, tmp_path):
         res = runner.invoke(
@@ -391,6 +413,8 @@ class TestCampaign:
                         ("hessenberg-range-schur-function", "Hhat"),
                         ("path-count", "C"), ("path-count", "Chat"),
                         ("superposition", None), ("hessenberg-superposition", None)}
+        kinds = {"case" if "case" in jb else jb["theorem"] for jb in config["jobs"]}
+        assert kinds == set(cli.JOB_KINDS)
         cases = {(jb["case"], jb["order"]) for jb in config["jobs"] if "case" in jb}
         assert cases == {(c, n) for c in [*catalog.SPLIT_CASES, *CLOSED_FORM_CASES]
                          for n in range(17)}
@@ -441,6 +465,87 @@ class TestCampaign:
         res = runner.invoke(main, ["campaign", "run", "--config", cfg])
         assert res.exit_code == 2
         assert message in res.output
+
+    def test_a_failing_job_leaves_the_other_entries_as_a_clean_run_writes_them(
+            self, runner, tmp_path, monkeypatch):
+        jobs = [{"name": "site", "theorem": "site", "j": [0, 1],
+                 "source": {"random": {"d": 1, "length": 12, "seed": 5}}},
+                {"case": "walk-factors"},
+                {"case": "hadamard-no-overlap"}]
+        cfg = write_json(tmp_path / "c.json", {"defaults": {"order": 6}, "jobs": jobs})
+
+        def run():
+            out = tmp_path / "r.json"
+            res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+            return res, json.loads(out.read_text())
+
+        clean_res, clean = run()
+        assert clean_res.exit_code == 0, clean_res.output
+
+        def boom():
+            raise ZeroDivisionError("singular defect")
+
+        row = dataclasses.replace(catalog.SPLIT_CASES["walk-factors"], maker=boom)
+        monkeypatch.setitem(catalog.SPLIT_CASES, "walk-factors", row)
+        res, body = run()
+        assert res.exit_code == 1, res.output
+        assert body["ok"] is False
+        assert (body["n_pass"], body["n_fail"]) == (clean["n_pass"] - 1, 1)
+        failed = body["jobs"][1]
+        assert failed == {"name": "walk-factors", "ok": False, "reports": [],
+                          "error": {"type": "ZeroDivisionError",
+                                    "message": "singular defect", "job": jobs[1]}}
+        for i in (0, 2):
+            assert (json.dumps(body["jobs"][i], indent=2, sort_keys=True)
+                    == json.dumps(clean["jobs"][i], indent=2, sort_keys=True))
+
+    def test_poisoned_campaign_reports_its_one_failed_job(self, runner, tmp_path):
+        # the config that CI runs through the installed script
+        config = json.loads(POISONED_CAMPAIGN.read_text())
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run",
+                                   "--config", str(POISONED_CAMPAIGN)])
+        assert res.exit_code == 1, res.output
+        body = json.loads(out.read_text())
+        assert body["n_fail"] == 1
+        assert [jb["ok"] for jb in body["jobs"]] == [True, False, True]
+        assert body["jobs"][1]["error"]["type"] == "ValueError"
+        assert body["jobs"][1]["error"]["job"] == config["jobs"][1]
+
+    @pytest.mark.parametrize("bad_job, message", [
+        ({"theorem": "site", "j": [0, 1, 5]}, "'j' must be an integer or an [lo, hi] pair"),
+        ({"theorem": "site", "j": 0, "family": "H"}, "family 'H' is not a CMV family"),
+        ({"theorem": "range", "j": 0, "k": 1, "family": "Hhat"}, "not a CMV family"),
+        ({"theorem": "index", "j": 0}, "unknown theorem tag 'index'"),
+        ({"case": "no-such-case"}, "unknown closed-form case 'no-such-case'"),
+    ])
+    def test_an_invalid_last_job_exits_two_before_any_job_runs(
+            self, runner, tmp_path, monkeypatch, bad_job, message):
+        calls = []
+        original = cli.verify_site_formula
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_site_formula", counting)
+        source = {"random": {"d": 1, "length": 12, "seed": 5}}
+        jobs = [{"theorem": "site", "j": 0, "source": source},
+                {"name": "last", "source": source, **bad_job}]
+        cfg = write_json(tmp_path / "c.json", {"defaults": {"order": 4}, "jobs": jobs})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert "job 1 (last): " in res.output and message in res.output
+        assert not out.exists()
+        assert calls == []
+
+    @pytest.mark.parametrize("jobs", [{"site": 1}, [1, 2], [{"case": "walk-factors"}, []]])
+    def test_jobs_that_are_not_a_list_of_objects_exit_two(self, runner, tmp_path, jobs):
+        cfg = write_json(tmp_path / "c.json", {"jobs": jobs})
+        res = runner.invoke(main, ["campaign", "run", "--config", cfg])
+        assert res.exit_code == 2
+        assert "'jobs' must be a list of JSON objects" in res.output
 
     @pytest.mark.parametrize("field, value", [("j", [0, 1, 5]), ("j", True), ("k", [3])])
     def test_index_field_of_the_wrong_shape_exits_two(self, runner, tmp_path, field, value):

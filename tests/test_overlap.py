@@ -53,12 +53,10 @@ class TestPartition:
         assert p.left == (0, 1)
         assert p.right == (2, 4)
         assert p.lc == (0, 1, 3)
-        assert p.describe() == "L=0,1 C=3 R=2,4"
 
     def test_empty_center_is_allowed(self):
         p = SubspacePartition(2, (0,), (), (1,))
         assert p.center == ()
-        assert p.describe() == "L=0 C=- R=1"
 
     def test_rejects_overlap_between_groups(self):
         with pytest.raises(ValueError, match="disjoint"):

@@ -23,7 +23,6 @@ from cmvkit.spectral import (
     resolvent_compression,
     return_statistics,
     schur_of_subspace,
-    spectral_moments,
 )
 
 
@@ -50,30 +49,6 @@ class TestIndexHandling:
         p = np.array([[0, 1], [1, 0]], dtype=float)
         for x, y in zip(a, b):
             assert np.abs(p @ x @ p - y).max() < 1e-14
-
-
-class TestSpectralMoments:
-    def test_zeroth_moment_is_identity(self, rng):
-        u = random_unitary(5, rng)
-        assert np.abs(spectral_moments(u, (0, 2), 0) - np.eye(2)).max() < 1e-14
-
-    def test_negative_moment_is_adjoint(self, rng):
-        u = random_unitary(6, rng)
-        for n in (1, 2, 5):
-            mu = spectral_moments(u, (1, 4), n)
-            nu = spectral_moments(u, (1, 4), -n)
-            assert np.abs(nu - mu.conj().T).max() < 1e-12
-
-    def test_against_repeated_application(self, rng):
-        u = random_unitary(6, rng)
-        v = (0, 3, 5)
-        b = np.zeros((6, 3))
-        for col, i in enumerate(v):
-            b[i, col] = 1.0
-        x = b.astype(complex)
-        for n in range(1, 7):
-            x = u @ x
-            assert np.abs(spectral_moments(u, v, n) - b.T @ x).max() < 1e-12
 
 
 class TestFirstReturn:
@@ -256,10 +231,6 @@ class TestReturnStatistics:
         psi /= np.linalg.norm(psi)
         st = return_statistics(u, (2, 6), psi, 30)
         assert st.cumulative <= 1.0 + 1e-10
-
-    def test_rows_are_one_indexed(self):
-        st = return_statistics(np.eye(2), (0,), [1.0], 3)
-        assert [n for n, _ in st.rows()] == [1, 2, 3]
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
