@@ -694,6 +694,9 @@ def campaign(ctx, action, config_path):
     planned = []
     for index, jb in enumerate(jobs):
         name = jb.get("name", jb.get("case", jb.get("theorem", "job")))
+        # the job as it runs, with the order and tolerance it inherits, so
+        # a failed one replays alone
+        jb = {"order": defaults["order"], "tolerance": defaults["tol"], **jb}
         try:
             planned.append((jb, name, _parse_job(jb, defaults)))
         except PARSE_ERRORS as exc:

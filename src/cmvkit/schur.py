@@ -6,8 +6,14 @@ Backward direction: synthesize the series back from its parameters
     f_j = (1 + g a_j†)^(-1) (a_j + g),      g = z rR_j f_{j+1} rL_j^(-1),
 
 where rL = (1 - a†a)^(1/2) and rR = (1 - aa†)^(1/2) are the defect
-matrices of the parameter.  Iterates drop leading parameters; inverse
-iterates reverse a negated-adjoint prefix and terminate with the identity.
+matrices of the parameter.  A run of backward steps keeps f as one left
+fraction D^(-1) N, which each step updates linearly,
+
+    D' = D rR^(-1) + z N rL^(-1) a†,      N' = D rR^(-1) a + z N rL^(-1),
+
+and divides out once the growth bound allows no further step.  Iterates
+drop leading parameters; inverse iterates reverse a negated-adjoint prefix
+and terminate with the identity.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ STRICT_MARGIN = 1e-10
 # Forward algorithm: a coefficient at least this close to norm 1 is taken
 # as the unitary terminal of a finitely supported sequence.
 TERMINAL_DETECT = 1.0 - 1e-8
+# Backward run: a step over a grows the fraction's coefficients by at most
+# kappa(a) = (1 + |a|) / (1 - |a|^2)^(1/2); the fraction is divided out
+# before a step would take the product of kappas since the last division
+# past this bound.
+GROWTH_BOUND = 1e2
 
 
 def rho_left(alpha) -> np.ndarray:
@@ -66,8 +77,10 @@ class SchurParameters:
     alphas: tuple
     terminal: Optional[np.ndarray] = None
     # Derived data, computed once per parameter set and kept out of ==,
-    # repr and JSON: the defects of each parameter, and the synthesized
-    # iterates of p ("f") and of its reflection ("b") per (kind, order, m).
+    # repr and JSON: the operator norm and the defects of each parameter,
+    # and the synthesized iterates of p ("f") and of its reflection ("b")
+    # per (kind, order, m).
+    _norms: tuple = field(default=(), init=False, compare=False, repr=False)
     _defects: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -75,7 +88,7 @@ class SchurParameters:
         d = self.block_dim
         if d < 1:
             raise ValueError("block_dim must be positive")
-        mats = []
+        mats, norms = [], []
         for j, a in enumerate(self.alphas):
             m = _frozen(a)
             if m.shape != (d, d):
@@ -84,7 +97,9 @@ class SchurParameters:
             if norm >= 1.0 - STRICT_MARGIN:
                 raise ValueError(f"parameter {j} has norm {norm:.12f}; need a strict contraction")
             mats.append(m)
+            norms.append(norm)
         object.__setattr__(self, "alphas", tuple(mats))
+        object.__setattr__(self, "_norms", tuple(norms))
         if self.terminal is not None:
             t = _frozen(self.terminal)
             if t.shape != (d, d):
@@ -130,27 +145,72 @@ def inverse_iterate(p: SchurParameters, j: int) -> SchurParameters:
     return SchurParameters(p.block_dim, rev, np.eye(p.block_dim))
 
 
-def mobius_step(alpha, f: MatrixPowerSeries, defects: tuple | None = None) -> MatrixPowerSeries:
-    """One backward Schur step: the series with leading parameter alpha
-    whose first iterate is f.
+def mobius_step(
+    alpha, f: MatrixPowerSeries, defects=None, norms=None, order: int | None = None
+) -> MatrixPowerSeries:
+    """Backward Schur steps: the series whose leading parameters are alpha
+    and whose next iterate is f.
 
-    ``defects`` is alpha's (rho_L, rho_R, rho_L^-1, rho_R^-1) when a
-    SchurParameters has already validated alpha and computed them; the
-    norm check is then skipped.
+    ``alpha`` is one d x d parameter or a run (a_0, ..., a_{r-1}), applied
+    last first, so the result has leading parameter a_0 and its r-th
+    iterate is f.  The run is one left fraction D^(-1) N, seeded with
+    D = 1 and N = f, updated linearly per parameter and divided out when
+    the product of the kappas since the last division would pass
+    GROWTH_BOUND, and at the end.
+
+    ``defects`` and ``norms`` give each parameter's (rho_L, rho_R, rho_L^-1,
+    rho_R^-1) and operator norm (one tuple and one float for a single
+    parameter) when a SchurParameters has already validated the run; the
+    norm check is then skipped.  The result is truncated at ``order``,
+    by default f.order + r, the last coefficient the run determines.
     """
-    a = as_matrix(alpha)
+    single = np.ndim(alpha) == 2
+    run = [as_matrix(alpha)] if single else [as_matrix(a) for a in alpha]
     d = f.block_dim
-    if a.shape != (d, d):
+    if any(a.shape != (d, d) for a in run):
         raise ValueError("parameter dimension mismatch")
     if defects is None:
-        if op_norm(a) >= 1.0 - STRICT_MARGIN:
+        norms = [op_norm(a) for a in run]
+        if any(norm >= 1.0 - STRICT_MARGIN for norm in norms):
             raise ValueError("backward step needs a strict contraction")
-        rr, rl_inv = rho_right(a), np.linalg.inv(rho_left(a))
-    else:
-        rr, rl_inv = defects[1], defects[2]
-    g = f.lmul_const(rr).rmul_const(rl_inv).shift()
-    one = MatrixPowerSeries.one(d, g.order)
-    return (one + g.rmul_const(a.conj().T)).inverse() * (g + MatrixPowerSeries.constant(a, g.order))
+        defects = []
+        for a in run:
+            rl, rr = rho_left(a), rho_right(a)
+            defects.append((rl, rr, np.linalg.inv(rl), np.linalg.inv(rr)))
+    elif single:
+        defects, norms = [defects], [norms]
+    n = f.order + len(run) if order is None else order
+    if n > f.order + len(run):
+        raise ValueError(f"the run determines coefficients 0..{f.order + len(run)} only")
+    one = np.zeros((n + 1, d, d), dtype=np.complex128)
+    one[0] = np.eye(d)
+    den, num = one, np.zeros_like(one)
+    num[: f.order + 1] = f.coeffs[: n + 1]
+    growth = 1.0
+    for a, (_, _, rl_inv, rr_inv), norm in zip(run[::-1], defects[::-1], norms[::-1]):
+        kappa = (1.0 + norm) / np.sqrt(1.0 - norm * norm)
+        if growth > 1.0 and growth * kappa > GROWTH_BOUND:
+            den, num, growth = one, _left_divide(den, num), 1.0
+        tail = num[:-1]
+        den, num = den @ rr_inv, den @ (rr_inv @ a)
+        den[1:] += tail @ (rl_inv @ a.conj().T)
+        num[1:] += tail @ rl_inv
+        growth *= kappa
+    return MatrixPowerSeries(_left_divide(den, num))
+
+
+def _left_divide(den: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """Coefficients of D^(-1) N for coefficient stacks of one length:
+    X_k = D_0^(-1) (N_k - sum_{i=1..k} D_i X_{k-i}), one causal pass with
+    one matrix product per coefficient."""
+    n, d = len(num) - 1, num.shape[1]
+    inv0 = np.linalg.inv(den[0])
+    row = np.ascontiguousarray(den.transpose(1, 0, 2)).reshape(d, (n + 1) * d)  # [D_0 ... D_n]
+    rev = np.empty_like(num)  # rev[n - k] = X_k, so X_{k-1}, ..., X_0 is one slice
+    rev[n] = inv0 @ num[0]
+    for k in range(1, n + 1):
+        rev[n - k] = inv0 @ (num[k] - row[:, d : (k + 1) * d] @ rev[n - k + 1 :].reshape(k * d, d))
+    return rev[::-1].copy()
 
 
 def synthesize(p: SchurParameters, order: int) -> MatrixPowerSeries:
@@ -188,11 +248,12 @@ def _series(p: SchurParameters, kind: str, m: int, order: int) -> MatrixPowerSer
     It is read in place: its step i uses a_{n-1-i} with the defects of
     a_{n-1-i} swapped, since rho_L(-a†) = rho_R(a) and rho_R(-a†) = rho_L(a).
 
-    The m-th iterate is one backward step from the (m+1)-th when that is
-    cached at this order, otherwise a fresh run down from parameter
-    min(n, m + order + 1) - 1, seeded with the terminal when that is the
-    last parameter and with zero otherwise.  Both give the same bits: the
-    coefficients a fresh run would not reach drop out below the truncation.
+    Every iterate is one mobius_step run over parameters m..stop-1, with
+    stop = min(n, m + order + 1), seeded with the terminal when stop is n
+    and with zero otherwise: coefficients the run would not reach drop out
+    below the truncation.  Where the run divides its fraction depends only
+    on the run's own parameters, so the m-th iterate of p and the series
+    of iterate(p, m) are the same bits, whatever was requested before.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -201,22 +262,23 @@ def _series(p: SchurParameters, kind: str, m: int, order: int) -> MatrixPowerSer
     if hit is not None:
         return hit
     n, d = len(p), p.block_dim
-    f = p._series.get((kind, order, m + 1))
-    stop = m + 1 if f is not None else min(n, m + order + 1)
-    if f is None:
-        terminal = p.terminal if kind == "f" else np.eye(d)
-        if terminal is not None and stop == n:
-            f = MatrixPowerSeries.constant(terminal, order)
-        else:
-            f = MatrixPowerSeries.zero(d, order)
-    for i in range(stop - 1, m - 1, -1):
-        if kind == "f":
-            a, defects = p.alphas[i], p.defects(i)
-        else:
-            rl, rr, rl_inv, rr_inv = p.defects(n - 1 - i)
-            # the same expression as inverse_iterate, so the same bits
-            a, defects = -p.alphas[n - 1 - i].conj().T, (rr, rl, rr_inv, rl_inv)
-        f = mobius_step(a, f, defects).truncate(order)
+    stop = min(n, m + order + 1)
+    terminal = p.terminal if kind == "f" else np.eye(d)
+    if terminal is not None and stop == n:
+        seed = MatrixPowerSeries.constant(terminal, order)
+    else:
+        seed = MatrixPowerSeries.zero(d, order)
+    if kind == "f":
+        run = p.alphas[m:stop]
+        defects = [p.defects(i) for i in range(m, stop)]
+        norms = p._norms[m:stop]
+    else:
+        sources = range(n - 1 - m, n - 1 - stop, -1)
+        # the same expression as inverse_iterate, so the same bits
+        run = [-p.alphas[i].conj().T for i in sources]
+        defects = [(rr, rl, rr_inv, rl_inv) for rl, rr, rl_inv, rr_inv in map(p.defects, sources)]
+        norms = [p._norms[i] for i in sources]
+    f = mobius_step(run, seed, defects, norms, order)
     f.mark_schur().coeffs.setflags(write=False)
     p._series[key] = f
     return f

@@ -123,6 +123,12 @@ class MatrixPowerSeries:
         if o.block_dim != self.block_dim:
             raise ValueError("block dimension mismatch")
         n = min(self.order, o.order)
+        # a constant factor makes every other term of the loop an exact
+        # zero; adding 0.0 turns -0.0 into 0.0 as the loop's sums do
+        if not o.coeffs[1 : n + 1].any():
+            return MatrixPowerSeries(self.coeffs[: n + 1] @ o.coeffs[0] + 0.0)
+        if not self.coeffs[1 : n + 1].any():
+            return MatrixPowerSeries(self.coeffs[0] @ o.coeffs[: n + 1] + 0.0)
         d = self.block_dim
         out = np.zeros((n + 1, d, d), dtype=np.complex128)
         for i in range(n + 1):

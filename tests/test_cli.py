@@ -493,8 +493,8 @@ class TestCampaign:
         assert (body["n_pass"], body["n_fail"]) == (clean["n_pass"] - 1, 1)
         failed = body["jobs"][1]
         assert failed == {"name": "walk-factors", "ok": False, "reports": [],
-                          "error": {"type": "ZeroDivisionError",
-                                    "message": "singular defect", "job": jobs[1]}}
+                          "error": {"type": "ZeroDivisionError", "message": "singular defect",
+                                    "job": {**jobs[1], "order": 6, "tolerance": cli.DEFAULT_TOL}}}
         for i in (0, 2):
             assert (json.dumps(body["jobs"][i], indent=2, sort_keys=True)
                     == json.dumps(clean["jobs"][i], indent=2, sort_keys=True))
@@ -509,8 +509,26 @@ class TestCampaign:
         body = json.loads(out.read_text())
         assert body["n_fail"] == 1
         assert [jb["ok"] for jb in body["jobs"]] == [True, False, True]
-        assert body["jobs"][1]["error"]["type"] == "ValueError"
-        assert body["jobs"][1]["error"]["job"] == config["jobs"][1]
+        error = body["jobs"][1]["error"]
+        assert error["type"] == "ValueError"
+        # the failed job carries the order and tolerance it took from defaults
+        assert error["job"] == {**config["jobs"][1], "order": 8, "tolerance": 1e-08}
+        assert config["defaults"] == {"order": 8, "tol": 1e-08}
+
+    def test_a_failed_job_replays_alone_without_the_campaign_defaults(self, runner, tmp_path):
+        out = tmp_path / "r.json"
+        runner.invoke(main, ["--out", str(out), "campaign", "run",
+                             "--config", str(POISONED_CAMPAIGN)])
+        error = json.loads(out.read_text())["jobs"][1]["error"]
+        cfg = write_json(tmp_path / "replay.json", {"jobs": [error["job"]]})
+        replay = tmp_path / "replay-report.json"
+        res = runner.invoke(main, ["--out", str(replay), "--order", "3", "--tol", "0.5",
+                                   "campaign", "run", "--config", cfg])
+        assert res.exit_code == 1, res.output
+        again = json.loads(replay.read_text())["jobs"][0]["error"]
+        assert again == error
+        # it ran at the campaign's order and tolerance, not at the global ones
+        assert (again["job"]["order"], again["job"]["tolerance"]) == (8, 1e-08)
 
     @pytest.mark.parametrize("bad_job, message", [
         ({"theorem": "site", "j": [0, 1, 5]}, "'j' must be an integer or an [lo, hi] pair"),

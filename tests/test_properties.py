@@ -4,6 +4,9 @@ Most strategies draw an integer seed and derive matrices from it, which
 keeps hypothesis shrinking useful while staying in valid input space.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +22,7 @@ from cmvkit.schur import (
     iterate,
     iterate_series,
     mobius_step,
+    parameters_from_json,
     random_parameters,
     random_unitary,
     rho_left,
@@ -168,9 +172,18 @@ def test_standard_overlap_passes_corner_test(seed, j):
     assert fact.reconstruction_residual(u) < 1e-10
 
 
+def _inverse_product_step(alpha, f):
+    """The backward step as one series inverse and one product,
+    (1 + g a†)^(-1) (a + g) with g = z rho_R f rho_L^(-1)."""
+    g = f.lmul_const(rho_right(alpha)).rmul_const(np.linalg.inv(rho_left(alpha))).shift()
+    one = MatrixPowerSeries.one(f.block_dim, g.order)
+    return (one + g.rmul_const(alpha.conj().T)).inverse() * (g + MatrixPowerSeries.constant(alpha, g.order))
+
+
 def _synthesize_stepping_every_parameter(p, order):
     """Reference backward recursion: seed with the terminal or with zero,
-    then step through every parameter, whether or not the order reaches it."""
+    then take an inverse-product step through every parameter, whether or
+    not the order reaches it."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     if len(p) == 0 and p.terminal is None:
@@ -180,7 +193,7 @@ def _synthesize_stepping_every_parameter(p, order):
     else:
         f = MatrixPowerSeries.zero(p.block_dim, order)
     for j in range(len(p) - 1, -1, -1):
-        f = mobius_step(p.alphas[j], f).truncate(order)
+        f = _inverse_product_step(p.alphas[j], f).truncate(order)
     return f.mark_schur()
 
 
@@ -212,7 +225,24 @@ def test_synthesize_matches_the_full_length_loop(seed, d, order, top, terminal, 
         with pytest.raises(type(exc)):
             synthesize(p, order)
         return
-    assert np.array_equal(synthesize(p, order).coeffs, want.coeffs)
+    # the step loop's own rounding error grows near the unit sphere
+    assert coeff_distance(synthesize(p, order), want) <= (1e-13 if top < 0.99 else 1e-11)
+
+
+REFERENCE = json.loads((Path(__file__).parent / "data" / "schur_reference.json").read_text())
+
+
+@pytest.mark.parametrize("case", REFERENCE["cases"], ids=lambda case: f"norm {case['norm']}")
+def test_synthesize_is_as_close_to_a_40_digit_reference_as_the_step_loop(case):
+    # tests/data/make_schur_reference.py wrote the fixture with mpmath
+    order = REFERENCE["order"]
+    p = parameters_from_json(case["parameters"])
+    want = np.array([[complex(float(re), float(im)) for re, im in c] for c in case["reference"]])
+    want = want.reshape(order + 1, p.block_dim, p.block_dim)
+    got = np.abs(synthesize(p, order).coeffs - want).max()
+    loop = np.abs(_synthesize_stepping_every_parameter(p, order).coeffs - want).max()
+    # below 1e-15 both are a few rounding errors of coefficients of size 1
+    assert got <= max(loop, 1e-15) and got <= 1e-13, (got, loop)
 
 
 @settings(max_examples=100, deadline=None)

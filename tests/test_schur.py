@@ -256,6 +256,29 @@ class TestMobiusStep:
     def test_rejects_unitary_parameter(self):
         with pytest.raises(ValueError):
             mobius_step(np.array([[1.0]]), MatrixPowerSeries.zero(1, 4))
+        with pytest.raises(ValueError):
+            mobius_step([np.zeros((1, 1)), np.array([[1.0]])], MatrixPowerSeries.zero(1, 4))
+
+    @pytest.mark.parametrize("top", [0.3, 0.95])
+    def test_a_run_is_its_single_steps_in_turn(self, rng, top):
+        # at norm 0.95 the growth bound divides the run every three steps
+        alphas = []
+        for _ in range(7):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            alphas.append(g * (top / np.linalg.norm(g, 2)))
+        p = SchurParameters(2, tuple(alphas))
+        f = synthesize(random_parameters(2, 3, rng), 5)
+        want = f
+        for a in reversed(p.alphas):
+            want = mobius_step(a, want)
+        got = mobius_step(p.alphas, f)
+        assert got.order == want.order == 12
+        assert coeff_distance(got, want) < 1e-13
+        validated = mobius_step(p.alphas, f, [p.defects(i) for i in range(7)], p._norms)
+        assert np.array_equal(validated.coeffs, got.coeffs)
+        assert mobius_step(p.alphas, f, order=3).order == 3
+        with pytest.raises(ValueError, match="determines coefficients 0..12"):
+            mobius_step(p.alphas, f, order=13)
 
 
 class TestBinaryTransform:

@@ -54,6 +54,25 @@ class TestArithmetic:
         g = scalar([1.0, 1.0])
         assert (f * g).order == 1
 
+    def test_constant_factor_products_equal_the_loop_bit_for_bit(self, rng):
+        def loop(f, g):
+            n = min(f.order, g.order)
+            out = np.zeros((n + 1, f.block_dim, f.block_dim), dtype=np.complex128)
+            for i in range(n + 1):
+                out[i:] += f.coeffs[i] @ g.coeffs[: n + 1 - i]
+            return out
+
+        for d in range(1, 5):
+            for order in range(65):
+                f = MatrixPowerSeries(rng.standard_normal((order + 1, d, d))
+                                      + 1j * rng.standard_normal((order + 1, d, d)))
+                c = MatrixPowerSeries.constant(rng.standard_normal((d, d)) - 1j, order + order % 3)
+                zero = MatrixPowerSeries.zero(d, order)
+                for left, right in ((f, c), (c, f), (f, zero), (zero, f), (zero, zero), (c, c)):
+                    got, want = (left * right).coeffs, loop(left, right)
+                    # bytes also tell 0.0 from -0.0
+                    assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (d, order)
+
 
 class TestInverse:
     def test_constant(self):
