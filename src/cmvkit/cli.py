@@ -418,7 +418,7 @@ def _job_params(job, theorem) -> SchurParameters:
 
 
 def _expand(value, what) -> list[int]:
-    """An index or an inclusive [lo, hi] range of indices."""
+    """A nonnegative index or an inclusive [lo, hi] range of them."""
     if value is None:
         raise ValueError(f"missing '{what}'")
     bounds = value if isinstance(value, list) and len(value) == 2 else [value]
@@ -427,6 +427,8 @@ def _expand(value, what) -> list[int]:
     except ValueError:
         raise ValueError(f"'{what}' must be an integer or an [lo, hi] pair "
                          f"of integers, got {json.dumps(value)}") from None
+    if min(lo, hi) < 0:
+        raise ValueError(f"'{what}' must be nonnegative, got {json.dumps(value)}")
     if hi < lo:
         raise ValueError(f"empty {what} range")
     return list(range(lo, hi + 1))

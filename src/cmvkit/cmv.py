@@ -247,52 +247,54 @@ def block_subspace(spec: BlockOperatorSpec, blocks) -> tuple[int, ...]:
 
 def unitary_truncation(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
     """Unitary closure of the blocks j..k: the boundary coefficients are
-    replaced by -1 (below) and +1 (above), which decouples the range.
-
-    The result is itself a finite operator of the inner coefficients; for
-    the five-diagonal families which of the two orderings appears depends
-    on the parity of j, while the Hessenberg families keep their own.
-    """
+    replaced by -1 (below) and +1 (above), which decouples the range.  The
+    result is the finite operator of the inner coefficients, of the family
+    the operator has from alpha_j on."""
     if not 0 <= j < k < spec.n_blocks:
         raise ValueError(f"need 0 <= j < k < n_blocks, got ({j}, {k})")
-    family = spec.family
-    if family in CMV_FAMILIES and j % 2 == 1:
-        family = "Chat" if family == "C" else "C"
     eye = np.eye(spec.block_dim, dtype=np.complex128)
-    return _assemble(family, spec.params, j, k, eye).matrix
+    return _assemble(_family_from(spec.family, j), spec.params, j, k, eye).matrix
 
 
-# family, parity of j -> (the head factor is U_LC, family of U_LC, family of
-# U_CR); the Hessenberg families use no parity
-_OVERLAP_ROLES = {
-    ("C", 0): (False, "C", "C"),
-    ("C", 1): (True, "C", "Chat"),
-    ("Chat", 0): (True, "Chat", "Chat"),
-    ("Chat", 1): (False, "C", "Chat"),
-    ("H", 0): (True, "H", "H"),
-    ("Hhat", 0): (False, "Hhat", "Hhat"),
-}
+def _family_from(family: str, j: int) -> str:
+    """Family on the coefficients from alpha_j on: the five-diagonal
+    orderings swap at odd j, the Hessenberg ones stay."""
+    if family in CMV_FAMILIES and j % 2 == 1:
+        return "Chat" if family == "C" else "C"
+    return family
+
+
+def head_is_left(family: str, j: int) -> bool:
+    """Whether the head factor across V_j is the left-center factor U_LC.
+
+    The head carries alpha_0..alpha_{j-1} closed by the identity and has
+    V_j Schur function b_j; the tail carries the rest and has f_j.  With
+    V = V_j the overlap rule reads f_V = f^R f^L, so this one rule orders
+    the factors of every site and range formula.  It holds for C at odd
+    j, for Chat at even j, always for H and never for Hhat.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family in HESSENBERG_FAMILIES:
+        return family == "H"
+    return (j % 2 == 1) == (family == "C")
 
 
 def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
     """The built-in overlapping factorization across the single block V_j.
 
-    The head factor carries coefficients alpha_0..alpha_{j-1} closed by an
-    identity; the tail factor carries alpha_j.. together with the window
-    boundary.  Which side is "left" and which finite family each factor
-    uses follow the parity rules of the family; the product always
+    The head factor (alpha_0..alpha_{j-1} closed by an identity, in the
+    spec's family) and the tail factor (alpha_j.. with the window
+    boundary) take the sides head_is_left gives them.  The product always
     reconstructs the full operator, which is asserted here.
     """
     if not 1 <= j <= spec.n_blocks - 2:
         raise ValueError(f"overlap site must satisfy 1 <= j <= {spec.n_blocks - 2}")
-    p = spec.params
-    head = (p, 0, j, np.eye(spec.block_dim, dtype=np.complex128)), range(0, j + 1)
-    tail = (p, j, spec.n_blocks - 1, _boundary(spec)), range(j, spec.n_blocks)
-    parity = j % 2 if spec.family in CMV_FAMILIES else 0
-    head_is_lc, lc_family, cr_family = _OVERLAP_ROLES[spec.family, parity]
-    (lc_factor, lc_blocks), (cr_factor, cr_blocks) = (head, tail) if head_is_lc else (tail, head)
-    u_lc = _assemble(lc_family, *lc_factor).matrix
-    u_cr = _assemble(cr_family, *cr_factor).matrix
+    p, n, eye = spec.params, spec.n_blocks, np.eye(spec.block_dim, dtype=np.complex128)
+    head = _assemble(spec.family, p, 0, j, eye).matrix, range(0, j + 1)
+    tail = _assemble(_family_from(spec.family, j), p, j, n - 1, _boundary(spec)).matrix, range(j, n)
+    head_lc = head_is_left(spec.family, j)
+    (u_lc, lc_blocks), (u_cr, cr_blocks) = (head, tail) if head_lc else (tail, head)
 
     partition = SubspacePartition(
         spec.dim,

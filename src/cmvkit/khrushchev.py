@@ -10,13 +10,8 @@ the residual together with everything needed to replay the case.
 Conventions verified against the operator oracle before being frozen
 here:
 
-* site formula: the V_j Schur function of family C is b_j f_j for even j
-  and f_j b_j for odd j; family Chat swaps the parities.
-* range formula: substituting b_j and f_k into the adjoint of the unitary
-  truncation on blocks j..k, with the factor placement depending on the
-  parities of j and k; family Chat uses the table with both parities
-  inverted.  The Hessenberg families use one fixed placement each, no
-  parity involved.
+* site and range formulas: b_j and f_k take the sides that
+  cmv.head_is_left gives the head and tail factors across V_j and V_k.
 * scalar superposition: for the state beta e_j + gamma e_{j+1}, the
   closed form is the binary transform of (b_j, f_{j+1}) and takes
   conjugated (beta, gamma) at odd j; the Hessenberg analog does not.
@@ -36,6 +31,7 @@ from .cmv import (
     BlockOperatorSpec,
     block_subspace,
     build_unitary,
+    head_is_left,
     unitary_truncation,
     window_spec,
 )
@@ -119,8 +115,7 @@ def verify_site_formula(
     operator_side = _operator_side(params, family, j, j, order)
     f_j = iterate_series(params, j, order)
     b_j = inverse_iterate_series(params, j, order)
-    b_first = (j % 2 == 0) == (family == "C")
-    formula_side = b_j * f_j if b_first else f_j * b_j
+    formula_side = f_j * b_j if head_is_left(family, j) else b_j * f_j
     return VerificationReport(
         "site-schur-function",
         {"d": params.block_dim, "family": family, "j": j, "order": order},
@@ -135,20 +130,12 @@ def substitute_into_truncation(
     params: SchurParameters, family: str, j: int, k: int, order: int
 ) -> MatrixPowerSeries:
     """Series-valued substitution into the adjoint of the unitary
-    truncation on blocks j..k: the inverse iterate b_j replaces the lower
-    closing coefficient and the iterate f_k the upper one.
-
-    Placement table (validated against the operator route): with
-    effective parities (j, k) - inverted for family Chat, fixed for the
-    Hessenberg families -
-
-        even j, even k:  (b_j + 1) T (1 + f_k)
-        odd j,  odd k:   (1 + f_k) T (b_j + 1)
-        even j, odd k:   (b_j + 1 + f_k) T
-        odd j,  even k:  T (b_j + 1 + f_k)
-
-    where T is the constant adjoint-truncation series, family H uses the
-    odd/odd placement and family Hhat the even/even one.
+    truncation T on blocks j..k: the inverse iterate b_j replaces the lower
+    closing coefficient and the iterate f_k the upper one.  b_j multiplies
+    T from the left when the head across V_j is the center-right factor,
+    and f_k from the left when the head across V_k is the left-center
+    factor (cmv.head_is_left); two factors on one side form one direct
+    sum b_j + 1 + f_k.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -164,20 +151,12 @@ def substitute_into_truncation(
     b_j = inverse_iterate_series(params, j, order)
     one = MatrixPowerSeries.one
     w = (k - j) * d
-
-    if family in CMV_FAMILIES:
-        j_even, k_even = j % 2 == 0, k % 2 == 0
-        if family == "Chat":
-            j_even, k_even = not j_even, not k_even
-    else:
-        j_even = k_even = family == "Hhat"
-
-    if j_even and k_even:
-        return direct_sum_series(b_j, one(w, order)) * mid * direct_sum_series(one(w, order), f_k)
-    if not j_even and not k_even:
-        return direct_sum_series(one(w, order), f_k) * mid * direct_sum_series(b_j, one(w, order))
-    ends = direct_sum_series(b_j, one(w - d, order), f_k)
-    return ends * mid if j_even else mid * ends
+    b_left, f_left = not head_is_left(family, j), head_is_left(family, k)
+    if b_left == f_left:
+        ends = direct_sum_series(b_j, one(w - d, order), f_k)
+        return ends * mid if b_left else mid * ends
+    b_end, f_end = direct_sum_series(b_j, one(w, order)), direct_sum_series(one(w, order), f_k)
+    return b_end * mid * f_end if b_left else f_end * mid * b_end
 
 
 def _range_report(

@@ -175,22 +175,6 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
-def direct_sum(*blocks) -> np.ndarray:
-    """Block-diagonal direct sum of square matrices."""
-    mats = [as_matrix(b) for b in blocks]
-    for b in mats:
-        if b.shape[0] != b.shape[1]:
-            raise ValueError("direct_sum expects square blocks")
-    n = sum(b.shape[0] for b in mats)
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for b in mats:
-        k = b.shape[0]
-        out[at : at + k, at : at + k] = b
-        at += k
-    return out
-
-
 def embed(m, positions, total_dim: int) -> np.ndarray:
     """Place a small square matrix at the given index positions of an
     identity of size total_dim."""

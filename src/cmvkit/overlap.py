@@ -246,6 +246,8 @@ def abstract_khrushchev_check(
         raise ValueError("V_L must lie inside the left group")
     if not set(vr) <= set(partition.right):
         raise ValueError("V_R must lie inside the right group")
+    if factorization is not None and factorization.partition != partition:
+        raise ValueError("factorization uses a different partition")
     fact = factorization if factorization is not None else construct_overlap(u, partition)
 
     ordered_v = vl + partition.center + vr

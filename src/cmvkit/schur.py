@@ -368,6 +368,8 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_parameters(
     d: int, length: int, rng: np.random.Generator, terminal: bool = False
 ) -> SchurParameters:
+    if length < 0:
+        raise ValueError(f"'length' must be nonnegative, got {length}")
     alphas = tuple(random_contraction(d, rng) for _ in range(length))
     term = random_unitary(d, rng) if terminal else None
     return SchurParameters(d, alphas, term)

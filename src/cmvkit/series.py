@@ -166,10 +166,6 @@ class MatrixPowerSeries:
             out[k] = -inv0 @ acc
         return MatrixPowerSeries(out)
 
-    def dagger(self) -> "MatrixPowerSeries":
-        """Coefficient-wise adjoint: the series f†(z) = f(conj(z))†."""
-        return MatrixPowerSeries(np.conj(np.transpose(self.coeffs, (0, 2, 1))))
-
     def shift(self, k: int = 1) -> "MatrixPowerSeries":
         """Multiply by z^k; the order grows by k."""
         if k < 0:
@@ -209,13 +205,6 @@ class MatrixPowerSeries:
         z = np.asarray(list(grid), dtype=np.complex128)
         return np.einsum("gn,nij->gij", np.vander(z, self.order + 1, increasing=True), self.coeffs)
 
-    def _norms_at(self, grid: Iterable[complex]) -> np.ndarray:
-        """Operator norms of the truncated sum at each grid point."""
-        return np.linalg.norm(self.values_at(grid), ord=2, axis=(1, 2))
-
-    def max_disk_norm(self, grid: Iterable[complex] = CONTRACTIVITY_GRID) -> float:
-        return float(self._norms_at(grid).max())
-
     def mark_schur(self, tol: float = CONTRACTIVITY_TOL) -> "MatrixPowerSeries":
         """Flag the series as a Schur function after a contractivity sample.
 
@@ -233,7 +222,7 @@ class MatrixPowerSeries:
         # at order N can push |f| above 1 on |z| = r by at most
         # r^{N+1}/(1-r); sampling must grant exactly that much slack
         radii = np.repeat(_RINGS, 8)
-        values = self._norms_at(CONTRACTIVITY_GRID)
+        values = np.linalg.norm(self.values_at(CONTRACTIVITY_GRID), ord=2, axis=(1, 2))
         failing = np.flatnonzero(values > 1.0 + tol + radii ** (self.order + 1) / (1.0 - radii))
         if failing.size:
             raise ValueError(

@@ -24,6 +24,7 @@ from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import parameters_to_json, random_parameters
 from cmvkit.series import MatrixPowerSeries
 from cmvkit.spectral import first_return_amplitudes
+from helpers import grid_max_norm
 
 MIXED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "mixed_campaign.json"
 POISONED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "poisoned_campaign.json"
@@ -114,7 +115,7 @@ class TestSchurCommands:
         assert res.exit_code == 0, res.output
         f = MatrixPowerSeries.from_csv(str(out))
         assert f.order == 10
-        assert f.max_disk_norm() <= 1.0 + 1e-8
+        assert grid_max_norm(f) <= 1.0 + 1e-8
 
 
 class TestWalkReturn:
@@ -575,6 +576,33 @@ class TestCampaign:
         assert res.exit_code == 2
         assert f"'{field}' must be an integer or an [lo, hi] pair" in res.output
 
+    @pytest.mark.parametrize("field, value", [("length", -3), ("j", -1), ("j", [-2, 1])])
+    def test_negative_index_or_length_exits_two_before_any_job_runs(
+        self, runner, tmp_path, field, value
+    ):
+        good = {"theorem": "site", "j": 0, "order": 4,
+                "source": {"random": {"d": 1, "length": 20, "seed": 3}}}
+        bad = json.loads(json.dumps(good))
+        if field == "length":
+            bad["source"]["random"]["length"] = value
+        else:
+            bad[field] = value
+        cfg = write_json(tmp_path / "c.json", {"jobs": [good, bad]})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert f"job 1 (site): '{field}' must be nonnegative" in res.output
+        assert "[pass]" not in res.output and not out.exists()
+
+    @pytest.mark.parametrize("args, field", [
+        (["--random", "1,-3", "--j", "0"], "length"),
+        (["--random", "1,20", "--j", "-1"], "j"),
+    ])
+    def test_verify_rejects_a_negative_index_or_length(self, runner, args, field):
+        res = runner.invoke(main, ["--order", "4", "verify", "--theorem", "site", *args])
+        assert res.exit_code == 2, res.output
+        assert f"'{field}' must be nonnegative" in res.output
+
     @pytest.mark.parametrize("where, field, value", [
         ("job", "order", 6.9),
         ("case", "order", 6.9),
@@ -756,13 +784,17 @@ class TestGlobalFlags:
         assert "'beta' must be" in res.output
 
 
-def test_cli_imports_no_private_name_from_another_module():
-    tree = ast.parse(Path(cli.__file__).read_text())
+PACKAGE_MODULES = sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES)
+def test_imports_no_private_name_from_another_module(module):
+    # a rule shared between modules is a public name of one of them
+    tree = ast.parse((Path(cli.__file__).parent / f"{module}.py").read_text())
     imported = [
         node for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level > 0
     ]
-    assert imported
     private = [a.name for node in imported for a in node.names if a.name.startswith("_")]
     modules = {a.asname or a.name for node in imported if node.module is None
                for a in node.names}

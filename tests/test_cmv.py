@@ -14,23 +14,28 @@ from cmvkit.cmv import (
     build,
     build_unitary,
     cmv_factors,
+    head_is_left,
     standard_overlap,
     theta,
     unitary_truncation,
     window_spec,
 )
 from cmvkit.khrushchev import substitute_into_truncation
-from cmvkit.linalg import direct_sum, embed, is_unitary
+from cmvkit.linalg import embed, is_unitary
 from cmvkit.overlap import check_overlap
 from cmvkit.schur import (
     SchurParameters,
+    inverse_iterate_series,
+    iterate_series,
     random_contraction,
     random_parameters,
     random_unitary,
     rho_left,
     rho_right,
 )
+from cmvkit.series import coeff_distance
 from cmvkit.spectral import first_return_amplitudes, schur_of_subspace
+from helpers import direct_sum
 
 SQ3 = float(np.sqrt(3.0))
 
@@ -561,6 +566,49 @@ class TestStandardOverlap:
             standard_overlap(spec, 0)
         with pytest.raises(ValueError):
             standard_overlap(spec, 4)
+
+
+class TestHeadIsLeft:
+    """The factor-order rule against the operator: the head factor across
+    V_j is U_LC exactly when head_is_left says so, its V_j Schur function
+    read off the factor matrix is b_j, and the tail factor's is f_j."""
+
+    ORDER = 12
+
+    @pytest.mark.parametrize(
+        "family, terminal",
+        [("C", False), ("C", True), ("Chat", False), ("Chat", True),
+         ("H", True), ("Hhat", True)],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_head_factor_carries_b_j_and_tail_factor_f_j(self, family, terminal, d, rng):
+        p = random_parameters(d, 6 if terminal else 20, rng, terminal=terminal)
+        for j in range(1, 5):
+            spec = window_spec(p, family, j, self.ORDER)
+            fact = standard_overlap(spec, j)
+            part = fact.partition
+            head_lc = part.left == block_subspace(spec, range(j))
+            assert head_lc == head_is_left(family, j), (j, part)
+            assert head_lc != (part.right == block_subspace(spec, range(j)))
+
+            def site_function(u, indices):
+                local = [indices.index(i) for i in part.center]
+                return schur_of_subspace(u, local, self.ORDER)
+
+            f_lc, f_cr = site_function(fact.u_lc, part.lc), site_function(fact.u_cr, part.cr)
+            f_head, f_tail = (f_lc, f_cr) if head_lc else (f_cr, f_lc)
+            b_want = inverse_iterate_series(p, j, self.ORDER)
+            f_want = iterate_series(p, j, self.ORDER)
+            assert coeff_distance(f_head, b_want) <= 1e-12, j
+            assert coeff_distance(f_tail, f_want) <= 1e-12, j
+
+    def test_rule_table(self):
+        assert [head_is_left("C", j) for j in range(4)] == [False, True, False, True]
+        assert [head_is_left("Chat", j) for j in range(4)] == [True, False, True, False]
+        assert all(head_is_left("H", j) for j in range(4))
+        assert not any(head_is_left("Hhat", j) for j in range(4))
+        with pytest.raises(ValueError, match="unknown family"):
+            head_is_left("D", 1)
 
 
 class TestCertificate:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from cmvkit import khrushchev
 from cmvkit.cmv import BlockOperatorSpec, build, theta, unitary_truncation
 from cmvkit.khrushchev import (
     SUPERPOSITION_ROUTES,
@@ -30,6 +31,7 @@ from cmvkit.series import (
     coeff_distance,
     direct_sum_series,
 )
+from helpers import grid_max_norm
 
 
 def scalar_params(values, terminal=None):
@@ -145,7 +147,7 @@ class TestRangeFormula:
     def test_substitution_series_is_contractive(self, rng):
         p = random_parameters(1, 30, rng)
         s = substitute_into_truncation(p, "C", 1, 3, 10)
-        assert s.max_disk_norm() <= 1.0 + 1e-6
+        assert grid_max_norm(s) <= 1.0 + 1e-6
 
 
 class TestHessenbergFormula:
@@ -178,6 +180,35 @@ class TestHessenbergFormula:
         p = random_parameters(1, 30, rng)
         with pytest.raises(ValueError, match="terminal"):
             verify_hessenberg_formula(p, "H", 0, 2, 8)
+
+
+class TestFactorOrderRule:
+    """The operator route does not read cmv.head_is_left, so it checks
+    the rule: with the rule negated every site and range formula fails."""
+
+    RANGES = [(1, 2), (1, 3), (2, 3), (2, 4)]
+
+    def _reports(self, rng):
+        # d = 2: scalar b_j and f_j commute, which would hide the site order
+        open_p = random_parameters(2, 24, rng)
+        finite_p = random_parameters(2, 5, rng, terminal=True)
+        for family in ("C", "Chat"):
+            for j in (1, 2):
+                yield verify_site_formula(open_p, family, j, 8)
+            for j, k in self.RANGES:
+                yield verify_range_formula(open_p, family, j, k, 8)
+        for family in ("H", "Hhat"):
+            for j, k in self.RANGES:
+                yield verify_hessenberg_formula(finite_p, family, j, k, 8)
+
+    def test_formulas_pass_with_the_rule(self, rng):
+        assert all(rep.ok for rep in self._reports(rng))
+
+    def test_formulas_fail_with_the_rule_negated(self, rng, monkeypatch):
+        rule = khrushchev.head_is_left
+        monkeypatch.setattr(khrushchev, "head_is_left", lambda family, j: not rule(family, j))
+        failed = [not rep.ok for rep in self._reports(rng)]
+        assert len(failed) == 20 and all(failed)
 
 
 class TestTransposeCovariance:

@@ -10,7 +10,6 @@ from cmvkit.linalg import (
     as_matrix,
     certify,
     column_selector,
-    direct_sum,
     embed,
     hermitian_psd_sqrt,
     is_unitary,
@@ -22,6 +21,7 @@ from cmvkit.linalg import (
 )
 from cmvkit.schur import random_contraction, random_unitary, rho_left, rho_right
 from cmvkit.spectral import index_tuple
+from helpers import direct_sum
 
 
 class TestSubspace:

@@ -13,7 +13,7 @@ from cmvkit.catalog import (
     double_diffusion_six,
     hadamard_coin,
 )
-from cmvkit.linalg import direct_sum, is_unitary
+from cmvkit.linalg import is_unitary
 from cmvkit.overlap import (
     TIE_REL_TOL,
     OverlapFactorization,
@@ -26,6 +26,7 @@ from cmvkit.overlap import (
 from cmvkit.schur import random_unitary
 from cmvkit.series import coeff_distance
 from cmvkit.spectral import schur_of_subspace
+from helpers import direct_sum
 
 
 def random_overlapping(rng, nl, nc, nr):
@@ -275,6 +276,14 @@ class TestAbstractKhrushchev:
             cat.unitary, cat.partition, (), (4,), 14, cat.factorization()
         )
         assert rep.ok, rep.residual
+
+    def test_rejects_a_factorization_of_another_partition(self):
+        # the walk's second factorization splits through another center;
+        # read against the first partition it would report a false failure
+        cat = coined_walk_six()
+        other = coined_walk_six_alternate().factorization()
+        with pytest.raises(ValueError, match="different partition"):
+            abstract_khrushchev_check(cat.unitary, cat.partition, (), (), 8, other)
 
     def test_constructed_factors_on_center_only(self, rng):
         # the center-only product is gauge invariant, so it holds for the

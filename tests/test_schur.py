@@ -21,6 +21,7 @@ from cmvkit.schur import (
     synthesize,
 )
 from cmvkit.series import MatrixPowerSeries, coeff_distance
+from helpers import grid_max_norm
 
 
 def scalar_params(values, terminal=None):
@@ -45,6 +46,11 @@ class TestParameterValidation:
     def test_accepts_contraction_with_unitary_terminal(self):
         p = scalar_params([0.5, -0.25j], terminal=1j)
         assert len(p) == 2 and p.finite
+
+    def test_random_parameters_reject_a_negative_length(self, rng):
+        with pytest.raises(ValueError, match="'length' must be nonnegative, got -3"):
+            random_parameters(1, -3, rng)
+        assert len(random_parameters(1, 0, rng)) == 0
 
 
 class TestForward:
@@ -104,7 +110,7 @@ class TestSynthesize:
         p = random_parameters(1, 20, np.random.default_rng(4))
         f = synthesize(inverse_iterate(p, 1), 8)
         assert f.schur
-        assert f.max_disk_norm() > 1.0
+        assert grid_max_norm(f) > 1.0
 
 
 class TestIterates:
@@ -300,7 +306,7 @@ class TestBinaryTransform:
         g = synthesize(random_parameters(1, 4, rng), 12)
         h = synthesize(random_parameters(1, 4, rng), 12)
         out = binary_transform(0.3, 0.6j, g, h)
-        assert out.max_disk_norm() <= 1.0 + 1e-6
+        assert grid_max_norm(out) <= 1.0 + 1e-6
 
     def test_rejects_overweight_pair(self):
         one = MatrixPowerSeries.one(1, 4)

@@ -103,16 +103,6 @@ class TestInverse:
 
 
 class TestTransforms:
-    def test_dagger_is_an_involution(self, rng):
-        f = MatrixPowerSeries(
-            rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
-        )
-        assert coeff_distance(f.dagger().dagger(), f) == 0.0
-
-    def test_dagger_transposes_coefficients(self):
-        f = MatrixPowerSeries([[[0.0, 1j], [0.0, 0.0]]])
-        assert f.dagger().coeff(0)[1, 0] == -1j
-
     def test_shift_unshift_round_trip(self, rng):
         f = MatrixPowerSeries(rng.standard_normal((4, 2, 2)))
         assert coeff_distance(f.shift(2).unshift(2), f) == 0.0
