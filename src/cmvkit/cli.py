@@ -37,6 +37,7 @@ from .khrushchev import (
     DEFAULT_TOL,
     SUPERPOSITION_ROUTES,
     VerificationReport,
+    check_superposition,
     hessenberg_superposition,
     scalar_superposition_schur,
     verify_hessenberg_formula,
@@ -562,8 +563,9 @@ def _hessenberg_job(job, order, tol):
 
 def _superposition_job(job, order, tol):
     params = _job_params(job, "superposition")
-    beta, gamma = _as_complex(job, "beta", 1.0), _as_complex(job, "gamma", 0.0)
     hess = _flag(job, "hessenberg", False)
+    beta, gamma = check_superposition(params, _as_complex(job, "beta", 1.0),
+                                      _as_complex(job, "gamma", 0.0), hess)
     return [lambda j=j: _superposition_report(params, j, beta, gamma, order, tol, hess)
             for j in _expand(job.get("j"), "j")]
 

@@ -245,7 +245,16 @@ def _superposition_uv(alpha: complex, beta: complex, gamma: complex) -> tuple[co
     return np.conj(beta) * beta_out, np.conj(gamma) * gamma_out
 
 
-def _check_state(beta: complex, gamma: complex) -> tuple[complex, complex]:
+def check_superposition(
+    params: SchurParameters, beta: complex, gamma: complex, hessenberg: bool = False
+) -> tuple[complex, complex]:
+    """The weights of beta e_j + gamma e_{j+1} as complex numbers, once the
+    case is one the superposition formulas cover: scalar parameters,
+    |beta|^2 + |gamma|^2 = 1, and a terminal for the Hessenberg family."""
+    if params.block_dim != 1:
+        raise ValueError("superposition formulas are scalar (d = 1) only")
+    if hessenberg and not params.finite:
+        raise ValueError("Hessenberg superposition needs a terminal sequence")
     beta, gamma = complex(beta), complex(gamma)
     if abs(abs(beta) ** 2 + abs(gamma) ** 2 - 1.0) > 1e-8:
         raise ValueError("superposition weights must satisfy |beta|^2 + |gamma|^2 = 1")
@@ -271,11 +280,9 @@ def scalar_superposition_schur(
     built matrix and involves no such rule, which is exactly what makes
     it an oracle for the formula.
     """
-    if params.block_dim != 1:
-        raise ValueError("superposition formulas are scalar (d = 1) only")
+    beta, gamma = check_superposition(params, beta, gamma)
     if route not in SUPERPOSITION_ROUTES:
         raise ValueError(f"route must be one of {SUPERPOSITION_ROUTES}")
-    beta, gamma = _check_state(beta, gamma)
 
     if route == "operator_compress":
         return compress_to_vector(_operator_side(params, "C", j, j + 1, order), [beta, gamma])
@@ -306,15 +313,11 @@ def hessenberg_superposition(
 
     with a = alpha_j, r = rho_j, bc/gc/ac the conjugates.
     """
-    if params.block_dim != 1:
-        raise ValueError("superposition formulas are scalar (d = 1) only")
-    if not params.finite:
-        raise ValueError("Hessenberg superposition needs a terminal sequence")
+    beta, gamma = check_superposition(params, beta, gamma, hessenberg=True)
     if not 0 <= j < len(params):
         raise ValueError(f"need 0 <= j < {len(params)} so that blocks j, j+1 exist")
     if route not in SUPERPOSITION_ROUTES:
         raise ValueError(f"route must be one of {SUPERPOSITION_ROUTES}")
-    beta, gamma = _check_state(beta, gamma)
     if route == "operator_compress":
         return compress_to_vector(_operator_side(params, "H", j, j + 1, order), [beta, gamma])
 
@@ -325,4 +328,4 @@ def hessenberg_superposition(
     bc, gc, ac = np.conj(beta), np.conj(gamma), np.conj(a)
     num = (b * f).shift() + bc * (beta * a * b + gamma * r) + (gc * ((beta * r) * b - gamma * ac)) * f
     den = 1 + (gamma * (bc * r - gc * a * b)).shift() + ((beta * (bc * ac + gc * r * b)).shift() * f)
-    return (num * den.inverse()).truncate(order).mark_schur()
+    return (num / den).mark_schur()

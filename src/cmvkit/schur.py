@@ -11,9 +11,9 @@ fraction D^(-1) N, which each step updates linearly,
 
     D' = D rR^(-1) + z N rL^(-1) a†,      N' = D rR^(-1) a + z N rL^(-1),
 
-and divides out once the growth bound allows no further step.  Iterates
-drop leading parameters; inverse iterates reverse a negated-adjoint prefix
-and terminate with the identity.
+and divides out, in series.left_divide, once the growth bound allows no
+further step.  Iterates drop leading parameters; inverse iterates reverse
+a negated-adjoint prefix and terminate with the identity.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .linalg import (
     matrix_to_json,
     op_norm,
 )
-from .series import MatrixPowerSeries
+from .series import MatrixPowerSeries, left_divide
 
 # A parameter is accepted as a strict contraction only with this margin.
 STRICT_MARGIN = 1e-10
@@ -182,35 +182,20 @@ def mobius_step(
     n = f.order + len(run) if order is None else order
     if n > f.order + len(run):
         raise ValueError(f"the run determines coefficients 0..{f.order + len(run)} only")
-    one = np.zeros((n + 1, d, d), dtype=np.complex128)
-    one[0] = np.eye(d)
+    one = MatrixPowerSeries.one(d, n).coeffs
     den, num = one, np.zeros_like(one)
     num[: f.order + 1] = f.coeffs[: n + 1]
     growth = 1.0
     for a, (_, _, rl_inv, rr_inv), norm in zip(run[::-1], defects[::-1], norms[::-1]):
         kappa = (1.0 + norm) / np.sqrt(1.0 - norm * norm)
         if growth > 1.0 and growth * kappa > GROWTH_BOUND:
-            den, num, growth = one, _left_divide(den, num), 1.0
+            den, num, growth = one, left_divide(den, num), 1.0
         tail = num[:-1]
         den, num = den @ rr_inv, den @ (rr_inv @ a)
         den[1:] += tail @ (rl_inv @ a.conj().T)
         num[1:] += tail @ rl_inv
         growth *= kappa
-    return MatrixPowerSeries(_left_divide(den, num))
-
-
-def _left_divide(den: np.ndarray, num: np.ndarray) -> np.ndarray:
-    """Coefficients of D^(-1) N for coefficient stacks of one length:
-    X_k = D_0^(-1) (N_k - sum_{i=1..k} D_i X_{k-i}), one causal pass with
-    one matrix product per coefficient."""
-    n, d = len(num) - 1, num.shape[1]
-    inv0 = np.linalg.inv(den[0])
-    row = np.ascontiguousarray(den.transpose(1, 0, 2)).reshape(d, (n + 1) * d)  # [D_0 ... D_n]
-    rev = np.empty_like(num)  # rev[n - k] = X_k, so X_{k-1}, ..., X_0 is one slice
-    rev[n] = inv0 @ num[0]
-    for k in range(1, n + 1):
-        rev[n - k] = inv0 @ (num[k] - row[:, d : (k + 1) * d] @ rev[n - k + 1 :].reshape(k * d, d))
-    return rev[::-1].copy()
+    return MatrixPowerSeries(left_divide(den, num))
 
 
 def synthesize(p: SchurParameters, order: int) -> MatrixPowerSeries:
@@ -294,6 +279,7 @@ def schur_forward(f: MatrixPowerSeries, steps: int) -> SchurParameters:
     if steps < 0 or steps > f.order:
         raise ValueError(f"steps must lie in 0..{f.order}")
     d = f.block_dim
+    const = MatrixPowerSeries.constant
     alphas = []
     cur = f
     for _ in range(steps):
@@ -308,13 +294,8 @@ def schur_forward(f: MatrixPowerSeries, steps: int) -> SchurParameters:
                 )
             return SchurParameters(d, tuple(alphas), a)
         alphas.append(a)
-        rl = rho_left(a)
-        rr = rho_right(a)
-        one = MatrixPowerSeries.one(d, cur.order)
-        num = cur - MatrixPowerSeries.constant(a, cur.order)
-        den = (one - cur.lmul_const(a.conj().T)).inverse()
-        nxt = (num * den).unshift(1, tol=np.inf)
-        cur = nxt.lmul_const(np.linalg.inv(rr)).rmul_const(rl)
+        nxt = ((cur - a) / (1 - const(a.conj().T, cur.order) * cur)).unshift(1, tol=np.inf)
+        cur = const(np.linalg.inv(rho_right(a)), nxt.order) * nxt * const(rho_left(a), nxt.order)
     return SchurParameters(d, tuple(alphas), None)
 
 
@@ -334,12 +315,10 @@ def binary_transform(
     v = complex(v)
     if abs(u) + abs(v) > 1.0 + 1e-12:
         raise ValueError(f"|u| + |v| = {abs(u) + abs(v):.12f} exceeds 1")
-    n = min(g.order, h.order)
-    gg = g.truncate(n)
-    hh = h.truncate(n)
-    num = (gg * hh).shift() + u * gg + v * hh
-    den = 1 + np.conj(v) * gg.shift() + np.conj(u) * hh.shift()
-    return (num * den.inverse()).mark_schur()
+    # every operation truncates to the shorter order, min(g.order, h.order)
+    num = (g * h).shift() + u * g + v * h
+    den = 1 + np.conj(v) * g.shift() + np.conj(u) * h.shift()
+    return (num / den).mark_schur()
 
 
 # -- random generation (used by tests and seeded campaigns) -------------------
@@ -368,6 +347,8 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def random_parameters(
     d: int, length: int, rng: np.random.Generator, terminal: bool = False
 ) -> SchurParameters:
+    if d < 1:
+        raise ValueError(f"'d' must be positive, got {d}")
     if length < 0:
         raise ValueError(f"'length' must be nonnegative, got {length}")
     alphas = tuple(random_contraction(d, rng) for _ in range(length))

@@ -5,6 +5,9 @@ matrix.  Binary operations truncate to the shorter order, and every output
 coefficient depends only on input coefficients of the same or lower index,
 so fixed-order pipelines lose nothing below the truncation order.
 
+Every series quotient runs through one causal loop, left_divide (D^(-1) N):
+inverse() is D^(-1) 1, and a / b = a b^(-1) runs it on transposes.
+
 The scalar case is d = 1 with 1x1 coefficient matrices; nothing is
 special-cased for it.
 """
@@ -141,30 +144,23 @@ class MatrixPowerSeries:
             return MatrixPowerSeries(complex(other) * self.coeffs)
         return self._promote(other, self.order).__mul__(self)
 
-    def lmul_const(self, matrix) -> "MatrixPowerSeries":
-        """Multiply by a constant matrix on the left."""
-        m = as_matrix(matrix)
-        return MatrixPowerSeries(np.einsum("ij,njk->nik", m, self.coeffs))
-
-    def rmul_const(self, matrix) -> "MatrixPowerSeries":
-        """Multiply by a constant matrix on the right."""
-        m = as_matrix(matrix)
-        return MatrixPowerSeries(np.einsum("nij,jk->nik", self.coeffs, m))
-
     def inverse(self) -> "MatrixPowerSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        try:
-            inv0 = np.linalg.inv(self.coeffs[0])
-        except np.linalg.LinAlgError:
-            raise ValueError("constant term is singular; series has no inverse") from None
-        d = self.block_dim
-        n = self.order
-        out = np.zeros((n + 1, d, d), dtype=np.complex128)
-        out[0] = inv0
-        for k in range(1, n + 1):
-            acc = np.einsum("iab,ibc->ac", self.coeffs[1 : k + 1], out[:k][::-1])
-            out[k] = -inv0 @ acc
-        return MatrixPowerSeries(out)
+        """Multiplicative inverse, the left quotient of 1 by this series;
+        requires an invertible constant term."""
+        one = MatrixPowerSeries.one(self.block_dim, self.order)
+        return MatrixPowerSeries(left_divide(self.coeffs, one.coeffs))
+
+    def __truediv__(self, other) -> "MatrixPowerSeries":
+        """Right quotient a / b = a b^(-1) of two series at the shorter order:
+        (a / b)^T = (b^T)^(-1) a^T, coefficient by coefficient."""
+        if not isinstance(other, MatrixPowerSeries):
+            return NotImplemented
+        if other.block_dim != self.block_dim:
+            raise ValueError("block dimension mismatch")
+        n = min(self.order, other.order)
+        quotient = left_divide(other.coeffs[: n + 1].transpose(0, 2, 1),
+                               self.coeffs[: n + 1].transpose(0, 2, 1))
+        return MatrixPowerSeries(quotient.transpose(0, 2, 1))
 
     def shift(self, k: int = 1) -> "MatrixPowerSeries":
         """Multiply by z^k; the order grows by k."""
@@ -288,6 +284,24 @@ class MatrixPowerSeries:
         return cls(coeffs)
 
 
+def left_divide(den: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """Coefficients of D^(-1) N for coefficient stacks of one length:
+    X_k = D_0^(-1) (N_k - sum_{i=1..k} D_i X_{k-i}), one causal pass with
+    one matrix product per coefficient.  Every series quotient runs here."""
+    n, d = len(num) - 1, num.shape[1]
+    try:
+        inv0 = np.linalg.inv(den[0])
+    except np.linalg.LinAlgError:
+        raise ValueError("constant term is singular; series has no inverse") from None
+    row = np.ascontiguousarray(den.transpose(1, 0, 2)).reshape(d, (n + 1) * d)  # [D_0 ... D_n]
+    # rev[n - k] = X_k, so X_{k-1}, ..., X_0 is one contiguous slice
+    rev = np.empty((n + 1, d, d), dtype=np.complex128)
+    rev[n] = inv0 @ num[0]
+    for k in range(1, n + 1):
+        rev[n - k] = inv0 @ (num[k] - row[:, d : (k + 1) * d] @ rev[n - k + 1 :].reshape(k * d, d))
+    return rev[::-1].copy()
+
+
 def coeff_distance(a: MatrixPowerSeries, b: MatrixPowerSeries, order: int | None = None) -> float:
     """Maximum absolute entry-wise coefficient difference up to the given
     order (default: the shorter of the two)."""
@@ -320,7 +334,7 @@ def schur_to_caratheodory(f: MatrixPowerSeries) -> MatrixPowerSeries:
     coefficient than f."""
     zf = f.shift()
     one = MatrixPowerSeries.one(f.block_dim, zf.order)
-    return (one + zf) * (one - zf).inverse()
+    return (one + zf) / (one - zf)
 
 
 def caratheodory_to_schur(F: MatrixPowerSeries) -> MatrixPowerSeries:
@@ -333,6 +347,4 @@ def caratheodory_to_schur(F: MatrixPowerSeries) -> MatrixPowerSeries:
     if c0_defect > 1e-8:
         raise ValueError(f"constant term must be the identity (defect {c0_defect:.3e})")
     one = MatrixPowerSeries.one(d, F.order)
-    num = F - one
-    num = MatrixPowerSeries(np.concatenate([np.zeros((1, d, d)), num.coeffs[1:]])).unshift()
-    return num * (F + one).inverse()
+    return (F - one).unshift(1, tol=np.inf) / (F + one)

@@ -28,6 +28,7 @@ from helpers import grid_max_norm
 
 MIXED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "mixed_campaign.json"
 POISONED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "poisoned_campaign.json"
+MALFORMED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "malformed_campaign.json"
 
 
 @pytest.fixture
@@ -558,6 +559,50 @@ class TestCampaign:
         assert "job 1 (last): " in res.output and message in res.output
         assert not out.exists()
         assert calls == []
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"beta": 2}, "superposition weights must satisfy |beta|^2 + |gamma|^2 = 1"),
+        ({"beta": [0.6, 0.0], "gamma": [0.6, 0.0]}, "superposition weights must satisfy"),
+        ({"d": 2}, "superposition formulas are scalar (d = 1) only"),
+        ({"hessenberg": True}, "Hessenberg superposition needs a terminal sequence"),
+    ])
+    def test_malformed_superposition_job_exits_two_before_any_job_runs(
+            self, runner, tmp_path, monkeypatch, bad, message):
+        calls = []
+        monkeypatch.setattr(cli, "verify_site_formula", lambda *a, **k: calls.append(a))
+        source = {"random": {"d": bad.pop("d", 1), "length": 12, "seed": 5}}
+        jobs = [{"theorem": "site", "j": 0, "source": {"random": {"d": 1, "length": 12, "seed": 5}}},
+                {"name": "sup", "theorem": "superposition", "j": 1, "source": source, **bad}]
+        cfg = write_json(tmp_path / "c.json", {"defaults": {"order": 4}, "jobs": jobs})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert f"job 1 (sup): {message}" in res.output
+        assert not out.exists() and calls == []
+
+    def test_malformed_campaign_exits_two_and_writes_no_report(self, runner, tmp_path):
+        # the config that CI runs through the installed script
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run",
+                                   "--config", str(MALFORMED_CAMPAIGN)])
+        assert res.exit_code == 2, res.output
+        assert "job 1 (superposition-unnormalized): superposition weights" in res.output
+        assert "[pass]" not in res.output and not out.exists()
+
+    @pytest.mark.parametrize("d", [-1, 0])
+    def test_random_block_dimension_below_one_exits_two_and_names_it(self, runner, tmp_path, d):
+        res = runner.invoke(main, ["--order", "4", "verify", "--theorem", "site",
+                                   "--random", f"{d},5", "--j", "0"])
+        assert res.exit_code == 2, res.output
+        assert f"'d' must be positive, got {d}" in res.output
+        good = {"theorem": "site", "j": 0, "source": {"random": {"d": 1, "length": 5, "seed": 3}}}
+        bad = {"theorem": "site", "j": 0, "source": {"random": {"d": d, "length": 5, "seed": 3}}}
+        cfg = write_json(tmp_path / "c.json", {"defaults": {"order": 4}, "jobs": [good, bad]})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert f"job 1 (site): 'd' must be positive, got {d}" in res.output
+        assert "[pass]" not in res.output and not out.exists()
 
     @pytest.mark.parametrize("jobs", [{"site": 1}, [1, 2], [{"case": "walk-factors"}, []]])
     def test_jobs_that_are_not_a_list_of_objects_exit_two(self, runner, tmp_path, jobs):

@@ -38,7 +38,7 @@ from cmvkit.series import (
     schur_to_caratheodory,
 )
 from cmvkit.spectral import first_return_amplitudes, return_statistics
-from helpers import direct_sum
+from helpers import direct_sum, loop_inverse
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 contractions = st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow_nan=False)
@@ -174,9 +174,9 @@ def test_standard_overlap_passes_corner_test(seed, j):
 def _inverse_product_step(alpha, f):
     """The backward step as one series inverse and one product,
     (1 + g a†)^(-1) (a + g) with g = z rho_R f rho_L^(-1)."""
-    g = f.lmul_const(rho_right(alpha)).rmul_const(np.linalg.inv(rho_left(alpha))).shift()
-    one = MatrixPowerSeries.one(f.block_dim, g.order)
-    return (one + g.rmul_const(alpha.conj().T)).inverse() * (g + MatrixPowerSeries.constant(alpha, g.order))
+    const = MatrixPowerSeries.constant
+    g = (const(rho_right(alpha), f.order) * f * const(np.linalg.inv(rho_left(alpha)), f.order)).shift()
+    return loop_inverse(1 + g * const(alpha.conj().T, g.order)) * (g + const(alpha, g.order))
 
 
 def _synthesize_stepping_every_parameter(p, order):

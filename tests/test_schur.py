@@ -21,7 +21,7 @@ from cmvkit.schur import (
     synthesize,
 )
 from cmvkit.series import MatrixPowerSeries, coeff_distance
-from helpers import grid_max_norm
+from helpers import grid_max_norm, loop_inverse
 
 
 def scalar_params(values, terminal=None):
@@ -234,12 +234,11 @@ class TestParameterMemo:
 
 def _forward_step(f, alpha):
     """One forward Schur step, written out locally as an oracle."""
-    d = f.block_dim
-    one = MatrixPowerSeries.one(d, f.order)
-    num = f - MatrixPowerSeries.constant(alpha, f.order)
-    den = (one - f.lmul_const(alpha.conj().T)).inverse()
+    const = MatrixPowerSeries.constant
+    num = f - const(alpha, f.order)
+    den = loop_inverse(1 - const(alpha.conj().T, f.order) * f)
     g = (num * den).unshift(1, tol=1e-8)
-    return g.lmul_const(np.linalg.inv(rho_right(alpha))).rmul_const(rho_left(alpha))
+    return const(np.linalg.inv(rho_right(alpha)), g.order) * g * const(rho_left(alpha), g.order)
 
 
 class TestMobiusStep:
@@ -307,6 +306,14 @@ class TestBinaryTransform:
         h = synthesize(random_parameters(1, 4, rng), 12)
         out = binary_transform(0.3, 0.6j, g, h)
         assert grid_max_norm(out) <= 1.0 + 1e-6
+
+    def test_inputs_of_unequal_order_give_the_shorter_order(self, rng):
+        g = synthesize(random_parameters(1, 5, rng), 9)
+        h = synthesize(random_parameters(1, 5, rng), 6)
+        for first, second in ((g, h), (h, g)):
+            out = binary_transform(0.3, 0.6j, first, second)
+            want = binary_transform(0.3, 0.6j, first.truncate(6), second.truncate(6))
+            assert out.order == 6 and np.array_equal(out.coeffs, want.coeffs)
 
     def test_rejects_overweight_pair(self):
         one = MatrixPowerSeries.one(1, 4)

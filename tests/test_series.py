@@ -11,8 +11,10 @@ from cmvkit.series import (
     caratheodory_to_schur,
     coeff_distance,
     direct_sum_series,
+    left_divide,
     schur_to_caratheodory,
 )
+from helpers import loop_inverse
 
 
 def scalar(values):
@@ -98,8 +100,65 @@ class TestInverse:
         c = np.zeros((3, 2, 2), dtype=complex)
         c[0] = [[1.0, 2.0], [2.0, 4.0]]  # exactly singular
         c[1] = np.eye(2)
-        with pytest.raises(ValueError, match="singular"):
-            MatrixPowerSeries(c).inverse()
+        den = MatrixPowerSeries(c)
+        # inverse(), / and the kernel itself raise the one message
+        for divide in (den.inverse, lambda: MatrixPowerSeries.one(2, 2) / den,
+                       lambda: left_divide(den.coeffs, den.coeffs)):
+            with pytest.raises(ValueError) as err:
+                divide()
+            assert str(err.value) == "constant term is singular; series has no inverse"
+
+
+class TestDivision:
+    """Every quotient runs through series.left_divide; loop_inverse times a
+    product is the independent reference."""
+
+    @staticmethod
+    def _pair(rng, d, order):
+        def draw():
+            return (rng.standard_normal((order + 1, d, d))
+                    + 1j * rng.standard_normal((order + 1, d, d)))
+        den = 0.3 * draw()
+        den[0] += 3 * np.eye(d)  # keep the constant term well conditioned
+        return MatrixPowerSeries(draw()), MatrixPowerSeries(den)
+
+    def test_quotients_match_the_inverse_product_reference(self, rng):
+        for d in range(1, 5):
+            for order in range(65):
+                num, den = self._pair(rng, d, order)
+                inv = loop_inverse(den)
+                scale = 1.0 + np.abs(inv.coeffs).max() * (1.0 + np.abs(num.coeffs).max())
+                for got, want in (
+                    (den.inverse(), inv),
+                    (num / den, num * inv),
+                    (MatrixPowerSeries(left_divide(den.coeffs, num.coeffs)), inv * num),
+                ):
+                    assert got.order == order
+                    assert coeff_distance(got, want) <= 1e-12 * scale, (d, order)
+
+    def test_slash_is_the_right_quotient(self, rng):
+        for d in range(2, 5):
+            num, den = self._pair(rng, d, 12)
+            inv = loop_inverse(den)
+            got = num / den
+            assert coeff_distance(got, num * inv) < 1e-10
+            assert coeff_distance(got, inv * num) > 1e-3
+            assert coeff_distance(got * den, num) < 1e-10
+
+    def test_slash_truncates_to_the_shorter_order(self, rng):
+        num, den = self._pair(rng, 2, 9)
+        assert (num / den.truncate(4)).order == 4
+        assert (num.truncate(3) / den).order == 3
+        with pytest.raises(ValueError, match="block dimension"):
+            num / MatrixPowerSeries.one(3, 9)
+
+    def test_slash_takes_a_series_only(self):
+        f = scalar([1.0, 2.0])
+        for bad in (2, 2.0, np.eye(1)):
+            with pytest.raises(TypeError):
+                f / bad
+        with pytest.raises(TypeError):
+            2 / f
 
 
 class TestTransforms:
