@@ -14,9 +14,10 @@ Three families live here.
   test for every nontrivial partition.
 
 Everything is exact data, kept in one place so tests and the bundled
-campaign agree on it.  The worked examples that factor across an
-overlap are also listed as `SPLIT_CASES` rows, which the campaign checks
-through one factorization runner.
+campaign agree on it.  A factored fixture is an OverlapFactorization,
+whose product() is the unitary.  The worked examples that factor
+across an overlap are also listed as `SPLIT_CASES` rows, which the
+campaign checks through one factorization runner.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import embed
 from .overlap import OverlapFactorization, SubspacePartition
 from .series import MatrixPowerSeries
 
@@ -64,41 +64,21 @@ def series_matrix(entries, order: int) -> MatrixPowerSeries:
     return MatrixPowerSeries(coeffs)
 
 
-@dataclass(frozen=True)
-class FactoredUnitary:
-    """A unitary together with one known overlapping factorization."""
-
-    unitary: np.ndarray
-    partition: SubspacePartition
-    u_lc: np.ndarray
-    u_cr: np.ndarray
-
-    def factorization(self) -> OverlapFactorization:
-        return OverlapFactorization(self.partition, self.u_lc.copy(), self.u_cr.copy())
-
-
 def grover_diffusion(n: int) -> np.ndarray:
     """The reflection 2/n J - 1 about the uniform superposition of n states."""
     return (2.0 / n) * np.ones((n, n)) - np.eye(n)
 
 
-def _assemble(dim, partition, u_lc, u_cr) -> FactoredUnitary:
-    u = embed(u_lc, partition.lc, dim) @ embed(u_cr, partition.cr, dim)
-    return FactoredUnitary(unitary=u, partition=partition,
-                           u_lc=np.asarray(u_lc, dtype=np.complex128),
-                           u_cr=np.asarray(u_cr, dtype=np.complex128))
-
-
-def double_diffusion_six() -> FactoredUnitary:
+def double_diffusion_six() -> OverlapFactorization:
     """Six states: 3-state and 4-state diffusions overlapping in state 2."""
     part = SubspacePartition(6, left=(0, 1), center=(2,), right=(3, 4, 5))
-    return _assemble(6, part, grover_diffusion(3), grover_diffusion(4))
+    return OverlapFactorization(part, grover_diffusion(3), grover_diffusion(4))
 
 
-def double_diffusion_five() -> FactoredUnitary:
+def double_diffusion_five() -> OverlapFactorization:
     """Five states: the same diffusion factors overlapping in states 1, 2."""
     part = SubspacePartition(5, left=(0,), center=(1, 2), right=(3, 4))
-    return _assemble(5, part, grover_diffusion(3), grover_diffusion(4))
+    return OverlapFactorization(part, grover_diffusion(3), grover_diffusion(4))
 
 
 # Coined-walk amplitudes: balanced coin entries a = c = 1/2 and
@@ -107,7 +87,7 @@ _A = 0.5
 _B = 1.0 / SQ2
 
 
-def coined_walk_six() -> FactoredUnitary:
+def coined_walk_six() -> OverlapFactorization:
     """Six-state coined walk: two 3-level cells chained through state 2."""
     a, b, c, d = _A, _B, _A, _B
     u_lc = np.array([
@@ -122,10 +102,10 @@ def coined_walk_six() -> FactoredUnitary:
         [-c, c, c, c],
     ])
     part = SubspacePartition(6, left=(0, 1), center=(2,), right=(3, 4, 5))
-    return _assemble(6, part, u_lc, u_cr)
+    return OverlapFactorization(part, u_lc, u_cr)
 
 
-def coined_walk_six_alternate() -> FactoredUnitary:
+def coined_walk_six_alternate() -> OverlapFactorization:
     """The same six-state walk factored through state 3 instead.
 
     Here the left group sits at the high indices and the right group at
@@ -145,7 +125,7 @@ def coined_walk_six_alternate() -> FactoredUnitary:
         [0.0, 0.0, b, -b],
     ])
     part = SubspacePartition(6, left=(4, 5), center=(3,), right=(0, 1, 2))
-    return _assemble(6, part, u_lc, u_cr)
+    return OverlapFactorization(part, u_lc, u_cr)
 
 
 def hadamard_coin() -> np.ndarray:
@@ -265,7 +245,7 @@ class SplitCase:
     with its closed form here; `None` claims no closed form.
     """
 
-    maker: Callable[[], FactoredUnitary]
+    maker: Callable[[], OverlapFactorization]
     v_left: tuple[int, ...]
     v_right: tuple[int, ...]
     f_v: SeriesMaker | None

@@ -456,10 +456,9 @@ def _report(case, residual, tolerance, left, right) -> VerificationReport:
 def _split_case_report(case, order, tol) -> VerificationReport:
     """Check a catalog split row: the factorization rule plus its closed forms."""
     row = catalog.SPLIT_CASES[case]
-    fu = row.maker()
-    res = abstract_khrushchev_check(fu.unitary, fu.partition, row.v_left,
-                                    row.v_right, order,
-                                    factorization=fu.factorization())
+    fact = row.maker()
+    res = abstract_khrushchev_check(fact.product(), fact.partition, row.v_left,
+                                    row.v_right, order, factorization=fact)
     resid = res.residual
     for computed, closed in ((res.f_v, row.f_v), (res.f_left, row.f_left),
                              (res.f_right, row.f_right)):
@@ -471,14 +470,15 @@ def _split_case_report(case, order, tol) -> VerificationReport:
 
 def _cf_walk_alternate(order, tol):
     wa = catalog.coined_walk_six_alternate()
-    chk = check_overlap(wa.unitary, wa.partition)
+    u = wa.product()
+    chk = check_overlap(u, wa.partition)
     if not chk.ok:
         return _report("walk-alternate", float("inf"), tol,
                        "corner/rank test", "known second factorization")
-    fact = construct_overlap(wa.unitary, wa.partition)
-    resid = float(fact.reconstruction_residual(wa.unitary))
+    fact = construct_overlap(u, wa.partition)
+    resid = float(fact.reconstruction_residual(u))
     try:
-        verify_gauge(fact, wa.factorization())
+        verify_gauge(fact, wa)
     except ValueError:
         resid = float("inf")
     return _report("walk-alternate", resid, tol,
@@ -593,6 +593,8 @@ JOB_KINDS = {
 def _parse_job(job, defaults) -> list:
     """The checked cases of one job; ``defaults`` give a missing order or tol."""
     order = as_integer(job.get("order", defaults["order"]), "'order'")
+    if order < 0:
+        raise ValueError(f"'order' must be nonnegative, got {order}")
     tolerance = _tolerance(job.get("tolerance", defaults["tol"]))
     kind = "case" if "case" in job else job.get("theorem")
     if not isinstance(kind, str) or kind not in JOB_KINDS:

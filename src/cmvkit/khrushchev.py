@@ -35,6 +35,7 @@ from .cmv import (
     unitary_truncation,
     window_spec,
 )
+from .linalg import unit_vector
 # synthesize is not called here; it stays a name of this module because
 # perfbench's tracer test checks that the tracer wraps this alias
 from .schur import (  # noqa: F401
@@ -225,10 +226,7 @@ def compress_to_vector(f_v: MatrixPowerSeries, psi) -> MatrixPowerSeries:
     Route: Cayley transform to the moment-generating side, compress the
     quadratic form <psi|F psi>, transform back.
     """
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"state must be normalized (|psi| = {norm:.6f})")
+    psi = unit_vector(psi)
     if psi.size != f_v.block_dim:
         raise ValueError("state length does not match the series block dimension")
     big = schur_to_caratheodory(f_v)

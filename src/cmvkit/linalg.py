@@ -70,6 +70,26 @@ def matrix_from_json(obj) -> np.ndarray:
     return out
 
 
+def index_tuple(dim: int, v) -> tuple[int, ...]:
+    """The index sequence ``v`` as a tuple, in the given order, which is
+    the order of the basis; the indices must be distinct and below dim."""
+    idx = tuple(as_integer(i) for i in v)
+    if len(set(idx)) != len(idx):
+        raise ValueError("basis indices must be distinct")
+    if idx and (min(idx) < 0 or max(idx) >= dim):
+        raise ValueError("basis index out of range")
+    return idx
+
+
+def unit_vector(psi) -> np.ndarray:
+    """psi flattened to a complex vector, which must have norm 1."""
+    v = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-8:
+        raise ValueError(f"state must be normalized (|psi| = {norm:.6f})")
+    return v
+
+
 def column_selector(dim: int, indices) -> np.ndarray:
     """dim x len(indices) matrix whose k-th column is the basis vector e_{indices[k]}."""
     b = np.zeros((dim, len(indices)), dtype=np.complex128)
@@ -136,11 +156,7 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> UnitaryCheck:
     n, k = a.shape
     if n != k:
         raise ValueError("unitarity is only defined for square matrices")
-    eye = np.eye(n)
-    residual = max(
-        float(np.linalg.norm(a.conj().T @ a - eye)),
-        float(np.linalg.norm(a @ a.conj().T - eye)),
-    )
+    residual = float(unitary_residuals(a[None])[0])
     return UnitaryCheck(residual <= tol, residual)
 
 
@@ -177,13 +193,11 @@ def op_norm(m) -> float:
 
 def embed(m, positions, total_dim: int) -> np.ndarray:
     """Place a small square matrix at the given index positions of an
-    identity of size total_dim."""
+    identity of size total_dim; the positions pass index_tuple."""
     a = as_matrix(m)
-    pos = [int(p) for p in positions]
+    pos = index_tuple(total_dim, positions)
     if a.shape != (len(pos), len(pos)):
         raise ValueError("matrix size does not match the position list")
-    if any(p < 0 or p >= total_dim for p in pos):
-        raise ValueError("embedding position out of range")
     out = np.eye(total_dim, dtype=np.complex128)
     out[np.ix_(pos, pos)] = a
     return out

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import certify
-from .spectral import index_tuple
+from .linalg import certify, index_tuple
 
 N_CAP = 8
 PRUNE_FLOOR = 1e-14

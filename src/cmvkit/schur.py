@@ -26,8 +26,8 @@ import numpy as np
 from .linalg import (
     as_integer,
     as_matrix,
+    certify,
     hermitian_psd_sqrt,
-    is_unitary,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -101,12 +101,9 @@ class SchurParameters:
         object.__setattr__(self, "alphas", tuple(mats))
         object.__setattr__(self, "_norms", tuple(norms))
         if self.terminal is not None:
-            t = _frozen(self.terminal)
+            t = certify(self.terminal, what="terminal").matrix
             if t.shape != (d, d):
                 raise ValueError(f"terminal is not {d}x{d}")
-            check = is_unitary(t)
-            if not check.ok:
-                raise ValueError(f"terminal is not unitary (residual {check.residual:.3e})")
             object.__setattr__(self, "terminal", t)
 
     def __len__(self) -> int:
@@ -160,25 +157,21 @@ def mobius_step(
 
     ``defects`` and ``norms`` give each parameter's (rho_L, rho_R, rho_L^-1,
     rho_R^-1) and operator norm (one tuple and one float for a single
-    parameter) when a SchurParameters has already validated the run; the
-    norm check is then skipped.  The result is truncated at ``order``,
-    by default f.order + r, the last coefficient the run determines.
+    parameter) when a SchurParameters has already validated the run;
+    without them the run is validated as one.  The result is truncated at
+    ``order``, by default f.order + r, the last coefficient the run
+    determines.
     """
     single = np.ndim(alpha) == 2
-    run = [as_matrix(alpha)] if single else [as_matrix(a) for a in alpha]
     d = f.block_dim
-    if any(a.shape != (d, d) for a in run):
-        raise ValueError("parameter dimension mismatch")
     if defects is None:
-        norms = [op_norm(a) for a in run]
-        if any(norm >= 1.0 - STRICT_MARGIN for norm in norms):
-            raise ValueError("backward step needs a strict contraction")
-        defects = []
-        for a in run:
-            rl, rr = rho_left(a), rho_right(a)
-            defects.append((rl, rr, np.linalg.inv(rl), np.linalg.inv(rr)))
+        p = SchurParameters(d, (alpha,) if single else tuple(alpha))
+        run, norms = p.alphas, p._norms
+        defects = [p.defects(i) for i in range(len(p))]
     elif single:
-        defects, norms = [defects], [norms]
+        run, defects, norms = [as_matrix(alpha)], [defects], [norms]
+    else:
+        run = [as_matrix(a) for a in alpha]
     n = f.order + len(run) if order is None else order
     if n > f.order + len(run):
         raise ValueError(f"the run determines coefficients 0..{f.order + len(run)} only")
@@ -286,12 +279,7 @@ def schur_forward(f: MatrixPowerSeries, steps: int) -> SchurParameters:
         a = np.array(cur.coeff(0))
         norm = op_norm(a)
         if norm > TERMINAL_DETECT:
-            check = is_unitary(a)
-            if norm > 1.0 + 1e-6 or not check.ok:
-                raise ValueError(
-                    f"coefficient with norm {norm:.9f} is neither a strict "
-                    "contraction nor a unitary terminal"
-                )
+            # read as the terminal, which SchurParameters certifies unitary
             return SchurParameters(d, tuple(alphas), a)
         alphas.append(a)
         nxt = ((cur - a) / (1 - const(a.conj().T, cur.order) * cur)).unshift(1, tol=np.inf)

@@ -33,9 +33,9 @@ CONTRACTIVITY_TOL = 1e-6
 class MatrixPowerSeries:
     """Matrix-valued power series truncated at a fixed order."""
 
-    __slots__ = ("coeffs", "schur")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, schur: bool = False):
+    def __init__(self, coeffs):
         arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.ndim == 1:
             # convenience: a flat list of scalars is a d = 1 series
@@ -45,7 +45,6 @@ class MatrixPowerSeries:
         if not np.isfinite(arr).all():
             raise ValueError("series coefficients must be finite")
         self.coeffs = arr
-        self.schur = bool(schur)
 
     # -- construction helpers -------------------------------------------------
 
@@ -87,7 +86,7 @@ class MatrixPowerSeries:
         return self.coeffs[:, 0, 0].copy()
 
     def __repr__(self):
-        return f"MatrixPowerSeries(d={self.block_dim}, order={self.order}, schur={self.schur})"
+        return f"MatrixPowerSeries(d={self.block_dim}, order={self.order})"
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -179,12 +178,12 @@ class MatrixPowerSeries:
         head = float(np.abs(self.coeffs[:k]).max()) if k else 0.0
         if head > tol:
             raise ValueError(f"cannot divide by z^{k}: leading coefficient {head:.3e}")
-        return MatrixPowerSeries(self.coeffs[k:].copy(), schur=self.schur)
+        return MatrixPowerSeries(self.coeffs[k:].copy())
 
     def truncate(self, order: int) -> "MatrixPowerSeries":
         if order > self.order:
             raise ValueError("truncate cannot extend a series")
-        return MatrixPowerSeries(self.coeffs[: order + 1].copy(), schur=self.schur)
+        return MatrixPowerSeries(self.coeffs[: order + 1].copy())
 
     # -- evaluation and checks ------------------------------------------------
 
@@ -202,7 +201,7 @@ class MatrixPowerSeries:
         return np.einsum("gn,nij->gij", np.vander(z, self.order + 1, increasing=True), self.coeffs)
 
     def mark_schur(self, tol: float = CONTRACTIVITY_TOL) -> "MatrixPowerSeries":
-        """Flag the series as a Schur function after a contractivity sample.
+        """Check that the series can be a Schur function and return it.
 
         Two necessary conditions are sampled, both exact for truncations:
         every coefficient is a contraction, and on each sample ring the
@@ -225,7 +224,6 @@ class MatrixPowerSeries:
                 f"series is not contractive on the sample grid "
                 f"({values[failing[0]]:.6f} at |z| = {radii[failing[0]]})"
             )
-        self.schur = True
         return self
 
     # -- CSV ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_integer, certify, column_selector
+from .linalg import certify, column_selector, index_tuple, unit_vector
 from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
@@ -26,17 +26,6 @@ RESOLVENT_TOL = 1e-8
 # a geometric tail below 1e-14, far inside RESOLVENT_TOL.
 RESOLVENT_SAMPLES = tuple(0.5 * np.exp(2j * np.pi * t / 8) for t in range(8))
 _CHECK_HORIZON = 48
-
-
-def index_tuple(dim: int, v) -> tuple[int, ...]:
-    """The index sequence ``v`` as a tuple, in the given order, which is
-    the order of the basis; the indices must be distinct and below dim."""
-    idx = tuple(as_integer(i) for i in v)
-    if len(set(idx)) != len(idx):
-        raise ValueError("basis indices must be distinct")
-    if idx and (min(idx) < 0 or max(idx) >= dim):
-        raise ValueError("basis index out of range")
-    return idx
 
 
 def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
@@ -105,7 +94,7 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
             "internal-consistency failure: Taylor and resolvent routes "
             f"disagree by {worst:.3e}"
         )
-    return MatrixPowerSeries(coeffs[: order + 1].copy(), schur=True)
+    return MatrixPowerSeries(coeffs[: order + 1].copy())
 
 
 def caratheodory_of_subspace(U, v, order: int) -> MatrixPowerSeries:
@@ -133,10 +122,7 @@ class ReturnStatistics:
 
 def return_statistics(U, v, psi, horizon: int) -> ReturnStatistics:
     """p_n = |a_n psi|^2 for a unit vector psi written in the basis of v."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-8:
-        raise ValueError(f"state must be normalized (|psi| = {norm:.6f})")
+    psi = unit_vector(psi)
     amps = first_return_amplitudes(U, v, horizon)
     if amps.shape[1] != psi.size:
         raise ValueError("state length does not match the subspace dimension")

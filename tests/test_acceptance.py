@@ -82,7 +82,7 @@ from cmvkit.spectral import (
 )
 def test_six_state_center_rational():
     t0 = time.perf_counter()
-    u = double_diffusion_six().unitary
+    u = double_diffusion_six().product()
     f = schur_of_subspace(u, (2,), 19)
     want = rational_series((1.0, -5.0, 6.0), (6.0, -5.0, 1.0), 19)
     assert coeff_distance(f, want) <= 1e-10
@@ -95,11 +95,11 @@ def test_six_state_center_rational():
 def test_diffusion_matrix_cases():
     t0 = time.perf_counter()
     six = double_diffusion_six()
-    pair = schur_of_subspace(six.unitary, (2, 3), 16)
+    pair = schur_of_subspace(six.product(), (2, 3), 16)
     assert coeff_distance(pair, diffusion_pair_schur(16)) <= 1e-10
 
     five = double_diffusion_five()
-    center = schur_of_subspace(five.unitary, (1, 2), 16)
+    center = schur_of_subspace(five.product(), (1, 2), 16)
     assert coeff_distance(center, diffusion_five_center_schur(16)) <= 1e-10
     assert time.perf_counter() - t0 < 1.0
 
@@ -118,17 +118,17 @@ def test_coined_walk_example():
     assert coeff_distance(f_left, walk_left_schur(order)) <= 1e-10
     assert coeff_distance(f_right, walk_right_schur(order)) <= 1e-10
 
-    f_center = schur_of_subspace(walk.unitary, (2,), order)
+    f_center = schur_of_subspace(walk.product(), (2,), order)
     assert coeff_distance(f_center, walk_right_schur(order) * walk_left_schur(order)) <= 1e-10
 
     pair_right = schur_of_subspace(walk.u_cr, (0, 2), order)
     assert coeff_distance(pair_right, walk_pair_right_schur(order)) <= 1e-10
 
     alt = coined_walk_six_alternate()
-    assert np.linalg.norm(alt.unitary - walk.unitary) <= 1e-12
-    assert check_overlap(alt.unitary, alt.partition).ok
-    refactored = construct_overlap(alt.unitary, alt.partition)
-    assert refactored.reconstruction_residual(walk.unitary) <= 1e-12
+    assert np.linalg.norm(alt.product() - walk.product()) <= 1e-12
+    assert check_overlap(alt.product(), alt.partition).ok
+    refactored = construct_overlap(alt.product(), alt.partition)
+    assert refactored.reconstruction_residual(walk.product()) <= 1e-12
     assert time.perf_counter() - t0 < 1.0
 
 

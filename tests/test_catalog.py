@@ -26,7 +26,7 @@ from cmvkit.catalog import (
     walk_right_schur,
 )
 from cmvkit.linalg import is_unitary
-from cmvkit.overlap import check_overlap
+from cmvkit.overlap import check_overlap, construct_overlap, verify_gauge
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit.spectral import schur_of_subspace
 
@@ -48,21 +48,25 @@ class TestMatrices:
     @pytest.mark.parametrize("make", ALL_FACTORED)
     def test_factored_unitaries_are_unitary(self, make):
         cat = make()
-        assert is_unitary(cat.unitary).ok
+        assert is_unitary(cat.product()).ok
         assert is_unitary(cat.u_lc).ok
         assert is_unitary(cat.u_cr).ok
 
     @pytest.mark.parametrize("make", ALL_FACTORED)
     def test_factorizations_reconstruct(self, make):
+        # the factors rebuilt from the product reconstruct it and differ
+        # from the catalog's pair by a center gauge only
         cat = make()
-        fact = cat.factorization()
-        assert fact.reconstruction_residual(cat.unitary) < 1e-12
-        assert check_overlap(cat.unitary, cat.partition).ok
+        u = cat.product()
+        assert check_overlap(u, cat.partition).ok
+        built = construct_overlap(u, cat.partition)
+        assert built.reconstruction_residual(u) < 1e-12
+        verify_gauge(cat, built)
 
     def test_both_walk_factorizations_share_one_matrix(self):
         a = coined_walk_six()
         b = coined_walk_six_alternate()
-        assert np.abs(a.unitary - b.unitary).max() < 1e-12
+        assert np.abs(a.product() - b.product()).max() < 1e-12
         assert a.partition != b.partition
 
     def test_hadamard_squares_to_identity(self):
@@ -88,12 +92,12 @@ class TestDiffusionRationals:
 
     def test_pair_matches_the_two_state_subspace(self):
         cat = double_diffusion_six()
-        f = schur_of_subspace(cat.unitary, (2, 3), 14)
+        f = schur_of_subspace(cat.product(), (2, 3), 14)
         assert coeff_distance(f, diffusion_pair_schur(14)) < 1e-10
 
     def test_five_state_center_matches(self):
         cat = double_diffusion_five()
-        f = schur_of_subspace(cat.unitary, (1, 2), 14)
+        f = schur_of_subspace(cat.product(), (1, 2), 14)
         assert coeff_distance(f, diffusion_five_center_schur(14)) < 1e-10
 
 
@@ -115,7 +119,7 @@ class TestWalkRationals:
 
     def test_center_matches_the_full_matrix(self):
         cat = coined_walk_six()
-        f = schur_of_subspace(cat.unitary, (2,), 16)
+        f = schur_of_subspace(cat.product(), (2,), 16)
         assert coeff_distance(f, walk_center_schur(16)) < 1e-10
 
     def test_pair_right_factor_matches_its_matrix(self):
@@ -128,7 +132,7 @@ class TestWalkRationals:
         # factor times the left factor padded by 1
         cat = coined_walk_six()
         n = 14
-        f = schur_of_subspace(cat.unitary, (2, 4), n)
+        f = schur_of_subspace(cat.product(), (2, 4), n)
         left = diag_pad(walk_left_schur(n))
         assert coeff_distance(f, walk_pair_right_schur(n) * left) < 1e-10
 

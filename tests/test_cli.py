@@ -29,6 +29,7 @@ from helpers import grid_max_norm
 MIXED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "mixed_campaign.json"
 POISONED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "poisoned_campaign.json"
 MALFORMED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "malformed_campaign.json"
+NEGATIVE_ORDER_CAMPAIGN = Path(__file__).resolve().parent / "data" / "negative_order_campaign.json"
 
 
 @pytest.fixture
@@ -136,7 +137,7 @@ class TestWalkReturn:
 
     def test_diffusion_center_return(self, runner, tmp_path):
         cat = double_diffusion_six()
-        path = write_json(tmp_path / "u.json", matrix_to_json(cat.unitary))
+        path = write_json(tmp_path / "u.json", matrix_to_json(cat.product()))
         out = tmp_path / "w.json"
         res = runner.invoke(
             main,
@@ -170,7 +171,7 @@ class TestWalkReturn:
 class TestOverlapCommands:
     def test_check_passes_on_diffusion(self, runner, tmp_path):
         cat = double_diffusion_six()
-        path = write_json(tmp_path / "u.json", matrix_to_json(cat.unitary))
+        path = write_json(tmp_path / "u.json", matrix_to_json(cat.product()))
         res = runner.invoke(
             main,
             ["overlap", "check", "--matrix", path, "--left", "0,1",
@@ -193,7 +194,7 @@ class TestOverlapCommands:
 
     def test_construct_returns_factors(self, runner, tmp_path):
         cat = double_diffusion_six()
-        path = write_json(tmp_path / "u.json", matrix_to_json(cat.unitary))
+        path = write_json(tmp_path / "u.json", matrix_to_json(cat.product()))
         out = tmp_path / "f.json"
         res = runner.invoke(
             main,
@@ -221,7 +222,7 @@ class TestOverlapCommands:
     ["walk", "return", "--indices", "2", "--horizon", "6"],
 ])
 def test_each_command_certifies_its_input_matrix_once(runner, tmp_path, monkeypatch, command):
-    u = double_diffusion_six().unitary
+    u = double_diffusion_six().product()
     path = write_json(tmp_path / "u.json", matrix_to_json(u))
     seen = []
     original = linalg.is_unitary
@@ -589,6 +590,15 @@ class TestCampaign:
         assert "job 1 (superposition-unnormalized): superposition weights" in res.output
         assert "[pass]" not in res.output and not out.exists()
 
+    def test_negative_order_campaign_exits_two_and_writes_no_report(self, runner, tmp_path):
+        # the config that CI runs through the installed script
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run",
+                                   "--config", str(NEGATIVE_ORDER_CAMPAIGN)])
+        assert res.exit_code == 2, res.output
+        assert "job 1 (site-negative-order): 'order' must be nonnegative, got -1" in res.output
+        assert "[pass]" not in res.output and not out.exists()
+
     @pytest.mark.parametrize("d", [-1, 0])
     def test_random_block_dimension_below_one_exits_two_and_names_it(self, runner, tmp_path, d):
         res = runner.invoke(main, ["--order", "4", "verify", "--theorem", "site",
@@ -637,6 +647,26 @@ class TestCampaign:
         res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
         assert res.exit_code == 2, res.output
         assert f"job 1 (site): '{field}' must be nonnegative" in res.output
+        assert "[pass]" not in res.output and not out.exists()
+
+    @pytest.mark.parametrize("where", ["job", "defaults"])
+    @pytest.mark.parametrize("bad", [
+        {"theorem": "site", "j": 0, "source": {"random": {"d": 1, "length": 20, "seed": 3}}},
+        {"case": "walk-factors"},
+    ])
+    def test_negative_order_exits_two_before_any_job_runs(self, runner, tmp_path, where, bad):
+        good = {"theorem": "site", "j": 0, "order": 4,
+                "source": {"random": {"d": 1, "length": 20, "seed": 3}}}
+        config = {"jobs": [good, dict(bad)]}
+        if where == "job":
+            config["jobs"][1]["order"] = -1
+        else:
+            config["defaults"] = {"order": -2}
+        cfg = write_json(tmp_path / "c.json", config)
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert "job 1 (" in res.output and "'order' must be nonnegative" in res.output
         assert "[pass]" not in res.output and not out.exists()
 
     @pytest.mark.parametrize("args, field", [

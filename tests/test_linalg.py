@@ -12,15 +12,16 @@ from cmvkit.linalg import (
     column_selector,
     embed,
     hermitian_psd_sqrt,
+    index_tuple,
     is_unitary,
     matrix_from_json,
     matrix_to_json,
     numerical_rank,
     op_norm,
+    unit_vector,
     unitary_residuals,
 )
 from cmvkit.schur import random_contraction, random_unitary, rho_left, rho_right
-from cmvkit.spectral import index_tuple
 from helpers import direct_sum
 
 
@@ -81,7 +82,7 @@ class TestNumericalRank:
         # the lc x cr corner of the six-state double diffusion: exactly the
         # one-dimensional overlap survives
         dd = double_diffusion_six()
-        corner = dd.unitary[np.ix_(dd.partition.lc, dd.partition.cr)]
+        corner = dd.product()[np.ix_(dd.partition.lc, dd.partition.cr)]
         assert numerical_rank(corner) == 1
 
     def test_invariant_under_unitaries(self, rng):
@@ -96,7 +97,7 @@ class TestIsUnitary:
         assert is_unitary(np.eye(4)).ok
 
     def test_diffusion_product(self):
-        assert is_unitary(double_diffusion_six().unitary).ok
+        assert is_unitary(double_diffusion_six().product()).ok
 
     def test_rejects_scaled_identity(self):
         chk = is_unitary(1.1 * np.eye(3))
@@ -175,6 +176,22 @@ class TestAssembly:
     def test_embed_checks_positions(self):
         with pytest.raises(ValueError):
             embed(np.eye(2), (0, 5), 3)
+
+    @pytest.mark.parametrize("positions", [(0.7, 1.9), (True, 2), (1, 1), (0, 3), (-1, 0)])
+    def test_embed_positions_follow_the_index_rule(self, positions):
+        # floats and bools are not truncated, a repeat is not a singular
+        # embedding, and every position lies in 0..total_dim-1
+        with pytest.raises(ValueError):
+            embed(np.eye(2), positions, 3)
+
+    def test_embed_accepts_numpy_integers(self):
+        out = embed(2 * np.eye(1), (np.int64(1),), 3)
+        assert np.array_equal(out, np.diag([1.0, 2.0, 1.0]))
+
+    def test_unit_vector_flattens_a_normalized_state(self):
+        assert np.array_equal(unit_vector([[0.6], [0.8j]]), np.array([0.6, 0.8j]))
+        with pytest.raises(ValueError, match="state must be normalized"):
+            unit_vector([1.0, 1.0])
 
     def test_as_matrix_rejects_nan(self):
         with pytest.raises(ValueError):

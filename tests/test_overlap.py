@@ -80,19 +80,19 @@ class TestPartition:
 class TestCheckOverlap:
     def test_six_state_diffusion_passes(self):
         fact = double_diffusion_six()
-        chk = check_overlap(fact.unitary, fact.partition)
+        chk = check_overlap(fact.product(), fact.partition)
         assert chk.ok
         assert chk.rank == 1
 
     def test_five_state_diffusion_passes(self):
         fact = double_diffusion_five()
-        chk = check_overlap(fact.unitary, fact.partition)
+        chk = check_overlap(fact.product(), fact.partition)
         assert chk.ok
         assert chk.rank == 2
 
     def test_walk_alternate_partition_passes(self):
         fact = coined_walk_six_alternate()
-        assert check_overlap(fact.unitary, fact.partition).ok
+        assert check_overlap(fact.product(), fact.partition).ok
 
     def test_hadamard_with_empty_center_fails(self):
         part = SubspacePartition(2, (0,), (), (1,))
@@ -138,8 +138,8 @@ class TestConstructOverlap:
 
     def test_diffusion_is_gauge_equivalent_to_catalog_factors(self):
         cat = double_diffusion_six()
-        built = construct_overlap(cat.unitary, cat.partition)
-        uc = verify_gauge(cat.factorization(), built)
+        built = construct_overlap(cat.product(), cat.partition)
+        uc = verify_gauge(cat, built)
         assert uc.shape == (1, 1)
         assert abs(abs(uc[0, 0]) - 1.0) < 1e-10
 
@@ -198,8 +198,8 @@ class TestSliceConstruction:
                                       coined_walk_six, coined_walk_six_alternate])
     def test_catalog_factors_match_the_projector_form_bit_for_bit(self, case):
         cat = case()
-        fact = construct_overlap(cat.unitary, cat.partition)
-        u_lc, u_cr = projector_factors(cat.unitary, cat.partition)
+        fact = construct_overlap(cat.product(), cat.partition)
+        u_lc, u_cr = projector_factors(cat.product(), cat.partition)
         assert np.array_equal(fact.u_lc, u_lc)
         assert np.array_equal(fact.u_cr, u_cr)
 
@@ -218,7 +218,7 @@ class TestSliceConstruction:
 
 class TestVerifyGauge:
     def test_identical_factorizations_give_identity(self):
-        fact = coined_walk_six().factorization()
+        fact = coined_walk_six()
         uc = verify_gauge(fact, fact)
         assert np.abs(uc - np.eye(1)).max() < 1e-12
 
@@ -257,23 +257,23 @@ class TestAbstractKhrushchev:
     def test_scalar_center_product(self):
         cat = double_diffusion_six()
         rep = abstract_khrushchev_check(
-            cat.unitary, cat.partition, (), (), 16, cat.factorization()
+            cat.product(), cat.partition, (), (), 16, cat
         )
         assert rep.ok, rep.residual
-        f = schur_of_subspace(cat.unitary, cat.partition.center, 16)
+        f = schur_of_subspace(cat.product(), cat.partition.center, 16)
         assert coeff_distance(f, diffusion_center_schur(16)) < 1e-10
 
     def test_pair_with_one_right_state(self):
         cat = double_diffusion_six()
         rep = abstract_khrushchev_check(
-            cat.unitary, cat.partition, (), (3,), 14, cat.factorization()
+            cat.product(), cat.partition, (), (3,), 14, cat
         )
         assert rep.ok, rep.residual
 
     def test_walk_with_skipped_right_state(self):
         cat = coined_walk_six()
         rep = abstract_khrushchev_check(
-            cat.unitary, cat.partition, (), (4,), 14, cat.factorization()
+            cat.product(), cat.partition, (), (4,), 14, cat
         )
         assert rep.ok, rep.residual
 
@@ -281,9 +281,9 @@ class TestAbstractKhrushchev:
         # the walk's second factorization splits through another center;
         # read against the first partition it would report a false failure
         cat = coined_walk_six()
-        other = coined_walk_six_alternate().factorization()
+        other = coined_walk_six_alternate()
         with pytest.raises(ValueError, match="different partition"):
-            abstract_khrushchev_check(cat.unitary, cat.partition, (), (), 8, other)
+            abstract_khrushchev_check(cat.product(), cat.partition, (), (), 8, other)
 
     def test_constructed_factors_on_center_only(self, rng):
         # the center-only product is gauge invariant, so it holds for the
@@ -304,18 +304,18 @@ class TestAbstractKhrushchev:
         left, right = cat.partition.left[0], cat.partition.right[0]
         for v_l, v_r in (((bad,), ()), ((), (bad,)), ((left,), (right, bad))):
             with pytest.raises(ValueError, match=f"must be an integer, got {bad!r}"):
-                abstract_khrushchev_check(cat.unitary, cat.partition, v_l, v_r, 4)
+                abstract_khrushchev_check(cat.product(), cat.partition, v_l, v_r, 4)
 
     def test_numpy_subspace_indices_are_accepted(self):
         cat = double_diffusion_six()
         v_r = np.array(cat.partition.right[:1])
-        rep = abstract_khrushchev_check(cat.unitary, cat.partition, np.arange(0), v_r, 8)
+        rep = abstract_khrushchev_check(cat.product(), cat.partition, np.arange(0), v_r, 8)
         assert rep.ok, rep.residual
 
     def test_rejects_indices_outside_groups(self):
         cat = double_diffusion_six()
         with pytest.raises(ValueError, match="left group"):
-            abstract_khrushchev_check(cat.unitary, cat.partition, (3,), (), 8)
+            abstract_khrushchev_check(cat.product(), cat.partition, (3,), (), 8)
 
 
 class TestUnitarityCertificate:

@@ -118,9 +118,8 @@ class TestSplitDiagrams:
         # one-step loop at the overlap state: the product of the two
         # factor steps through it, b on the left factor times d on the
         # right, equals the loop amplitude on the full walk
-        cat = coined_walk_six()
-        u = cat.unitary
-        fact = cat.factorization()
+        fact = coined_walk_six()
+        u = fact.product()
         lc = embed(fact.u_lc, fact.partition.lc, 6)
         cr = embed(fact.u_cr, fact.partition.cr, 6)
         loop = oracle_first_return(u, (2,), 1)[0][0, 0]
@@ -132,9 +131,8 @@ class TestSplitDiagrams:
     def test_two_step_loops_split_through_the_factors(self):
         # a length-2 first-return loop decomposes as one step in each
         # factor diagram joined at an intermediate state
-        cat = coined_walk_six()
-        u = cat.unitary
-        fact = cat.factorization()
+        fact = coined_walk_six()
+        u = fact.product()
         lc = embed(fact.u_lc, fact.partition.lc, 6)
         cr = embed(fact.u_cr, fact.partition.cr, 6)
         loop = oracle_first_return(u, (2,), 2)[1][0, 0]
@@ -155,7 +153,7 @@ class TestOracleFirstReturn:
 
     def test_diffusion_first_amplitude_is_one_sixth(self):
         cat = double_diffusion_six()
-        a1 = oracle_first_return(cat.unitary, cat.partition.center, 1)[0]
+        a1 = oracle_first_return(cat.product(), cat.partition.center, 1)[0]
         assert abs(a1[0, 0] - 1.0 / 6.0) < 1e-14
         assert abs(a1[0, 0] - diffusion_center_schur(0).coeff(0)[0, 0]) < 1e-14
 

@@ -74,6 +74,13 @@ class TestForward:
         with pytest.raises(ValueError):
             schur_forward(MatrixPowerSeries.zero(1, 3), 4)
 
+    @pytest.mark.parametrize("coeff", [[[2.0]], [[1.0, 0.0], [0.0, 0.5]]])
+    def test_rejects_a_coefficient_that_is_not_a_contraction_or_unitary(self, coeff):
+        # a coefficient at the unit sphere is read as the terminal, which
+        # must then be unitary
+        with pytest.raises(ValueError, match="terminal is not unitary"):
+            schur_forward(MatrixPowerSeries.constant(coeff, 3), 2)
+
 
 class TestSynthesize:
     def test_terminal_only_is_constant(self):
@@ -109,7 +116,6 @@ class TestSynthesize:
         # must not reject its own output
         p = random_parameters(1, 20, np.random.default_rng(4))
         f = synthesize(inverse_iterate(p, 1), 8)
-        assert f.schur
         assert grid_max_norm(f) > 1.0
 
 

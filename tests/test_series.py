@@ -181,8 +181,8 @@ class TestTransforms:
         assert abs(f.evaluate(0.5)[0, 0]) < 1e-12
 
     def test_mark_schur_accepts_contraction(self):
-        f = scalar([0.3, 0.2]).mark_schur()
-        assert f.schur
+        f = scalar([0.3, 0.2])
+        assert f.mark_schur() is f
 
     def test_mark_schur_rejects_expansion(self):
         with pytest.raises(ValueError):

@@ -61,14 +61,14 @@ class TestFirstReturn:
         fact = double_diffusion_six()
         # not the diffusion walk itself, but the same check works for any of
         # the catalog factorizations; the coined walk value is pinned below
-        amps = first_return_amplitudes(fact.unitary, fact.partition.center, 3)
+        amps = first_return_amplitudes(fact.product(), fact.partition.center, 3)
         assert amps.shape == (3, 1, 1)
 
     def test_coined_walk_center_amplitude_value(self):
         from cmvkit.catalog import coined_walk_six
 
         fact = coined_walk_six()
-        amps = first_return_amplitudes(fact.unitary, fact.partition.center, 1)
+        amps = first_return_amplitudes(fact.product(), fact.partition.center, 1)
         assert abs(amps[0][0, 0] - 0.5) < 1e-12
 
     def test_matches_path_enumeration(self, rng):
@@ -134,7 +134,7 @@ class TestSchurOfSubspace:
 
     def test_diffusion_center_closed_form(self):
         fact = double_diffusion_six()
-        f = schur_of_subspace(fact.unitary, fact.partition.center, 16)
+        f = schur_of_subspace(fact.product(), fact.partition.center, 16)
         assert coeff_distance(f, diffusion_center_schur(16)) < 1e-10
 
     def test_resolvent_matches_series_pointwise(self, rng):
@@ -184,7 +184,7 @@ class TestSchurOfSubspace:
     def test_result_is_marked_schur(self, rng):
         u = random_unitary(5, rng)
         f = schur_of_subspace(u, (0, 1), 8)
-        assert f.schur
+        assert f.mark_schur() is f
 
 
 class TestCaratheodoryPairing:
