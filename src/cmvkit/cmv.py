@@ -291,8 +291,8 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
     if not 1 <= j <= spec.n_blocks - 2:
         raise ValueError(f"overlap site must satisfy 1 <= j <= {spec.n_blocks - 2}")
     p, n, eye = spec.params, spec.n_blocks, np.eye(spec.block_dim, dtype=np.complex128)
-    head = _assemble(spec.family, p, 0, j, eye).matrix, range(0, j + 1)
-    tail = _assemble(_family_from(spec.family, j), p, j, n - 1, _boundary(spec)).matrix, range(j, n)
+    head = _assemble(spec.family, p, 0, j, eye), range(0, j + 1)
+    tail = _assemble(_family_from(spec.family, j), p, j, n - 1, _boundary(spec)), range(j, n)
     head_lc = head_is_left(spec.family, j)
     (u_lc, lc_blocks), (u_cr, cr_blocks) = (head, tail) if head_lc else (tail, head)
 
@@ -302,7 +302,7 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
         block_subspace(spec, [j]),
         block_subspace(spec, set(cr_blocks) - {j}),
     )
-    fact = OverlapFactorization(partition, u_lc, u_cr)
+    fact = OverlapFactorization.of_certified(partition, u_lc, u_cr)
     resid = fact.reconstruction_residual(build(spec))
     if resid > 1e-10 * max(1.0, np.sqrt(spec.dim)):
         raise ArithmeticError(

@@ -90,14 +90,6 @@ def unit_vector(psi) -> np.ndarray:
     return v
 
 
-def column_selector(dim: int, indices) -> np.ndarray:
-    """dim x len(indices) matrix whose k-th column is the basis vector e_{indices[k]}."""
-    b = np.zeros((dim, len(indices)), dtype=np.complex128)
-    for col, i in enumerate(indices):
-        b[i, col] = 1.0
-    return b
-
-
 def hermitian_psd_sqrt(m, clamp: float = EIG_CLAMP) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix via eigendecomposition.
 
@@ -135,7 +127,8 @@ def numerical_rank(m, rel_tol: float = RANK_REL_TOL) -> int:
 
 def unitary_residuals(stack) -> np.ndarray:
     """is_unitary's residual, max(||M^dagger M - 1||_F, ||M M^dagger - 1||_F),
-    of each matrix M in a (k, n, n) stack, in one batched pass."""
+    of each matrix M in a (k, n, n) stack, in one batched pass; is_unitary
+    evaluates the same formula on one matrix without the stack axis."""
     s = np.asarray(stack, dtype=np.complex128)
     adj = s.conj().swapaxes(-1, -2)
     eye = np.eye(s.shape[-1])
@@ -156,7 +149,8 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> UnitaryCheck:
     n, k = a.shape
     if n != k:
         raise ValueError("unitarity is only defined for square matrices")
-    residual = float(unitary_residuals(a[None])[0])
+    adj, eye = a.conj().T, np.eye(n)
+    residual = max(float(np.linalg.norm(adj @ a - eye)), float(np.linalg.norm(a @ adj - eye)))
     return UnitaryCheck(residual <= tol, residual)
 
 

@@ -10,11 +10,11 @@ unique up to a gauge unitary acting on the center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_integer, as_matrix, certify, embed, numerical_rank
+from .linalg import Unitary, as_integer, as_matrix, certify, embed, numerical_rank
 from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
 from .spectral import schur_of_subspace
 
@@ -70,12 +70,33 @@ class OverlapFactorization:
     """Factor pair (u_lc, u_cr) of an overlapping factorization.
 
     The factors are stored on their own index groups (ascending ambient
-    order); embedding extends them by the identity elsewhere.
+    order); embedding extends them by the identity elsewhere.  Their
+    unitarity certificates are kept once made: ``construct_overlap`` and
+    ``cmv.standard_overlap`` hand theirs over, and a factorization built
+    from bare arrays is certified on first use.
     """
 
     partition: SubspacePartition
     u_lc: np.ndarray
     u_cr: np.ndarray
+    _certs: tuple = field(default=(), init=False, compare=False, repr=False)
+
+    @classmethod
+    def of_certified(cls, partition: SubspacePartition, u_lc: Unitary, u_cr: Unitary) -> OverlapFactorization:
+        """The factorization of two certified factors, keeping the certificates."""
+        fact = cls(partition, u_lc.matrix, u_cr.matrix)
+        object.__setattr__(fact, "_certs", (u_lc, u_cr))
+        return fact
+
+    def certified(self) -> tuple[Unitary, Unitary]:
+        """The factors as ``linalg.Unitary``, certified at most once; the
+        certificates hold read-only copies of the factors as first used."""
+        if not self._certs:
+            object.__setattr__(self, "_certs", (
+                certify(self.u_lc, what="left-center factor"),
+                certify(self.u_cr, what="center-right factor"),
+            ))
+        return self._certs
 
     def product(self) -> np.ndarray:
         part = self.partition
@@ -157,10 +178,10 @@ def construct_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_R
     u_lc = np.empty((len(lc), len(lc)), dtype=np.complex128)
     u_lc[:, _positions(lc, left)] = u[np.ix_(lc, left)]
     u_lc[:, _positions(lc, center)] = k @ w.conj().T
-    fact = OverlapFactorization(
+    fact = OverlapFactorization.of_certified(
         partition,
-        certify(u_lc, what="left-center factor").matrix,
-        certify(u_cr, what="center-right factor").matrix,
+        certify(u_lc, what="left-center factor"),
+        certify(u_cr, what="center-right factor"),
     )
     resid = fact.reconstruction_residual(u)
     if resid > FACTOR_TOL * scale:
@@ -237,7 +258,9 @@ def abstract_khrushchev_check(
     (1_{V_L} + f^R)(f^L + 1_{V_R}), where f^L is computed from the
     left-center factor on V_L + center and f^R from the center-right
     factor on center + V_R.  The product is gauge invariant even though
-    the individual factors are not.
+    the individual factors are not.  U and the factors are each certified
+    unitary at most once: a ``linalg.Unitary`` passes through, and so do
+    the certificates a factorization already holds.
     """
     u = certify(U)
     vl = tuple(sorted(as_integer(i) for i in v_l))
@@ -253,10 +276,11 @@ def abstract_khrushchev_check(
     ordered_v = vl + partition.center + vr
     f_v = schur_of_subspace(u, ordered_v, order)
 
+    u_lc, u_cr = fact.certified()
     lc_local = _positions(partition.lc, vl + partition.center)
     cr_local = _positions(partition.cr, partition.center + vr)
-    f_left = schur_of_subspace(fact.u_lc, lc_local, order)
-    f_right = schur_of_subspace(fact.u_cr, cr_local, order)
+    f_left = schur_of_subspace(u_lc, lc_local, order)
+    f_right = schur_of_subspace(u_cr, cr_local, order)
 
     lhs = direct_sum_series(MatrixPowerSeries.one(len(vl), order), f_right)
     rhs = direct_sum_series(f_left, MatrixPowerSeries.one(len(vr), order))

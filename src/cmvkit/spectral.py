@@ -10,6 +10,12 @@ coefficient.
 Two independent computations are kept side by side: the amplitude
 recursion, and the resolvent compression P (U - z Q)^{-1} P sampled on a
 small disk.  Any disagreement is raised, never papered over.
+
+The recursion permutes U once so that V comes first; each step is then a
+single product with U's columns outside V, and a_n is the head of the
+result.  The resolvent solves at every sample point in one stacked
+``np.linalg.solve`` in the original basis.  A ``linalg.Unitary`` passes
+through both without another unitarity check.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import certify, column_selector, index_tuple, unit_vector
+from .linalg import certify, index_tuple, unit_vector
 from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
@@ -30,20 +36,33 @@ _CHECK_HORIZON = 48
 
 def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     """a_n = P U (Q U)^{n-1} P for n = 1..horizon, as a (horizon, k, k)
-    stack whose entry n - 1 is a_n, via the obvious recursion: keep a block
-    of vectors, apply U, record the compression (v's rows, in v's order),
-    project out V (zero those rows), repeat."""
+    stack whose entry n - 1 is a_n.
+
+    U's rows are read once in a V-first order (v's indices in v's order,
+    then the rest ascending).  After the first step the block of vectors
+    lies outside V, so only U's columns outside V, M, act on it: each
+    step is one product M x into an n x k buffer whose first k rows are
+    a_n and whose other rows are the next block, with Q applied by
+    dropping V's rows.
+    """
     u = certify(U).matrix
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    idx = index_tuple(u.shape[0], v)
-    rows = np.array(idx, dtype=np.intp)
-    amps = np.empty((horizon, rows.size, rows.size), dtype=np.complex128)
-    x = column_selector(u.shape[0], idx)
-    for n in range(horizon):
-        x = u @ x
-        amps[n] = x[rows]
-        x[rows] = 0.0
+    n = u.shape[0]
+    idx, rest = _split(n, v)
+    k = idx.size
+    perm = np.concatenate((idx, rest))
+    amps = np.empty((horizon, k, k), dtype=np.complex128)
+    if horizon == 0:
+        return amps
+    m = u[np.ix_(perm, rest)]
+    x = u[np.ix_(perm, idx)]
+    y = np.empty_like(x)
+    amps[0] = x[:k]
+    for step in range(1, horizon):
+        np.matmul(m, x[k:], out=y)
+        amps[step] = y[:k]
+        x, y = y, x
     return amps
 
 
@@ -51,27 +70,22 @@ def resolvent_compression(U, v, z) -> np.ndarray:
     """Direct evaluation P (U - z Q)^{-1} P, the closed form of f_V(z).
 
     ``z`` is one point or a sequence of points; a sequence gives the values
-    stacked along a leading axis, with U certified unitary once.
+    stacked along a leading axis.  Every point goes through one stacked
+    solve, with U certified unitary once.
     """
     u = certify(U).matrix
     n = u.shape[0]
-    idx = index_tuple(n, v)
-    rows = np.array(idx, dtype=np.intp)
-    b = column_selector(n, idx)
+    idx, rest = _split(n, v)
+    k = idx.size
+    points = np.asarray(z, dtype=np.complex128)
+    zs = points.reshape(-1)
     # U - z Q differs from U only on the diagonal outside V
-    keep = np.ones(n, dtype=bool)
-    keep[rows] = False
-    diagonal = np.flatnonzero(keep) * (n + 1)
-
-    def compress(w):
-        shifted = u.copy()
-        shifted.flat[diagonal] -= w
-        return np.linalg.solve(shifted, b)[rows]
-
-    if np.ndim(z) == 0:
-        return compress(z)
-    # one solve per point: a stacked solve holds every shifted matrix at once
-    return np.stack([compress(w) for w in z])
+    shifted = np.repeat(u[None], zs.size, axis=0)
+    shifted.reshape(zs.size, n * n)[:, rest * (n + 1)] -= zs[:, None]
+    b = np.zeros((n, k), dtype=np.complex128)
+    b[idx, np.arange(k)] = 1.0
+    values = np.linalg.solve(shifted, np.broadcast_to(b, (zs.size, n, k)))[:, idx]
+    return values.reshape(points.shape + (k, k))
 
 
 def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
@@ -130,3 +144,11 @@ def return_statistics(U, v, psi, horizon: int) -> ReturnStatistics:
     cumulative = float(sum(probs))
     expected = float(sum((n + 1) * p for n, p in enumerate(probs)))
     return ReturnStatistics(probs, cumulative, expected)
+
+
+def _split(n: int, v) -> tuple[np.ndarray, np.ndarray]:
+    """V's indices in V's order, and the other indices below n ascending."""
+    idx = np.array(index_tuple(n, v), dtype=np.intp)
+    keep = np.ones(n, dtype=bool)
+    keep[idx] = False
+    return idx, np.flatnonzero(keep)

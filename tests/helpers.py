@@ -21,6 +21,27 @@ def direct_sum(*blocks) -> np.ndarray:
     return out
 
 
+def column_selector(dim: int, indices) -> np.ndarray:
+    """dim x len(indices) matrix whose k-th column is the basis vector e_{indices[k]}."""
+    b = np.zeros((dim, len(indices)), dtype=np.complex128)
+    for col, i in enumerate(indices):
+        b[i, col] = 1.0
+    return b
+
+
+def selector_recursion(u, idx, horizon: int) -> np.ndarray:
+    """a_n = P U (Q U)^{n-1} P in the original basis, with P = B B^dagger
+    for the selector B: apply U, compress, subtract the V part, repeat."""
+    b = column_selector(u.shape[0], idx)
+    amps = np.empty((horizon, len(idx), len(idx)), dtype=np.complex128)
+    x = b
+    for n in range(horizon):
+        y = u @ x
+        amps[n] = b.conj().T @ y
+        x = y - b @ amps[n]
+    return amps
+
+
 def grid_max_norm(f) -> float:
     """Largest operator norm of the series' truncated sum on the
     contractivity sample grid."""

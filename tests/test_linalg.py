@@ -4,12 +4,11 @@ unitarity, and the JSON wire format."""
 import numpy as np
 import pytest
 
-from cmvkit import linalg
+from cmvkit import cmv, linalg
 from cmvkit.catalog import double_diffusion_six
 from cmvkit.linalg import (
     as_matrix,
     certify,
-    column_selector,
     embed,
     hermitian_psd_sqrt,
     index_tuple,
@@ -21,8 +20,8 @@ from cmvkit.linalg import (
     unit_vector,
     unitary_residuals,
 )
-from cmvkit.schur import random_contraction, random_unitary, rho_left, rho_right
-from helpers import direct_sum
+from cmvkit.schur import random_contraction, random_parameters, random_unitary, rho_left, rho_right
+from helpers import column_selector, direct_sum
 
 
 class TestSubspace:
@@ -112,6 +111,29 @@ class TestIsUnitary:
         got = unitary_residuals(stack)
         want = [is_unitary(m).residual for m in stack]
         assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_single_matrix_path_matches_the_batched_residual(self, n, rng):
+        # is_unitary evaluates the 2-d formula directly; unitary_residuals
+        # keeps the stacked one for the Theta blocks
+        for m in (random_unitary(n, rng), random_unitary(n, rng) + 1e-6 * np.eye(n)):
+            single = is_unitary(m).residual
+            assert abs(single - unitary_residuals(m[None])[0]) <= 1e-15 * max(1.0, single)
+
+    def test_theta_stacks_take_the_batched_path(self, rng, monkeypatch):
+        # the build certifies its Theta blocks as one stack and the
+        # boundary as a stack of one, never through is_unitary
+        calls = []
+        original = linalg.unitary_residuals
+
+        def recording(stack):
+            calls.append(np.shape(stack))
+            return original(stack)
+
+        monkeypatch.setattr(linalg, "is_unitary", lambda *a, **k: calls.append("is_unitary"))
+        monkeypatch.setattr(cmv, "unitary_residuals", recording)
+        cmv.build_unitary(cmv.BlockOperatorSpec(random_parameters(2, 9, rng), "C", 10))
+        assert calls == [(9, 4, 4), (1, 2, 2)]
 
 
 class TestCertify:

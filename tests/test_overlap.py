@@ -13,7 +13,8 @@ from cmvkit.catalog import (
     double_diffusion_six,
     hadamard_coin,
 )
-from cmvkit.linalg import is_unitary
+from cmvkit.cmv import standard_overlap, window_spec
+from cmvkit.linalg import certify, is_unitary
 from cmvkit.overlap import (
     TIE_REL_TOL,
     OverlapFactorization,
@@ -23,7 +24,7 @@ from cmvkit.overlap import (
     construct_overlap,
     verify_gauge,
 )
-from cmvkit.schur import random_unitary
+from cmvkit.schur import random_parameters, random_unitary
 from cmvkit.series import coeff_distance
 from cmvkit.spectral import schur_of_subspace
 from helpers import direct_sum
@@ -343,3 +344,63 @@ class TestUnitarityCertificate:
         monkeypatch.setattr(linalg, "is_unitary", counting)
         construct_overlap(u, part)
         assert seen.count(True) == 1
+
+    def _count_checks(self, monkeypatch):
+        shapes = []
+        original = linalg.is_unitary
+
+        def counting(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return original(m, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "is_unitary", counting)
+        return shapes
+
+    def test_constructed_factors_are_not_certified_again(self, rng, monkeypatch):
+        u, part, _, _ = random_overlapping(rng, 2, 2, 3)
+        fact = construct_overlap(u, part)
+        shapes = self._count_checks(monkeypatch)
+        assert abstract_khrushchev_check(u, part, (0,), (4,), 10, fact).ok
+        assert shapes == [(7, 7)]
+
+    def test_a_certified_source_and_constructed_factors_need_no_check(self, rng, monkeypatch):
+        u, part, _, _ = random_overlapping(rng, 2, 2, 3)
+        cert = certify(u)
+        fact = construct_overlap(cert, part)
+        shapes = self._count_checks(monkeypatch)
+        assert abstract_khrushchev_check(cert, part, (0,), (4,), 10, fact).ok
+        assert shapes == []
+
+    def test_hand_made_factors_are_certified_on_first_use_only(self, rng, monkeypatch):
+        u, part, a, b = random_overlapping(rng, 2, 1, 2)
+        cert = certify(u)
+        fact = OverlapFactorization(part, a, b)
+        shapes = self._count_checks(monkeypatch)
+        for _ in range(2):
+            assert abstract_khrushchev_check(cert, part, (), (), 8, fact).ok
+        assert shapes == [(3, 3), (3, 3)]
+
+    def test_standard_overlap_hands_over_its_certificates(self, rng, monkeypatch):
+        spec = window_spec(random_parameters(2, 12, rng), "C", 0, 6)
+        fact = standard_overlap(spec, 3)
+        shapes = self._count_checks(monkeypatch)
+        fact.certified()
+        assert shapes == []
+
+    @pytest.mark.parametrize("side", ["u_lc", "u_cr"])
+    def test_a_perturbed_hand_made_factor_is_refused(self, rng, side):
+        u, part, a, b = random_overlapping(rng, 2, 1, 2)
+        factors = {"u_lc": a.copy(), "u_cr": b.copy()}
+        factors[side][0, 0] += 1e-6
+        fact = OverlapFactorization(part, **factors)
+        with pytest.raises(ValueError, match="factor is not unitary"):
+            abstract_khrushchev_check(certify(u), part, (), (), 8, fact)
+
+    def test_the_certificate_memo_is_invisible_to_eq_and_repr(self, rng):
+        u, part, a, b = random_overlapping(rng, 2, 1, 2)
+        plain = OverlapFactorization(part, a, b)
+        used = OverlapFactorization(part, a, b)
+        text = repr(used)
+        abstract_khrushchev_check(u, part, (), (), 8, used)
+        assert used.certified() and not plain._certs
+        assert used == plain and repr(used) == repr(plain) == text

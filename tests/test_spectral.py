@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmvkit.catalog import (
     diffusion_center_schur,
@@ -10,11 +11,11 @@ from cmvkit.catalog import (
     hadamard_coin_schur,
 )
 from cmvkit.cmv import block_subspace, build, window_spec
-from cmvkit.linalg import column_selector
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import SchurParameters, random_parameters, random_unitary
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit import spectral
+from helpers import column_selector, selector_recursion
 from cmvkit.spectral import (
     RESOLVENT_SAMPLES,
     caratheodory_of_subspace,
@@ -79,16 +80,6 @@ class TestFirstReturn:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_indexed_recursion_matches_the_selector_recursion(self, d, rng):
-        def selector_recursion(u, idx, horizon):
-            b = column_selector(u.shape[0], idx)
-            amps, x = [], b
-            for _ in range(horizon):
-                y = u @ x
-                a = b.conj().T @ y
-                amps.append(a)
-                x = y - b @ a
-            return amps
-
         p = random_parameters(d, 30, rng)
         for family in ("C", "Chat"):
             spec = window_spec(p, family, 5, 20)
@@ -111,6 +102,44 @@ class TestFirstReturn:
             for z in RESOLVENT_SAMPLES:
                 want = b.conj().T @ np.linalg.solve(u - z * q, b)
                 assert np.array_equal(resolvent_compression(u, idx, z), want), (idx, z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), k=st.integers(1, 8),
+           horizon=st.integers(0, 80), shuffled=st.booleans())
+    def test_v_first_kernel_matches_the_selector_recursion(self, seed, n, k, horizon, shuffled):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(n, rng)
+        k = min(k, n)
+        # shuffled: any k indices in a random order; otherwise k indices
+        # in descending order, so neither is the ascending basis order
+        if shuffled:
+            idx = tuple(int(i) for i in rng.permutation(n)[:k])
+        else:
+            idx = tuple(sorted((int(i) for i in rng.choice(n, k, replace=False)), reverse=True))
+        got = first_return_amplitudes(u, idx, horizon)
+        want = selector_recursion(u, idx, horizon)
+        assert got.shape == want.shape == (horizon, k, k)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 100), k=st.integers(1, 6))
+    def test_stacked_resolvent_matches_the_projector_form(self, seed, n, k):
+        rng = np.random.default_rng(seed)
+        u = random_unitary(n, rng)
+        idx = tuple(int(i) for i in rng.permutation(n)[: min(k, n)])
+        b = column_selector(n, idx)
+        q = np.eye(n) - b @ b.conj().T
+        stacked = resolvent_compression(u, idx, RESOLVENT_SAMPLES)
+        for z, value in zip(RESOLVENT_SAMPLES, stacked):
+            assert np.array_equal(value, b.conj().T @ np.linalg.solve(u - z * q, b)), z
+
+    def test_whole_space_and_empty_subspace(self, rng):
+        u = random_unitary(5, rng)
+        amps = first_return_amplitudes(u, (3, 0, 4, 1, 2), 3)
+        p = u[np.ix_((3, 0, 4, 1, 2), (3, 0, 4, 1, 2))]
+        assert np.array_equal(amps[0], p) and not amps[1:].any()
+        assert first_return_amplitudes(u, (), 4).shape == (4, 0, 0)
+        assert resolvent_compression(u, (), RESOLVENT_SAMPLES).shape == (8, 0, 0)
 
     def test_amplitude_index_bounds(self):
         # entry n - 1 is a_n: a horizon h stack holds a_1..a_h, no more
