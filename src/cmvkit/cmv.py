@@ -51,20 +51,10 @@ def theta(alpha) -> np.ndarray:
 
 
 def _theta_stack(p: SchurParameters, lo: int, hi: int) -> np.ndarray:
-    """Theta blocks of alpha_lo..alpha_{hi-1} as one stack, from the
-    defects stored on the parameter set."""
-    d = p.block_dim
-    idx = range(lo, hi)
-    defects = [p.defects(i) for i in idx]
-
-    def stack(mats):
-        return np.array(list(mats), dtype=np.complex128).reshape(len(idx), d, d)
-
-    return _fill_thetas(
-        stack(p.alpha(i) for i in idx),
-        stack(t[0] for t in defects),
-        stack(t[1] for t in defects),
-    )
+    """Theta blocks of alpha_lo..alpha_{hi-1} as one stack, sliced from the
+    parameter and defect stacks stored on the parameter set."""
+    alphas, rl, rr, _, _ = p.stacks()
+    return _fill_thetas(alphas[lo:hi], rl[lo:hi], rr[lo:hi])
 
 
 @dataclass(frozen=True)

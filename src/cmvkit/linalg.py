@@ -30,6 +30,17 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def as_stack(m) -> np.ndarray:
+    """Coerce to a finite complex128 array of one matrix or a (..., n, m)
+    stack of them."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"expected a 2-d array or a stack of them, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    return a
+
+
 def as_integer(value, what: str = "index") -> int:
     """value as a Python int.  Python and numpy integers pass; bools,
     floats, strings and everything else raise, so nothing is truncated."""
@@ -91,27 +102,40 @@ def unit_vector(psi) -> np.ndarray:
 
 
 def hermitian_psd_sqrt(m, clamp: float = EIG_CLAMP) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix via eigendecomposition.
+    """Principal square root of a Hermitian PSD matrix via eigendecomposition,
+    or of each matrix of a (..., n, n) stack in one batched pass.
 
     Eigenvalues in [-clamp, 0) are clamped to zero; anything below -clamp is
     rejected.  The clamp matters for defect matrices 1 - a†a of contractions
     with norm close to 1, where roundoff can push eigenvalues slightly
-    negative.
+    negative.  A rejected member of a stack is named by its index.  Each
+    member's root is the same bits as the root of that matrix alone.
     """
-    a = as_matrix(m)
-    n, k = a.shape
-    if n != k:
+    a = as_stack(m)
+    if a.shape[-1] != a.shape[-2]:
         raise ValueError("square matrix required")
-    scale = max(1.0, float(np.linalg.norm(a)))
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > 1e-10 * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    if w.size and float(w.min()) < -clamp:
-        raise ValueError(f"eigenvalue {w.min():.3e} below -clamp; not PSD")
+    adj = a.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    defect = np.linalg.norm(a - adj, axis=(-2, -1))
+    bad = np.flatnonzero(defect > 1e-10 * scale)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"matrix{_member(a, i)} is not Hermitian (defect {defect.flat[i]:.3e})")
+    w, v = np.linalg.eigh((a + adj) / 2.0)
+    low = w.min(axis=-1, initial=np.inf)
+    bad = np.flatnonzero(low < -clamp)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"eigenvalue {low.flat[i]:.3e}{_member(a, i, ' of matrix')} below -clamp; not PSD")
     w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2.0
+    r = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (r + r.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _member(a, i: int, what: str = "") -> str:
+    """' <what> i' naming member i (in row-major order) of a stack a, ''
+    when a is one matrix."""
+    return f"{what} {i}" if a.ndim > 2 else ""
 
 
 def numerical_rank(m, rel_tol: float = RANK_REL_TOL) -> int:

@@ -26,6 +26,7 @@ import numpy as np
 from .linalg import (
     as_integer,
     as_matrix,
+    as_stack,
     certify,
     hermitian_psd_sqrt,
     matrix_from_json,
@@ -47,15 +48,17 @@ GROWTH_BOUND = 1e2
 
 
 def rho_left(alpha) -> np.ndarray:
-    """Left defect (1 - a†a)^(1/2)."""
-    a = as_matrix(alpha)
-    return hermitian_psd_sqrt(np.eye(a.shape[1]) - a.conj().T @ a)
+    """Left defect (1 - a†a)^(1/2), of one parameter or of each parameter
+    of a (..., d, d) stack in one batched pass."""
+    a = as_stack(alpha)
+    return hermitian_psd_sqrt(np.eye(a.shape[-1]) - a.conj().swapaxes(-1, -2) @ a)
 
 
 def rho_right(alpha) -> np.ndarray:
-    """Right defect (1 - aa†)^(1/2)."""
-    a = as_matrix(alpha)
-    return hermitian_psd_sqrt(np.eye(a.shape[0]) - a @ a.conj().T)
+    """Right defect (1 - aa†)^(1/2), of one parameter or of each parameter
+    of a (..., d, d) stack in one batched pass."""
+    a = as_stack(alpha)
+    return hermitian_psd_sqrt(np.eye(a.shape[-2]) - a @ a.conj().swapaxes(-1, -2))
 
 
 def _frozen(m) -> np.ndarray:
@@ -77,29 +80,37 @@ class SchurParameters:
     alphas: tuple
     terminal: Optional[np.ndarray] = None
     # Derived data, computed once per parameter set and kept out of ==,
-    # repr and JSON: the operator norm and the defects of each parameter,
-    # and the synthesized iterates of p ("f") and of its reflection ("b")
-    # per (kind, order, m).
+    # repr and JSON: the operator norm of each parameter, the parameters
+    # as one read-only (len, d, d) stack and, on first use, their defects
+    # as four more, the per-index views handed out by defects(j), and the
+    # synthesized iterates of p ("f") and of its reflection ("b") per
+    # (kind, order, m).
     _norms: tuple = field(default=(), init=False, compare=False, repr=False)
-    _defects: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _stack: np.ndarray = field(default=None, init=False, compare=False, repr=False)
+    _defects: tuple = field(default=(), init=False, compare=False, repr=False)
+    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.block_dim
         if d < 1:
             raise ValueError("block_dim must be positive")
-        mats, norms = [], []
+        mats = []
         for j, a in enumerate(self.alphas):
             m = _frozen(a)
             if m.shape != (d, d):
                 raise ValueError(f"parameter {j} is not {d}x{d}")
-            norm = op_norm(m)
-            if norm >= 1.0 - STRICT_MARGIN:
-                raise ValueError(f"parameter {j} has norm {norm:.12f}; need a strict contraction")
             mats.append(m)
-            norms.append(norm)
+        stack = np.stack(mats) if mats else np.empty((0, d, d), dtype=np.complex128)
+        stack.setflags(write=False)
+        norms = np.linalg.norm(stack, 2, axis=(1, 2))
+        bad = np.flatnonzero(norms >= 1.0 - STRICT_MARGIN)
+        if bad.size:
+            j = bad[0]
+            raise ValueError(f"parameter {j} has norm {norms[j]:.12f}; need a strict contraction")
         object.__setattr__(self, "alphas", tuple(mats))
-        object.__setattr__(self, "_norms", tuple(norms))
+        object.__setattr__(self, "_norms", tuple(norms.tolist()))
+        object.__setattr__(self, "_stack", stack)
         if self.terminal is not None:
             t = certify(self.terminal, what="terminal").matrix
             if t.shape != (d, d):
@@ -116,14 +127,26 @@ class SchurParameters:
     def alpha(self, j: int) -> np.ndarray:
         return self.alphas[j]
 
+    def stacks(self) -> tuple:
+        """(alpha, rho_L, rho_R, rho_L^-1, rho_R^-1) of every parameter as
+        five read-only (len, d, d) stacks.  The defects are computed for the
+        whole set on first use: one batched root per side, checked Hermitian
+        and PSD, and one batched inverse per side."""
+        if not self._defects:
+            rl, rr = rho_left(self._stack), rho_right(self._stack)
+            defects = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
+            for m in defects:
+                m.setflags(write=False)
+            object.__setattr__(self, "_defects", defects)
+        return (self._stack, *self._defects)
+
     def defects(self, j: int) -> tuple:
-        """(rho_L, rho_R, rho_L^-1, rho_R^-1) of alpha_j, computed on first
-        use."""
-        if j not in self._defects:
-            a = self.alphas[j]
-            rl, rr = rho_left(a), rho_right(a)
-            self._defects[j] = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
-        return self._defects[j]
+        """(rho_L, rho_R, rho_L^-1, rho_R^-1) of alpha_j: views of row j of
+        stacks()."""
+        row = self._rows.get(j)
+        if row is None:
+            row = self._rows[j] = tuple(m[j] for m in self.stacks()[1:])
+        return row
 
 
 def iterate(p: SchurParameters, j: int) -> SchurParameters:
@@ -155,23 +178,23 @@ def mobius_step(
     the product of the kappas since the last division would pass
     GROWTH_BOUND, and at the end.
 
-    ``defects`` and ``norms`` give each parameter's (rho_L, rho_R, rho_L^-1,
-    rho_R^-1) and operator norm (one tuple and one float for a single
-    parameter) when a SchurParameters has already validated the run;
-    without them the run is validated as one.  The result is truncated at
-    ``order``, by default f.order + r, the last coefficient the run
-    determines.
+    ``defects`` and ``norms`` give the run's (rho_L, rho_R, rho_L^-1,
+    rho_R^-1) as four (r, d, d) stacks and its operator norms (one tuple
+    of matrices and one float for a single parameter) when a
+    SchurParameters has already validated the run; without them the run
+    is validated as one.  The result is truncated at ``order``, by default
+    f.order + r, the last coefficient the run determines.
     """
     single = np.ndim(alpha) == 2
     d = f.block_dim
     if defects is None:
         p = SchurParameters(d, (alpha,) if single else tuple(alpha))
-        run, norms = p.alphas, p._norms
-        defects = [p.defects(i) for i in range(len(p))]
+        run, *defects = p.stacks()
+        norms = p._norms
     elif single:
-        run, defects, norms = [as_matrix(alpha)], [defects], [norms]
+        run, defects, norms = [as_matrix(alpha)], [[m] for m in defects], [norms]
     else:
-        run = [as_matrix(a) for a in alpha]
+        run = as_stack(alpha)
     n = f.order + len(run) if order is None else order
     if n > f.order + len(run):
         raise ValueError(f"the run determines coefficients 0..{f.order + len(run)} only")
@@ -179,7 +202,8 @@ def mobius_step(
     den, num = one, np.zeros_like(one)
     num[: f.order + 1] = f.coeffs[: n + 1]
     growth = 1.0
-    for a, (_, _, rl_inv, rr_inv), norm in zip(run[::-1], defects[::-1], norms[::-1]):
+    _, _, rl_invs, rr_invs = defects
+    for a, rl_inv, rr_inv, norm in zip(run[::-1], rl_invs[::-1], rr_invs[::-1], norms[::-1]):
         kappa = (1.0 + norm) / np.sqrt(1.0 - norm * norm)
         if growth > 1.0 and growth * kappa > GROWTH_BOUND:
             den, num, growth = one, left_divide(den, num), 1.0
@@ -246,16 +270,18 @@ def _series(p: SchurParameters, kind: str, m: int, order: int) -> MatrixPowerSer
         seed = MatrixPowerSeries.constant(terminal, order)
     else:
         seed = MatrixPowerSeries.zero(d, order)
+    alphas, rl, rr, rl_inv, rr_inv = p.stacks()
     if kind == "f":
-        run = p.alphas[m:stop]
-        defects = [p.defects(i) for i in range(m, stop)]
+        run = alphas[m:stop]
+        defects = (rl[m:stop], rr[m:stop], rl_inv[m:stop], rr_inv[m:stop])
         norms = p._norms[m:stop]
     else:
-        sources = range(n - 1 - m, n - 1 - stop, -1)
-        # the same expression as inverse_iterate, so the same bits
-        run = [-p.alphas[i].conj().T for i in sources]
-        defects = [(rr, rl, rr_inv, rl_inv) for rl, rr, rl_inv, rr_inv in map(p.defects, sources)]
-        norms = [p._norms[i] for i in sources]
+        # parameters n-1-m down to n-stop; negation and adjoint are exact,
+        # so this is the same bits as inverse_iterate
+        rev = slice(n - stop, n - m)
+        run = -alphas[rev][::-1].conj().swapaxes(1, 2)
+        defects = (rr[rev][::-1], rl[rev][::-1], rr_inv[rev][::-1], rl_inv[rev][::-1])
+        norms = p._norms[rev][::-1]
     f = mobius_step(run, seed, defects, norms, order)
     f.mark_schur().coeffs.setflags(write=False)
     p._series[key] = f
@@ -313,13 +339,30 @@ def binary_transform(
 
 
 def random_contraction(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian matrix rescaled to operator norm 0.9 r, r ~ U(0,1)."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    target = 0.9 * rng.uniform(0.0, 1.0)
-    norm = op_norm(g)
-    if norm == 0.0:
-        return np.zeros((d, d), dtype=np.complex128)
-    return np.asarray(g, dtype=np.complex128) * (target / norm)
+    """Complex Gaussian matrix rescaled to operator norm 0.9 r, r ~ U(0,1):
+    the one-parameter case of _random_contractions."""
+    return _random_contractions(d, 1, rng)[0]
+
+
+def _random_contractions(d: int, length: int, rng: np.random.Generator) -> np.ndarray:
+    """(length, d, d) stack of complex Gaussian matrices, each rescaled to
+    operator norm 0.9 r, r ~ U(0,1); a zero matrix stays zero.
+
+    Each parameter draws its real part, its imaginary part and then r, in
+    that order (one normal draw of shape (2, d, d), then rng.random(),
+    which is the same bits as rng.uniform(0, 1)), so a seeded set is the
+    same bits as drawing and scaling one parameter at a time.  All of them
+    are rescaled after one batched norm.
+    """
+    parts, r = np.empty((length, 2, d, d)), np.empty(length)
+    normal, uniform = rng.standard_normal, rng.random
+    for j in range(length):
+        normal((2, d, d), out=parts[j])
+        r[j] = uniform()
+    g = parts[:, 0] + 1j * parts[:, 1]
+    norm = np.linalg.norm(g, 2, axis=(1, 2))
+    scale = np.divide(0.9 * r, norm, out=np.zeros(length), where=norm > 0.0)
+    return g * scale[:, None, None]
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -339,7 +382,7 @@ def random_parameters(
         raise ValueError(f"'d' must be positive, got {d}")
     if length < 0:
         raise ValueError(f"'length' must be nonnegative, got {length}")
-    alphas = tuple(random_contraction(d, rng) for _ in range(length))
+    alphas = tuple(_random_contractions(d, length, rng))
     term = random_unitary(d, rng) if terminal else None
     return SchurParameters(d, alphas, term)
 

@@ -59,3 +59,16 @@ def loop_inverse(f):
         acc = np.einsum("iab,ibc->ac", f.coeffs[1 : k + 1], out[:k][::-1])
         out[k] = -inv0 @ acc
     return MatrixPowerSeries(out)
+
+
+def draw_contraction(d: int, rng) -> np.ndarray:
+    """One random contraction drawn and scaled on its own: a complex
+    Gaussian matrix (real part, then imaginary part), then r ~ U(0,1), then
+    a rescale to operator norm 0.9 r; a zero matrix stays zero.  The
+    per-draw reference for the library's batched draw."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    target = 0.9 * rng.uniform(0.0, 1.0)
+    norm = float(np.linalg.norm(g, 2))
+    if norm == 0.0:
+        return np.zeros((d, d), dtype=np.complex128)
+    return np.asarray(g, dtype=np.complex128) * (target / norm)

@@ -631,8 +631,10 @@ class TestCertificate:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_corrupted_defects_name_their_block(self, family, rng):
         p = random_parameters(2, 6, rng, terminal=True)
-        rl, *rest = p.defects(3)
-        p._defects[3] = (1.01 * rl, *rest)
+        _, rl, *rest = p.stacks()
+        rl = rl.copy()
+        rl[3] *= 1.01
+        object.__setattr__(p, "_defects", (rl, *rest))
         with pytest.raises(ValueError, match="not unitary.*alpha_3"):
             build(BlockOperatorSpec(p, family, 7))
 

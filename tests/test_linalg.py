@@ -70,6 +70,35 @@ class TestPsdSqrt:
         assert s[0, 0] == 0.0
 
 
+class TestPsdSqrtStack:
+    def test_each_member_is_its_own_root_bit_for_bit(self, rng):
+        g = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        stack = g @ g.conj().swapaxes(1, 2)
+        stack[4] = 0.0
+        got = hermitian_psd_sqrt(stack)
+        assert got.shape == (6, 3, 3)
+        assert all(np.array_equal(got[i], hermitian_psd_sqrt(stack[i])) for i in range(6))
+        assert hermitian_psd_sqrt(stack[:0]).shape == (0, 3, 3)
+
+    def test_a_non_hermitian_member_is_named(self):
+        stack = np.stack([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[1.0, 2.0], [3.0, 1.0]]])
+        with pytest.raises(ValueError, match=r"^matrix 2 is not Hermitian"):
+            hermitian_psd_sqrt(stack)
+
+    def test_a_member_below_the_clamp_is_named(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-13]), np.diag([1.0, -1e-3]), -np.eye(2)])
+        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e-03 of matrix 2 below -clamp"):
+            hermitian_psd_sqrt(stack)
+        # a dip inside the clamp is absorbed, as for a single matrix
+        assert hermitian_psd_sqrt(stack[:2])[1, 1, 1] == 0.0
+
+    def test_a_lone_matrix_names_no_member(self):
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian"):
+            hermitian_psd_sqrt([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e\+00 below -clamp"):
+            hermitian_psd_sqrt([[-1.0]])
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((4, 4))) == 0

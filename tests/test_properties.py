@@ -23,6 +23,7 @@ from cmvkit.schur import (
     iterate_series,
     mobius_step,
     parameters_from_json,
+    random_contraction,
     random_parameters,
     random_unitary,
     rho_left,
@@ -38,7 +39,7 @@ from cmvkit.series import (
     schur_to_caratheodory,
 )
 from cmvkit.spectral import first_return_amplitudes, return_statistics
-from helpers import direct_sum, loop_inverse
+from helpers import direct_sum, draw_contraction, loop_inverse
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 contractions = st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow_nan=False)
@@ -301,6 +302,73 @@ def test_reflected_defects_are_read_off_the_parameter_bit_for_bit(seed, d, top):
         assert np.array_equal(got, want)
     reflected = inverse_iterate(p, 1)
     assert all(np.array_equal(x, y) for x, y in zip(reflected.defects(0), (rr, rl, rr_inv, rl_inv)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(1, 4),
+    length=st.integers(0, 40),
+    top=st.floats(0.0, 1.0 - 1e-9),
+    zero_at=st.integers(0, 40),
+)
+def test_stacked_defects_are_the_per_parameter_defects_bit_for_bit(seed, d, length, top, zero_at):
+    # one batched pass over the set gives every parameter the bits of its
+    # own roots and inverses, near the unit sphere and at an exact zero
+    p = _parameters_of_norm(seed, d, length, top, False)
+    if zero_at < length:
+        alphas = list(p.alphas)
+        alphas[zero_at] = np.zeros((d, d))
+        p = SchurParameters(d, tuple(alphas))
+    stacks = p.stacks()
+    assert [m.shape for m in stacks] == [(length, d, d)] * 5
+    assert not any(m.flags.writeable for m in stacks)
+    for j, a in enumerate(p.alphas):
+        rl, rr = rho_left(a), rho_right(a)
+        want = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
+        assert all(np.array_equal(m[j], w) for m, w in zip(stacks[1:], want)), j
+        assert all(np.array_equal(x, w) for x, w in zip(p.defects(j), want)), j
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, d=st.integers(1, 4), length=st.integers(0, 40), terminal=st.booleans())
+def test_random_parameters_are_the_per_draw_loop_bit_for_bit(seed, d, length, terminal):
+    # the batched draw keeps the per-parameter order (real part, imaginary
+    # part, radius) and then the terminal, so seeded sets keep their bits
+    rng = np.random.default_rng(seed)
+    p = random_parameters(d, length, rng, terminal)
+    loop = np.random.default_rng(seed)
+    want = [draw_contraction(d, loop) for _ in range(length)]
+    assert len(p) == length
+    assert all(np.array_equal(a, w) for a, w in zip(p.alphas, want))
+    if terminal:
+        assert np.array_equal(p.terminal, random_unitary(d, loop))
+    else:
+        assert p.terminal is None
+    assert np.array_equal(random_contraction(d, rng), draw_contraction(d, loop))
+    assert rng.bit_generator.state == loop.bit_generator.state
+
+
+class _ZeroDraws:
+    """Stand-in generator whose Gaussian draws are all exactly zero."""
+
+    def standard_normal(self, shape, out=None):
+        if out is None:
+            return np.zeros(shape)
+        out[...] = 0.0
+        return out
+
+    def random(self):
+        return 0.5
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+
+def test_a_zero_draw_stays_zero():
+    assert np.array_equal(random_contraction(3, _ZeroDraws()), draw_contraction(3, _ZeroDraws()))
+    p = random_parameters(2, 4, _ZeroDraws())
+    assert all(np.array_equal(a, np.zeros((2, 2))) for a in p.alphas)
 
 
 @settings(max_examples=25, deadline=None)

@@ -47,6 +47,27 @@ class TestParameterValidation:
         p = scalar_params([0.5, -0.25j], terminal=1j)
         assert len(p) == 2 and p.finite
 
+    def test_several_bad_parameters_name_the_first(self):
+        with pytest.raises(
+            ValueError, match=r"^parameter 1 has norm 1\.500000000000; need a strict contraction$"
+        ):
+            scalar_params([0.5, 1.5, 0.2, 2.0, 1.0])
+
+    def test_shape_is_checked_before_any_norm(self):
+        # parameter 0 is no contraction, but parameter 2's shape is
+        # refused first
+        alphas = (2 * np.eye(2), np.zeros((2, 2)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"^parameter 2 is not 2x2$"):
+            SchurParameters(2, alphas)
+
+    @pytest.mark.parametrize("terminal", [None, 1j * np.eye(2)])
+    def test_empty_sets_build(self, terminal):
+        p = SchurParameters(2, (), terminal)
+        assert len(p) == 0 and p._norms == ()
+        assert [m.shape for m in p.stacks()] == [(0, 2, 2)] * 5
+        if terminal is not None:
+            assert np.array_equal(synthesize(p, 3).coeff(0), terminal)
+
     def test_random_parameters_reject_a_negative_length(self, rng):
         with pytest.raises(ValueError, match="'length' must be nonnegative, got -3"):
             random_parameters(1, -3, rng)
@@ -211,6 +232,8 @@ class TestParameterMemo:
     def test_every_iterate_and_inverse_iterate_takes_two_roots_per_parameter(
         self, d, length, rng, monkeypatch
     ):
+        # every parameter's two roots are taken once, in one batched root
+        # per side over the whole set, and never again
         p = random_parameters(d, length, rng, terminal=True)
         calls = []
         original = schur.hermitian_psd_sqrt
@@ -220,10 +243,13 @@ class TestParameterMemo:
             return original(m)
 
         monkeypatch.setattr(schur, "hermitian_psd_sqrt", counting)
+        iterate_series(p, 0, 7)
+        assert calls == [(length, d, d)] * 2
         for j in range(length + 1):
             iterate_series(p, j, 7)
             inverse_iterate_series(p, j, 7)
-        assert len(calls) == 2 * length
+            p.defects(j % length)
+        assert calls == [(length, d, d)] * 2
 
     def test_shared_series_reject_out_of_range_indices(self):
         p = scalar_params([0.3, 0.2])
@@ -285,7 +311,7 @@ class TestMobiusStep:
         got = mobius_step(p.alphas, f)
         assert got.order == want.order == 12
         assert coeff_distance(got, want) < 1e-13
-        validated = mobius_step(p.alphas, f, [p.defects(i) for i in range(7)], p._norms)
+        validated = mobius_step(p.alphas, f, p.stacks()[1:], p._norms)
         assert np.array_equal(validated.coeffs, got.coeffs)
         assert mobius_step(p.alphas, f, order=3).order == 3
         with pytest.raises(ValueError, match="determines coefficients 0..12"):
