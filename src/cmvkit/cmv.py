@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, Unitary, as_integer, as_matrix, embed, unitary_residuals
+from .linalg import UNITARY_TOL, Unitary, as_integer, as_matrix, unitary_residuals
 from .overlap import OverlapFactorization, SubspacePartition
 from .schur import SchurParameters, rho_left, rho_right
 
@@ -185,19 +185,17 @@ def _assemble(family: str, p: SchurParameters, lo: int, hi: int, boundary) -> Un
         what = "built CMV matrix"
     else:
         m, d = len(thetas), boundary.shape[0]
-        dim = (m + 1) * d
-        close = np.eye(dim, dtype=np.complex128)
-        close[m * d :, m * d :] = boundary.conj().T
-        rotations = [embed(t, range(i * d, (i + 2) * d), dim) for i, t in enumerate(thetas)]
-        out = np.eye(dim, dtype=np.complex128)
+        out = np.eye((m + 1) * d, dtype=np.complex128)
+        # a rotation on blocks i, i+1 multiplying from the right changes
+        # only their 2d columns, so it is applied to those in place
         if family == "H":
-            for r in rotations:
-                out = out @ r
-            out = out @ close
+            for i in range(m):
+                out[:, i * d : (i + 2) * d] = out[:, i * d : (i + 2) * d] @ thetas[i]
+            out[:, m * d :] = out[:, m * d :] @ boundary.conj().T
         else:
-            out = close
-            for r in reversed(rotations):
-                out = out @ r
+            out[m * d :, m * d :] = boundary.conj().T
+            for i in reversed(range(m)):
+                out[:, i * d : (i + 2) * d] = out[:, i * d : (i + 2) * d] @ thetas[i]
         bound = float(np.sum(res))
         what = "built Hessenberg matrix"
     bound += closing

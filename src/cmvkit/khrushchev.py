@@ -49,7 +49,7 @@ from .series import (
     MatrixPowerSeries,
     caratheodory_to_schur,
     coeff_distance,
-    direct_sum_series,
+    convolve,
     schur_to_caratheodory,
 )
 from .spectral import schur_of_subspace
@@ -135,8 +135,13 @@ def substitute_into_truncation(
     closing coefficient and the iterate f_k the upper one.  b_j multiplies
     T from the left when the head across V_j is the center-right factor,
     and f_k from the left when the head across V_k is the left-center
-    factor (cmv.head_is_left); two factors on one side form one direct
-    sum b_j + 1 + f_k.
+    factor (cmv.head_is_left).
+
+    The result is D_L T^dagger D_R, where D_L and D_R are the identity but
+    for the series on their first (b_j) or last (f_k) block.  So only the
+    rows of a left end and the columns of a right end carry series, each a
+    series times a constant, and the one entry where a left end's rows meet
+    a right end's columns is a d x d product of two series.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
@@ -144,20 +149,29 @@ def substitute_into_truncation(
         raise ValueError("need 0 <= j < k")
     if k > len(params):
         raise ValueError(f"block {k} does not exist for {len(params)} coefficients")
-    d = params.block_dim
+    d, m = params.block_dim, order + 1
     n_blocks = len(params) + 1 if params.finite else k + 1
-    trunc = unitary_truncation(BlockOperatorSpec(params, family, n_blocks), j, k)
-    mid = MatrixPowerSeries.constant(trunc.conj().T, order)
-    f_k = iterate_series(params, k, order)
-    b_j = inverse_iterate_series(params, j, order)
-    one = MatrixPowerSeries.one
-    w = (k - j) * d
-    b_left, f_left = not head_is_left(family, j), head_is_left(family, k)
-    if b_left == f_left:
-        ends = direct_sum_series(b_j, one(w - d, order), f_k)
-        return ends * mid if b_left else mid * ends
-    b_end, f_end = direct_sum_series(b_j, one(w, order)), direct_sum_series(one(w, order), f_k)
-    return b_end * mid * f_end if b_left else f_end * mid * b_end
+    adj = unitary_truncation(BlockOperatorSpec(params, family, n_blocks), j, k).conj().T
+    w = adj.shape[0]
+    ends = (
+        (inverse_iterate_series(params, j, order).coeffs, slice(0, d), not head_is_left(family, j)),
+        (iterate_series(params, k, order).coeffs, slice(w - d, w), head_is_left(family, k)),
+    )
+    out = np.zeros((m, w, w), dtype=np.complex128)
+    out[0] = adj
+    for s, rows, on_left in ends:
+        if on_left:
+            out[:, rows] = (s.reshape(m * d, d) @ adj[rows]).reshape(m, d, w)
+    for t, cols, on_left in ends:
+        if not on_left:
+            # where a left end's rows meet these columns, the one product
+            # of two series: (s T^dagger)[rows, cols] times t
+            corners = [(rows, convolve(out[:, rows, cols], t)) for _, rows, left in ends if left]
+            by_t = adj[:, cols] @ t.transpose(1, 0, 2).reshape(d, m * d)
+            out[:, :, cols] = by_t.reshape(w, m, d).transpose(1, 0, 2)
+            for rows, corner in corners:
+                out[:, rows, cols] = corner
+    return MatrixPowerSeries(out)
 
 
 def _range_report(

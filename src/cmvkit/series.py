@@ -5,6 +5,8 @@ matrix.  Binary operations truncate to the shorter order, and every output
 coefficient depends only on input coefficients of the same or lower index,
 so fixed-order pipelines lose nothing below the truncation order.
 
+Every series product of two non-constant factors runs through one
+kernel, convolve, that forms all coefficient products in one GEMM.
 Every series quotient runs through one causal loop, left_divide (D^(-1) N):
 inverse() is D^(-1) 1, and a / b = a b^(-1) runs it on transposes.
 
@@ -18,6 +20,7 @@ import csv
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .linalg import as_matrix
 
@@ -28,6 +31,10 @@ CONTRACTIVITY_GRID: tuple[complex, ...] = tuple(
     r * np.exp(2j * np.pi * k / 8) for r in _RINGS for k in range(8)
 )
 CONTRACTIVITY_TOL = 1e-6
+# relative margin below a limit under which a Frobenius norm clears a
+# matrix without its SVD: it covers the rounding of both norms, so the
+# cleared matrices are ones whose SVD norm is below the limit as well
+_CLEAR_MARGIN = 256 * np.finfo(np.float64).eps
 
 
 class MatrixPowerSeries:
@@ -125,18 +132,13 @@ class MatrixPowerSeries:
         if o.block_dim != self.block_dim:
             raise ValueError("block dimension mismatch")
         n = min(self.order, o.order)
-        # a constant factor makes every other term of the loop an exact
-        # zero; adding 0.0 turns -0.0 into 0.0 as the loop's sums do
+        # a constant factor makes every other product of the convolution
+        # an exact zero; adding 0.0 turns -0.0 into 0.0 as convolve does
         if not o.coeffs[1 : n + 1].any():
             return MatrixPowerSeries(self.coeffs[: n + 1] @ o.coeffs[0] + 0.0)
         if not self.coeffs[1 : n + 1].any():
             return MatrixPowerSeries(self.coeffs[0] @ o.coeffs[: n + 1] + 0.0)
-        d = self.block_dim
-        out = np.zeros((n + 1, d, d), dtype=np.complex128)
-        for i in range(n + 1):
-            # broadcasts (d, d) @ (n+1-i, d, d) over the coefficient axis
-            out[i:] += self.coeffs[i] @ o.coeffs[: n + 1 - i]
-        return MatrixPowerSeries(out)
+        return MatrixPowerSeries(convolve(self.coeffs[: n + 1], o.coeffs[: n + 1]))
 
     def __rmul__(self, other) -> "MatrixPowerSeries":
         if np.isscalar(other):
@@ -207,7 +209,7 @@ class MatrixPowerSeries:
         every coefficient is a contraction, and on each sample ring the
         values stay within 1 plus the truncation tail bound.
         """
-        coeff_worst = float(np.linalg.norm(self.coeffs, ord=2, axis=(1, 2)).max())
+        coeff_worst = float(_screened_norms(self.coeffs, 1.0 + tol).max())
         if coeff_worst > 1.0 + tol:
             raise ValueError(
                 f"series has a coefficient of norm {coeff_worst:.6f}; "
@@ -217,8 +219,9 @@ class MatrixPowerSeries:
         # at order N can push |f| above 1 on |z| = r by at most
         # r^{N+1}/(1-r); sampling must grant exactly that much slack
         radii = np.repeat(_RINGS, 8)
-        values = np.linalg.norm(self.values_at(CONTRACTIVITY_GRID), ord=2, axis=(1, 2))
-        failing = np.flatnonzero(values > 1.0 + tol + radii ** (self.order + 1) / (1.0 - radii))
+        limits = 1.0 + tol + radii ** (self.order + 1) / (1.0 - radii)
+        values = _screened_norms(self.values_at(CONTRACTIVITY_GRID), limits)
+        failing = np.flatnonzero(values > limits)
         if failing.size:
             raise ValueError(
                 f"series is not contractive on the sample grid "
@@ -280,6 +283,41 @@ class MatrixPowerSeries:
         for (n, r, c), v in entries.items():
             coeffs[n, r, c] = v
         return cls(coeffs)
+
+
+def _screened_norms(stack: np.ndarray, limit) -> np.ndarray:
+    """Operator norms of a (k, d, d) stack as far as a comparison with the
+    limit (a number or one per member) needs them: a member whose Frobenius
+    norm, an upper bound, is below the limit by _CLEAR_MARGIN keeps that
+    bound; every other member gets its SVD norm.  Which members exceed the
+    limit, and the values of those that do, are the SVD norms' own."""
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    near = np.flatnonzero(norms > np.multiply(limit, 1.0 - _CLEAR_MARGIN))
+    if near.size:
+        norms[near] = np.linalg.norm(stack[near], ord=2, axis=(1, 2))
+    return norms
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients c_k = sum_{i+j=k} a_i b_j, k < m, of the product of
+    coefficient stacks of shapes (m, p, q) and (m, q, r).
+
+    One GEMM forms every a_i b_j: the rows i*p+s of [a_0; ...; a_{m-1}]
+    times the columns j*r+t of [b_0 ... b_{m-1}].  The products of a_i fill
+    row block i of a buffer m-1 blocks in from the left; read with the
+    row stride shortened by one column block (a skewed view), column k of
+    row block i holds a_i b_{k-i}, or one of the padding zeros when i > k,
+    so summing over i gives c_k.  Adding 0.0 turns -0.0 into 0.0 as sums
+    from zero do.
+    """
+    m, p, q = a.shape
+    r = b.shape[2]
+    buf = np.zeros((m, p, 2 * m - 1, r), dtype=np.complex128)
+    np.matmul(a.reshape(m * p, q), b.transpose(1, 0, 2).reshape(q, m * r),
+              out=buf.reshape(m * p, (2 * m - 1) * r)[:, (m - 1) * r :])
+    si, ss, sc, st = buf.strides
+    skew = as_strided(buf[:, :, m - 1 :], shape=(m, m, p, r), strides=(si - sc, sc, ss, st))
+    return skew.sum(axis=0) + 0.0
 
 
 def left_divide(den: np.ndarray, num: np.ndarray) -> np.ndarray:

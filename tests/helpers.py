@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cmvkit.series import CONTRACTIVITY_GRID, MatrixPowerSeries
+from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
 
 
 def direct_sum(*blocks) -> np.ndarray:
@@ -46,6 +46,38 @@ def grid_max_norm(f) -> float:
     """Largest operator norm of the series' truncated sum on the
     contractivity sample grid."""
     return float(np.linalg.norm(f.values_at(CONTRACTIVITY_GRID), ord=2, axis=(1, 2)).max())
+
+
+def loop_product(a, b) -> np.ndarray:
+    """Coefficients of the product of coefficient stacks (m, p, q) and
+    (m, q, r), truncated at m terms, by one broadcast product per
+    coefficient of a: the reference for the library's one-GEMM kernel."""
+    m = len(a)
+    out = np.zeros((m, a.shape[1], b.shape[2]), dtype=np.complex128)
+    for i in range(m):
+        # broadcasts (p, q) @ (m-i, q, r) over the coefficient axis
+        out[i:] += a[i] @ b[: m - i]
+    return out
+
+
+def mark_schur_by_svd(f, tol: float = CONTRACTIVITY_TOL):
+    """The contractivity check of MatrixPowerSeries.mark_schur with an SVD
+    norm for every coefficient and grid value, no Frobenius pre-screen."""
+    coeff_worst = float(np.linalg.norm(f.coeffs, ord=2, axis=(1, 2)).max())
+    if coeff_worst > 1.0 + tol:
+        raise ValueError(
+            f"series has a coefficient of norm {coeff_worst:.6f}; "
+            "a Schur function's coefficients are contractions"
+        )
+    radii = np.repeat((0.45, 0.9), 8)
+    values = np.linalg.norm(f.values_at(CONTRACTIVITY_GRID), ord=2, axis=(1, 2))
+    failing = np.flatnonzero(values > 1.0 + tol + radii ** (f.order + 1) / (1.0 - radii))
+    if failing.size:
+        raise ValueError(
+            f"series is not contractive on the sample grid "
+            f"({values[failing[0]]:.6f} at |z| = {radii[failing[0]]})"
+        )
+    return f
 
 
 def loop_inverse(f):

@@ -315,6 +315,14 @@ class TestBuildHessenberg:
         with pytest.raises(ValueError, match="terminal"):
             build(spec_of([0.1, 0.2, 0.3], "H", blocks=3))
 
+    @pytest.mark.parametrize("family", ["H", "Hhat"])
+    def test_column_build_matches_dense_embedded_product(self, family, rng):
+        for d in (1, 2, 3):
+            for length in range(9):
+                p = random_parameters(d, length, rng, terminal=True)
+                spec = BlockOperatorSpec(p, family, length + 1)
+                assert np.abs(build(spec) - _dense_hessenberg(spec)).max() <= 1e-14
+
 
 def _from_public_theta(spec):
     """The operator assembled from public theta(alpha) calls, without the
@@ -326,15 +334,24 @@ def _from_public_theta(spec):
         lf = direct_sum(*thetas[0::2], *[closing] * (m % 2 == 0))
         mf = direct_sum(np.eye(d), *thetas[1::2], *[closing] * (m % 2 == 1))
         return lf @ mf if spec.family == "C" else mf @ lf
-    rotations = [embed(t, range(i * d, (i + 2) * d), spec.dim) for i, t in enumerate(thetas)]
-    last = embed(closing, range(m * d, spec.dim), spec.dim)
-    if spec.family == "H":
-        out = np.eye(spec.dim)
-        for r in rotations + [last]:
-            out = out @ r
-        return out
-    out = last
-    for r in reversed(rotations):
+    # each rotation acts on its own 2d columns, as the library applies it
+    out = np.eye(spec.dim, dtype=np.complex128)
+    steps = [(i * d, t) for i, t in enumerate(thetas)] + [(m * d, closing)]
+    if spec.family == "Hhat":
+        steps = steps[-1:] + steps[-2::-1]
+    for at, block in steps:
+        out[:, at : at + len(block)] = out[:, at : at + len(block)] @ block
+    return out
+
+
+def _dense_hessenberg(spec):
+    """The Hessenberg product of dense embedded rotations, dim x dim each."""
+    p, d, m = spec.params, spec.block_dim, spec.n_blocks - 1
+    rotations = [embed(theta(p.alpha(i)), range(i * d, (i + 2) * d), spec.dim) for i in range(m)]
+    last = embed(p.terminal.conj().T, range(m * d, spec.dim), spec.dim)
+    factors = rotations + [last] if spec.family == "H" else [last] + rotations[::-1]
+    out = np.eye(spec.dim, dtype=np.complex128)
+    for r in factors:
         out = out @ r
     return out
 

@@ -11,7 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmvkit.cmv import BlockOperatorSpec, build, standard_overlap, theta
+from cmvkit.cmv import (
+    FAMILIES,
+    BlockOperatorSpec,
+    build,
+    head_is_left,
+    standard_overlap,
+    theta,
+    unitary_truncation,
+)
+from cmvkit.khrushchev import substitute_into_truncation
 from cmvkit.linalg import is_unitary
 from cmvkit.overlap import check_overlap, construct_overlap
 from cmvkit.pathcount import oracle_first_return
@@ -36,10 +45,12 @@ from cmvkit.series import (
     MatrixPowerSeries,
     caratheodory_to_schur,
     coeff_distance,
+    convolve,
+    direct_sum_series,
     schur_to_caratheodory,
 )
 from cmvkit.spectral import first_return_amplitudes, return_statistics
-from helpers import direct_sum, draw_contraction, loop_inverse
+from helpers import direct_sum, draw_contraction, loop_inverse, loop_product, mark_schur_by_svd
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 contractions = st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow_nan=False)
@@ -422,3 +433,103 @@ def test_transpose_relation_between_families(seed, d):
     chat = build(BlockOperatorSpec(p, "Chat", 5))
     c_t = build(BlockOperatorSpec(pt, "C", 5)).T
     assert np.abs(chat - c_t).max() < 1e-12
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, m=st.integers(1, 193), p=st.integers(1, 6), q=st.integers(1, 6),
+       r=st.integers(1, 6))
+def test_convolve_matches_the_loop_product(seed, m, p, q, r):
+    rng = np.random.default_rng(seed)
+    a, b = _complex_stack(rng, (m, p, q)), _complex_stack(rng, (m, q, r))
+    got, want = convolve(a, b), loop_product(a, b)
+    # the scale of every sum is the convolution of the magnitudes
+    scale = loop_product(np.abs(a), np.abs(b)).real.max()
+    assert got.shape == (m, p, r)
+    assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def _substitution_by_direct_sums(params, family, j, k, order):
+    """The substitution as products of (k-j+1)d-wide direct-sum series,
+    every series product by the loop reference."""
+    d = params.block_dim
+    n_blocks = len(params) + 1 if params.finite else k + 1
+    trunc = unitary_truncation(BlockOperatorSpec(params, family, n_blocks), j, k)
+    mid = MatrixPowerSeries.constant(trunc.conj().T, order)
+    f_k = iterate_series(params, k, order)
+    b_j = inverse_iterate_series(params, j, order)
+
+    def one(n):
+        return MatrixPowerSeries.one(n, order)
+
+    def times(*factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = MatrixPowerSeries(loop_product(out.coeffs, f.coeffs))
+        return out
+
+    w = (k - j) * d
+    b_left, f_left = not head_is_left(family, j), head_is_left(family, k)
+    if b_left == f_left:
+        ends = direct_sum_series(b_j, one(w - d), f_k)
+        return times(ends, mid) if b_left else times(mid, ends)
+    b_end, f_end = direct_sum_series(b_j, one(w)), direct_sum_series(one(w), f_k)
+    return times(b_end, mid, f_end) if b_left else times(f_end, mid, b_end)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, family=st.sampled_from(FAMILIES), d=st.integers(1, 3),
+       length=st.integers(2, 5), order=st.integers(0, 16), terminal=st.booleans())
+def test_substitution_matches_the_direct_sum_formula(seed, family, d, length, order, terminal):
+    p = random_parameters(d, length, np.random.default_rng(seed), terminal=terminal)
+    # without a terminal the last iterate is f_{len-1}
+    last = length if terminal else length - 1
+    sides = set()
+    for k in range(1, last + 1):
+        for j in range(k):
+            got = substitute_into_truncation(p, family, j, k, order)
+            want = _substitution_by_direct_sums(p, family, j, k, order)
+            assert coeff_distance(got, want) <= 1e-13, (j, k)
+            sides.add((not head_is_left(family, j), head_is_left(family, k)))
+    if family in ("C", "Chat") and last >= 3:
+        # (0, 1), (0, 2), (1, 2) and (1, 3) place b_j and f_k all four ways
+        assert len(sides) == 4
+
+
+def _outcome(check, f, tol):
+    try:
+        check(f, tol)
+    except ValueError as exc:
+        return str(exc)
+    return "pass"
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds, d=st.integers(1, 3), order=st.integers(0, 20),
+       at=st.sampled_from(["coefficient", "grid"]), rank_one=st.booleans(),
+       offset=st.floats(-1e-9, 1e-9), tol=st.sampled_from([1e-6, 0.0]))
+def test_mark_schur_decides_as_the_svd_check(seed, d, order, at, rank_one, offset, tol):
+    # series scaled to within 1e-9 of a limit, where the Frobenius
+    # pre-screen cannot clear the largest member
+    rng = np.random.default_rng(seed)
+    decay = 0.8 ** np.arange(order + 1)
+    if rank_one:
+        c = np.einsum("n,i,j->nij", _complex_stack(rng, order + 1),
+                      _complex_stack(rng, d), _complex_stack(rng, d).conj())
+    else:
+        c = _complex_stack(rng, (order + 1, d, d))
+    c = c * decay[:, None, None]
+    f = MatrixPowerSeries(c)
+    if at == "coefficient":
+        scale = (1.0 + tol) / np.linalg.norm(c, ord=2, axis=(1, 2)).max()
+    else:
+        radii = np.repeat((0.45, 0.9), 8)
+        limits = 1.0 + tol + radii ** (order + 1) / (1.0 - radii)
+        values = np.linalg.norm(f.values_at(CONTRACTIVITY_GRID), ord=2, axis=(1, 2))
+        scale = (limits / values).min()
+    f = MatrixPowerSeries(c * (scale * (1.0 + offset)))
+    assert (_outcome(MatrixPowerSeries.mark_schur, f, tol)
+            == _outcome(mark_schur_by_svd, f, tol))

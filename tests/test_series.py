@@ -14,7 +14,7 @@ from cmvkit.series import (
     left_divide,
     schur_to_caratheodory,
 )
-from helpers import loop_inverse
+from helpers import loop_inverse, loop_product
 
 
 def scalar(values):
@@ -59,10 +59,7 @@ class TestArithmetic:
     def test_constant_factor_products_equal_the_loop_bit_for_bit(self, rng):
         def loop(f, g):
             n = min(f.order, g.order)
-            out = np.zeros((n + 1, f.block_dim, f.block_dim), dtype=np.complex128)
-            for i in range(n + 1):
-                out[i:] += f.coeffs[i] @ g.coeffs[: n + 1 - i]
-            return out
+            return loop_product(f.coeffs[: n + 1], g.coeffs[: n + 1])
 
         for d in range(1, 5):
             for order in range(65):
