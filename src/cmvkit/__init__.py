@@ -45,7 +45,7 @@ from .schur import (
     schur_forward,
     synthesize,
 )
-from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
+from .series import MatrixPowerSeries, coeff_distance
 from .spectral import (
     first_return_amplitudes,
     return_statistics,
@@ -71,7 +71,6 @@ __all__ = [
     "coeff_distance",
     "compress_to_vector",
     "construct_overlap",
-    "direct_sum_series",
     "first_return_amplitudes",
     "hessenberg_superposition",
     "inverse_iterate",

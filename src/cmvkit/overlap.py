@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import Unitary, as_integer, as_matrix, certify, embed, numerical_rank
-from .series import MatrixPowerSeries, coeff_distance, direct_sum_series
+from .series import MatrixPowerSeries, coeff_distance, convolve
 from .spectral import schur_of_subspace
 
 CORNER_REL_TOL = 1e-10
@@ -258,9 +258,10 @@ def abstract_khrushchev_check(
     (1_{V_L} + f^R)(f^L + 1_{V_R}), where f^L is computed from the
     left-center factor on V_L + center and f^R from the center-right
     factor on center + V_R.  The product is gauge invariant even though
-    the individual factors are not.  U and the factors are each certified
-    unitary at most once: a ``linalg.Unitary`` passes through, and so do
-    the certificates a factorization already holds.
+    the individual factors are not; overlap_product forms it.  U and the
+    factors are each certified unitary at most once: a ``linalg.Unitary``
+    passes through, and so do the certificates a factorization already
+    holds.
     """
     u = certify(U)
     vl = tuple(sorted(as_integer(i) for i in v_l))
@@ -282,7 +283,25 @@ def abstract_khrushchev_check(
     f_left = schur_of_subspace(u_lc, lc_local, order)
     f_right = schur_of_subspace(u_cr, cr_local, order)
 
-    lhs = direct_sum_series(MatrixPowerSeries.one(len(vl), order), f_right)
-    rhs = direct_sum_series(f_left, MatrixPowerSeries.one(len(vr), order))
-    residual = coeff_distance(f_v, lhs * rhs)
+    residual = coeff_distance(f_v, overlap_product(f_left, f_right, len(vl)))
     return KhrushchevResidual(residual, order, tolerance, f_v, f_left, f_right)
+
+
+def overlap_product(
+    f_left: MatrixPowerSeries, f_right: MatrixPowerSeries, n_left: int
+) -> MatrixPowerSeries:
+    """(1_{V_L} + f^R)(f^L + 1_{V_R}), f^L on V_L + center, f^R on
+    center + V_R and n_left = dim V_L, by blocks: the rows of V_L are rows
+    of f^L, the columns of V_R are columns of f^R, and the rest is the one
+    product of two series, f^R's center columns times f^L's center rows."""
+    nc = f_left.block_dim - n_left
+    if not 0 <= nc <= f_right.block_dim:
+        raise ValueError("f^L and f^R do not share a center of that size")
+    n = min(f_left.order, f_right.order)
+    fl, fr = f_left.coeffs[: n + 1], f_right.coeffs[: n + 1]
+    w = n_left + f_right.block_dim
+    out = np.zeros((n + 1, w, w), dtype=np.complex128)
+    out[:, :n_left, : n_left + nc] = fl[:, :n_left]
+    out[:, n_left:, n_left + nc :] = fr[:, :, nc:]
+    out[:, n_left:, : n_left + nc] = convolve(fr[:, :, :nc], fl[:, n_left:])
+    return MatrixPowerSeries(out)

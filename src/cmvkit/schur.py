@@ -25,7 +25,6 @@ import numpy as np
 
 from .linalg import (
     as_integer,
-    as_matrix,
     as_stack,
     certify,
     hermitian_psd_sqrt,
@@ -61,54 +60,47 @@ def rho_right(alpha) -> np.ndarray:
     return hermitian_psd_sqrt(np.eye(a.shape[-2]) - a @ a.conj().swapaxes(-1, -2))
 
 
-def _frozen(m) -> np.ndarray:
-    """m as a read-only array owning its data, so no caller can alter a
-    checked parameter later; one that already is such an array is shared."""
-    a = as_matrix(m)
-    if a.flags.writeable or not a.flags.owndata:
-        a = a.copy()
-        a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurParameters:
     """An ordered family of d x d strict contractions, optionally closed by
-    a unitary terminal (the finitely supported case)."""
+    a unitary terminal (the finitely supported case), stored once as one
+    read-only (len, d, d) stack whose rows are ``alphas``."""
 
     block_dim: int
     alphas: tuple
     terminal: Optional[np.ndarray] = None
-    # Derived data, computed once per parameter set and kept out of ==,
-    # repr and JSON: the operator norm of each parameter, the parameters
-    # as one read-only (len, d, d) stack and, on first use, their defects
-    # as four more, the per-index views handed out by defects(j), and the
+    # Derived data, computed once per parameter set and kept out of repr
+    # and JSON: the operator norm of each parameter, the parameter stack
+    # and, on first use, their defects as four more stacks, and the
     # synthesized iterates of p ("f") and of its reflection ("b") per
     # (kind, order, m).
-    _norms: tuple = field(default=(), init=False, compare=False, repr=False)
-    _stack: np.ndarray = field(default=None, init=False, compare=False, repr=False)
-    _defects: tuple = field(default=(), init=False, compare=False, repr=False)
-    _rows: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _series: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _norms: tuple = field(default=(), init=False, repr=False)
+    _stack: np.ndarray = field(default=None, init=False, repr=False)
+    _defects: tuple = field(default=(), init=False, repr=False)
+    _series: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        d = self.block_dim
+        d = as_integer(self.block_dim, "block_dim")
         if d < 1:
             raise ValueError("block_dim must be positive")
-        mats = []
-        for j, a in enumerate(self.alphas):
-            m = _frozen(a)
-            if m.shape != (d, d):
-                raise ValueError(f"parameter {j} is not {d}x{d}")
-            mats.append(m)
-        stack = np.stack(mats) if mats else np.empty((0, d, d), dtype=np.complex128)
+        # the input is read once; a stack of the right shape needs no list
+        items = self.alphas
+        if not (isinstance(items, np.ndarray) and items.shape[1:] == (d, d)):
+            items = list(items)
+            for j, a in enumerate(items):
+                if np.shape(a) != (d, d):
+                    raise ValueError(f"parameter {j} is not {d}x{d}")
+        stack = as_stack(items) if len(items) else np.empty((0, d, d), dtype=np.complex128)
+        if stack is items:
+            stack = stack.copy()
         stack.setflags(write=False)
         norms = np.linalg.norm(stack, 2, axis=(1, 2))
         bad = np.flatnonzero(norms >= 1.0 - STRICT_MARGIN)
         if bad.size:
             j = bad[0]
             raise ValueError(f"parameter {j} has norm {norms[j]:.12f}; need a strict contraction")
-        object.__setattr__(self, "alphas", tuple(mats))
+        object.__setattr__(self, "block_dim", d)
+        object.__setattr__(self, "alphas", tuple(stack))
         object.__setattr__(self, "_norms", tuple(norms.tolist()))
         object.__setattr__(self, "_stack", stack)
         if self.terminal is not None:
@@ -116,6 +108,15 @@ class SchurParameters:
             if t.shape != (d, d):
                 raise ValueError(f"terminal is not {d}x{d}")
             object.__setattr__(self, "terminal", t)
+
+    def __eq__(self, other):
+        if not isinstance(other, SchurParameters):
+            return NotImplemented
+        if self.block_dim != other.block_dim or not np.array_equal(self._stack, other._stack):
+            return False
+        if self.terminal is None or other.terminal is None:
+            return self.terminal is other.terminal
+        return np.array_equal(self.terminal, other.terminal)
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -140,20 +141,12 @@ class SchurParameters:
             object.__setattr__(self, "_defects", defects)
         return (self._stack, *self._defects)
 
-    def defects(self, j: int) -> tuple:
-        """(rho_L, rho_R, rho_L^-1, rho_R^-1) of alpha_j: views of row j of
-        stacks()."""
-        row = self._rows.get(j)
-        if row is None:
-            row = self._rows[j] = tuple(m[j] for m in self.stacks()[1:])
-        return row
-
 
 def iterate(p: SchurParameters, j: int) -> SchurParameters:
     """Parameters of the j-th Schur iterate: drop the first j entries."""
     if j < 0 or j > len(p):
         raise ValueError(f"iterate index {j} outside 0..{len(p)}")
-    return SchurParameters(p.block_dim, p.alphas[j:], p.terminal)
+    return SchurParameters(p.block_dim, p._stack[j:], p.terminal)
 
 
 def inverse_iterate(p: SchurParameters, j: int) -> SchurParameters:
@@ -161,7 +154,7 @@ def inverse_iterate(p: SchurParameters, j: int) -> SchurParameters:
     (-a_{j-1}†, ..., -a_0†) closed by the identity terminal."""
     if j < 0 or j > len(p):
         raise ValueError(f"inverse iterate index {j} outside 0..{len(p)}")
-    rev = tuple(-p.alphas[i].conj().T for i in range(j - 1, -1, -1))
+    rev = -p._stack[:j][::-1].conj().swapaxes(1, 2)
     return SchurParameters(p.block_dim, rev, np.eye(p.block_dim))
 
 
@@ -179,23 +172,22 @@ def mobius_step(
     GROWTH_BOUND, and at the end.
 
     ``defects`` and ``norms`` give the run's (rho_L, rho_R, rho_L^-1,
-    rho_R^-1) as four (r, d, d) stacks and its operator norms (one tuple
-    of matrices and one float for a single parameter) when a
-    SchurParameters has already validated the run; without them the run
-    is validated as one.  The result is truncated at ``order``, by default
-    f.order + r, the last coefficient the run determines.
+    rho_R^-1) as four (r, d, d) stacks and its operator norms when a
+    SchurParameters has already validated the run; without them the run,
+    or the lone parameter as a run of one, is validated as one.  The
+    result is truncated at ``order``, by default f.order + r, the last
+    coefficient the run determines.
     """
-    single = np.ndim(alpha) == 2
     d = f.block_dim
     if defects is None:
-        p = SchurParameters(d, (alpha,) if single else tuple(alpha))
+        p = SchurParameters(d, (alpha,) if np.ndim(alpha) == 2 else alpha)
         run, *defects = p.stacks()
         norms = p._norms
-    elif single:
-        run, defects, norms = [as_matrix(alpha)], [[m] for m in defects], [norms]
     else:
         run = as_stack(alpha)
     n = f.order + len(run) if order is None else order
+    if n < 0:
+        raise ValueError("order must be nonnegative")
     if n > f.order + len(run):
         raise ValueError(f"the run determines coefficients 0..{f.order + len(run)} only")
     one = MatrixPowerSeries.one(d, n).coeffs
@@ -382,7 +374,7 @@ def random_parameters(
         raise ValueError(f"'d' must be positive, got {d}")
     if length < 0:
         raise ValueError(f"'length' must be nonnegative, got {length}")
-    alphas = tuple(_random_contractions(d, length, rng))
+    alphas = _random_contractions(d, length, rng)
     term = random_unitary(d, rng) if terminal else None
     return SchurParameters(d, alphas, term)
 

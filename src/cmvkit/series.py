@@ -350,21 +350,6 @@ def coeff_distance(a: MatrixPowerSeries, b: MatrixPowerSeries, order: int | None
     return float(np.abs(diff).max())
 
 
-def direct_sum_series(*parts: MatrixPowerSeries) -> MatrixPowerSeries:
-    """Block-diagonal direct sum; the order is the shortest one involved."""
-    if not parts:
-        raise ValueError("need at least one part")
-    n = min(p.order for p in parts)
-    d = sum(p.block_dim for p in parts)
-    out = np.zeros((n + 1, d, d), dtype=np.complex128)
-    at = 0
-    for p in parts:
-        k = p.block_dim
-        out[:, at : at + k, at : at + k] = p.coeffs[: n + 1]
-        at += k
-    return MatrixPowerSeries(out)
-
-
 def schur_to_caratheodory(f: MatrixPowerSeries) -> MatrixPowerSeries:
     """F = (1 + z f)(1 - z f)^(-1); F(0) = 1.  The result carries one more
     coefficient than f."""

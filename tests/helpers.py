@@ -21,6 +21,22 @@ def direct_sum(*blocks) -> np.ndarray:
     return out
 
 
+def direct_sum_series(*parts: MatrixPowerSeries) -> MatrixPowerSeries:
+    """Block-diagonal direct sum of series; the order is the shortest one
+    involved."""
+    if not parts:
+        raise ValueError("need at least one part")
+    n = min(p.order for p in parts)
+    d = sum(p.block_dim for p in parts)
+    out = np.zeros((n + 1, d, d), dtype=np.complex128)
+    at = 0
+    for p in parts:
+        k = p.block_dim
+        out[:, at : at + k, at : at + k] = p.coeffs[: n + 1]
+        at += k
+    return MatrixPowerSeries(out)
+
+
 def column_selector(dim: int, indices) -> np.ndarray:
     """dim x len(indices) matrix whose k-th column is the basis vector e_{indices[k]}."""
     b = np.zeros((dim, len(indices)), dtype=np.complex128)

@@ -67,7 +67,6 @@ from cmvkit.series import (
     MatrixPowerSeries,
     caratheodory_to_schur,
     coeff_distance,
-    direct_sum_series,
     schur_to_caratheodory,
 )
 from cmvkit.spectral import (
@@ -75,6 +74,7 @@ from cmvkit.spectral import (
     first_return_amplitudes,
     schur_of_subspace,
 )
+from helpers import direct_sum_series
 
 
 @pytest.mark.criterion(

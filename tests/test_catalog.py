@@ -29,6 +29,7 @@ from cmvkit.linalg import is_unitary
 from cmvkit.overlap import check_overlap, construct_overlap, verify_gauge
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit.spectral import schur_of_subspace
+from helpers import direct_sum_series
 
 ALL_FACTORED = [
     double_diffusion_six,
@@ -139,8 +140,6 @@ class TestWalkRationals:
 
 def diag_pad(f):
     """f + 1 as a 2x2 diagonal series."""
-    from cmvkit.series import direct_sum_series
-
     return direct_sum_series(f, MatrixPowerSeries.one(1, f.order))
 
 

@@ -29,9 +29,8 @@ from cmvkit.schur import (
 from cmvkit.series import (
     MatrixPowerSeries,
     coeff_distance,
-    direct_sum_series,
 )
-from helpers import grid_max_norm
+from helpers import direct_sum_series, grid_max_norm
 
 
 def scalar_params(values, terminal=None):

@@ -22,10 +22,11 @@ from cmvkit.overlap import (
     abstract_khrushchev_check,
     check_overlap,
     construct_overlap,
+    overlap_product,
     verify_gauge,
 )
 from cmvkit.schur import random_parameters, random_unitary
-from cmvkit.series import coeff_distance
+from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit.spectral import schur_of_subspace
 from helpers import direct_sum
 
@@ -317,6 +318,14 @@ class TestAbstractKhrushchev:
         cat = double_diffusion_six()
         with pytest.raises(ValueError, match="left group"):
             abstract_khrushchev_check(cat.product(), cat.partition, (3,), (), 8)
+
+    @pytest.mark.parametrize("n_left", [-1, 4])
+    def test_overlap_product_rejects_a_center_the_factors_do_not_share(self, n_left):
+        # f^L on 3 indices and f^R on 2 share a center of 0..2 indices
+        f_left, f_right = MatrixPowerSeries.one(3, 4), MatrixPowerSeries.one(2, 4)
+        with pytest.raises(ValueError, match="center"):
+            overlap_product(f_left, f_right, n_left)
+        assert overlap_product(f_left, f_right, 1).block_dim == 3
 
 
 class TestUnitarityCertificate:

@@ -22,7 +22,7 @@ from cmvkit.cmv import (
 )
 from cmvkit.khrushchev import substitute_into_truncation
 from cmvkit.linalg import is_unitary
-from cmvkit.overlap import check_overlap, construct_overlap
+from cmvkit.overlap import check_overlap, construct_overlap, overlap_product
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import (
     SchurParameters,
@@ -46,11 +46,17 @@ from cmvkit.series import (
     caratheodory_to_schur,
     coeff_distance,
     convolve,
-    direct_sum_series,
     schur_to_caratheodory,
 )
 from cmvkit.spectral import first_return_amplitudes, return_statistics
-from helpers import direct_sum, draw_contraction, loop_inverse, loop_product, mark_schur_by_svd
+from helpers import (
+    direct_sum,
+    direct_sum_series,
+    draw_contraction,
+    loop_inverse,
+    loop_product,
+    mark_schur_by_svd,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 contractions = st.complex_numbers(max_magnitude=0.95, allow_infinity=False, allow_nan=False)
@@ -300,19 +306,62 @@ def test_shared_series_match_fresh_synthesis_in_any_request_order(seed, d, top, 
                     got.coeffs[0, 0, 0] = 0.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=seeds,
+    d=st.integers(1, 4),
+    length=st.integers(0, 40),
+    top=st.floats(0.0, 0.999),
+    terminal=st.booleans(),
+)
+def test_every_input_form_stores_the_parameters_once(seed, d, length, top, terminal):
+    # a tuple of arrays, nested lists, a generator, a writable stack and
+    # another set's alphas all give the same bits, held once, read-only
+    ref = _parameters_of_norm(seed, d, length, top, terminal)
+    want = np.array(ref.stacks()[0])
+    # an empty set without a terminal has no series
+    want_f = synthesize(ref, 12).coeffs if length or terminal else None
+    backing = [want.copy() for _ in range(3)]
+    lists = want.tolist()
+    term = None if ref.terminal is None else np.array(ref.terminal)
+    sources = (tuple(backing[0]), lists, (a for a in backing[1]), backing[2], ref.alphas)
+    sets = [SchurParameters(d, src, term) for src in sources]
+    for p in sets:
+        stack = p.stacks()[0]
+        assert stack.dtype == np.complex128 and stack.tobytes() == want.tobytes()
+        assert not stack.flags.writeable
+        assert len(p.alphas) == length
+        for a in p.alphas:
+            assert np.shares_memory(a, stack) and not a.flags.writeable
+        assert p._norms == ref._norms
+        if want_f is not None:
+            assert synthesize(p, 12).coeffs.tobytes() == want_f.tobytes()
+        assert p == ref
+    # changing the caller's sources afterwards changes nothing
+    for b in backing:
+        b[...] = 0.5
+    for row in lists:
+        row[0][0] = 0.5
+    if term is not None:
+        term[...] = 0.0
+    for p in sets:
+        assert p.stacks()[0].tobytes() == want.tobytes()
+        assert p == ref
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=seeds, d=st.integers(1, 4), top=st.floats(0.0, 0.999))
 def test_reflected_defects_are_read_off_the_parameter_bit_for_bit(seed, d, top):
     # an inverse-iterate step uses -a† with a's own defects swapped:
     # rho_L(-a†) = rho_R(a) and rho_R(-a†) = rho_L(a), to the last bit
     p = _parameters_of_norm(seed, d, 1, top, False)
-    rl, rr, rl_inv, rr_inv = p.defects(0)
+    rl, rr, rl_inv, rr_inv = (m[0] for m in p.stacks()[1:])
     b = -p.alpha(0).conj().T
     for got, want in ((rr, rho_left(b)), (rl, rho_right(b)),
                       (rr_inv, np.linalg.inv(rho_left(b))), (rl_inv, np.linalg.inv(rho_right(b)))):
         assert np.array_equal(got, want)
     reflected = inverse_iterate(p, 1)
-    assert all(np.array_equal(x, y) for x, y in zip(reflected.defects(0), (rr, rl, rr_inv, rl_inv)))
+    assert all(np.array_equal(x[0], y) for x, y in zip(reflected.stacks()[1:], (rr, rl, rr_inv, rl_inv)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -338,7 +387,6 @@ def test_stacked_defects_are_the_per_parameter_defects_bit_for_bit(seed, d, leng
         rl, rr = rho_left(a), rho_right(a)
         want = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
         assert all(np.array_equal(m[j], w) for m, w in zip(stacks[1:], want)), j
-        assert all(np.array_equal(x, w) for x, w in zip(p.defects(j), want)), j
 
 
 @settings(max_examples=100, deadline=None)
@@ -450,6 +498,27 @@ def test_convolve_matches_the_loop_product(seed, m, p, q, r):
     scale = loop_product(np.abs(a), np.abs(b)).real.max()
     assert got.shape == (m, p, r)
     assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=seeds,
+    n_left=st.integers(0, 3),
+    n_center=st.integers(0, 3),
+    n_right=st.integers(0, 3),
+    m=st.integers(1, 14),
+)
+def test_overlap_product_matches_the_direct_sum_product(seed, n_left, n_center, n_right, m):
+    rng = np.random.default_rng(seed)
+    lc, cr = n_left + n_center, n_center + n_right
+    f_left = MatrixPowerSeries(_complex_stack(rng, (m, lc, lc)))
+    f_right = MatrixPowerSeries(_complex_stack(rng, (m, cr, cr)))
+    lhs = direct_sum_series(MatrixPowerSeries.one(n_left, m - 1), f_right)
+    rhs = direct_sum_series(f_left, MatrixPowerSeries.one(n_right, m - 1))
+    want = loop_product(lhs.coeffs, rhs.coeffs)
+    got = overlap_product(f_left, f_right, n_left).coeffs
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
 
 
 def _substitution_by_direct_sums(params, family, j, k, order):

@@ -1,5 +1,7 @@
 """Schur algorithm tests: parameter extraction, synthesis, iterates."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from cmvkit.schur import (
     iterate,
     iterate_series,
     mobius_step,
+    parameters_from_json,
     parameters_to_json,
     random_parameters,
     rho_left,
@@ -72,6 +75,45 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="'length' must be nonnegative, got -3"):
             random_parameters(1, -3, rng)
         assert len(random_parameters(1, 0, rng)) == 0
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0, "1"])
+    def test_block_dim_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="^block_dim must be an integer"):
+            SchurParameters(bad, (np.array([[0.5]]),))
+
+    @pytest.mark.parametrize("d", [1, np.int64(1), np.int32(1), np.uint8(1)])
+    def test_every_accepted_block_dim_round_trips_through_json(self, d):
+        p = SchurParameters(d, (np.array([[0.5]]),), np.array([[1j]]))
+        assert type(p.block_dim) is int
+        text = json.dumps(parameters_to_json(p))
+        assert parameters_from_json(json.loads(text)) == p
+
+
+class TestParameterEquality:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_equal_sets_compare_equal(self, d, terminal):
+        p = random_parameters(d, 3, np.random.default_rng(1), terminal)
+        q = random_parameters(d, 3, np.random.default_rng(1), terminal)
+        assert p == q and not p != q
+        assert SchurParameters(d, [a.tolist() for a in p.alphas], q.terminal) == p
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_ulp_or_a_missing_terminal_compares_unequal(self, d):
+        p = random_parameters(d, 3, np.random.default_rng(1), terminal=True)
+        stack = np.array(p.stacks()[0])
+        stack[1, -1, 0] = np.nextafter(stack[1, -1, 0].real, 1.0) + 1j * stack[1, -1, 0].imag
+        assert SchurParameters(d, stack, p.terminal) != p
+        term = np.array(p.terminal)
+        term[0, 0] = term[0, 0].real + 1j * np.nextafter(term[0, 0].imag, 2.0)
+        assert SchurParameters(d, p.alphas, term) != p
+        assert SchurParameters(d, p.alphas) != p and p != SchurParameters(d, p.alphas)
+        assert SchurParameters(d, (), None) != SchurParameters(d + 1, (), None)
+        assert p != parameters_to_json(p)
+
+    def test_sets_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(random_parameters(2, 3, np.random.default_rng(1)))
 
 
 class TestForward:
@@ -144,7 +186,8 @@ class TestIterates:
     def test_zeroth_iterate_is_identity(self, rng):
         p = random_parameters(2, 4, rng)
         q = iterate(p, 0)
-        assert q.alphas == p.alphas and q.terminal is p.terminal
+        assert np.array_equal(q.stacks()[0], p.stacks()[0]) and q.terminal is None
+        assert q == p
 
     def test_iterate_drops_leading_parameters(self):
         p = scalar_params([0.1, 0.2, 0.3])
@@ -195,7 +238,7 @@ class TestParameterMemo:
         p = scalar_params([0.3, -0.2j, 0.5], terminal=1j)
         fresh = scalar_params([0.3, -0.2j, 0.5], terminal=1j)
         before = (repr(p), parameters_to_json(p))
-        p.defects(1)
+        p.stacks()
         iterate_series(p, 1, 6)
         inverse_iterate_series(p, 2, 6)
         assert p._defects and p._series
@@ -204,12 +247,11 @@ class TestParameterMemo:
 
     def test_defects_are_the_public_defect_matrices(self, rng):
         p = random_parameters(3, 4, rng)
-        rl, rr, rl_inv, rr_inv = p.defects(2)
+        rl, rr, rl_inv, rr_inv = (m[2] for m in p.stacks()[1:])
         assert np.array_equal(rl, rho_left(p.alpha(2)))
         assert np.array_equal(rr, rho_right(p.alpha(2)))
         assert np.array_equal(rl_inv, np.linalg.inv(rl))
         assert np.array_equal(rr_inv, np.linalg.inv(rr))
-        assert p.defects(2) is p.defects(2)
 
     def test_caller_arrays_are_copied_read_only(self):
         a = np.array([[0.5]], dtype=np.complex128)
@@ -225,8 +267,10 @@ class TestParameterMemo:
         for m in (p.alpha(0), p.terminal):
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 0.0
-        # a set built from another set's parameters shares them
-        assert iterate(p, 1).alpha(0) is p.alpha(1)
+        # a set built from another set's parameters copies them
+        q = iterate(p, 1)
+        assert np.array_equal(q.alpha(0), p.alpha(1))
+        assert not np.shares_memory(q.stacks()[0], p.stacks()[0])
 
     @pytest.mark.parametrize("d, length", [(1, 1), (2, 6), (3, 4)])
     def test_every_iterate_and_inverse_iterate_takes_two_roots_per_parameter(
@@ -248,7 +292,7 @@ class TestParameterMemo:
         for j in range(length + 1):
             iterate_series(p, j, 7)
             inverse_iterate_series(p, j, 7)
-            p.defects(j % length)
+            [m[j % length] for m in p.stacks()[1:]]
         assert calls == [(length, d, d)] * 2
 
     def test_shared_series_reject_out_of_range_indices(self):
@@ -295,6 +339,12 @@ class TestMobiusStep:
             mobius_step(np.array([[1.0]]), MatrixPowerSeries.zero(1, 4))
         with pytest.raises(ValueError):
             mobius_step([np.zeros((1, 1)), np.array([[1.0]])], MatrixPowerSeries.zero(1, 4))
+
+    def test_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            mobius_step(np.array([[0.3]]), MatrixPowerSeries.zero(1, 4), order=-1)
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            mobius_step([np.array([[0.3]])] * 2, MatrixPowerSeries.zero(1, 4), order=-2)
 
     @pytest.mark.parametrize("top", [0.3, 0.95])
     def test_a_run_is_its_single_steps_in_turn(self, rng, top):

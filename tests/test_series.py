@@ -10,11 +10,10 @@ from cmvkit.series import (
     MatrixPowerSeries,
     caratheodory_to_schur,
     coeff_distance,
-    direct_sum_series,
     left_divide,
     schur_to_caratheodory,
 )
-from helpers import loop_inverse, loop_product
+from helpers import direct_sum_series, loop_inverse, loop_product
 
 
 def scalar(values):
