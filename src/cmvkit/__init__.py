@@ -22,8 +22,10 @@ from .khrushchev import (
     scalar_superposition_schur,
     substitute_into_truncation,
     verify_hessenberg_formula,
+    verify_path_count,
     verify_range_formula,
     verify_site_formula,
+    verify_superposition,
 )
 from .linalg import Unitary, certify, is_unitary
 from .overlap import (
@@ -90,6 +92,8 @@ __all__ = [
     "unitary_truncation",
     "verify_gauge",
     "verify_hessenberg_formula",
+    "verify_path_count",
     "verify_range_formula",
     "verify_site_formula",
+    "verify_superposition",
 ]

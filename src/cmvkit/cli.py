@@ -5,6 +5,12 @@ computes first-return statistics of subspaces, checks and constructs
 overlapping factorizations, and runs verification campaigns that
 compare the factorization formulas against independent routes.
 
+A verification job is parsed here and checked in `khrushchev`, which
+makes every report: each `JOB_KINDS` row types, expands and validates a
+job's fields and returns closures over `khrushchev.verify_*` functions
+or `khrushchev.CLOSED_FORM_CASES`.  A new theorem tag is one row here
+plus one verifier there; `catalog` stays data.
+
 Exit codes: 0 all checks pass, 1 a verification or a campaign job failed,
 2 bad input (unparseable files, broken invariants, missing options); a
 campaign checks every job before it runs any, so 2 means nothing ran.
@@ -16,55 +22,21 @@ import io
 import json
 import math
 import sys
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import catalog
-from .cmv import (
-    CMV_FAMILIES,
-    FAMILIES,
-    HESSENBERG_FAMILIES,
-    BlockOperatorSpec,
-    block_subspace,
-    build,
-    build_unitary,
-    window_spec,
-)
-from .khrushchev import (
-    DEFAULT_TOL,
-    SUPERPOSITION_ROUTES,
-    VerificationReport,
-    check_superposition,
-    hessenberg_superposition,
-    scalar_superposition_schur,
-    verify_hessenberg_formula,
-    verify_range_formula,
-    verify_site_formula,
-)
+from . import khrushchev
+from .cmv import CMV_FAMILIES, FAMILIES, HESSENBERG_FAMILIES, BlockOperatorSpec, build
 from .linalg import as_integer, certify, matrix_from_json, matrix_to_json
-from .overlap import (
-    SubspacePartition,
-    abstract_khrushchev_check,
-    check_overlap,
-    construct_overlap,
-    verify_gauge,
-)
-from .pathcount import N_CAP, oracle_first_return
-from .schur import (
-    SchurParameters,
-    inverse_iterate_series,
-    iterate_series,
-    parameters_from_json,
-    parameters_to_json,
-    random_parameters,
-    schur_forward,
-    synthesize,
-)
-from .series import MatrixPowerSeries, coeff_distance
-from .spectral import first_return_amplitudes, return_statistics, schur_of_subspace
+from .overlap import SubspacePartition, check_overlap, construct_overlap
+from .schur import (parameters_from_json, parameters_to_json, random_parameters,
+                    schur_forward, synthesize)
+from .series import MatrixPowerSeries
+from .spectral import return_statistics
 
 SCHEMA_VERSION = 1
 
@@ -135,7 +107,7 @@ def _as_complex(job, key: str, default: float) -> complex:
 
 
 @click.group()
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True,
+@click.option("--tol", type=float, default=khrushchev.DEFAULT_TOL, show_default=True,
               help="default verification tolerance")
 @click.option("--order", type=int, default=16, show_default=True,
               help="default series truncation order")
@@ -258,8 +230,8 @@ def walk_return(ctx, matrix_path, indices, state, horizon):
             psi = np.array([complex(tok) for tok in state.split(",")],
                            dtype=np.complex128)
             norm = float(np.linalg.norm(psi))
-            if norm == 0.0:
-                _die(2, "--state must be a nonzero vector")
+            if not 0.0 < norm < math.inf:  # NaN fails too
+                _die(2, "--state must be a nonzero finite vector")
             psi = psi / norm
         h = horizon if horizon is not None else ctx.obj["order"]
         stats = return_statistics(u, v, psi, h)
@@ -355,66 +327,30 @@ def overlap_construct(ctx, matrix_path, left, center, right):
 
 
 # ---------------------------------------------------------------------------
-# verification plumbing shared by `verify` and `campaign run`
+# job parsing shared by `verify` and `campaign run`
 
 
-def _superposition_report(params, j, beta, gamma, order, tolerance, hessenberg):
-    """Compare the formula and operator routes for one superposed state."""
-    schur_fn = hessenberg_superposition if hessenberg else scalar_superposition_schur
-    formula, operator = (schur_fn(params, j, beta, gamma, order, route=r)
-                         for r in SUPERPOSITION_ROUTES)
-    return VerificationReport(
-        theorem="hessenberg-superposition" if hessenberg else "superposition",
-        params={"j": j, "beta": [beta.real, beta.imag],
-                "gamma": [gamma.real, gamma.imag], "order": order,
-                "d": params.block_dim, "routes": list(SUPERPOSITION_ROUTES)},
-        residual=coeff_distance(formula, operator),
-        tolerance=tolerance,
-        left_provenance="route " + SUPERPOSITION_ROUTES[0],
-        right_provenance="routes " + SUPERPOSITION_ROUTES[1],
-    )
+def _object(value, what: str) -> dict:
+    """A field that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
-def _oracle_report(params, family, j, order, tolerance) -> VerificationReport:
-    """Path-enumeration cross-check of the first-return amplitudes at V_j.
-
-    An order-N Schur function consumes a_1..a_{N+1}; the horizon covers
-    them up to the enumeration's affordable length, and the window is the
-    one exact at that horizon (window_spec's order is horizon - 1).  The
-    operator is certified once, at its assembly.
-    """
-    horizon = min(order + 1, 6, N_CAP)
-    spec = window_spec(params, family, j, horizon - 1)
-    op = build_unitary(spec)
-    v = block_subspace(spec, [j])
-    residual = float(np.abs(oracle_first_return(op, v, horizon)
-                            - first_return_amplitudes(op, v, horizon)).max())
-    return VerificationReport(
-        theorem="path-count",
-        params={"family": family, "j": j, "horizon": horizon,
-                "d": params.block_dim, "dim": spec.dim},
-        residual=residual,
-        tolerance=tolerance,
-        left_provenance="explicit path enumeration",
-        right_provenance="sliced-operator powers",
-    )
-
-
-def _job_params(job, theorem) -> SchurParameters:
-    source = job.get("source")
-    if source is None:
-        raise ValueError("job needs a 'source' (file or random)")
+def _job_params(job, terminal: bool):
+    """The job's parameter set; ``terminal`` is the default of a random
+    source's 'terminal' flag."""
+    source = _object(job.get("source"), "'source'")
     if "file" in source:
         return parameters_from_json(json.loads(Path(source["file"]).read_text()))
     if "random" in source:
-        r = source["random"]
+        r = _object(source["random"], "'random'")
         if "seed" not in r:
             raise ValueError("randomized jobs must carry an explicit seed")
         d, length, seed = (as_integer(r[k], f"'{k}'")
                            for k in ("d", "length", "seed"))
-        terminal = _flag(r, "terminal", theorem == "hessenberg")
         return random_parameters(d, length, np.random.default_rng(seed),
-                                 terminal=terminal)
+                                 terminal=_flag(r, "terminal", terminal))
     raise ValueError("source must name a file or a random block")
 
 
@@ -435,156 +371,66 @@ def _expand(value, what) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _family(job, families, kind) -> str:
+def _family(job, families) -> str:
     """The job's operator family, one of its row's families."""
     family = job.get("family", families[0])
     if family not in families:
+        kind = "Hessenberg" if families == HESSENBERG_FAMILIES else "CMV"
         raise ValueError(f"family {family!r} is not a {kind} family")
     return family
 
 
 # ---------------------------------------------------------------------------
-# closed-form cases backing the bundled campaign
-
-
-def _report(case, residual, tolerance, left, right) -> VerificationReport:
-    return VerificationReport(theorem="closed-form", params={"case": case},
-                              residual=float(residual), tolerance=tolerance,
-                              left_provenance=left, right_provenance=right)
-
-
-def _split_case_report(case, order, tol) -> VerificationReport:
-    """Check a catalog split row: the factorization rule plus its closed forms."""
-    row = catalog.SPLIT_CASES[case]
-    fact = row.maker()
-    res = abstract_khrushchev_check(fact.product(), fact.partition, row.v_left,
-                                    row.v_right, order, factorization=fact)
-    resid = res.residual
-    for computed, closed in ((res.f_v, row.f_v), (res.f_left, row.f_left),
-                             (res.f_right, row.f_right)):
-        if closed is not None:
-            resid = max(resid, coeff_distance(computed, closed(order)))
-    return _report(case, resid, tol, row.left_provenance,
-                   row.right_provenance)
-
-
-def _cf_walk_alternate(order, tol):
-    wa = catalog.coined_walk_six_alternate()
-    u = wa.product()
-    chk = check_overlap(u, wa.partition)
-    if not chk.ok:
-        return _report("walk-alternate", float("inf"), tol,
-                       "corner/rank test", "known second factorization")
-    fact = construct_overlap(u, wa.partition)
-    resid = float(fact.reconstruction_residual(u))
-    try:
-        verify_gauge(fact, wa)
-    except ValueError:
-        resid = float("inf")
-    return _report("walk-alternate", resid, tol,
-                   "factors rebuilt from the matrix",
-                   "known second factorization, up to center gauge")
-
-
-def _cf_hadamard(order, tol):
-    h = catalog.hadamard_coin()
-    f = schur_of_subspace(h, (0,), order)
-    resid = coeff_distance(f, catalog.hadamard_coin_schur(order))
-    chk = check_overlap(h, SubspacePartition(2, (0,), (), (1,)))
-    if chk.ok:
-        resid = float("inf")  # the corner test must reject this split
-    f_sq = schur_of_subspace(h @ h, (0,), order)
-    resid = max(resid, coeff_distance(
-        f_sq, MatrixPowerSeries.one(1, order)))
-    if coeff_distance(f * f, f_sq) <= tol:
-        resid = float("inf")  # f^2 must NOT reproduce the squared coin
-    return _report("hadamard-no-overlap", resid, tol,
-                   "first-return series of the coin and its square",
-                   "rational (1+sqrt2 z)/(sqrt2+z); corner test rejection")
-
-
-def _cf_superposition_extremes(order, tol):
-    rng = np.random.default_rng(17)
-    params = random_parameters(1, 6, rng)
-    resid = 0.0
-    for j in (1, 2):
-        b_j = inverse_iterate_series(params, j, order)
-        f_j = iterate_series(params, j, order)
-        b_n = inverse_iterate_series(params, j + 1, order)
-        f_n = iterate_series(params, j + 1, order)
-        pure_j = scalar_superposition_schur(params, j, 1.0, 0.0, order)
-        pure_next = scalar_superposition_schur(params, j, 0.0, 1.0, order)
-        resid = max(resid,
-                    coeff_distance(pure_j, b_j * f_j),
-                    coeff_distance(pure_next, f_n * b_n))
-    return _report("superposition-extremes", resid, tol,
-                   "two-state transform at (1,0) and (0,1)",
-                   "single-site products b_j f_j and f_{j+1} b_{j+1}")
-
-
-# closed-form cases that are not factor splits; the rest are catalog rows
-CLOSED_FORM_CASES = {
-    "walk-alternate": _cf_walk_alternate,
-    "hadamard-no-overlap": _cf_hadamard,
-    "superposition-extremes": _cf_superposition_extremes,
-}
-
-
-# ---------------------------------------------------------------------------
-# job kinds: each row checks a job and returns its cases, closures of one
-# report each that look their verifier up when run, so a rebound name is seen
+# job kinds: each row types, expands and checks a job and returns its
+# cases, closures of one report each over a khrushchev verifier that is
+# looked up when the case runs, so a rebound name is seen
 
 
 def _site_job(job, order, tol):
-    params, family = _job_params(job, "site"), _family(job, CMV_FAMILIES, "CMV")
+    params, family = _job_params(job, False), _family(job, CMV_FAMILIES)
     oracle = _flag(job, "oracle", False)
     cases = []
     for j in _expand(job.get("j"), "j"):
-        cases.append(lambda j=j: verify_site_formula(params, family, j, order, tol))
+        cases.append(lambda j=j: khrushchev.verify_site_formula(params, family, j, order, tol))
         if oracle:
-            cases.append(lambda j=j: _oracle_report(params, family, j, order, tol))
+            cases.append(lambda j=j: khrushchev.verify_path_count(params, family, j, order, tol))
     return cases
 
 
-def _range_job(job, order, tol):
-    params, family = _job_params(job, "range"), _family(job, CMV_FAMILIES, "CMV")
-    return [lambda j=j, k=k: verify_range_formula(params, family, j, k, order, tol)
-            for j in _expand(job.get("j"), "j") for k in _expand(job.get("k"), "k")
-            if j < k]
-
-
-def _hessenberg_job(job, order, tol):
-    params = _job_params(job, "hessenberg")
-    family = _family(job, HESSENBERG_FAMILIES, "Hessenberg")
-    return [lambda j=j, k=k: verify_hessenberg_formula(params, family, j, k, order, tol)
+def _pair_job(job, order, tol, families, verifier):
+    """Every pair j < k of the job's j and k ranges, checked by the named
+    verifier.  A Hessenberg matrix is exact only for a terminal sequence."""
+    hessenberg = families == HESSENBERG_FAMILIES
+    params, family = _job_params(job, hessenberg), _family(job, families)
+    if hessenberg and not params.finite:
+        raise ValueError("Hessenberg verification needs a terminal sequence")
+    return [lambda j=j, k=k: getattr(khrushchev, verifier)(params, family, j, k, order, tol)
             for j in _expand(job.get("j"), "j") for k in _expand(job.get("k"), "k")
             if j < k]
 
 
 def _superposition_job(job, order, tol):
-    params = _job_params(job, "superposition")
-    hess = _flag(job, "hessenberg", False)
-    beta, gamma = check_superposition(params, _as_complex(job, "beta", 1.0),
-                                      _as_complex(job, "gamma", 0.0), hess)
-    return [lambda j=j: _superposition_report(params, j, beta, gamma, order, tol, hess)
+    params, hess = _job_params(job, False), _flag(job, "hessenberg", False)
+    beta, gamma = khrushchev.check_superposition(
+        params, _as_complex(job, "beta", 1.0), _as_complex(job, "gamma", 0.0), hess)
+    return [lambda j=j: khrushchev.verify_superposition(params, j, beta, gamma, order, tol, hess)
             for j in _expand(job.get("j"), "j")]
 
 
 def _closed_form_job(job, order, tol):
     case = job.get("case")
-    if case in catalog.SPLIT_CASES:
-        return [lambda: _split_case_report(case, order, tol)]
-    if case not in CLOSED_FORM_CASES:
+    if case not in khrushchev.CLOSED_FORM_CASES:
         raise ValueError(f"unknown closed-form case {case!r}")
-    return [lambda: CLOSED_FORM_CASES[case](order, tol)]
+    return [lambda: khrushchev.CLOSED_FORM_CASES[case](order, tol)]
 
 
 # job kind -> parse function; a job naming a closed-form 'case' is of kind
 # "case", any other job of the kind its 'theorem' tag names
 JOB_KINDS = {
     "site": _site_job,
-    "range": _range_job,
-    "hessenberg": _hessenberg_job,
+    "range": partial(_pair_job, families=CMV_FAMILIES, verifier="verify_range_formula"),
+    "hessenberg": partial(_pair_job, families=HESSENBERG_FAMILIES,
+                          verifier="verify_hessenberg_formula"),
     "superposition": _superposition_job,
     "case": _closed_form_job,
 }
@@ -684,15 +530,13 @@ def campaign(ctx, action, config_path):
     """Run a batch of verification jobs and write one merged report."""
     try:
         config = _load_json(config_path) if config_path else _bundled_campaign()
-        if not isinstance(config, dict):
-            raise ValueError("campaign config must be a JSON object")
-        if config.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema {config.get('schema')!r}")
+        _object(config, "campaign config")
+        if as_integer(config.get("schema", SCHEMA_VERSION), "'schema'") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema {config['schema']!r}")
         jobs = config.get("jobs", [])
         if not isinstance(jobs, list) or not all(isinstance(jb, dict) for jb in jobs):
             raise ValueError("'jobs' must be a list of JSON objects")
-        defaults = dict(ctx.obj)
-        defaults.update(config.get("defaults", {}))
+        defaults = {**ctx.obj, **_object(config.get("defaults", {}), "'defaults'")}
         defaults["tol"] = _tolerance(defaults["tol"], "'tol'")
     except PARSE_ERRORS as exc:
         _die(2, str(exc))

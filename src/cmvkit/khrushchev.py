@@ -7,6 +7,12 @@ the operator side extracts the same function from first-return amplitudes
 of an actually built matrix and never sees the formula.  A report records
 the residual together with everything needed to replay the case.
 
+Every report is made here: the formula verifiers, the path-count and
+superposition cross-checks, and `CLOSED_FORM_CASES`, one table from each
+bundled worked example to its check, whose factor splits are read from
+the `catalog.SPLIT_CASES` data when they run.  The command line only
+parses jobs into calls of these functions.
+
 Conventions verified against the operator oracle before being frozen
 here:
 
@@ -21,9 +27,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import catalog
 from .cmv import (
     CMV_FAMILIES,
     FAMILIES,
@@ -36,6 +44,14 @@ from .cmv import (
     window_spec,
 )
 from .linalg import unit_vector
+from .overlap import (
+    SubspacePartition,
+    abstract_khrushchev_check,
+    check_overlap,
+    construct_overlap,
+    verify_gauge,
+)
+from .pathcount import N_CAP, oracle_first_return
 # synthesize is not called here; it stays a name of this module because
 # perfbench's tracer test checks that the tracer wraps this alias
 from .schur import (  # noqa: F401
@@ -43,6 +59,7 @@ from .schur import (  # noqa: F401
     binary_transform,
     inverse_iterate_series,
     iterate_series,
+    random_parameters,
     synthesize,
 )
 from .series import (
@@ -52,7 +69,7 @@ from .series import (
     convolve,
     schur_to_caratheodory,
 )
-from .spectral import schur_of_subspace
+from .spectral import first_return_amplitudes, schur_of_subspace
 
 DEFAULT_TOL = 1e-8
 
@@ -125,6 +142,27 @@ def verify_site_formula(
         "first-return amplitudes of the built matrix",
         "product of synthesized iterate and inverse iterate",
     )
+
+
+def verify_path_count(params: SchurParameters, family: str, j: int, order: int,
+                      tolerance: float = DEFAULT_TOL) -> VerificationReport:
+    """Path-enumeration cross-check of the first-return amplitudes at V_j.
+
+    An order-N Schur function consumes a_1..a_{N+1}; the horizon covers
+    them up to the enumeration's affordable length, and the window is the
+    one exact at that horizon (window_spec's order is horizon - 1).  The
+    operator is certified once, at its assembly.
+    """
+    horizon = min(order + 1, 6, N_CAP)
+    spec = window_spec(params, family, j, horizon - 1)
+    op = build_unitary(spec)
+    v = block_subspace(spec, [j])
+    residual = float(np.abs(oracle_first_return(op, v, horizon)
+                            - first_return_amplitudes(op, v, horizon)).max())
+    return VerificationReport(
+        "path-count",
+        {"d": params.block_dim, "dim": spec.dim, "family": family, "horizon": horizon, "j": j},
+        residual, tolerance, "explicit path enumeration", "sliced-operator powers")
 
 
 def substitute_into_truncation(
@@ -268,8 +306,9 @@ def check_superposition(
     if hessenberg and not params.finite:
         raise ValueError("Hessenberg superposition needs a terminal sequence")
     beta, gamma = complex(beta), complex(gamma)
-    if abs(abs(beta) ** 2 + abs(gamma) ** 2 - 1.0) > 1e-8:
-        raise ValueError("superposition weights must satisfy |beta|^2 + |gamma|^2 = 1")
+    if not abs(abs(beta) ** 2 + abs(gamma) ** 2 - 1.0) <= 1e-8:  # NaN fails too
+        raise ValueError("superposition weights must satisfy |beta|^2 + |gamma|^2 = 1, "
+                         f"got beta = {beta}, gamma = {gamma}")
     return beta, gamma
 
 
@@ -341,3 +380,108 @@ def hessenberg_superposition(
     num = (b * f).shift() + bc * (beta * a * b + gamma * r) + (gc * ((beta * r) * b - gamma * ac)) * f
     den = 1 + (gamma * (bc * r - gc * a * b)).shift() + ((beta * (bc * ac + gc * r * b)).shift() * f)
     return (num / den).mark_schur()
+
+
+def verify_superposition(params: SchurParameters, j: int, beta: complex, gamma: complex,
+                         order: int, tolerance: float = DEFAULT_TOL,
+                         hessenberg: bool = False) -> VerificationReport:
+    """Formula route against operator route for the state beta e_j +
+    gamma e_{j+1} of the scalar five-diagonal or Hessenberg family."""
+    beta, gamma = check_superposition(params, beta, gamma, hessenberg)
+    schur_fn = hessenberg_superposition if hessenberg else scalar_superposition_schur
+    formula, operator = (schur_fn(params, j, beta, gamma, order, route=r)
+                         for r in SUPERPOSITION_ROUTES)
+    return VerificationReport(
+        "hessenberg-superposition" if hessenberg else "superposition",
+        {"beta": [beta.real, beta.imag], "d": params.block_dim, "gamma": [gamma.real, gamma.imag],
+         "j": j, "order": order, "routes": list(SUPERPOSITION_ROUTES)},
+        coeff_distance(formula, operator), tolerance,
+        "route " + SUPERPOSITION_ROUTES[0], "routes " + SUPERPOSITION_ROUTES[1])
+
+
+# ---------------------------------------------------------------------------
+# closed-form cases: the bundled worked examples
+
+
+def _closed_form_report(case, residual, tolerance, left, right) -> VerificationReport:
+    return VerificationReport("closed-form", {"case": case}, float(residual),
+                              tolerance, left, right)
+
+
+def _check_split_case(case, order, tol) -> VerificationReport:
+    """A catalog split row, read when run: the factorization rule plus the
+    row's closed forms."""
+    row = catalog.SPLIT_CASES[case]
+    fact = row.maker()
+    res = abstract_khrushchev_check(fact.product(), fact.partition, row.v_left,
+                                    row.v_right, order, factorization=fact)
+    resid = res.residual
+    for computed, closed in ((res.f_v, row.f_v), (res.f_left, row.f_left),
+                             (res.f_right, row.f_right)):
+        if closed is not None:
+            resid = max(resid, coeff_distance(computed, closed(order)))
+    return _closed_form_report(case, resid, tol, row.left_provenance,
+                               row.right_provenance)
+
+
+def _check_walk_alternate(order, tol) -> VerificationReport:
+    wa = catalog.coined_walk_six_alternate()
+    u = wa.product()
+    chk = check_overlap(u, wa.partition)
+    if not chk.ok:
+        return _closed_form_report("walk-alternate", float("inf"), tol,
+                                   "corner/rank test", "known second factorization")
+    fact = construct_overlap(u, wa.partition)
+    resid = float(fact.reconstruction_residual(u))
+    try:
+        verify_gauge(fact, wa)
+    except ValueError:
+        resid = float("inf")
+    return _closed_form_report("walk-alternate", resid, tol,
+                               "factors rebuilt from the matrix",
+                               "known second factorization, up to center gauge")
+
+
+def _check_hadamard(order, tol) -> VerificationReport:
+    h = catalog.hadamard_coin()
+    f = schur_of_subspace(h, (0,), order)
+    resid = coeff_distance(f, catalog.hadamard_coin_schur(order))
+    chk = check_overlap(h, SubspacePartition(2, (0,), (), (1,)))
+    if chk.ok:
+        resid = float("inf")  # the corner test must reject this split
+    f_sq = schur_of_subspace(h @ h, (0,), order)
+    resid = max(resid, coeff_distance(f_sq, MatrixPowerSeries.one(1, order)))
+    if coeff_distance(f * f, f_sq) <= tol:
+        resid = float("inf")  # f^2 must NOT reproduce the squared coin
+    return _closed_form_report("hadamard-no-overlap", resid, tol,
+                               "first-return series of the coin and its square",
+                               "rational (1+sqrt2 z)/(sqrt2+z); corner test rejection")
+
+
+def _check_superposition_extremes(order, tol) -> VerificationReport:
+    rng = np.random.default_rng(17)
+    params = random_parameters(1, 6, rng)
+    resid = 0.0
+    for j in (1, 2):
+        b_j = inverse_iterate_series(params, j, order)
+        f_j = iterate_series(params, j, order)
+        b_n = inverse_iterate_series(params, j + 1, order)
+        f_n = iterate_series(params, j + 1, order)
+        pure_j = scalar_superposition_schur(params, j, 1.0, 0.0, order)
+        pure_next = scalar_superposition_schur(params, j, 0.0, 1.0, order)
+        resid = max(resid,
+                    coeff_distance(pure_j, b_j * f_j),
+                    coeff_distance(pure_next, f_n * b_n))
+    return _closed_form_report("superposition-extremes", resid, tol,
+                               "two-state transform at (1,0) and (0,1)",
+                               "single-site products b_j f_j and f_{j+1} b_{j+1}")
+
+
+# closed-form case -> check(order, tol); the factor splits are
+# catalog.SPLIT_CASES rows, looked up when they run
+CLOSED_FORM_CASES = {
+    **{case: partial(_check_split_case, case) for case in catalog.SPLIT_CASES},
+    "walk-alternate": _check_walk_alternate,
+    "hadamard-no-overlap": _check_hadamard,
+    "superposition-extremes": _check_superposition_extremes,
+}

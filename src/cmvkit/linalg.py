@@ -93,10 +93,10 @@ def index_tuple(dim: int, v) -> tuple[int, ...]:
 
 
 def unit_vector(psi) -> np.ndarray:
-    """psi flattened to a complex vector, which must have norm 1."""
+    """psi flattened to a complex vector, which must be finite with norm 1."""
     v = np.asarray(psi, dtype=np.complex128).reshape(-1)
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:  # a NaN entry makes the norm NaN
         raise ValueError(f"state must be normalized (|psi| = {norm:.6f})")
     return v
 

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cmvkit import catalog, cli, linalg
+from cmvkit import catalog, cli, khrushchev, linalg
 from cmvkit.catalog import (
     coined_walk_six,
     diffusion_center_schur,
     double_diffusion_six,
     hadamard_coin,
 )
-from cmvkit.cli import CLOSED_FORM_CASES, main
+from cmvkit.cli import main
 from cmvkit.cmv import block_subspace, build, window_spec
 from cmvkit.linalg import is_unitary, matrix_from_json, matrix_to_json
 from cmvkit.pathcount import oracle_first_return
@@ -159,6 +159,14 @@ class TestWalkReturn:
         assert res.exit_code == 0
         body = json.loads(res.output)
         assert body["state"] == [[1.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("state", ["nan,0", "inf,1", "0,0"])
+    def test_state_that_is_zero_or_not_finite_exits_two(self, runner, tmp_path, state):
+        path = write_json(tmp_path / "u.json", matrix_to_json(np.eye(2)))
+        res = runner.invoke(main, ["walk", "return", "--matrix", path, "--indices", "0,1",
+                                   "--state", state, "--horizon", "2"])
+        assert res.exit_code == 2
+        assert "--state must be a nonzero finite vector" in res.output
 
     def test_non_unitary_matrix_is_rejected(self, runner, tmp_path):
         path = write_json(tmp_path / "u.json", matrix_to_json(2 * np.eye(2)))
@@ -336,7 +344,7 @@ class TestVerify:
         def singular(*args, **kwargs):
             raise ZeroDivisionError("singular defect")
 
-        monkeypatch.setattr(cli, "verify_site_formula", singular)
+        monkeypatch.setattr(khrushchev, "verify_site_formula", singular)
         res = runner.invoke(main, [*args, "--j", "1"])
         assert res.exit_code == 1 and "singular defect" in res.output
 
@@ -419,11 +427,11 @@ class TestCampaign:
         kinds = {"case" if "case" in jb else jb["theorem"] for jb in config["jobs"]}
         assert kinds == set(cli.JOB_KINDS)
         cases = {(jb["case"], jb["order"]) for jb in config["jobs"] if "case" in jb}
-        assert cases == {(c, n) for c in [*catalog.SPLIT_CASES, *CLOSED_FORM_CASES]
+        assert cases == {(c, n) for c in khrushchev.CLOSED_FORM_CASES
                          for n in range(17)}
 
     def test_closed_form_cases_pass_at_low_orders(self, runner, tmp_path):
-        cases = sorted(catalog.SPLIT_CASES) + sorted(CLOSED_FORM_CASES)
+        cases = sorted(khrushchev.CLOSED_FORM_CASES)
         assert len(cases) == 8
         cfg = write_json(
             tmp_path / "c.json",
@@ -497,7 +505,7 @@ class TestCampaign:
         failed = body["jobs"][1]
         assert failed == {"name": "walk-factors", "ok": False, "reports": [],
                           "error": {"type": "ZeroDivisionError", "message": "singular defect",
-                                    "job": {**jobs[1], "order": 6, "tolerance": cli.DEFAULT_TOL}}}
+                                    "job": {**jobs[1], "order": 6, "tolerance": khrushchev.DEFAULT_TOL}}}
         for i in (0, 2):
             assert (json.dumps(body["jobs"][i], indent=2, sort_keys=True)
                     == json.dumps(clean["jobs"][i], indent=2, sort_keys=True))
@@ -539,17 +547,20 @@ class TestCampaign:
         ({"theorem": "range", "j": 0, "k": 1, "family": "Hhat"}, "not a CMV family"),
         ({"theorem": "index", "j": 0}, "unknown theorem tag 'index'"),
         ({"case": "no-such-case"}, "unknown closed-form case 'no-such-case'"),
+        ({"theorem": "hessenberg", "j": 0, "k": 1,
+          "source": {"random": {"d": 1, "length": 3, "seed": 1, "terminal": False}}},
+         "Hessenberg verification needs a terminal sequence"),
     ])
     def test_an_invalid_last_job_exits_two_before_any_job_runs(
             self, runner, tmp_path, monkeypatch, bad_job, message):
         calls = []
-        original = cli.verify_site_formula
+        original = khrushchev.verify_site_formula
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "verify_site_formula", counting)
+        monkeypatch.setattr(khrushchev, "verify_site_formula", counting)
         source = {"random": {"d": 1, "length": 12, "seed": 5}}
         jobs = [{"theorem": "site", "j": 0, "source": source},
                 {"name": "last", "source": source, **bad_job}]
@@ -570,7 +581,7 @@ class TestCampaign:
     def test_malformed_superposition_job_exits_two_before_any_job_runs(
             self, runner, tmp_path, monkeypatch, bad, message):
         calls = []
-        monkeypatch.setattr(cli, "verify_site_formula", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(khrushchev, "verify_site_formula", lambda *a, **k: calls.append(a))
         source = {"random": {"d": bad.pop("d", 1), "length": 12, "seed": 5}}
         jobs = [{"theorem": "site", "j": 0, "source": {"random": {"d": 1, "length": 12, "seed": 5}}},
                 {"name": "sup", "theorem": "superposition", "j": 1, "source": source, **bad}]
@@ -731,12 +742,21 @@ class TestCampaign:
         ("superposition", "gamma", "0.8"),
         ("superposition", "gamma", [0.0, 0.8, 0.0]),
         ("superposition", "gamma", float("nan")),
+        ("config", "schema", True),
+        ("config", "schema", 1.0),
+        ("config", "defaults", "abc"),
+        ("job", "source", "profile.json"),
+        ("source", "random", [1, 20, 3]),
     ])
     def test_loose_field_exits_two_and_names_it(self, runner, tmp_path, where, field, value):
         job = {"theorem": "site", "j": 0, "order": 4,
                "source": {"random": {"d": 1, "length": 20, "seed": 3}}}
         config = {"jobs": [job]}
-        if where == "case":
+        if where == "config":
+            config[field] = value
+        elif where == "source":
+            job["source"][field] = value
+        elif where == "case":
             config["jobs"] = [{"case": "walk-factors", "order": 4, field: value}]
         elif where == "defaults":
             config["defaults"] = {field: value}
@@ -879,3 +899,41 @@ def test_imports_no_private_name_from_another_module(module):
         and node.value.id in modules and node.attr.startswith("_")
     ]
     assert private == []
+
+
+class TestReportsAreTheVerifiers:
+    """A campaign job's report is what its khrushchev verifier returns."""
+
+    @staticmethod
+    def campaign_reports(runner, tmp_path, job):
+        cfg = write_json(tmp_path / "c.json", {"jobs": [job]})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 0, res.output
+        return json.loads(out.read_text())["jobs"][0]["reports"]
+
+    @pytest.mark.parametrize("hessenberg", [False, True])
+    def test_superposition(self, runner, tmp_path, hessenberg):
+        # an open sequence needs coefficients for an exact order-8 window
+        length = 5 if hessenberg else 24
+        source = {"d": 1, "length": length, "seed": 9, "terminal": hessenberg}
+        job = {"theorem": "superposition", "j": 1, "order": 8, "tolerance": 1e-8,
+               "beta": [0.6, 0.0], "gamma": [0.0, 0.8], "hessenberg": hessenberg,
+               "source": {"random": source}}
+        p = random_parameters(1, length, np.random.default_rng(9), terminal=hessenberg)
+        report = khrushchev.verify_superposition(p, 1, 0.6, 0.8j, 8, 1e-8, hessenberg)
+        assert report.ok
+        assert report.theorem == ("hessenberg-superposition" if hessenberg else "superposition")
+        assert self.campaign_reports(runner, tmp_path, job) == [report.to_json()]
+
+    @pytest.mark.parametrize("family", ["C", "Chat"])
+    @pytest.mark.parametrize("order, horizon", [(0, 1), (6, 6), (9, 6)])
+    def test_path_count(self, runner, tmp_path, family, order, horizon):
+        job = {"theorem": "site", "family": family, "j": 2, "order": order, "oracle": True,
+               "tolerance": 1e-8, "source": {"random": {"d": 2, "length": 24, "seed": 4}}}
+        p = random_parameters(2, 24, np.random.default_rng(4))
+        report = khrushchev.verify_path_count(p, family, 2, order, 1e-8)
+        assert report.ok and report.params["horizon"] == horizon
+        site, path_count = self.campaign_reports(runner, tmp_path, job)
+        assert path_count == report.to_json()
+        assert site == khrushchev.verify_site_formula(p, family, 2, order, 1e-8).to_json()

@@ -11,6 +11,7 @@ from cmvkit.cmv import BlockOperatorSpec, build, theta, unitary_truncation
 from cmvkit.khrushchev import (
     SUPERPOSITION_ROUTES,
     VerificationReport,
+    check_superposition,
     compress_to_vector,
     hessenberg_superposition,
     scalar_superposition_schur,
@@ -257,6 +258,12 @@ class TestScalarSuperposition:
         p = random_parameters(2, 32, rng)
         with pytest.raises(ValueError, match="scalar"):
             scalar_superposition_schur(p, 1, 1.0, 0.0, 8)
+
+    @pytest.mark.parametrize("beta, gamma", [(float("nan"), 0.0), (1.0, complex("nan"))])
+    def test_rejects_weights_that_are_not_finite(self, rng, beta, gamma):
+        p = random_parameters(1, 32, rng)
+        with pytest.raises(ValueError, match="superposition weights must satisfy"):
+            check_superposition(p, beta, gamma)
 
 
 class TestCompressToVector:

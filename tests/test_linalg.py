@@ -244,6 +244,11 @@ class TestAssembly:
         with pytest.raises(ValueError, match="state must be normalized"):
             unit_vector([1.0, 1.0])
 
+    @pytest.mark.parametrize("psi", [[np.nan, 0.0], [complex(0.0, np.nan)], [np.inf, 1.0]])
+    def test_unit_vector_rejects_a_state_that_is_not_finite(self, psi):
+        with pytest.raises(ValueError, match="state must be normalized"):
+            unit_vector(psi)
+
     def test_as_matrix_rejects_nan(self):
         with pytest.raises(ValueError):
             as_matrix([[np.nan, 0.0], [0.0, 1.0]])
