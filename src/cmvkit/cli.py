@@ -342,6 +342,8 @@ def _job_params(job, terminal: bool):
     source's 'terminal' flag."""
     source = _object(job.get("source"), "'source'")
     if "file" in source:
+        if not isinstance(source["file"], str):
+            raise ValueError(f"'source.file' must be a path string, got {source['file']!r}")
         return parameters_from_json(json.loads(Path(source["file"]).read_text()))
     if "random" in source:
         r = _object(source["random"], "'random'")
@@ -419,6 +421,8 @@ def _superposition_job(job, order, tol):
 
 def _closed_form_job(job, order, tol):
     case = job.get("case")
+    if not isinstance(case, str):
+        raise ValueError(f"'case' must be a closed-form case name, got {case!r}")
     if case not in khrushchev.CLOSED_FORM_CASES:
         raise ValueError(f"unknown closed-form case {case!r}")
     return [lambda: khrushchev.CLOSED_FORM_CASES[case](order, tol)]

@@ -151,13 +151,14 @@ def verify_path_count(params: SchurParameters, family: str, j: int, order: int,
     An order-N Schur function consumes a_1..a_{N+1}; the horizon covers
     them up to the enumeration's affordable length, and the window is the
     one exact at that horizon (window_spec's order is horizon - 1).  The
-    operator is certified once, at its assembly.
+    paths run over the operator's d x d blocks.  The operator is certified
+    once, at its assembly.
     """
     horizon = min(order + 1, 6, N_CAP)
     spec = window_spec(params, family, j, horizon - 1)
     op = build_unitary(spec)
     v = block_subspace(spec, [j])
-    residual = float(np.abs(oracle_first_return(op, v, horizon)
+    residual = float(np.abs(oracle_first_return(op, v, horizon, params.block_dim)
                             - first_return_amplitudes(op, v, horizon)).max())
     return VerificationReport(
         "path-count",

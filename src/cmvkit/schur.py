@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import (
+    Unitary,
     as_integer,
     as_stack,
     certify,
@@ -73,11 +74,13 @@ class SchurParameters:
     # and JSON: the operator norm of each parameter, the parameter stack
     # and, on first use, their defects as four more stacks, and the
     # synthesized iterates of p ("f") and of its reflection ("b") per
-    # (kind, order, m).
+    # (kind, order, m); and the terminal's unitarity certificate, which
+    # iterates hand on instead of certifying the terminal again.
     _norms: tuple = field(default=(), init=False, repr=False)
     _stack: np.ndarray = field(default=None, init=False, repr=False)
     _defects: tuple = field(default=(), init=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, repr=False)
+    _certificate: Optional[Unitary] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d = as_integer(self.block_dim, "block_dim")
@@ -104,10 +107,11 @@ class SchurParameters:
         object.__setattr__(self, "_norms", tuple(norms.tolist()))
         object.__setattr__(self, "_stack", stack)
         if self.terminal is not None:
-            t = certify(self.terminal, what="terminal").matrix
-            if t.shape != (d, d):
+            cert = certify(self.terminal, what="terminal")
+            if cert.matrix.shape != (d, d):
                 raise ValueError(f"terminal is not {d}x{d}")
-            object.__setattr__(self, "terminal", t)
+            object.__setattr__(self, "terminal", cert.matrix)
+            object.__setattr__(self, "_certificate", cert)
 
     def __eq__(self, other):
         if not isinstance(other, SchurParameters):
@@ -143,10 +147,11 @@ class SchurParameters:
 
 
 def iterate(p: SchurParameters, j: int) -> SchurParameters:
-    """Parameters of the j-th Schur iterate: drop the first j entries."""
+    """Parameters of the j-th Schur iterate: drop the first j entries.  The
+    terminal keeps the parent's certificate."""
     if j < 0 or j > len(p):
         raise ValueError(f"iterate index {j} outside 0..{len(p)}")
-    return SchurParameters(p.block_dim, p._stack[j:], p.terminal)
+    return SchurParameters(p.block_dim, p._stack[j:], p._certificate)
 
 
 def inverse_iterate(p: SchurParameters, j: int) -> SchurParameters:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from cmvkit.linalg import certify, index_tuple
+from cmvkit.pathcount import N_CAP, PRUNE_FLOOR
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
 
 
@@ -120,3 +122,37 @@ def draw_contraction(d: int, rng) -> np.ndarray:
     if norm == 0.0:
         return np.zeros((d, d), dtype=np.complex128)
     return np.asarray(g, dtype=np.complex128) * (target / norm)
+
+
+def scalar_first_return(U, v, horizon: int) -> np.ndarray:
+    """First-return amplitudes a_1..a_horizon by enumerating paths over
+    scalar coordinates, one depth-first pass for every length: the
+    reference for the site-path oracle.  Each time the walk steps onto v
+    it adds to the entry of its depth; steps of modulus below PRUNE_FLOOR
+    are skipped."""
+    u = certify(U).matrix
+    if not 1 <= horizon <= N_CAP:
+        raise ValueError(f"horizon {horizon} outside 1..{N_CAP}")
+    idx = index_tuple(u.shape[0], v)
+    interior = [s for s in range(u.shape[0]) if s not in idx]
+    entries = u.tolist()
+
+    def steps(cur, rows):
+        return [(k, entries[s][cur]) for k, s in enumerate(rows)
+                if abs(entries[s][cur]) >= PRUNE_FLOOR]
+
+    # successor lists, built once, by position in v and in `interior`
+    ends = {s: steps(s, idx) for s in (*idx, *interior)}
+    inner = {s: steps(s, interior) for s in (*idx, *interior)}
+    out = np.zeros((horizon, len(idx), len(idx)), dtype=np.complex128)
+
+    def walk(c: int, cur: int, depth: int, amp: complex) -> None:
+        for r, step in ends[cur]:
+            out[depth, r, c] += step * amp
+        if depth + 1 < horizon:
+            for k, step in inner[cur]:
+                walk(c, interior[k], depth + 1, amp * step)
+
+    for c, s in enumerate(idx):
+        walk(c, s, 0, 1.0 + 0.0j)
+    return out

@@ -773,6 +773,22 @@ class TestCampaign:
         assert f"'{field}' must be" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("job, message", [
+        ({"theorem": "site", "j": 0, "source": {"file": 5}},
+         "'source.file' must be a path string, got 5"),
+        ({"theorem": "site", "j": 0, "source": {"file": ["p.json"]}},
+         "'source.file' must be a path string, got ['p.json']"),
+        ({"case": ["walk-factors"]}, "'case' must be a closed-form case name, got ['walk-factors']"),
+        ({"case": 3}, "'case' must be a closed-form case name, got 3"),
+    ])
+    def test_a_mistyped_file_or_case_exits_two_and_names_it(self, runner, tmp_path, job, message):
+        cfg = write_json(tmp_path / "c.json", {"jobs": [{"order": 4, **job}]})
+        out = tmp_path / "r.json"
+        res = runner.invoke(main, ["--out", str(out), "campaign", "run", "--config", cfg])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("tolerance", 0), ("tolerance", 1e-300), ("oracle", False), ("terminal", True),
         ("beta", 1), ("gamma", [0, 0]),

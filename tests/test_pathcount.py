@@ -3,20 +3,34 @@
 The enumeration is deliberately naive: it never touches the amplitude
 recursion it is meant to check.  Entry [n - 1][r, c] of the oracle's
 stack is the sum over n-step paths from v[c] to v[r] with every
-intermediate state outside v.
+intermediate state outside v.  The oracle walks sites of block_dim
+indices; the scalar pass over single coordinates (helpers) is its
+reference.
 """
 
+import ast
 import itertools
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from cmvkit.catalog import coined_walk_six, diffusion_center_schur, double_diffusion_six
-from cmvkit.cmv import BlockOperatorSpec, block_subspace, build, window_spec
+from cmvkit.cmv import (
+    FAMILIES,
+    HESSENBERG_FAMILIES,
+    BlockOperatorSpec,
+    block_subspace,
+    build,
+    window_spec,
+)
 from cmvkit.linalg import embed
 from cmvkit.pathcount import N_CAP, PRUNE_FLOOR, oracle_first_return
 from cmvkit.schur import random_parameters, random_unitary
 from cmvkit.spectral import first_return_amplitudes
+from helpers import scalar_first_return
 
 
 def _per_length(u, v, n):
@@ -181,14 +195,14 @@ class TestOnePass:
                     spec = window_spec(p, family, j, horizon - 1)
                     u = build(spec)
                     v = block_subspace(spec, [j])
-                    got = oracle_first_return(u, v, horizon)
+                    got = scalar_first_return(u, v, horizon)
                     want = np.stack([_per_length(u, v, n) for n in range(1, horizon + 1)])
                     assert np.array_equal(got, want), (family, j, horizon)
 
     def test_dense_stack_equals_the_per_length_enumeration(self, rng):
         for v in [(0,), (5, 2), (1, 3, 4)]:
             u = random_unitary(6, rng)
-            got = oracle_first_return(u, v, 6)
+            got = scalar_first_return(u, v, 6)
             want = np.stack([_per_length(u, v, n) for n in range(1, 7)])
             assert np.array_equal(got, want), v
 
@@ -197,8 +211,97 @@ class TestOnePass:
         spec = window_spec(random_parameters(d, 12, rng), "Chat", 1, 4)
         u = build(spec)
         v = block_subspace(spec, [1])
-        assert np.abs(oracle_first_return(u, v, 5) - _brute_force(u, v, 5)).max() < 1e-13
+        assert np.abs(scalar_first_return(u, v, 5) - _brute_force(u, v, 5)).max() < 1e-13
         u = random_unitary(6, rng)
         for v, horizon in [((3,), 4), ((4, 1), N_CAP)]:
-            got = oracle_first_return(u, v, horizon)
+            got = scalar_first_return(u, v, horizon)
             assert np.abs(got - _brute_force(u, v, horizon)).max() < 1e-13, v
+
+
+def _scalar_steps(u, v, horizon):
+    """Steps the scalar pass takes: the walks out of v that stay outside it
+    in between, of every length up to the horizon."""
+    live = (np.abs(u) >= PRUNE_FLOOR).astype(float)
+    at = np.zeros(len(u))
+    at[list(v)] = 1.0
+    total = 0.0
+    for _ in range(horizon):
+        at = live @ at
+        total += at.sum()
+        at[list(v)] = 0.0
+    return total
+
+
+class TestSitePaths:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4),
+           family=st.sampled_from(FAMILIES), j=st.integers(0, 5),
+           horizon=st.integers(1, N_CAP), terminal=st.booleans(), extra=st.integers(0, 2))
+    @example(seed=0, d=4, family="C", j=2, horizon=4, terminal=False, extra=0)
+    @example(seed=1, d=4, family="Hhat", j=0, horizon=3, terminal=True, extra=0)
+    @example(seed=2, d=3, family="H", j=5, horizon=N_CAP, terminal=True, extra=2)
+    def test_site_paths_match_the_scalar_pass_and_the_operator(
+            self, seed, d, family, j, horizon, terminal, extra):
+        # Hessenberg matrices are built on terminal sequences only; the
+        # scalar pass is run where its coordinate walks stay affordable
+        rng = np.random.default_rng(seed)
+        terminal = terminal or family in HESSENBERG_FAMILIES
+        length = j + extra if terminal else j + horizon + 2
+        p = random_parameters(d, length, rng, terminal=terminal)
+        spec = window_spec(p, family, j, horizon - 1)
+        u = build(spec)
+        v = block_subspace(spec, [j])
+        got = oracle_first_return(u, v, horizon, d)
+        assert got.shape == (horizon, d, d)
+        assert np.abs(got - first_return_amplitudes(u, v, horizon)).max() <= 1e-14
+        if _scalar_steps(u, v, horizon) <= 1e5:
+            event(f"scalar pass compared at d = {d}")
+            assert np.abs(got - scalar_first_return(u, v, horizon)).max() <= 1e-14
+
+    def test_coordinates_follow_the_order_of_v(self, rng):
+        u = random_unitary(8, rng)
+        for v in [(5, 4), (2, 3, 7, 6), (7, 6, 0, 1)]:
+            got = oracle_first_return(u, v, 5, 2)
+            assert np.abs(got - first_return_amplitudes(u, v, 5)).max() <= 1e-14, v
+
+    @pytest.mark.parametrize("v, block_dim", [((0,), 2), ((0, 3), 2), ((1, 2), 2), ((0, 1, 2), 2),
+                                              ((2, 3, 4), 3), ((0, 1), 4)])
+    def test_v_must_be_a_union_of_whole_sites(self, rng, v, block_dim):
+        u = random_unitary(8 if block_dim != 3 else 9, rng)
+        with pytest.raises(ValueError, match="union of whole sites"):
+            oracle_first_return(u, v, 2, block_dim)
+
+    @pytest.mark.parametrize("block_dim", [0, -2, 4, 2.0])
+    def test_block_dim_must_divide_the_dimension(self, rng, block_dim):
+        with pytest.raises(ValueError, match="block_dim"):
+            oracle_first_return(random_unitary(6, rng), (0, 1), 2, block_dim)
+
+    def test_dense_unitary_at_the_cap_stays_in_bounded_memory(self, rng):
+        # 11**7, about 1.9e7, live paths at the last depth: about 300 MB as
+        # one frontier, while the depth-first pieces stay below 32 MiB
+        u = random_unitary(12, rng)
+        tracemalloc.start()
+        try:
+            got = oracle_first_return(u, (0,), N_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+        assert np.abs(got - first_return_amplitudes(u, (0,), N_CAP)).max() <= 1e-12
+
+    def test_pathcount_imports_nothing_from_spectral(self):
+        # the oracle and the recursion it checks share nothing: follow every
+        # import inside the package from pathcount
+        package = Path(oracle_first_return.__code__.co_filename).parent
+        seen, todo = set(), ["pathcount"]
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            tree = ast.parse((package / f"{name}.py").read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    todo += [node.module] if node.module not in seen else []
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [a.name for a in node.names] + [getattr(node, "module", "") or ""]
+                    assert not any("cmvkit" in n for n in names), (name, names)
+        assert "spectral" not in seen, seen

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cmvkit import schur
+from cmvkit import linalg, schur
 from cmvkit.catalog import diffusion_center_schur, rational_series
 from cmvkit.schur import (
     SchurParameters,
@@ -231,6 +231,21 @@ class TestIterates:
         assert np.allclose(b.alpha(0), -p.alpha(2).conj().T)
         assert np.allclose(b.alpha(2), -p.alpha(0).conj().T)
         assert np.allclose(b.terminal, np.eye(2))
+
+
+    def test_iterates_hand_on_the_terminal_certificate(self, rng, monkeypatch):
+        p = random_parameters(2, 5, rng, terminal=True)
+        calls = []
+        checked = linalg.is_unitary
+        monkeypatch.setattr(linalg, "is_unitary", lambda *a, **kw: calls.append(a) or checked(*a, **kw))
+        iterates = [iterate(p, j) for j in range(len(p) + 1)]
+        assert not calls
+        monkeypatch.undo()
+        for j, q in enumerate(iterates):
+            fresh = SchurParameters(2, p.alphas[j:], p.terminal)
+            assert q == fresh and q.terminal is p.terminal
+            assert repr(q) == repr(fresh)
+            assert parameters_to_json(q) == parameters_to_json(fresh)
 
 
 class TestParameterMemo:
