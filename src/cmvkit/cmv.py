@@ -12,6 +12,9 @@ it starts (see window_spec).
 
 Every built operator comes with a unitarity certificate bounded from its
 Theta blocks (see _assemble), so no caller re-checks the dense matrix.
+The Theta blocks of a parameter set and their residuals are computed once
+per set and kept on it; every build slices them, and the boundary's
+residual is read off its certificate.
 
 Family names: "C" and "Chat" are the two five-diagonal orderings LM and
 ML of the same Theta factors; "H" and "Hhat" are the Hessenberg products.
@@ -23,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_TOL, Unitary, as_integer, as_matrix, unitary_residuals
+from .linalg import (
+    UNITARY_TOL,
+    Unitary,
+    as_integer,
+    as_matrix,
+    certified_identity,
+    unitary_residuals,
+)
 from .overlap import OverlapFactorization, SubspacePartition
 from .schur import SchurParameters, rho_left, rho_right
 
@@ -50,11 +60,21 @@ def theta(alpha) -> np.ndarray:
     return _fill_thetas(a[None], rho_left(a)[None], rho_right(a)[None])[0]
 
 
-def _theta_stack(p: SchurParameters, lo: int, hi: int) -> np.ndarray:
-    """Theta blocks of alpha_lo..alpha_{hi-1} as one stack, sliced from the
-    parameter and defect stacks stored on the parameter set."""
-    alphas, rl, rr, _, _ = p.stacks()
-    return _fill_thetas(alphas[lo:hi], rl[lo:hi], rr[lo:hi])
+def _theta_blocks(p: SchurParameters) -> tuple[np.ndarray, np.ndarray]:
+    """Theta blocks of every parameter of p as one read-only stack, with
+    their unitary_residuals: computed on first use from the parameter and
+    defect stacks and kept on p, so every operator built from p slices
+    them.  Filling the stack only copies, conjugates and negates the
+    stored defects, so the operator route shares only those values with
+    the formula route."""
+    if not p._thetas:
+        alphas, rl, rr, _, _ = p.stacks()
+        thetas = _fill_thetas(alphas, rl, rr)
+        residuals = unitary_residuals(thetas)
+        thetas.setflags(write=False)
+        residuals.setflags(write=False)
+        object.__setattr__(p, "_thetas", (thetas, residuals))
+    return p._thetas
 
 
 @dataclass(frozen=True)
@@ -131,11 +151,12 @@ def window_spec(params: SchurParameters, family: str, last_block: int, order: in
     return BlockOperatorSpec(params, family, n_blocks)
 
 
-def _boundary(spec: BlockOperatorSpec) -> np.ndarray:
-    """The unitary closing the window: the terminal, or the identity."""
+def _boundary(spec: BlockOperatorSpec) -> Unitary:
+    """The unitary closing the window with its certificate: the
+    terminal's, or the identity's."""
     if spec.params.finite:
-        return spec.params.terminal
-    return np.eye(spec.block_dim, dtype=np.complex128)
+        return spec.params._certificate
+    return certified_identity(spec.block_dim)
 
 
 def _band_factor(thetas: np.ndarray, boundary: np.ndarray, first: int) -> np.ndarray:
@@ -158,26 +179,28 @@ def _band_factor(thetas: np.ndarray, boundary: np.ndarray, first: int) -> np.nda
 def cmv_factors(spec: BlockOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """The two block-diagonal band factors whose products give the two
     five-diagonal orderings."""
-    thetas = _theta_stack(spec.params, 0, spec.n_blocks - 1)
-    boundary = _boundary(spec)
+    thetas = _theta_blocks(spec.params)[0][: spec.n_blocks - 1]
+    boundary = _boundary(spec).matrix
     return _band_factor(thetas, boundary, 0), _band_factor(thetas, boundary, 1)
 
 
-def _assemble(family: str, p: SchurParameters, lo: int, hi: int, boundary) -> Unitary:
+def _assemble(family: str, p: SchurParameters, lo: int, hi: int, closure: Unitary) -> Unitary:
     """The finite operator of the given family on the Theta blocks of
-    alpha_lo..alpha_{hi-1}, closed by the boundary unitary: the band
-    factor products L M / M L, or the Hessenberg product of the rotations.
+    alpha_lo..alpha_{hi-1}, closed by the certified boundary unitary: the
+    band factor products L M / M L, or the Hessenberg product of the
+    rotations.
 
     The certificate bounds the dense residual without forming U^dagger U:
     L and M are block diagonal, so ||L^dagger L - 1||_F is the
     root-sum-square of their blocks' residuals (both product orders), and
     the residual of a product is at most the sum of its factors' to first
     order.  The Hessenberg product uses the plain sum of the Theta
-    residuals.  Both add the boundary's residual.
+    residuals.  Both add the boundary's residual, read off its
+    certificate.  The Theta blocks and their residuals are slices of the
+    ones kept on p.
     """
-    thetas = _theta_stack(p, lo, hi)
-    res = unitary_residuals(thetas)
-    closing = float(unitary_residuals(boundary[None])[0])
+    thetas, res = (a[lo:hi] for a in _theta_blocks(p))
+    boundary, closing = closure.matrix, closure.residual
     if family in CMV_FAMILIES:
         lf, mf = _band_factor(thetas, boundary, 0), _band_factor(thetas, boundary, 1)
         out = lf @ mf if family == "C" else mf @ lf
@@ -240,7 +263,7 @@ def unitary_truncation(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
     the operator has from alpha_j on."""
     if not 0 <= j < k < spec.n_blocks:
         raise ValueError(f"need 0 <= j < k < n_blocks, got ({j}, {k})")
-    eye = np.eye(spec.block_dim, dtype=np.complex128)
+    eye = certified_identity(spec.block_dim)
     return _assemble(_family_from(spec.family, j), spec.params, j, k, eye).matrix
 
 
@@ -278,7 +301,7 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
     """
     if not 1 <= j <= spec.n_blocks - 2:
         raise ValueError(f"overlap site must satisfy 1 <= j <= {spec.n_blocks - 2}")
-    p, n, eye = spec.params, spec.n_blocks, np.eye(spec.block_dim, dtype=np.complex128)
+    p, n, eye = spec.params, spec.n_blocks, certified_identity(spec.block_dim)
     head = _assemble(spec.family, p, 0, j, eye), range(0, j + 1)
     tail = _assemble(_family_from(spec.family, j), p, j, n - 1, _boundary(spec)), range(j, n)
     head_lc = head_is_left(spec.family, j)

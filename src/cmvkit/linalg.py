@@ -181,11 +181,19 @@ def is_unitary(m, tol: float = UNITARY_TOL) -> UnitaryCheck:
 @dataclass(frozen=True, eq=False)
 class Unitary:
     """A matrix certified unitary once: a read-only array and a bound on
-    its is_unitary residual.  Made only by ``certify`` and by the operator
-    assembler in ``cmv``, which bounds the residual from its Theta blocks."""
+    its is_unitary residual.  Made only by ``certify``, by
+    ``certified_identity`` and by the operator assembler in ``cmv``, which
+    bounds the residual from its Theta blocks."""
 
     matrix: np.ndarray
     residual: float
+
+
+def certified_identity(n: int) -> Unitary:
+    """The n x n identity with its exact residual, 0."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.flags.writeable = False
+    return Unitary(eye, 0.0)
 
 
 def certify(m, tol: float = UNITARY_TOL, what: str = "matrix") -> Unitary:

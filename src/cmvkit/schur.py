@@ -7,13 +7,15 @@ Backward direction: synthesize the series back from its parameters
 
 where rL = (1 - a†a)^(1/2) and rR = (1 - aa†)^(1/2) are the defect
 matrices of the parameter.  A run of backward steps keeps f as one left
-fraction D^(-1) N, which each step updates linearly,
+fraction D^(-1) N, packed as one array [D | N], which each step updates
+linearly with two GEMMs against constants of the run,
 
-    D' = D rR^(-1) + z N rL^(-1) a†,      N' = D rR^(-1) a + z N rL^(-1),
+    [D' | N'] = D [rR^(-1) | rR^(-1) a] + z N [rL^(-1) a† | rL^(-1)],
 
 and divides out, in series.left_divide, once the growth bound allows no
-further step.  Iterates drop leading parameters; inverse iterates reverse
-a negated-adjoint prefix and terminate with the identity.
+further step.  Iterates drop leading parameters and hand on the
+terminal's certificate; inverse iterates reverse a negated-adjoint prefix
+and terminate with the certified identity.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .linalg import (
     Unitary,
     as_integer,
     as_stack,
+    certified_identity,
     certify,
     hermitian_psd_sqrt,
     matrix_from_json,
@@ -72,13 +75,16 @@ class SchurParameters:
     terminal: Optional[np.ndarray] = None
     # Derived data, computed once per parameter set and kept out of repr
     # and JSON: the operator norm of each parameter, the parameter stack
-    # and, on first use, their defects as four more stacks, and the
-    # synthesized iterates of p ("f") and of its reflection ("b") per
-    # (kind, order, m); and the terminal's unitarity certificate, which
-    # iterates hand on instead of certifying the terminal again.
+    # and, on first use, their defects as four more stacks, the Theta
+    # blocks and their unitarity residuals (filled by cmv, which slices
+    # them for every operator it builds), and the synthesized iterates of
+    # p ("f") and of its reflection ("b") per (kind, order, m); and the
+    # terminal's unitarity certificate, which iterates hand on instead of
+    # certifying the terminal again.
     _norms: tuple = field(default=(), init=False, repr=False)
     _stack: np.ndarray = field(default=None, init=False, repr=False)
     _defects: tuple = field(default=(), init=False, repr=False)
+    _thetas: tuple = field(default=(), init=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, repr=False)
     _certificate: Optional[Unitary] = field(default=None, init=False, repr=False)
 
@@ -156,11 +162,12 @@ def iterate(p: SchurParameters, j: int) -> SchurParameters:
 
 def inverse_iterate(p: SchurParameters, j: int) -> SchurParameters:
     """Parameters of the j-th inverse iterate:
-    (-a_{j-1}†, ..., -a_0†) closed by the identity terminal."""
+    (-a_{j-1}†, ..., -a_0†) closed by the identity terminal, which comes
+    with its exact certificate."""
     if j < 0 or j > len(p):
         raise ValueError(f"inverse iterate index {j} outside 0..{len(p)}")
     rev = -p._stack[:j][::-1].conj().swapaxes(1, 2)
-    return SchurParameters(p.block_dim, rev, np.eye(p.block_dim))
+    return SchurParameters(p.block_dim, rev, certified_identity(p.block_dim))
 
 
 def mobius_step(
@@ -171,8 +178,11 @@ def mobius_step(
 
     ``alpha`` is one d x d parameter or a run (a_0, ..., a_{r-1}), applied
     last first, so the result has leading parameter a_0 and its r-th
-    iterate is f.  The run is one left fraction D^(-1) N, seeded with
-    D = 1 and N = f, updated linearly per parameter and divided out when
+    iterate is f.  The run is one left fraction D^(-1) N, packed as one
+    ((n+1)d x 2d) array [D | N] and seeded with D = 1 and N = f.  Each
+    parameter is two GEMMs of its columns against the constants
+    [rR^-1 | rR^-1 a] and [rL^-1 a† | rL^-1], computed for the whole run
+    in one batched product per side.  The fraction is divided out when
     the product of the kappas since the last division would pass
     GROWTH_BOUND, and at the end.
 
@@ -195,21 +205,37 @@ def mobius_step(
         raise ValueError("order must be nonnegative")
     if n > f.order + len(run):
         raise ValueError(f"the run determines coefficients 0..{f.order + len(run)} only")
-    one = MatrixPowerSeries.one(d, n).coeffs
-    den, num = one, np.zeros_like(one)
-    num[: f.order + 1] = f.coeffs[: n + 1]
+    # the step constants of the whole run, one batched product per side:
+    # [D' | N'] = D [rR^-1 | rR^-1 a] + z N [rL^-1 a† | rL^-1]
+    _, _, rl_inv, rr_inv = defects
+    on_den = np.concatenate([rr_inv, rr_inv @ run], axis=2)
+    on_num = np.concatenate([rl_inv @ run.conj().swapaxes(1, 2), rl_inv], axis=2)
+    frac = _fraction(f.coeffs[: n + 1], n, d)
     growth = 1.0
-    _, _, rl_invs, rr_invs = defects
-    for a, rl_inv, rr_inv, norm in zip(run[::-1], rl_invs[::-1], rr_invs[::-1], norms[::-1]):
-        kappa = (1.0 + norm) / np.sqrt(1.0 - norm * norm)
+    for i in reversed(range(len(run))):
+        kappa = (1.0 + norms[i]) / np.sqrt(1.0 - norms[i] * norms[i])
         if growth > 1.0 and growth * kappa > GROWTH_BOUND:
-            den, num, growth = one, left_divide(den, num), 1.0
-        tail = num[:-1]
-        den, num = den @ rr_inv, den @ (rr_inv @ a)
-        den[1:] += tail @ (rl_inv @ a.conj().T)
-        num[1:] += tail @ rl_inv
+            frac, growth = _fraction(_quotient(frac, d), n, d), 1.0
+        step = frac[:, :d] @ on_den[i]
+        step[d:] += frac[:-d, d:] @ on_num[i]
+        frac = step
         growth *= kappa
-    return MatrixPowerSeries(left_divide(den, num))
+    return MatrixPowerSeries(_quotient(frac, d))
+
+
+def _fraction(numerator: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The fraction 1^(-1) N on n+1 coefficients packed as [D | N], rows
+    kd..kd+d-1 holding [D_k | N_k]; N is zero past the given coefficients."""
+    frac = np.zeros(((n + 1) * d, 2 * d), dtype=np.complex128)
+    frac[:d, :d] = np.eye(d)
+    frac.reshape(n + 1, d, 2 * d)[: len(numerator), :, d:] = numerator
+    return frac
+
+
+def _quotient(frac: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients of D^(-1) N of a packed fraction [D | N]."""
+    packed = frac.reshape(-1, d, 2 * d)
+    return left_divide(packed[:, :, :d], packed[:, :, d:])
 
 
 def synthesize(p: SchurParameters, order: int) -> MatrixPowerSeries:

@@ -7,8 +7,10 @@ so fixed-order pipelines lose nothing below the truncation order.
 
 Every series product of two non-constant factors runs through one
 kernel, convolve, that forms all coefficient products in one GEMM.
-Every series quotient runs through one causal loop, left_divide (D^(-1) N):
-inverse() is D^(-1) 1, and a / b = a b^(-1) runs it on transposes.
+Every series quotient runs through one causal loop, left_divide (D^(-1) N),
+which scales both stacks by D_0^(-1) first and then spends one GEMM per
+coefficient: inverse() is D^(-1) 1, and a / b = a b^(-1) runs it on
+transposes.  Sampling on a grid (values_at) is one GEMM as well.
 
 The scalar case is d = 1 with 1x1 coefficient matrices; nothing is
 special-cased for it.
@@ -198,9 +200,12 @@ class MatrixPowerSeries:
 
     def values_at(self, grid: Iterable[complex]) -> np.ndarray:
         """The truncated sum at each grid point, stacked along the first
-        axis, from one Vandermonde product."""
+        axis: one GEMM of the Vandermonde matrix with the coefficients, each
+        flattened to a row of d^2 entries."""
         z = np.asarray(list(grid), dtype=np.complex128)
-        return np.einsum("gn,nij->gij", np.vander(z, self.order + 1, increasing=True), self.coeffs)
+        m, d = self.order + 1, self.block_dim
+        values = np.vander(z, m, increasing=True) @ self.coeffs.reshape(m, d * d)
+        return values.reshape(len(z), d, d)
 
     def mark_schur(self, tol: float = CONTRACTIVITY_TOL) -> "MatrixPowerSeries":
         """Check that the series can be a Schur function and return it.
@@ -321,20 +326,27 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def left_divide(den: np.ndarray, num: np.ndarray) -> np.ndarray:
-    """Coefficients of D^(-1) N for coefficient stacks of one length:
-    X_k = D_0^(-1) (N_k - sum_{i=1..k} D_i X_{k-i}), one causal pass with
-    one matrix product per coefficient.  Every series quotient runs here."""
+    """Coefficients of D^(-1) N for coefficient stacks of one length, in
+    one causal pass over the pre-scaled stacks D~_i = D_0^(-1) D_i and
+    N~_k = D_0^(-1) N_k (two GEMMs, one per row of coefficients):
+
+        X_k = N~_k - sum_{i=1..k} D~_i X_{k-i},
+
+    one GEMM and one subtraction in place per coefficient.  Every series
+    quotient runs here."""
     n, d = len(num) - 1, num.shape[1]
     try:
         inv0 = np.linalg.inv(den[0])
     except np.linalg.LinAlgError:
         raise ValueError("constant term is singular; series has no inverse") from None
-    row = np.ascontiguousarray(den.transpose(1, 0, 2)).reshape(d, (n + 1) * d)  # [D_0 ... D_n]
-    # rev[n - k] = X_k, so X_{k-1}, ..., X_0 is one contiguous slice
-    rev = np.empty((n + 1, d, d), dtype=np.complex128)
-    rev[n] = inv0 @ num[0]
+    row = inv0 @ den[1:].transpose(1, 0, 2).reshape(d, n * d)  # [D~_1 ... D~_n]
+    rhs = inv0 @ num.transpose(1, 0, 2).reshape(d, (n + 1) * d)  # [N~_0 ... N~_n]
+    # rev[n - k] = X_k, so X_{k-1}, ..., X_0 is one contiguous slice; it
+    # starts as N~ and each coefficient subtracts its sum in place
+    rev = rhs.reshape(d, n + 1, d)[:, ::-1].transpose(1, 0, 2).copy()
     for k in range(1, n + 1):
-        rev[n - k] = inv0 @ (num[k] - row[:, d : (k + 1) * d] @ rev[n - k + 1 :].reshape(k * d, d))
+        x = rev[n - k]
+        np.subtract(x, row[:, : k * d] @ rev[n - k + 1 :].reshape(k * d, d), out=x)
     return rev[::-1].copy()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from cmvkit.linalg import certify, index_tuple
 from cmvkit.pathcount import N_CAP, PRUNE_FLOOR
+from cmvkit.schur import GROWTH_BOUND
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
 
 
@@ -109,6 +110,35 @@ def loop_inverse(f):
         acc = np.einsum("iab,ibc->ac", f.coeffs[1 : k + 1], out[:k][::-1])
         out[k] = -inv0 @ acc
     return MatrixPowerSeries(out)
+
+
+def stepwise_mobius_run(run, f, defects, norms, order: int) -> MatrixPowerSeries:
+    """The backward Schur steps of a validated run, one parameter at a
+    time on the fraction's two (order+1, d, d) stacks D and N, each
+    product broadcast over the coefficient axis, and divided at the same
+    growth points as the library's packed run.  Each division is
+    loop_inverse(D) times N by loop_product, apart from the library's
+    kernels: the reference for schur.mobius_step."""
+    d = f.block_dim
+    one = MatrixPowerSeries.one(d, order).coeffs
+    den, num = one, np.zeros_like(one)
+    num[: f.order + 1] = f.coeffs[: order + 1]
+
+    def divided(den, num):
+        return loop_product(loop_inverse(MatrixPowerSeries(den)).coeffs, num)
+
+    growth = 1.0
+    _, _, rl_invs, rr_invs = defects
+    for a, rl_inv, rr_inv, norm in zip(run[::-1], rl_invs[::-1], rr_invs[::-1], norms[::-1]):
+        kappa = (1.0 + norm) / np.sqrt(1.0 - norm * norm)
+        if growth > 1.0 and growth * kappa > GROWTH_BOUND:
+            den, num, growth = one, divided(den, num), 1.0
+        tail = num[:-1]
+        den, num = den @ rr_inv, den @ (rr_inv @ a)
+        den[1:] += tail @ (rl_inv @ a.conj().T)
+        num[1:] += tail @ rl_inv
+        growth *= kappa
+    return MatrixPowerSeries(divided(den, num))
 
 
 def draw_contraction(d: int, rng) -> np.ndarray:

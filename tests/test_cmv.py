@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cmvkit import khrushchev, linalg
+from cmvkit import cmv, khrushchev, linalg
 from cmvkit.cmv import (
     FAMILIES,
     BlockOperatorSpec,
@@ -382,6 +382,29 @@ class TestStoredDefects:
             schur_of_subspace(build(BlockOperatorSpec(q, family, 5)), (1, 2), 4)
         assert p._defects and q._defects
         assert p._series == {} and q._series == {}
+
+    def test_theta_residuals_are_evaluated_once_per_set(self, rng, monkeypatch):
+        # every (family, j <= 5) window of one set, one truncation and one
+        # overlap slice the Theta blocks and residuals kept on the set
+        calls = []
+        original = cmv.unitary_residuals
+
+        def counting(stack):
+            calls.append(np.shape(stack))
+            return original(stack)
+
+        monkeypatch.setattr(cmv, "unitary_residuals", counting)
+        d = 2
+        open_p = random_parameters(d, 20, rng)
+        finite_p = random_parameters(d, 8, rng, terminal=True)
+        for p, families in ((open_p, ("C", "Chat")), (finite_p, FAMILIES)):
+            for family in families:
+                for j in range(6):
+                    build_unitary(window_spec(p, family, j, 6))
+            spec = window_spec(p, families[0], 5, 6)
+            unitary_truncation(spec, 1, 4)
+            standard_overlap(spec, 3)
+        assert calls == [(20, 2 * d, 2 * d), (8, 2 * d, 2 * d)]
 
     def test_slices_build_no_parameter_sets(self, rng, monkeypatch):
         p = random_parameters(2, 8, rng, terminal=True)

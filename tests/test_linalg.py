@@ -150,8 +150,8 @@ class TestIsUnitary:
             assert abs(single - unitary_residuals(m[None])[0]) <= 1e-15 * max(1.0, single)
 
     def test_theta_stacks_take_the_batched_path(self, rng, monkeypatch):
-        # the build certifies its Theta blocks as one stack and the
-        # boundary as a stack of one, never through is_unitary
+        # the build certifies its Theta blocks as one stack and reads the
+        # boundary's residual off its certificate, never through is_unitary
         calls = []
         original = linalg.unitary_residuals
 
@@ -162,7 +162,7 @@ class TestIsUnitary:
         monkeypatch.setattr(linalg, "is_unitary", lambda *a, **k: calls.append("is_unitary"))
         monkeypatch.setattr(cmv, "unitary_residuals", recording)
         cmv.build_unitary(cmv.BlockOperatorSpec(random_parameters(2, 9, rng), "C", 10))
-        assert calls == [(9, 4, 4), (1, 2, 2)]
+        assert calls == [(9, 4, 4)]
 
 
 class TestCertify:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmvkit import linalg, schur
 from cmvkit.catalog import diffusion_center_schur, rational_series
@@ -18,13 +19,14 @@ from cmvkit.schur import (
     parameters_from_json,
     parameters_to_json,
     random_parameters,
+    random_unitary,
     rho_left,
     rho_right,
     schur_forward,
     synthesize,
 )
 from cmvkit.series import MatrixPowerSeries, coeff_distance
-from helpers import grid_max_norm, loop_inverse
+from helpers import grid_max_norm, loop_inverse, stepwise_mobius_run
 
 
 def scalar_params(values, terminal=None):
@@ -233,6 +235,21 @@ class TestIterates:
         assert np.allclose(b.terminal, np.eye(2))
 
 
+    def test_inverse_iterates_hand_on_the_identity_certificate(self, rng, monkeypatch):
+        p = random_parameters(2, 5, rng, terminal=True)
+        calls = []
+        checked = linalg.is_unitary
+        monkeypatch.setattr(linalg, "is_unitary", lambda *a, **kw: calls.append(a) or checked(*a, **kw))
+        inverses = [inverse_iterate(p, j) for j in range(len(p) + 1)]
+        assert not calls
+        monkeypatch.undo()
+        for j, q in enumerate(inverses):
+            fresh = SchurParameters(2, -p._stack[:j][::-1].conj().swapaxes(1, 2), np.eye(2))
+            assert q == fresh and np.array_equal(q.terminal, np.eye(2))
+            assert q.terminal.dtype == fresh.terminal.dtype
+            assert repr(q) == repr(fresh)
+            assert parameters_to_json(q) == parameters_to_json(fresh)
+
     def test_iterates_hand_on_the_terminal_certificate(self, rng, monkeypatch):
         p = random_parameters(2, 5, rng, terminal=True)
         calls = []
@@ -381,6 +398,39 @@ class TestMobiusStep:
         assert mobius_step(p.alphas, f, order=3).order == 3
         with pytest.raises(ValueError, match="determines coefficients 0..12"):
             mobius_step(p.alphas, f, order=13)
+
+
+class TestPackedRun:
+    """The packed run [D | N] of mobius_step against the stepwise
+    broadcast reference, divisions included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        length=st.integers(0, 14),
+        top=st.sampled_from([0.3, 0.9, 0.99, 0.999]),
+        order=st.integers(0, 64),
+        terminal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_run_matches_the_stepwise_reference(self, d, length, top, order, terminal, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((length, d, d)) + 1j * rng.standard_normal((length, d, d))
+        # norms spread over [0, top], the largest exactly top: near 0.999
+        # the growth bound divides the fraction every step or two
+        norms = top * rng.uniform(0.0, 1.0, length)
+        if length:
+            norms[rng.integers(length)] = top
+        p = SchurParameters(d, g * (norms / np.linalg.norm(g, 2, axis=(1, 2)))[:, None, None])
+        if terminal:
+            f = MatrixPowerSeries.constant(random_unitary(d, rng), order)
+        else:
+            f = synthesize(random_parameters(d, 3, rng), order)
+        args = (p.stacks()[0], f, p.stacks()[1:], p._norms, order)
+        got, want = mobius_step(*args), stepwise_mobius_run(*args)
+        assert got.order == want.order == order
+        scale = max(1.0, float(np.abs(want.coeffs).max()))
+        assert coeff_distance(got, want) <= 1e-12 * scale
 
 
 class TestBinaryTransform:
