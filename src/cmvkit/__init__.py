@@ -11,7 +11,6 @@ from .cmv import (
     BlockOperatorSpec,
     build,
     build_unitary,
-    cmv_factors,
     standard_overlap,
     unitary_truncation,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "build_unitary",
     "certify",
     "check_overlap",
-    "cmv_factors",
     "coeff_distance",
     "compress_to_vector",
     "construct_overlap",

@@ -16,8 +16,12 @@ The Theta blocks of a parameter set and their residuals are computed once
 per set and kept on it; every build slices them, and the boundary's
 residual is read off its certificate.
 
-Family names: "C" and "Chat" are the two five-diagonal orderings LM and
-ML of the same Theta factors; "H" and "Hhat" are the Hessenberg products.
+Every family is the same Theta rotations multiplied in its own order, and
+_rank states that order once: "C" = L M puts the even rotations first and
+"Chat" = M L the odd ones (the five-diagonal orderings), "H" multiplies
+them in index order and "Hhat" in reverse (the Hessenberg products).  The
+builder, the truncations, the standard overlap and head_is_left all read
+the order from _rank.
 """
 
 from __future__ import annotations
@@ -30,46 +34,33 @@ from .linalg import (
     UNITARY_TOL,
     Unitary,
     as_integer,
-    as_matrix,
     certified_identity,
     unitary_residuals,
 )
 from .overlap import OverlapFactorization, SubspacePartition
-from .schur import SchurParameters, rho_left, rho_right
+from .schur import SchurParameters
 
 CMV_FAMILIES = ("C", "Chat")
 HESSENBERG_FAMILIES = ("H", "Hhat")
 FAMILIES = CMV_FAMILIES + HESSENBERG_FAMILIES
 
 
-def _fill_thetas(alphas, rls, rrs) -> np.ndarray:
-    """(m, 2d, 2d) stack of [[alpha^dagger, rho^L], [rho^R, -alpha]] from
-    (m, d, d) stacks of alphas and their defects."""
-    m, d, _ = alphas.shape
-    out = np.empty((m, 2 * d, 2 * d), dtype=np.complex128)
-    out[:, :d, :d] = alphas.conj().swapaxes(1, 2)
-    out[:, :d, d:] = rls
-    out[:, d:, :d] = rrs
-    out[:, d:, d:] = -alphas
-    return out
-
-
-def theta(alpha) -> np.ndarray:
-    """The 2d x 2d unitary rotation [[alpha^dagger, rho^L], [rho^R, -alpha]]."""
-    a = as_matrix(alpha)
-    return _fill_thetas(a[None], rho_left(a)[None], rho_right(a)[None])[0]
-
-
 def _theta_blocks(p: SchurParameters) -> tuple[np.ndarray, np.ndarray]:
-    """Theta blocks of every parameter of p as one read-only stack, with
-    their unitary_residuals: computed on first use from the parameter and
-    defect stacks and kept on p, so every operator built from p slices
-    them.  Filling the stack only copies, conjugates and negates the
-    stored defects, so the operator route shares only those values with
-    the formula route."""
+    """Theta blocks [[alpha^dagger, rho^L], [rho^R, -alpha]] of every
+    parameter of p as one read-only (len, 2d, 2d) stack, with their
+    unitary_residuals: computed on first use from the parameter and defect
+    stacks and kept on p, so every operator built from p slices them.
+    Filling the stack only copies, conjugates and negates the stored
+    defects, so the operator route shares only those values with the
+    formula route."""
     if not p._thetas:
         alphas, rl, rr, _, _ = p.stacks()
-        thetas = _fill_thetas(alphas, rl, rr)
+        d = p.block_dim
+        thetas = np.empty((len(alphas), 2 * d, 2 * d), dtype=np.complex128)
+        thetas[:, :d, :d] = alphas.conj().swapaxes(1, 2)
+        thetas[:, :d, d:] = rl
+        thetas[:, d:, :d] = rr
+        thetas[:, d:, d:] = -alphas
         residuals = unitary_residuals(thetas)
         thetas.setflags(write=False)
         residuals.setflags(write=False)
@@ -93,6 +84,7 @@ class BlockOperatorSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        object.__setattr__(self, "n_blocks", as_integer(self.n_blocks, "n_blocks"))
         if self.n_blocks < 1:
             raise ValueError("n_blocks must be positive")
         if self.params.finite:
@@ -135,6 +127,9 @@ def window_spec(params: SchurParameters, family: str, last_block: int, order: in
     finds errors of 1e-16 there and of order one with a block fewer).
     The rule keeps one block of margin: last_block + order + 3.
     """
+    last_block, order = as_integer(last_block, "last_block"), as_integer(order, "order")
+    if last_block < 0 or order < 0:
+        raise ValueError(f"last_block and order must be nonnegative, got {last_block}, {order}")
     if params.finite:
         if last_block > len(params):
             raise ValueError(
@@ -159,66 +154,65 @@ def _boundary(spec: BlockOperatorSpec) -> Unitary:
     return certified_identity(spec.block_dim)
 
 
-def _band_factor(thetas: np.ndarray, boundary: np.ndarray, first: int) -> np.ndarray:
-    """Block-diagonal band factor on len(thetas)+1 blocks: the Theta blocks
-    thetas[first::2] at their own block offsets, the identity on block 0
-    when first is 1, and the boundary adjoint on a last block no Theta
-    covers.  first = 0 gives L, first = 1 gives M."""
-    m = len(thetas)
-    d = boundary.shape[0]
-    out = np.zeros(((m + 1) * d, (m + 1) * d), dtype=np.complex128)
-    if first:
-        out[:d, :d] = np.eye(d)
-    for i in range(first, m, 2):
-        out[i * d : (i + 2) * d, i * d : (i + 2) * d] = thetas[i]
-    if (m - first) % 2 == 0:
-        out[m * d :, m * d :] = boundary.conj().T
-    return out
-
-
-def cmv_factors(spec: BlockOperatorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The two block-diagonal band factors whose products give the two
-    five-diagonal orderings."""
-    thetas = _theta_blocks(spec.params)[0][: spec.n_blocks - 1]
-    boundary = _boundary(spec).matrix
-    return _band_factor(thetas, boundary, 0), _band_factor(thetas, boundary, 1)
+def _rank(family: str, i: int) -> int:
+    """Where Theta_i stands in the family's product of rotations, read at
+    the absolute index i; at the last block, where the boundary stands.
+    Lower ranks stand further left.  C = L M puts the even rotations
+    first and Chat = M L the odd ones; H multiplies them in index order
+    and Hhat in reverse."""
+    if family == "C":
+        return i % 2
+    if family == "Chat":
+        return (i + 1) % 2
+    return i if family == "H" else -i
 
 
 def _assemble(family: str, p: SchurParameters, lo: int, hi: int, closure: Unitary) -> Unitary:
     """The finite operator of the given family on the Theta blocks of
-    alpha_lo..alpha_{hi-1}, closed by the certified boundary unitary: the
-    band factor products L M / M L, or the Hessenberg product of the
-    rotations.
+    alpha_lo..alpha_{hi-1}, closed by the certified boundary unitary on
+    the last block: the identity multiplied from the right, in place, by
+    the rotations in _rank order.  Ranks are read at absolute indices, so
+    a range from alpha_lo on has the order the full operator has there.
+    A five-diagonal family applies each parity as one layer, with the
+    boundary in the layer whose rank it shares; a Hessenberg family
+    applies one rotation at a time.
 
     The certificate bounds the dense residual without forming U^dagger U:
-    L and M are block diagonal, so ||L^dagger L - 1||_F is the
-    root-sum-square of their blocks' residuals (both product orders), and
-    the residual of a product is at most the sum of its factors' to first
-    order.  The Hessenberg product uses the plain sum of the Theta
-    residuals.  Both add the boundary's residual, read off its
-    certificate.  The Theta blocks and their residuals are slices of the
-    ones kept on p.
+    a parity layer is block diagonal, so its residual is the
+    root-sum-square of its blocks' residuals, and the residual of a
+    product is at most the sum of its factors' to first order.  The
+    Hessenberg product uses the plain sum of the Theta residuals.  Both
+    add the boundary's residual, read off its certificate.  The Theta
+    blocks and their residuals are slices of the ones kept on p.
     """
     thetas, res = (a[lo:hi] for a in _theta_blocks(p))
-    boundary, closing = closure.matrix, closure.residual
+    m, d, closing = len(thetas), closure.matrix.shape[0], closure.residual
+    last = closure.matrix.conj().T
+    out = np.eye((m + 1) * d, dtype=np.complex128)
+    forward = _rank(family, lo) < _rank(family, lo + 1)
     if family in CMV_FAMILIES:
-        lf, mf = _band_factor(thetas, boundary, 0), _band_factor(thetas, boundary, 1)
-        out = lf @ mf if family == "C" else mf @ lf
+        for first in (0, 1) if forward else (1, 0):
+            # a parity's rotations tile their 2d-column pairs without
+            # overlap, so the layer is one batched product
+            layer = thetas[first::2]
+            cols = out[:, first * d : (first + 2 * len(layer)) * d]
+            pairs = cols.reshape(len(out), len(layer), 2 * d).swapaxes(0, 1)
+            cols[...] = (pairs @ layer).swapaxes(0, 1).reshape(cols.shape)
+            if _rank(family, lo + first) == _rank(family, hi):
+                out[:, m * d :] = out[:, m * d :] @ last
         bound = float(np.sqrt(np.sum(res[0::2] ** 2)) + np.sqrt(np.sum(res[1::2] ** 2)))
         what = "built CMV matrix"
     else:
-        m, d = len(thetas), boundary.shape[0]
-        out = np.eye((m + 1) * d, dtype=np.complex128)
-        # a rotation on blocks i, i+1 multiplying from the right changes
-        # only their 2d columns, so it is applied to those in place
-        if family == "H":
-            for i in range(m):
-                out[:, i * d : (i + 2) * d] = out[:, i * d : (i + 2) * d] @ thetas[i]
-            out[:, m * d :] = out[:, m * d :] @ boundary.conj().T
-        else:
-            out[m * d :, m * d :] = boundary.conj().T
-            for i in reversed(range(m)):
-                out[:, i * d : (i + 2) * d] = out[:, i * d : (i + 2) * d] @ thetas[i]
+        # Hessenberg ranks are monotone in i, so the boundary, ranked at
+        # hi, comes after every rotation when they rise and first, on the
+        # identity, when they fall; each rotation changes only its own
+        # 2d columns
+        if not forward:
+            out[m * d :, m * d :] = last
+        for i in range(m) if forward else reversed(range(m)):
+            out[:, i * d : (i + 2) * d] = out[:, i * d : (i + 2) * d] @ thetas[i]
+        if forward:
+            out[:, m * d :] = out[:, m * d :] @ last
         bound = float(np.sum(res))
         what = "built Hessenberg matrix"
     bound += closing
@@ -259,20 +253,12 @@ def block_subspace(spec: BlockOperatorSpec, blocks) -> tuple[int, ...]:
 def unitary_truncation(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
     """Unitary closure of the blocks j..k: the boundary coefficients are
     replaced by -1 (below) and +1 (above), which decouples the range.  The
-    result is the finite operator of the inner coefficients, of the family
-    the operator has from alpha_j on."""
+    result is the finite operator of the inner coefficients, with the
+    factor order the operator has from alpha_j on."""
     if not 0 <= j < k < spec.n_blocks:
         raise ValueError(f"need 0 <= j < k < n_blocks, got ({j}, {k})")
     eye = certified_identity(spec.block_dim)
-    return _assemble(_family_from(spec.family, j), spec.params, j, k, eye).matrix
-
-
-def _family_from(family: str, j: int) -> str:
-    """Family on the coefficients from alpha_j on: the five-diagonal
-    orderings swap at odd j, the Hessenberg ones stay."""
-    if family in CMV_FAMILIES and j % 2 == 1:
-        return "Chat" if family == "C" else "C"
-    return family
+    return _assemble(spec.family, spec.params, j, k, eye).matrix
 
 
 def head_is_left(family: str, j: int) -> bool:
@@ -281,14 +267,13 @@ def head_is_left(family: str, j: int) -> bool:
     The head carries alpha_0..alpha_{j-1} closed by the identity and has
     V_j Schur function b_j; the tail carries the rest and has f_j.  With
     V = V_j the overlap rule reads f_V = f^R f^L, so this one rule orders
-    the factors of every site and range formula.  It holds for C at odd
-    j, for Chat at even j, always for H and never for Hhat.
+    the factors of every site and range formula.  The head is U_LC when
+    Theta_{j-1} stands left of Theta_j in the family's product: for C at
+    odd j, for Chat at even j, always for H and never for Hhat.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family in HESSENBERG_FAMILIES:
-        return family == "H"
-    return (j % 2 == 1) == (family == "C")
+    return _rank(family, j - 1) < _rank(family, j)
 
 
 def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
@@ -303,7 +288,7 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
         raise ValueError(f"overlap site must satisfy 1 <= j <= {spec.n_blocks - 2}")
     p, n, eye = spec.params, spec.n_blocks, certified_identity(spec.block_dim)
     head = _assemble(spec.family, p, 0, j, eye), range(0, j + 1)
-    tail = _assemble(_family_from(spec.family, j), p, j, n - 1, _boundary(spec)), range(j, n)
+    tail = _assemble(spec.family, p, j, n - 1, _boundary(spec)), range(j, n)
     head_lc = head_is_left(spec.family, j)
     (u_lc, lc_blocks), (u_cr, cr_blocks) = (head, tail) if head_lc else (tail, head)
 

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from cmvkit.linalg import certify, index_tuple
+from cmvkit.linalg import as_matrix, certify, index_tuple
 from cmvkit.pathcount import N_CAP, PRUNE_FLOOR
-from cmvkit.schur import GROWTH_BOUND
+from cmvkit.schur import GROWTH_BOUND, rho_left, rho_right
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
 
 
@@ -22,6 +22,26 @@ def direct_sum(*blocks) -> np.ndarray:
         out[at : at + k, at : at + k] = b
         at += k
     return out
+
+
+def theta(alpha) -> np.ndarray:
+    """The 2d x 2d unitary rotation [[alpha^dagger, rho^L], [rho^R, -alpha]]
+    of one parameter, from the public defects."""
+    a = as_matrix(alpha)
+    return np.block([[a.conj().T, rho_left(a)], [rho_right(a), -a]])
+
+
+def cmv_factors(spec) -> tuple[np.ndarray, np.ndarray]:
+    """The dense block-diagonal band factors L and M of a five-diagonal
+    spec, C = L M and Chat = M L: L holds the even rotations and M the odd
+    ones behind an identity block, and the one whose rotations stop short
+    of the last block closes it with the boundary adjoint."""
+    p, d, m = spec.params, spec.block_dim, spec.n_blocks - 1
+    thetas = [theta(p.alpha(i)) for i in range(m)]
+    closing = (p.terminal if p.finite else np.eye(d)).conj().T
+    lf = direct_sum(*thetas[0::2], *[closing] * (m % 2 == 0))
+    mf = direct_sum(np.eye(d), *thetas[1::2], *[closing] * (m % 2 == 1))
+    return lf, mf
 
 
 def direct_sum_series(*parts: MatrixPowerSeries) -> MatrixPowerSeries:

@@ -29,8 +29,6 @@ from cmvkit.catalog import (
 from cmvkit.cmv import (
     BlockOperatorSpec,
     build,
-    cmv_factors,
-    theta,
     window_spec,
 )
 from cmvkit.khrushchev import (
@@ -74,7 +72,7 @@ from cmvkit.spectral import (
     first_return_amplitudes,
     schur_of_subspace,
 )
-from helpers import direct_sum_series
+from helpers import cmv_factors, direct_sum_series, theta
 
 
 @pytest.mark.criterion(

@@ -13,10 +13,8 @@ from cmvkit.cmv import (
     block_subspace,
     build,
     build_unitary,
-    cmv_factors,
     head_is_left,
     standard_overlap,
-    theta,
     unitary_truncation,
     window_spec,
 )
@@ -35,7 +33,7 @@ from cmvkit.schur import (
 )
 from cmvkit.series import coeff_distance
 from cmvkit.spectral import first_return_amplitudes, schur_of_subspace
-from helpers import direct_sum
+from helpers import cmv_factors, direct_sum, theta
 
 SQ3 = float(np.sqrt(3.0))
 
@@ -94,6 +92,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="family"):
             BlockOperatorSpec(scalar_params([0.1]), "X", 2)
 
+    @pytest.mark.parametrize("bad", [True, 2.5, 3.0, "3"])
+    def test_block_count_must_be_an_integer(self, bad):
+        p = scalar_params([0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match=f"n_blocks must be an integer, got {bad!r}"):
+            BlockOperatorSpec(p, "C", bad)
+        spec = BlockOperatorSpec(p, "C", np.int64(3))
+        assert type(spec.n_blocks) is int and spec.dim == 3
+
     def test_block_subspace_is_the_ascending_index_tuple(self, rng):
         spec = BlockOperatorSpec(random_parameters(2, 6, rng), "C", 5)
         assert block_subspace(spec, [3, 0, 3]) == (0, 1, 6, 7)
@@ -116,6 +122,14 @@ class TestSpecValidation:
         assert spec.n_blocks == 2 + 3 + 3
         with pytest.raises(ValueError, match="coefficients"):
             window_spec(p, "C", 2, 4)
+
+    @pytest.mark.parametrize("last_block, order", [(-1, 2), (2, -4)])
+    def test_window_rejects_a_negative_block_or_order(self, last_block, order):
+        for p in (scalar_params([0.0] * 7), scalar_params([0.0] * 3, terminal=1.0)):
+            with pytest.raises(ValueError, match=f"must be nonnegative, got {last_block}, {order}"):
+                window_spec(p, "C", last_block, order)
+        with pytest.raises(ValueError, match="order must be an integer, got 2.5"):
+            window_spec(scalar_params([0.0] * 7), "C", 0, 2.5)
 
 
 def _amplitudes(spec, blocks, horizon):
@@ -229,11 +243,22 @@ class TestBuildFiveDiagonal:
             assert chk.ok, (fam, chk.residual)
 
     def test_product_of_band_factors(self, rng):
-        spec = BlockOperatorSpec(random_parameters(2, 7, rng), "C", 7)
-        lf, mf = cmv_factors(spec)
-        assert np.abs(lf @ mf - build(spec)).max() < 1e-14
-        hat = BlockOperatorSpec(spec.params, "Chat", 7)
-        assert np.abs(mf @ lf - build(hat)).max() < 1e-14
+        # the in-place rotation layers against the dense products L M and
+        # M L, on open and terminal sets and one order-64 window
+        specs = []
+        for d in (1, 2, 3, 4):
+            open_p = random_parameters(d, 8, rng)
+            for n_blocks in range(1, 10):
+                closed_p = random_parameters(d, n_blocks - 1, rng, terminal=True)
+                specs += [(closed_p, n_blocks), (open_p, n_blocks)]
+        window = window_spec(random_parameters(3, 70, rng), "C", 2, 64)
+        specs.append((window.params, window.n_blocks))
+        for p, n_blocks in specs:
+            spec = BlockOperatorSpec(p, "C", n_blocks)
+            lf, mf = cmv_factors(spec)
+            assert np.abs(lf @ mf - build(spec)).max() < 1e-14, (p.block_dim, n_blocks)
+            hat = BlockOperatorSpec(p, "Chat", n_blocks)
+            assert np.abs(mf @ lf - build(hat)).max() < 1e-14, (p.block_dim, n_blocks)
 
     def test_hat_family_is_transpose_of_transposed_parameters(self, rng):
         p = random_parameters(2, 6, rng)
@@ -328,17 +353,18 @@ def _from_public_theta(spec):
     """The operator assembled from public theta(alpha) calls, without the
     defects stored on the parameter set."""
     p, d, m = spec.params, spec.block_dim, spec.n_blocks - 1
-    thetas = [theta(p.alpha(i)) for i in range(m)]
     closing = (p.terminal if p.finite else np.eye(d)).conj().T
-    if spec.family in ("C", "Chat"):
-        lf = direct_sum(*thetas[0::2], *[closing] * (m % 2 == 0))
-        mf = direct_sum(np.eye(d), *thetas[1::2], *[closing] * (m % 2 == 1))
-        return lf @ mf if spec.family == "C" else mf @ lf
+    steps = [(i * d, theta(p.alpha(i))) for i in range(m)] + [(m * d, closing)]
+    # C = L M applies the even rotations first, Chat = M L the odd ones;
+    # the boundary on block m goes with the rotations of m's parity
+    if spec.family == "C":
+        steps = steps[0::2] + steps[1::2]
+    elif spec.family == "Chat":
+        steps = steps[1::2] + steps[0::2]
+    elif spec.family == "Hhat":
+        steps = steps[::-1]
     # each rotation acts on its own 2d columns, as the library applies it
     out = np.eye(spec.dim, dtype=np.complex128)
-    steps = [(i * d, t) for i, t in enumerate(thetas)] + [(m * d, closing)]
-    if spec.family == "Hhat":
-        steps = steps[-1:] + steps[-2::-1]
     for at, block in steps:
         out[:, at : at + len(block)] = out[:, at : at + len(block)] @ block
     return out
@@ -528,6 +554,30 @@ class TestUnitaryTruncation:
         tail = direct_sum(np.eye((k - j) * d), p.alpha(k).conj().T)
         assert np.abs(sub - head @ trunc @ tail).max() < 1e-12
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        d=st.integers(1, 3),
+        terminal=st.booleans(),
+        data=st.data(),
+    )
+    def test_truncation_is_the_build_of_its_inner_coefficients(self, family, d, terminal, data):
+        # the reference is the parity table the ranks replace: the
+        # five-diagonal orderings swap at odd j, the Hessenberg ones stay
+        terminal = terminal or family in ("H", "Hhat")
+        n_blocks = data.draw(st.integers(2, 9), label="n_blocks")
+        k = data.draw(st.integers(1, n_blocks - 1), label="k")
+        j = data.draw(st.integers(0, k - 1), label="j")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p = random_parameters(d, n_blocks - 1 if terminal else n_blocks, rng, terminal=terminal)
+        inner_family = family
+        if family in ("C", "Chat") and j % 2 == 1:
+            inner_family = "Chat" if family == "C" else "C"
+        inner = SchurParameters(d, p.alphas[j:k], np.eye(d))
+        want = build(BlockOperatorSpec(inner, inner_family, k - j + 1))
+        got = unitary_truncation(BlockOperatorSpec(p, family, n_blocks), j, k)
+        assert np.array_equal(got, want), (j, k)
+
     def test_degenerate_range_rejected(self, rng):
         spec = BlockOperatorSpec(random_parameters(1, 4, rng), "C", 4)
         with pytest.raises(ValueError):
@@ -677,17 +727,6 @@ class TestCertificate:
         object.__setattr__(p, "_defects", (rl, *rest))
         with pytest.raises(ValueError, match="not unitary.*alpha_3"):
             build(BlockOperatorSpec(p, family, 7))
-
-    def test_factors_place_the_theta_blocks(self, rng):
-        for n_blocks in (1, 2, 5, 6):
-            p = random_parameters(2, 6, rng)
-            spec = BlockOperatorSpec(p, "C", n_blocks)
-            thetas = [theta(p.alpha(i)) for i in range(n_blocks - 1)]
-            eye = np.eye(2)
-            lf, mf = cmv_factors(spec)
-            want_l = direct_sum(*thetas[0::2], *([eye] if len(thetas) % 2 == 0 else []))
-            want_m = direct_sum(eye, *thetas[1::2], *([eye] if len(thetas) % 2 == 1 else []))
-            assert np.array_equal(lf, want_l) and np.array_equal(mf, want_m), n_blocks
 
     def test_verifiers_make_no_dense_unitarity_check(self, rng, monkeypatch):
         shapes = []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cmvkit import khrushchev
-from cmvkit.cmv import BlockOperatorSpec, build, theta, unitary_truncation
+from cmvkit.cmv import BlockOperatorSpec, build, unitary_truncation
 from cmvkit.khrushchev import (
     SUPERPOSITION_ROUTES,
     VerificationReport,
@@ -31,7 +31,7 @@ from cmvkit.series import (
     MatrixPowerSeries,
     coeff_distance,
 )
-from helpers import direct_sum_series, grid_max_norm
+from helpers import direct_sum_series, grid_max_norm, theta
 
 
 def scalar_params(values, terminal=None):

@@ -17,7 +17,6 @@ from cmvkit.cmv import (
     build,
     head_is_left,
     standard_overlap,
-    theta,
     unitary_truncation,
 )
 from cmvkit.khrushchev import substitute_into_truncation
@@ -56,6 +55,7 @@ from helpers import (
     loop_inverse,
     loop_product,
     mark_schur_by_svd,
+    theta,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
