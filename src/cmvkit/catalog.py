@@ -147,12 +147,12 @@ def hadamard_coin_schur(order: int) -> MatrixPowerSeries:
 # Rational Schur functions of the diffusion products.
 
 def diffusion_left_schur(order: int) -> MatrixPowerSeries:
-    """(3z - 1)/(3 - z): center-state Schur function of the 4-state diffusion."""
+    """(3z - 1)/(3 - z): center-state Schur function of the 3-state diffusion."""
     return rational_series((-1.0, 3.0), (3.0, -1.0), order)
 
 
 def diffusion_right_schur(order: int) -> MatrixPowerSeries:
-    """(2z - 1)/(2 - z): center-state Schur function of the 3-state diffusion."""
+    """(2z - 1)/(2 - z): center-state Schur function of the 4-state diffusion."""
     return rational_series((-1.0, 2.0), (2.0, -1.0), order)
 
 

@@ -267,7 +267,7 @@ def overlap():
     """Overlapping factorizations of explicit unitaries."""
 
 
-def _checked_partition(ctx, matrix_path, left, center, right):
+def _checked_partition(matrix_path, left, center, right):
     """Read and certify the matrix, read the partition, and run the corner
     and rank test; returns the certified matrix and the partition with the
     test's JSON payload."""
@@ -275,7 +275,7 @@ def _checked_partition(ctx, matrix_path, left, center, right):
         u = certify(matrix_from_json(_load_json(matrix_path)))
         part = SubspacePartition(u.matrix.shape[0], _indices(left),
                                  _indices(center), _indices(right))
-        chk = check_overlap(u, part, rel_tol=min(ctx.obj["tol"], 1e-10))
+        chk = check_overlap(u, part)
     except PARSE_ERRORS as exc:
         _die(2, str(exc))
     payload = {
@@ -294,7 +294,7 @@ def _checked_partition(ctx, matrix_path, left, center, right):
 @click.pass_context
 def overlap_check(ctx, matrix_path, left, center, right):
     """Corner and rank test for an overlapping factorization."""
-    _, _, ok, payload = _checked_partition(ctx, matrix_path, left, center, right)
+    _, _, ok, payload = _checked_partition(matrix_path, left, center, right)
     _emit(payload, ctx.obj["out"])
     sys.exit(0 if ok else 1)
 
@@ -304,8 +304,7 @@ def overlap_check(ctx, matrix_path, left, center, right):
 @click.pass_context
 def overlap_construct(ctx, matrix_path, left, center, right):
     """Build the two factors and report the reconstruction residual."""
-    u, part, ok, payload = _checked_partition(ctx, matrix_path, left, center,
-                                              right)
+    u, part, ok, payload = _checked_partition(matrix_path, left, center, right)
     if not ok:
         _emit(payload, ctx.obj["out"])
         sys.exit(1)
@@ -475,10 +474,9 @@ def _parse_job(job, defaults) -> list:
 @click.option("--gamma", default="0", help="superposition weight of e_{j+1}")
 @click.option("--oracle", is_flag=True,
               help="also cross-check amplitudes by path enumeration")
-@click.option("--report", "report_path", type=click.Path(), default=None)
 @click.pass_context
 def verify(ctx, theorem, params_path, random_spec, family, j_index, k_index,
-           beta, gamma, oracle, report_path):
+           beta, gamma, oracle):
     """Verify one factorization formula at explicit indices."""
     job = {"theorem": theorem, "j": j_index, "k": k_index, "oracle": oracle,
            "order": ctx.obj["order"], "tolerance": ctx.obj["tol"]}
@@ -512,7 +510,7 @@ def verify(ctx, theorem, params_path, random_spec, family, j_index, k_index,
     ok = all(r.ok for r in reports)
     payload = {"schema": SCHEMA_VERSION, "ok": ok,
                "reports": [r.to_json() for r in reports]}
-    _emit(payload, report_path or ctx.obj["out"])
+    _emit(payload, ctx.obj["out"])
     sys.exit(0 if ok else 1)
 
 

@@ -255,6 +255,7 @@ def unitary_truncation(spec: BlockOperatorSpec, j: int, k: int) -> np.ndarray:
     replaced by -1 (below) and +1 (above), which decouples the range.  The
     result is the finite operator of the inner coefficients, with the
     factor order the operator has from alpha_j on."""
+    j, k = as_integer(j, "j"), as_integer(k, "k")
     if not 0 <= j < k < spec.n_blocks:
         raise ValueError(f"need 0 <= j < k < n_blocks, got ({j}, {k})")
     eye = certified_identity(spec.block_dim)
@@ -284,6 +285,7 @@ def standard_overlap(spec: BlockOperatorSpec, j: int) -> OverlapFactorization:
     boundary) take the sides head_is_left gives them.  The product always
     reconstructs the full operator, which is asserted here.
     """
+    j = as_integer(j, "j")
     if not 1 <= j <= spec.n_blocks - 2:
         raise ValueError(f"overlap site must satisfy 1 <= j <= {spec.n_blocks - 2}")
     p, n, eye = spec.params, spec.n_blocks, certified_identity(spec.block_dim)

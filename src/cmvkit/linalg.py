@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Default tolerances.  Everything in scope is a contraction or a unitary of
+# Tolerances.  Everything in scope is a contraction or a unitary of
 # dimension at most a few hundred, so double precision leaves ample headroom.
 UNITARY_TOL = 1e-10
 RANK_REL_TOL = 1e-9
@@ -101,11 +101,11 @@ def unit_vector(psi) -> np.ndarray:
     return v
 
 
-def hermitian_psd_sqrt(m, clamp: float = EIG_CLAMP) -> np.ndarray:
+def hermitian_psd_sqrt(m) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix via eigendecomposition,
     or of each matrix of a (..., n, n) stack in one batched pass.
 
-    Eigenvalues in [-clamp, 0) are clamped to zero; anything below -clamp is
+    Eigenvalues in [-EIG_CLAMP, 0) are clamped to zero and lower ones are
     rejected.  The clamp matters for defect matrices 1 - a†a of contractions
     with norm close to 1, where roundoff can push eigenvalues slightly
     negative.  A rejected member of a stack is named by its index.  Each
@@ -123,7 +123,7 @@ def hermitian_psd_sqrt(m, clamp: float = EIG_CLAMP) -> np.ndarray:
         raise ValueError(f"matrix{_member(a, i)} is not Hermitian (defect {defect.flat[i]:.3e})")
     w, v = np.linalg.eigh((a + adj) / 2.0)
     low = w.min(axis=-1, initial=np.inf)
-    bad = np.flatnonzero(low < -clamp)
+    bad = np.flatnonzero(low < -EIG_CLAMP)
     if bad.size:
         i = bad[0]
         raise ValueError(f"eigenvalue {low.flat[i]:.3e}{_member(a, i, ' of matrix')} below -clamp; not PSD")
@@ -138,15 +138,15 @@ def _member(a, i: int, what: str = "") -> str:
     return f"{what} {i}" if a.ndim > 2 else ""
 
 
-def numerical_rank(m, rel_tol: float = RANK_REL_TOL) -> int:
-    """Number of singular values above rel_tol times the largest one."""
+def numerical_rank(m) -> int:
+    """Number of singular values above RANK_REL_TOL times the largest one."""
     a = as_matrix(m)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
 def unitary_residuals(stack) -> np.ndarray:
@@ -167,15 +167,15 @@ class UnitaryCheck(NamedTuple):
     residual: float
 
 
-def is_unitary(m, tol: float = UNITARY_TOL) -> UnitaryCheck:
-    """Check M†M = MM† = 1 in Frobenius norm and report the residual."""
+def is_unitary(m) -> UnitaryCheck:
+    """Check M†M = MM† = 1 to UNITARY_TOL in Frobenius norm, with the residual."""
     a = as_matrix(m)
     n, k = a.shape
     if n != k:
         raise ValueError("unitarity is only defined for square matrices")
     adj, eye = a.conj().T, np.eye(n)
     residual = max(float(np.linalg.norm(adj @ a - eye)), float(np.linalg.norm(a @ adj - eye)))
-    return UnitaryCheck(residual <= tol, residual)
+    return UnitaryCheck(residual <= UNITARY_TOL, residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,15 +196,15 @@ def certified_identity(n: int) -> Unitary:
     return Unitary(eye, 0.0)
 
 
-def certify(m, tol: float = UNITARY_TOL, what: str = "matrix") -> Unitary:
+def certify(m, what: str = "matrix") -> Unitary:
     """The is_unitary test, kept with its matrix; a Unitary passes through
     without recomputing anything."""
     if isinstance(m, Unitary):
-        if m.residual > tol:
+        if m.residual > UNITARY_TOL:
             raise ValueError(f"{what} is not unitary (residual {m.residual:.3e})")
         return m
     a = as_matrix(m)
-    check = is_unitary(a, tol)
+    check = is_unitary(a)
     if not check.ok:
         raise ValueError(f"{what} is not unitary (residual {check.residual:.3e})")
     a = a.copy()

@@ -21,6 +21,7 @@ from .spectral import schur_of_subspace
 CORNER_REL_TOL = 1e-10
 FACTOR_TOL = 1e-10
 TIE_REL_TOL = 1e-12
+KHRUSHCHEV_TOL = 1e-8  # abstract_khrushchev_check's bound on its residual
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ class OverlapFactorization:
         return float(np.linalg.norm(self.product() - as_matrix(U)))
 
 
-def check_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_REL_TOL) -> OverlapCheck:
-    """Corner test P_R U P_L = 0 plus the rank consistency assertion."""
+def check_overlap(U, partition: SubspacePartition) -> OverlapCheck:
+    """Corner test P_R U P_L = 0 to CORNER_REL_TOL ||U||_F, plus the rank check."""
     u = certify(U).matrix
     if u.shape[0] != partition.ambient_dim:
         raise ValueError("matrix size does not match the partition")
@@ -117,7 +118,7 @@ def check_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_REL_T
         corner_norm = float(np.linalg.norm(corner))
     else:
         corner_norm = 0.0
-    corner_tol = rel_tol * float(np.linalg.norm(u))
+    corner_tol = CORNER_REL_TOL * float(np.linalg.norm(u))
     k = u[np.ix_(partition.lc, partition.cr)]
     rank = numerical_rank(k) if k.size else 0
     center_dim = len(partition.center)
@@ -125,7 +126,7 @@ def check_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_REL_T
     return OverlapCheck(ok, corner_norm, corner_tol, rank, center_dim)
 
 
-def construct_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_REL_TOL) -> OverlapFactorization:
+def construct_overlap(U, partition: SubspacePartition) -> OverlapFactorization:
     """Build the factor pair via the partial isometry K = P_LC U P_CR.
 
     Everything is read on index slices: K is U's lc rows and cr columns.
@@ -138,7 +139,7 @@ def construct_overlap(U, partition: SubspacePartition, rel_tol: float = CORNER_R
     to the lowest index, so rounding does not pick the pivot.
     """
     cert = certify(U)
-    chk = check_overlap(cert, partition, rel_tol)
+    chk = check_overlap(cert, partition)
     if not chk.ok:
         raise ValueError(
             "no overlapping factorization: corner norm "
@@ -194,7 +195,7 @@ def _positions(whole: tuple[int, ...], part) -> list[int]:
     return [table[int(i)] for i in part]
 
 
-def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization, tol: float = FACTOR_TOL) -> np.ndarray:
+def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization) -> np.ndarray:
     """Extract the gauge unitary connecting two factorizations of one source.
 
     The left factors must differ by 1 + U_C on the center and the right
@@ -209,7 +210,7 @@ def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization, tol: float 
     u_c = g[np.ix_(pc_lc, pc_lc)]
     expected[np.ix_(pc_lc, pc_lc)] = u_c
     scale = max(1.0, float(np.linalg.norm(g)))
-    if float(np.linalg.norm(g - expected)) > tol * scale:
+    if float(np.linalg.norm(g - expected)) > FACTOR_TOL * scale:
         raise ValueError("left factors are not related by a center gauge")
     certify(u_c, what="gauge")
 
@@ -217,7 +218,7 @@ def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization, tol: float 
     h = f2.u_cr @ f1.u_cr.conj().T
     expected = np.eye(len(part.cr), dtype=np.complex128)
     expected[np.ix_(pc_cr, pc_cr)] = u_c.conj().T
-    if float(np.linalg.norm(h - expected)) > tol * scale:
+    if float(np.linalg.norm(h - expected)) > FACTOR_TOL * scale:
         raise ValueError("right factors do not carry the adjoint gauge")
     return u_c
 
@@ -249,7 +250,6 @@ def abstract_khrushchev_check(
     v_r,
     order: int,
     factorization: OverlapFactorization | None = None,
-    tolerance: float = 1e-8,
 ) -> KhrushchevResidual:
     """Check the Schur-function factorization across an overlap.
 
@@ -284,7 +284,7 @@ def abstract_khrushchev_check(
     f_right = schur_of_subspace(u_cr, cr_local, order)
 
     residual = coeff_distance(f_v, overlap_product(f_left, f_right, len(vl)))
-    return KhrushchevResidual(residual, order, tolerance, f_v, f_left, f_right)
+    return KhrushchevResidual(residual, order, KHRUSHCHEV_TOL, f_v, f_left, f_right)
 
 
 def overlap_product(

@@ -75,7 +75,7 @@ def oracle_first_return(U, v, horizon: int, block_dim: int = 1) -> np.ndarray:
     pruning is entrywise.  Agrees with spectral.first_return_amplitudes,
     which computes the same stack from powers of the sliced operator.
     """
-    u = certify(U).matrix
+    u, horizon = certify(U).matrix, as_integer(horizon, "horizon")
     if not 1 <= horizon <= N_CAP:
         raise ValueError(f"horizon {horizon} outside 1..{N_CAP}")
     d = as_integer(block_dim, "block_dim")

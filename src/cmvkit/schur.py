@@ -361,12 +361,6 @@ def binary_transform(
 # -- random generation (used by tests and seeded campaigns) -------------------
 
 
-def random_contraction(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian matrix rescaled to operator norm 0.9 r, r ~ U(0,1):
-    the one-parameter case of _random_contractions."""
-    return _random_contractions(d, 1, rng)[0]
-
-
 def _random_contractions(d: int, length: int, rng: np.random.Generator) -> np.ndarray:
     """(length, d, d) stack of complex Gaussian matrices, each rescaled to
     operator norm 0.9 r, r ~ U(0,1); a zero matrix stays zero.

@@ -19,6 +19,7 @@ special-cased for it.
 from __future__ import annotations
 
 import csv
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -200,22 +201,22 @@ class MatrixPowerSeries:
 
     def values_at(self, grid: Iterable[complex]) -> np.ndarray:
         """The truncated sum at each grid point, stacked along the first
-        axis: one GEMM of the Vandermonde matrix with the coefficients, each
-        flattened to a row of d^2 entries."""
-        z = np.asarray(list(grid), dtype=np.complex128)
+        axis: one GEMM of the grid's Vandermonde matrix (kept by _vandermonde)
+        with the coefficients, each flattened to a row of d^2 entries."""
+        z = tuple(grid)
         m, d = self.order + 1, self.block_dim
-        values = np.vander(z, m, increasing=True) @ self.coeffs.reshape(m, d * d)
+        values = _vandermonde(z, m) @ self.coeffs.reshape(m, d * d)
         return values.reshape(len(z), d, d)
 
-    def mark_schur(self, tol: float = CONTRACTIVITY_TOL) -> "MatrixPowerSeries":
+    def mark_schur(self) -> "MatrixPowerSeries":
         """Check that the series can be a Schur function and return it.
 
         Two necessary conditions are sampled, both exact for truncations:
         every coefficient is a contraction, and on each sample ring the
-        values stay within 1 plus the truncation tail bound.
+        values stay within 1 plus CONTRACTIVITY_TOL plus the truncation tail.
         """
-        coeff_worst = float(_screened_norms(self.coeffs, 1.0 + tol).max())
-        if coeff_worst > 1.0 + tol:
+        coeff_worst = float(_screened_norms(self.coeffs, 1.0 + CONTRACTIVITY_TOL).max())
+        if coeff_worst > 1.0 + CONTRACTIVITY_TOL:
             raise ValueError(
                 f"series has a coefficient of norm {coeff_worst:.6f}; "
                 "a Schur function's coefficients are contractions"
@@ -224,7 +225,7 @@ class MatrixPowerSeries:
         # at order N can push |f| above 1 on |z| = r by at most
         # r^{N+1}/(1-r); sampling must grant exactly that much slack
         radii = np.repeat(_RINGS, 8)
-        limits = 1.0 + tol + radii ** (self.order + 1) / (1.0 - radii)
+        limits = 1.0 + CONTRACTIVITY_TOL + radii ** (self.order + 1) / (1.0 - radii)
         values = _screened_norms(self.values_at(CONTRACTIVITY_GRID), limits)
         failing = np.flatnonzero(values > limits)
         if failing.size:
@@ -290,6 +291,15 @@ class MatrixPowerSeries:
         return cls(coeffs)
 
 
+@lru_cache(maxsize=128)
+def _vandermonde(grid: tuple, m: int) -> np.ndarray:
+    """Powers 0..m-1 of the grid points as a read-only (len(grid), m) matrix,
+    kept per (grid, m) since the sampling grids are fixed."""
+    v = np.vander(np.asarray(grid, dtype=np.complex128), m, increasing=True)
+    v.flags.writeable = False
+    return v
+
+
 def _screened_norms(stack: np.ndarray, limit) -> np.ndarray:
     """Operator norms of a (k, d, d) stack as far as a comparison with the
     limit (a number or one per member) needs them: a member whose Frobenius
@@ -350,14 +360,12 @@ def left_divide(den: np.ndarray, num: np.ndarray) -> np.ndarray:
     return rev[::-1].copy()
 
 
-def coeff_distance(a: MatrixPowerSeries, b: MatrixPowerSeries, order: int | None = None) -> float:
-    """Maximum absolute entry-wise coefficient difference up to the given
-    order (default: the shorter of the two)."""
+def coeff_distance(a: MatrixPowerSeries, b: MatrixPowerSeries) -> float:
+    """Maximum absolute entry-wise coefficient difference up to the shorter
+    order of the two."""
     if a.block_dim != b.block_dim:
         raise ValueError("block dimension mismatch")
-    n = min(a.order, b.order) if order is None else order
-    if n > min(a.order, b.order):
-        raise ValueError("comparison order exceeds a series order")
+    n = min(a.order, b.order)
     diff = a.coeffs[: n + 1] - b.coeffs[: n + 1]
     return float(np.abs(diff).max())
 

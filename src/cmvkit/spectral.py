@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import certify, index_tuple, unit_vector
+from .linalg import as_integer, certify, index_tuple, unit_vector
 from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
@@ -46,6 +46,7 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     dropping V's rows.
     """
     u = certify(U).matrix
+    horizon = as_integer(horizon, "horizon")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     n = u.shape[0]
@@ -96,7 +97,7 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     since it would mean one of the two primary computations is wrong.
     ``U`` is certified once, here, unless it is already a Unitary.
     """
-    u = certify(U)
+    u, order = certify(U), as_integer(order, "order")
     horizon = max(order + 1, _CHECK_HORIZON)
     # entry n of the stack is a_{n+1}, so its adjoints are f_V's coefficients
     coeffs = np.ascontiguousarray(

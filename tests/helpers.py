@@ -4,7 +4,7 @@ import numpy as np
 
 from cmvkit.linalg import as_matrix, certify, index_tuple
 from cmvkit.pathcount import N_CAP, PRUNE_FLOOR
-from cmvkit.schur import GROWTH_BOUND, rho_left, rho_right
+from cmvkit.schur import GROWTH_BOUND, _random_contractions, rho_left, rho_right
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
 
 
@@ -159,6 +159,12 @@ def stepwise_mobius_run(run, f, defects, norms, order: int) -> MatrixPowerSeries
         num[1:] += tail @ rl_inv
         growth *= kappa
     return MatrixPowerSeries(divided(den, num))
+
+
+def random_contraction(d: int, rng) -> np.ndarray:
+    """Complex Gaussian matrix rescaled to operator norm 0.9 r, r ~ U(0,1):
+    the one-parameter case of the library's batched draw."""
+    return _random_contractions(d, 1, rng)[0]
 
 
 def draw_contraction(d: int, rng) -> np.ndarray:

@@ -53,7 +53,6 @@ from cmvkit.schur import (
     SchurParameters,
     inverse_iterate_series,
     iterate_series,
-    random_contraction,
     random_parameters,
     random_unitary,
     rho_left,
@@ -72,7 +71,7 @@ from cmvkit.spectral import (
     first_return_amplitudes,
     schur_of_subspace,
 )
-from helpers import cmv_factors, direct_sum_series, theta
+from helpers import cmv_factors, direct_sum_series, random_contraction, theta
 
 
 @pytest.mark.criterion(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cmvkit import catalog, cli, khrushchev, linalg
+from cmvkit import catalog, cli, khrushchev, linalg, overlap
 from cmvkit.catalog import (
     coined_walk_six,
     diffusion_center_schur,
@@ -215,6 +215,26 @@ class TestOverlapCommands:
         assert is_unitary(matrix_from_json(body["u_lc"])).ok
         assert body["lc"] == [0, 1, 2]
 
+    def test_corner_is_judged_at_corner_rel_tol_whatever_tol(self, runner, tmp_path):
+        # an overlapping unitary (H + 1)(1 + H) whose rows 0 and 2 are turned
+        # so that its corner U[2, 0] is 1e-11 ||U||_F: inside CORNER_REL_TOL,
+        # and a tighter global --tol does not tighten the corner test
+        h = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+        u = linalg.embed(h, (0, 1), 3) @ linalg.embed(h, (1, 2), 3)
+        s = 1e-11 * np.sqrt(3.0) / abs(u[0, 0])
+        turn = np.diag([np.sqrt(1.0 - s * s), 1.0, np.sqrt(1.0 - s * s)])
+        turn[0, 2], turn[2, 0] = -s, s
+        u = turn @ u
+        path = write_json(tmp_path / "u.json", matrix_to_json(u))
+        args = ["--matrix", path, "--left", "0", "--center", "1", "--right", "2"]
+        res = runner.invoke(main, ["--tol", "1e-12", "overlap", "check", *args])
+        assert res.exit_code == 0, res.output
+        body = json.loads(res.output)
+        assert body["corner_norm"] == pytest.approx(1e-11 * np.linalg.norm(u), rel=1e-6)
+        assert body["corner_tol"] == overlap.CORNER_REL_TOL * float(np.linalg.norm(u))
+        res = runner.invoke(main, ["--tol", "1e-12", "overlap", "construct", *args])
+        assert res.exit_code == 0, res.output
+
     def test_construct_refuses_bad_partition(self, runner, tmp_path):
         path = write_json(tmp_path / "u.json", matrix_to_json(hadamard_coin()))
         args = ["--matrix", path, "--left", "0", "--right", "1"]
@@ -250,8 +270,8 @@ class TestVerify:
         out = tmp_path / "r.json"
         res = runner.invoke(
             main,
-            ["--order", "8", "--seed", "11", "verify", "--theorem", "site",
-             "--random", "1,24", "--j", "1", "--report", str(out)],
+            ["--out", str(out), "--order", "8", "--seed", "11", "verify",
+             "--theorem", "site", "--random", "1,24", "--j", "1"],
         )
         assert res.exit_code == 0, res.output
         body = json.loads(out.read_text())
@@ -262,8 +282,8 @@ class TestVerify:
         out = tmp_path / "r.json"
         res = runner.invoke(
             main,
-            ["--order", "6", "--seed", "3", "verify", "--theorem", "site",
-             "--random", "1,20", "--j", "1", "--oracle", "--report", str(out)],
+            ["--out", str(out), "--order", "6", "--seed", "3", "verify",
+             "--theorem", "site", "--random", "1,20", "--j", "1", "--oracle"],
         )
         assert res.exit_code == 0, res.output
         body = json.loads(out.read_text())
@@ -276,8 +296,8 @@ class TestVerify:
         out = tmp_path / "r.json"
         res = runner.invoke(
             main,
-            ["--order", "0", "--seed", "3", "verify", "--theorem", "site",
-             "--random", "1,20", "--j", "1", "--oracle", "--report", str(out)],
+            ["--out", str(out), "--order", "0", "--seed", "3", "verify",
+             "--theorem", "site", "--random", "1,20", "--j", "1", "--oracle"],
         )
         assert res.exit_code == 0, res.output
         oracle = json.loads(out.read_text())["reports"][1]
@@ -295,8 +315,8 @@ class TestVerify:
                 out = tmp_path / "r.json"
                 res = runner.invoke(
                     main,
-                    ["--order", str(order), "verify", "--theorem", "site", "--params", path,
-                     "--family", family, "--j", str(j), "--oracle", "--report", str(out)],
+                    ["--out", str(out), "--order", str(order), "verify", "--theorem", "site",
+                     "--params", path, "--family", family, "--j", str(j), "--oracle"],
                 )
                 assert res.exit_code == 0, res.output
                 oracle = json.loads(out.read_text())["reports"][1]["params"]
@@ -314,9 +334,9 @@ class TestVerify:
         out = tmp_path / "r.json"
         res = runner.invoke(
             main,
-            ["--order", "8", "--seed", "7", "verify", "--theorem", "superposition",
-             "--random", "1,24", "--j", "1", "--beta", "0.6", "--gamma", "0.8j",
-             "--report", str(out)],
+            ["--out", str(out), "--order", "8", "--seed", "7", "verify",
+             "--theorem", "superposition", "--random", "1,24", "--j", "1",
+             "--beta", "0.6", "--gamma", "0.8j"],
         )
         assert res.exit_code == 0, res.output
         body = json.loads(out.read_text())
@@ -361,8 +381,8 @@ class TestVerify:
     def test_summaries_go_to_stderr(self, runner, tmp_path):
         res = runner.invoke(
             main,
-            ["--order", "6", "--seed", "1", "verify", "--theorem", "site",
-             "--random", "1,20", "--j", "0", "--report", str(tmp_path / "r.json")],
+            ["--out", str(tmp_path / "r.json"), "--order", "6", "--seed", "1", "verify",
+             "--theorem", "site", "--random", "1,20", "--j", "0"],
         )
         assert res.exit_code == 0
         assert "[pass] site-schur-function" in res.output

@@ -25,7 +25,6 @@ from cmvkit.schur import (
     SchurParameters,
     inverse_iterate_series,
     iterate_series,
-    random_contraction,
     random_parameters,
     random_unitary,
     rho_left,
@@ -33,7 +32,7 @@ from cmvkit.schur import (
 )
 from cmvkit.series import coeff_distance
 from cmvkit.spectral import first_return_amplitudes, schur_of_subspace
-from helpers import cmv_factors, direct_sum, theta
+from helpers import cmv_factors, direct_sum, random_contraction, theta
 
 SQ3 = float(np.sqrt(3.0))
 
@@ -583,8 +582,25 @@ class TestUnitaryTruncation:
         with pytest.raises(ValueError):
             unitary_truncation(spec, 2, 2)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_range_ends_must_be_integers(self, bad, rng):
+        # True would otherwise slice as 1 and 1.0 fail inside the slicing
+        spec = BlockOperatorSpec(random_parameters(1, 6, rng), "C", 6)
+        with pytest.raises(ValueError, match=f"^j must be an integer, got {bad!r}"):
+            unitary_truncation(spec, bad, 3)
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {bad!r}"):
+            unitary_truncation(spec, 0, bad)
+        want = unitary_truncation(spec, 1, 3)
+        assert np.array_equal(unitary_truncation(spec, np.int64(1), np.int64(3)), want)
+
 
 class TestStandardOverlap:
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_site_must_be_an_integer(self, bad, rng):
+        spec = BlockOperatorSpec(random_parameters(1, 6, rng), "C", 6)
+        with pytest.raises(ValueError, match=f"^j must be an integer, got {bad!r}"):
+            standard_overlap(spec, bad)
+
     def test_even_site_factors_are_head_and_tail_builds(self, rng):
         for d in (1, 3):
             p = random_parameters(d, 8, rng)

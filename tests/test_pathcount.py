@@ -160,6 +160,11 @@ class TestSplitDiagrams:
 
 
 class TestOracleFirstReturn:
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_horizon_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=f"^horizon must be an integer, got {bad!r}"):
+            oracle_first_return(np.eye(3), (0,), bad)
+
     def test_identity_case(self):
         a = oracle_first_return(np.eye(5), (1, 3), 3)
         assert np.abs(a[0] - np.eye(2)).max() < 1e-15

@@ -159,7 +159,7 @@ class TestSynthesize:
     def test_round_trip_scalar_rational(self):
         f = diffusion_center_schur(12)
         p = schur_forward(f, 6)
-        assert coeff_distance(synthesize(p, 12), f, order=6) < 1e-10
+        assert coeff_distance(synthesize(p, 12).truncate(6), f) < 1e-10
 
     def test_round_trip_matrix_parameters(self, rng):
         p = random_parameters(2, 5, rng)
@@ -207,7 +207,7 @@ class TestIterates:
         g = f
         for j in range(3):
             g = _forward_step(g, p.alpha(j))
-        assert coeff_distance(g, f3, order=8) < 1e-9
+        assert coeff_distance(g.truncate(8), f3) < 1e-9
 
     def test_inverse_iterate_zero_is_constant_one(self):
         p = scalar_params([0.4, 0.2])
@@ -353,7 +353,7 @@ class TestMobiusStep:
     def test_zero_parameter_multiplies_by_z(self, rng):
         f = MatrixPowerSeries(0.3 * rng.standard_normal((6, 2, 2)))
         out = mobius_step(np.zeros((2, 2)), f)
-        assert coeff_distance(out, f.shift(), order=6) < 1e-12
+        assert coeff_distance(out.truncate(6), f.shift()) < 1e-12
 
     def test_value_at_origin_is_the_parameter(self, rng):
         a = 0.3 * rng.standard_normal((2, 2))
@@ -364,7 +364,7 @@ class TestMobiusStep:
         a = np.array([[0.2 + 0.1j]])
         f = MatrixPowerSeries(0.4 * rng.standard_normal((8, 1, 1)))
         back = _forward_step(mobius_step(a, f), a)
-        assert coeff_distance(back, f, order=7) < 1e-10
+        assert coeff_distance(back.truncate(7), f) < 1e-10
 
     def test_rejects_unitary_parameter(self):
         with pytest.raises(ValueError):

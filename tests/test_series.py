@@ -205,7 +205,7 @@ class TestCayleyPair:
         c = 0.3 * (rng.standard_normal((7, d, d)) + 1j * rng.standard_normal((7, d, d)))
         f = MatrixPowerSeries(c)
         back = caratheodory_to_schur(schur_to_caratheodory(f))
-        assert coeff_distance(f, back, order=6) < 1e-10
+        assert coeff_distance(f.truncate(6), back) < 1e-10
 
     def test_caratheodory_normalization(self, rng):
         f = MatrixPowerSeries(0.4 * rng.standard_normal((5, 2, 2)))

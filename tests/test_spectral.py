@@ -148,8 +148,19 @@ class TestFirstReturn:
         with pytest.raises(ValueError, match="nonnegative"):
             first_return_amplitudes(np.eye(3), (0,), -1)
 
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_horizon_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=f"^horizon must be an integer, got {bad!r}"):
+            first_return_amplitudes(np.eye(3), (0,), bad)
+
 
 class TestSchurOfSubspace:
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_order_must_be_an_integer(self, bad):
+        # True would otherwise give an order-1 series
+        with pytest.raises(ValueError, match=f"^order must be an integer, got {bad!r}"):
+            schur_of_subspace(np.eye(3), (0,), bad)
+
     def test_whole_space_gives_constant_adjoint(self, rng):
         u = random_unitary(4, rng)
         f = schur_of_subspace(u, tuple(range(4)), 4)
