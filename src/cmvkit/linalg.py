@@ -126,7 +126,7 @@ def hermitian_psd_sqrt(m) -> np.ndarray:
     bad = np.flatnonzero(low < -EIG_CLAMP)
     if bad.size:
         i = bad[0]
-        raise ValueError(f"eigenvalue {low.flat[i]:.3e}{_member(a, i, ' of matrix')} below -clamp; not PSD")
+        raise ValueError(f"eigenvalue {low.flat[i]:.3e}{_member(a, i, ' of matrix')} below -EIG_CLAMP; not PSD")
     w = np.clip(w, 0.0, None)
     r = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return (r + r.conj().swapaxes(-1, -2)) / 2.0

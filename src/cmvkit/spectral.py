@@ -11,11 +11,15 @@ Two independent computations are kept side by side: the amplitude
 recursion, and the resolvent compression P (U - z Q)^{-1} P sampled on a
 small disk.  Any disagreement is raised, never papered over.
 
-The recursion permutes U once so that V comes first; each step is then a
-single product with U's columns outside V, and a_n is the head of the
-result.  The resolvent solves at every sample point in one stacked
-``np.linalg.solve`` in the original basis.  A ``linalg.Unitary`` passes
-through both without another unitarity check.
+The recursion permutes U once so that V comes first; a step is then one
+product with U's columns outside V, and a_n is the head of the result.
+Where powers of the block outside V are cheap (see _widest_stage), it
+runs in stages instead: each stage applies a power of that block to the
+last few Krylov blocks in one wide product, the width doubling up to
+_CHUNK blocks.  The stages do not depend on the horizon, so a_n has the
+same bits at every horizon.  The resolvent solves at every sample point
+in one stacked ``np.linalg.solve`` in the original basis.  A
+``linalg.Unitary`` passes through both without another unitarity check.
 """
 
 from __future__ import annotations
@@ -32,18 +36,29 @@ RESOLVENT_TOL = 1e-8
 # a geometric tail below 1e-14, far inside RESOLVENT_TOL.
 RESOLVENT_SAMPLES = tuple(0.5 * np.exp(2j * np.pi * t / 8) for t in range(8))
 _CHECK_HORIZON = 48
+# the amplitude recursion's widest stage, in blocks, and the two bounds
+# of _widest_stage
+_CHUNK = 8
+_POWER_RATIO = 24
+_POWER_DIM = 48
 
 
 def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     """a_n = P U (Q U)^{n-1} P for n = 1..horizon, as a (horizon, k, k)
     stack whose entry n - 1 is a_n.
 
-    U's rows are read once in a V-first order (v's indices in v's order,
-    then the rest ascending).  After the first step the block of vectors
-    lies outside V, so only U's columns outside V, M, act on it: each
-    step is one product M x into an n x k buffer whose first k rows are
-    a_n and whose other rows are the next block, with Q applied by
-    dropping V's rows.
+    U is read once in a V-first order (v's indices in v's order, then the
+    rest ascending).  With B = U[v, rest], C = U[rest, v] and
+    D = U[rest, rest], a_1 = U[v, v] and a_{c+1} = B D^{c-1} C; the Krylov
+    block of step c is [a_{c+1}; D^c C], and m = [B; D] takes one to the
+    next.  Where _widest_stage admits no power of D, each step is one
+    product of m with the previous block's tail in an n x k buffer.
+    Otherwise column block c of one (n, blocks * k) buffer holds step c's
+    block, and a stage of width p applies m_p = [B D^{p-1}; D^p] to the
+    tails of the last p blocks in one product, filling the next p; the
+    next stage's matrix is m_{2p} = m_p @ m_p[k:], and p doubles up to
+    _CHUNK, then stays there.  Stages are always whole and sliced to the
+    horizon, so a_n has the same bits at every horizon.
     """
     u = certify(U).matrix
     horizon = as_integer(horizon, "horizon")
@@ -52,19 +67,35 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     n = u.shape[0]
     idx, rest = _split(n, v)
     k = idx.size
-    perm = np.concatenate((idx, rest))
-    amps = np.empty((horizon, k, k), dtype=np.complex128)
-    if horizon == 0:
+    perm = np.concatenate((idx, rest))[:, None]
+    m = u[perm, rest]
+    x = u[perm, idx]
+    widest = _widest_stage(n, k)
+    if widest == 1:
+        # two contiguous n x k buffers: on a large operator, products with
+        # column blocks of one wide buffer run slower
+        amps = np.empty((horizon, k, k), dtype=np.complex128)
+        y = np.empty_like(x)
+        amps[:1] = x[:k]  # a_1, unless the horizon is 0
+        for step in range(1, horizon):
+            np.matmul(m, x[k:], out=y)
+            amps[step] = y[:k]
+            x, y = y, x
         return amps
-    m = u[np.ix_(perm, rest)]
-    x = u[np.ix_(perm, idx)]
-    y = np.empty_like(x)
-    amps[0] = x[:k]
-    for step in range(1, horizon):
-        np.matmul(m, x[k:], out=y)
-        amps[step] = y[:k]
-        x, y = y, x
-    return amps
+    blocks, p = 1, 1
+    while blocks < horizon:
+        blocks += p
+        p = min(2 * p, widest)
+    buf = np.empty((n, blocks * k), dtype=np.complex128)
+    buf[:, :k] = x
+    done, p = 1, 1
+    while done < blocks:
+        np.matmul(m, buf[k:, (done - p) * k : done * k], out=buf[:, done * k : (done + p) * k])
+        done += p
+        if p < widest and done < blocks:
+            m = m @ m[k:]
+            p *= 2
+    return buf[:k].reshape(k, blocks, k)[:, :horizon].transpose(1, 0, 2).copy()
 
 
 def resolvent_compression(U, v, z) -> np.ndarray:
@@ -145,6 +176,17 @@ def return_statistics(U, v, psi, horizon: int) -> ReturnStatistics:
     cumulative = float(sum(probs))
     expected = float(sum((n + 1) * p for n, p in enumerate(probs)))
     return ReturnStatistics(probs, cumulative, expected)
+
+
+def _widest_stage(n: int, k: int) -> int:
+    """Widest stage of first_return_amplitudes, in blocks, for a subspace
+    of dimension k in dimension n: _CHUNK where powers of D are formed,
+    else 1.  A power costs n (n - k)^2 against the n (n - k) k of one step,
+    so it pays only while a step costs little more than its call: with
+    few rows outside V per column of V, in a small operator.  The rule
+    reads the shape only, never the horizon, so a_n keeps its bits at
+    every horizon."""
+    return _CHUNK if n - k <= _POWER_RATIO * k and n <= _POWER_DIM else 1
 
 
 def _split(n: int, v) -> tuple[np.ndarray, np.ndarray]:

@@ -81,6 +81,30 @@ def selector_recursion(u, idx, horizon: int) -> np.ndarray:
     return amps
 
 
+def stepwise_first_return(U, v, horizon: int) -> np.ndarray:
+    """a_n = P U (Q U)^{n-1} P one product per step in the V-first order:
+    the columns of U outside V, read in that order, act on the block of
+    vectors outside V, and a_n is the head of the result.  The reference
+    for the staged kernel of spectral.first_return_amplitudes."""
+    u = certify(U).matrix
+    idx = np.array(index_tuple(u.shape[0], v), dtype=np.intp)
+    rest = np.setdiff1d(np.arange(u.shape[0]), idx)
+    k = idx.size
+    perm = np.concatenate((idx, rest))
+    amps = np.empty((horizon, k, k), dtype=np.complex128)
+    if horizon == 0:
+        return amps
+    m = u[np.ix_(perm, rest)]
+    x = u[np.ix_(perm, idx)]
+    y = np.empty_like(x)
+    amps[0] = x[:k]
+    for step in range(1, horizon):
+        np.matmul(m, x[k:], out=y)
+        amps[step] = y[:k]
+        x, y = y, x
+    return amps
+
+
 def grid_max_norm(f) -> float:
     """Largest operator norm of the series' truncated sum on the
     contractivity sample grid."""

@@ -89,7 +89,7 @@ class TestPsdSqrtStack:
 
     def test_a_member_below_the_clamp_is_named(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1e-13]), np.diag([1.0, -1e-3]), -np.eye(2)])
-        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e-03 of matrix 2 below -clamp"):
+        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e-03 of matrix 2 below -EIG_CLAMP"):
             hermitian_psd_sqrt(stack)
         # a dip inside the clamp is absorbed, as for a single matrix
         assert hermitian_psd_sqrt(stack[:2])[1, 1, 1] == 0.0
@@ -97,7 +97,7 @@ class TestPsdSqrtStack:
     def test_a_lone_matrix_names_no_member(self):
         with pytest.raises(ValueError, match=r"^matrix is not Hermitian"):
             hermitian_psd_sqrt([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e\+00 below -clamp"):
+        with pytest.raises(ValueError, match=r"^eigenvalue -1\.000e\+00 below -EIG_CLAMP"):
             hermitian_psd_sqrt([[-1.0]])
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmvkit.catalog import (
     diffusion_center_schur,
@@ -15,7 +15,7 @@ from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import SchurParameters, random_parameters, random_unitary
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit import spectral
-from helpers import column_selector, selector_recursion
+from helpers import column_selector, selector_recursion, stepwise_first_return
 from cmvkit.spectral import (
     RESOLVENT_SAMPLES,
     caratheodory_of_subspace,
@@ -80,19 +80,31 @@ class TestFirstReturn:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_indexed_recursion_matches_the_selector_recursion(self, d, rng):
+        # one-block steps give the selector recursion's bits; stages that
+        # apply powers of D reassociate the products, so they agree to
+        # roundoff, and bit for bit up to horizon 2, before any power
+        def check(u, idx, horizon):
+            widest = spectral._widest_stage(u.shape[0], len(idx))
+            got = first_return_amplitudes(u, idx, horizon)
+            want = selector_recursion(u, idx, horizon)
+            if widest == 1:
+                assert np.array_equal(got, want), idx
+            else:
+                assert np.abs(got - want).max() <= 1e-14, idx
+                assert np.array_equal(got[:2], want[:2]), idx
+            return widest
+
         p = random_parameters(d, 30, rng)
+        widths = set()
         for family in ("C", "Chat"):
             spec = window_spec(p, family, 5, 20)
             u = build(spec)
             n = u.shape[0]
             for idx in [(0,), (3 * d, d, 4 * d), tuple(rng.permutation(n)[:4]),
                         tuple(range(2 * d, 4 * d))]:
-                got = first_return_amplitudes(u, idx, 24)
-                want = selector_recursion(u, idx, 24)
-                assert np.array_equal(got, want), (family, idx)
-        u = random_unitary(9, rng)
-        got = first_return_amplitudes(u, (7, 2, 4), 30)
-        assert np.array_equal(got, selector_recursion(u, (7, 2, 4), 30))
+                widths.add(check(u, idx, 24))
+        widths.add(check(random_unitary(9, rng), (7, 2, 4), 30))
+        assert widths == {1, spectral._CHUNK}
 
     def test_resolvent_matches_the_projector_form(self, rng):
         u = random_unitary(8, rng)
@@ -120,6 +132,36 @@ class TestFirstReturn:
         want = selector_recursion(u, idx, horizon)
         assert got.shape == want.shape == (horizon, k, k)
         assert np.abs(got - want).max(initial=0.0) <= 1e-14
+
+    # the edges: V the whole space and V empty, horizons 0 and 1, and the
+    # shapes on each side of both bounds of _widest_stage
+    @example(seed=1, n=5, k=None, horizon=3, extra=1)
+    @example(seed=2, n=5, k=0, horizon=2, extra=9)
+    @example(seed=3, n=6, k=1, horizon=0, extra=17)
+    @example(seed=4, n=6, k=2, horizon=1, extra=20)
+    @example(seed=5, n=25, k=1, horizon=17, extra=3)
+    @example(seed=6, n=26, k=1, horizon=17, extra=3)
+    @example(seed=7, n=48, k=2, horizon=33, extra=8)
+    @example(seed=8, n=49, k=2, horizon=33, extra=8)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           k=st.one_of(st.integers(1, 6), st.just(0), st.just(None)),
+           horizon=st.integers(0, 80), extra=st.integers(1, 40))
+    def test_staged_kernel_matches_the_stepwise_recursion(self, seed, n, k, horizon, extra):
+        # k None is V the whole space, k 0 is V empty
+        rng = np.random.default_rng(seed)
+        u = random_unitary(n, rng)
+        k = n if k is None else min(k, n)
+        idx = tuple(int(i) for i in rng.permutation(n)[:k])
+        got = first_return_amplitudes(u, idx, horizon)
+        want = stepwise_first_return(u, idx, horizon)
+        assert got.shape == want.shape == (horizon, k, k) and got.flags.c_contiguous
+        # a_n does not depend on the horizon it is asked with
+        assert np.array_equal(first_return_amplitudes(u, idx, horizon + extra)[:horizon], got)
+        if spectral._widest_stage(n, k) == 1 or horizon <= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 100), k=st.integers(1, 6))
