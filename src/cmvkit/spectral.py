@@ -13,13 +13,14 @@ small disk.  Any disagreement is raised, never papered over.
 
 The recursion permutes U once so that V comes first; a step is then one
 product with U's columns outside V, and a_n is the head of the result.
-Where powers of the block outside V are cheap (see _widest_stage), it
-runs in stages instead: each stage applies a power of that block to the
-last few Krylov blocks in one wide product, the width doubling up to
-_CHUNK blocks.  The stages do not depend on the horizon, so a_n has the
-same bits at every horizon.  The resolvent solves at every sample point
-in one stacked ``np.linalg.solve`` in the original basis.  A
-``linalg.Unitary`` passes through both without another unitarity check.
+Where powers of the block outside V are cheap (see _takes_stages), it
+takes the first _CHUNK steps one at a time and the rest in stages, each
+applying one power of that block to the last _CHUNK Krylov blocks in one
+wide product.  Whether it stages reads the shape, never the horizon, and
+stages are whole, so a_n has the same bits at every horizon.  The
+resolvent solves at every sample point in one stacked ``np.linalg.solve``
+in the original basis.  A ``linalg.Unitary`` passes through both without
+another unitarity check.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ RESOLVENT_TOL = 1e-8
 # a geometric tail below 1e-14, far inside RESOLVENT_TOL.
 RESOLVENT_SAMPLES = tuple(0.5 * np.exp(2j * np.pi * t / 8) for t in range(8))
 _CHECK_HORIZON = 48
-# the amplitude recursion's widest stage, in blocks, and the two bounds
-# of _widest_stage
+# the amplitude recursion's stage width, in blocks, and the two bounds
+# of _takes_stages
 _CHUNK = 8
-_POWER_RATIO = 24
-_POWER_DIM = 48
+_POWER_RATIO = 48
+_POWER_DIM = 72
 
 
 def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
@@ -51,14 +52,15 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     rest ascending).  With B = U[v, rest], C = U[rest, v] and
     D = U[rest, rest], a_1 = U[v, v] and a_{c+1} = B D^{c-1} C; the Krylov
     block of step c is [a_{c+1}; D^c C], and m = [B; D] takes one to the
-    next.  Where _widest_stage admits no power of D, each step is one
-    product of m with the previous block's tail in an n x k buffer.
-    Otherwise column block c of one (n, blocks * k) buffer holds step c's
-    block, and a stage of width p applies m_p = [B D^{p-1}; D^p] to the
-    tails of the last p blocks in one product, filling the next p; the
-    next stage's matrix is m_{2p} = m_p @ m_p[k:], and p doubles up to
-    _CHUNK, then stays there.  Stages are always whole and sliced to the
-    horizon, so a_n has the same bits at every horizon.
+    next.  Each step is one product of m with the previous block's tail,
+    and a_1.._CHUNK always come from such steps.  Where _takes_stages
+    admits powers of D and the horizon exceeds _CHUNK, the rest comes in
+    stages: m_CHUNK = [B D^{CHUNK-1}; D^CHUNK], formed by squarings
+    m_{2p} = m_p @ m_p[k:], takes the tails of the last _CHUNK blocks,
+    side by side, to the next _CHUNK in one product.  Stages are always
+    whole and sliced to the horizon, so a_n has the same bits at every
+    horizon, and a powered shape asked for at most _CHUNK amplitudes
+    costs what one-block steps cost.
     """
     u = certify(U).matrix
     horizon = as_integer(horizon, "horizon")
@@ -69,33 +71,29 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     k = idx.size
     perm = np.concatenate((idx, rest))[:, None]
     m = u[perm, rest]
-    x = u[perm, idx]
-    widest = _widest_stage(n, k)
-    if widest == 1:
-        # two contiguous n x k buffers: on a large operator, products with
-        # column blocks of one wide buffer run slower
-        amps = np.empty((horizon, k, k), dtype=np.complex128)
-        y = np.empty_like(x)
-        amps[:1] = x[:k]  # a_1, unless the horizon is 0
-        for step in range(1, horizon):
-            np.matmul(m, x[k:], out=y)
-            amps[step] = y[:k]
-            x, y = y, x
+    staged = horizon > _CHUNK and _takes_stages(n, k)
+    amps = np.empty((horizon, k, k), dtype=np.complex128)
+    # a ring of Krylov blocks: two for one-block steps, _CHUNK where stages
+    # follow, so that it ends holding blocks 0.._CHUNK-1, the first stage's input
+    ring = np.empty((_CHUNK if staged else 2, n, k), dtype=np.complex128)
+    ring[0] = u[perm, idx]
+    blocks = list(ring)
+    heads, tails = [b[:k] for b in blocks], [b[k:] for b in blocks]
+    amps[:1] = heads[0]  # a_1, unless the horizon is 0
+    for step in range(1, _CHUNK if staged else horizon):
+        np.matmul(m, tails[(step - 1) % len(ring)], out=blocks[step % len(ring)])
+        amps[step] = heads[step % len(ring)]
+    if not staged:
         return amps
-    blocks, p = 1, 1
-    while blocks < horizon:
-        blocks += p
-        p = min(2 * p, widest)
-    buf = np.empty((n, blocks * k), dtype=np.complex128)
-    buf[:, :k] = x
-    done, p = 1, 1
-    while done < blocks:
-        np.matmul(m, buf[k:, (done - p) * k : done * k], out=buf[:, done * k : (done + p) * k])
-        done += p
-        if p < widest and done < blocks:
-            m = m @ m[k:]
-            p *= 2
-    return buf[:k].reshape(k, blocks, k)[:, :horizon].transpose(1, 0, 2).copy()
+    for _ in range(_CHUNK.bit_length() - 1):  # m_{2p} = m_p @ m_p[k:], up to m_CHUNK
+        m = m @ m[k:]
+    last = ring[:, k:].transpose(1, 0, 2).reshape(n - k, _CHUNK * k)
+    for done in range(_CHUNK, horizon, _CHUNK):
+        wide = m @ last
+        heads = wide[:k].reshape(k, _CHUNK, k)[:, : horizon - done]
+        amps[done : done + _CHUNK] = heads.transpose(1, 0, 2)
+        last = wide[k:]
+    return amps
 
 
 def resolvent_compression(U, v, z) -> np.ndarray:
@@ -178,15 +176,17 @@ def return_statistics(U, v, psi, horizon: int) -> ReturnStatistics:
     return ReturnStatistics(probs, cumulative, expected)
 
 
-def _widest_stage(n: int, k: int) -> int:
-    """Widest stage of first_return_amplitudes, in blocks, for a subspace
-    of dimension k in dimension n: _CHUNK where powers of D are formed,
-    else 1.  A power costs n (n - k)^2 against the n (n - k) k of one step,
-    so it pays only while a step costs little more than its call: with
-    few rows outside V per column of V, in a small operator.  The rule
-    reads the shape only, never the horizon, so a_n keeps its bits at
-    every horizon."""
-    return _CHUNK if n - k <= _POWER_RATIO * k and n <= _POWER_DIM else 1
+def _takes_stages(n: int, k: int) -> bool:
+    """Whether first_return_amplitudes forms powers of D for a subspace of
+    dimension k in dimension n.  The squarings to m_CHUNK cost
+    3 n (n - k)^2 once, against the n (n - k) k of one step, so they are
+    repaid only on a small operator.  Both bounds are measured at the
+    cross-check horizon of 48: for k >= 2 stages win up to n = 68, break
+    even near n = 72 and lose by n = 88; for k = 1, whose steps are
+    matrix-vector products, they win up to n = 48 and lose from n = 56.
+    The rule reads the shape only, never the horizon, so a_n keeps its
+    bits at every horizon."""
+    return n - k <= _POWER_RATIO * k and n <= _POWER_DIM
 
 
 def _split(n: int, v) -> tuple[np.ndarray, np.ndarray]:

@@ -82,29 +82,31 @@ class TestFirstReturn:
     def test_indexed_recursion_matches_the_selector_recursion(self, d, rng):
         # one-block steps give the selector recursion's bits; stages that
         # apply powers of D reassociate the products, so they agree to
-        # roundoff, and bit for bit up to horizon 2, before any power
+        # roundoff, and bit for bit over the first _CHUNK steps, which
+        # every shape takes one block at a time
         def check(u, idx, horizon):
-            widest = spectral._widest_stage(u.shape[0], len(idx))
+            staged = spectral._takes_stages(u.shape[0], len(idx))
             got = first_return_amplitudes(u, idx, horizon)
             want = selector_recursion(u, idx, horizon)
-            if widest == 1:
-                assert np.array_equal(got, want), idx
-            else:
+            if staged:
                 assert np.abs(got - want).max() <= 1e-14, idx
-                assert np.array_equal(got[:2], want[:2]), idx
-            return widest
+                assert np.array_equal(got[: spectral._CHUNK], want[: spectral._CHUNK]), idx
+            else:
+                assert np.array_equal(got, want), idx
+            return staged
 
         p = random_parameters(d, 30, rng)
-        widths = set()
+        kinds = set()
         for family in ("C", "Chat"):
             spec = window_spec(p, family, 5, 20)
             u = build(spec)
             n = u.shape[0]
             for idx in [(0,), (3 * d, d, 4 * d), tuple(rng.permutation(n)[:4]),
                         tuple(range(2 * d, 4 * d))]:
-                widths.add(check(u, idx, 24))
-        widths.add(check(random_unitary(9, rng), (7, 2, 4), 30))
-        assert widths == {1, spectral._CHUNK}
+                kinds.add(check(u, idx, 24))
+        kinds.add(check(random_unitary(9, rng), (7, 2, 4), 30))
+        kinds.add(check(random_unitary(80, rng), (70, 2, 41), 30))
+        assert kinds == {False, True}
 
     def test_resolvent_matches_the_projector_form(self, rng):
         u = random_unitary(8, rng)
@@ -133,16 +135,20 @@ class TestFirstReturn:
         assert got.shape == want.shape == (horizon, k, k)
         assert np.abs(got - want).max(initial=0.0) <= 1e-14
 
-    # the edges: V the whole space and V empty, horizons 0 and 1, and the
-    # shapes on each side of both bounds of _widest_stage
+    # the edges: V the whole space (with and without stages) and V empty,
+    # horizons 0, 1, 8 and 9, and the shapes on each side of both bounds of
+    # _takes_stages
     @example(seed=1, n=5, k=None, horizon=3, extra=1)
+    @example(seed=11, n=5, k=None, horizon=20, extra=5)
     @example(seed=2, n=5, k=0, horizon=2, extra=9)
     @example(seed=3, n=6, k=1, horizon=0, extra=17)
     @example(seed=4, n=6, k=2, horizon=1, extra=20)
-    @example(seed=5, n=25, k=1, horizon=17, extra=3)
-    @example(seed=6, n=26, k=1, horizon=17, extra=3)
-    @example(seed=7, n=48, k=2, horizon=33, extra=8)
-    @example(seed=8, n=49, k=2, horizon=33, extra=8)
+    @example(seed=5, n=49, k=1, horizon=17, extra=3)
+    @example(seed=6, n=50, k=1, horizon=17, extra=3)
+    @example(seed=7, n=72, k=2, horizon=33, extra=8)
+    @example(seed=8, n=73, k=2, horizon=33, extra=8)
+    @example(seed=9, n=30, k=3, horizon=8, extra=1)
+    @example(seed=10, n=30, k=3, horizon=9, extra=7)
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
            k=st.one_of(st.integers(1, 6), st.just(0), st.just(None)),
@@ -158,7 +164,7 @@ class TestFirstReturn:
         assert got.shape == want.shape == (horizon, k, k) and got.flags.c_contiguous
         # a_n does not depend on the horizon it is asked with
         assert np.array_equal(first_return_amplitudes(u, idx, horizon + extra)[:horizon], got)
-        if spectral._widest_stage(n, k) == 1 or horizon <= 2:
+        if not spectral._takes_stages(n, k) or horizon <= spectral._CHUNK:
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-14
