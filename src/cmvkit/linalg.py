@@ -215,15 +215,3 @@ def certify(m, what: str = "matrix") -> Unitary:
 def op_norm(m) -> float:
     """Operator (spectral) norm."""
     return float(np.linalg.norm(as_matrix(m), 2))
-
-
-def embed(m, positions, total_dim: int) -> np.ndarray:
-    """Place a small square matrix at the given index positions of an
-    identity of size total_dim; the positions pass index_tuple."""
-    a = as_matrix(m)
-    pos = index_tuple(total_dim, positions)
-    if a.shape != (len(pos), len(pos)):
-        raise ValueError("matrix size does not match the position list")
-    out = np.eye(total_dim, dtype=np.complex128)
-    out[np.ix_(pos, pos)] = a
-    return out

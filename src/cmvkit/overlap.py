@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Unitary, as_integer, as_matrix, certify, embed, numerical_rank
+from .linalg import Unitary, as_integer, as_matrix, certify, numerical_rank
 from .series import MatrixPowerSeries, coeff_distance, convolve
 from .spectral import schur_of_subspace
 
@@ -34,13 +34,10 @@ class SubspacePartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(as_integer(i) for i in self.left))
-        center = tuple(sorted(as_integer(i) for i in self.center))
-        right = tuple(sorted(as_integer(i) for i in self.right))
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "right", right)
-        seen = left + center + right
+        object.__setattr__(self, "ambient_dim", as_integer(self.ambient_dim, "ambient_dim"))
+        for name in ("left", "center", "right"):
+            object.__setattr__(self, name, tuple(sorted(as_integer(i) for i in getattr(self, name))))
+        seen = self.left + self.center + self.right
         if len(set(seen)) != len(seen):
             raise ValueError("partition groups must be disjoint")
         if sorted(seen) != list(range(self.ambient_dim)):
@@ -70,8 +67,9 @@ class OverlapCheck:
 class OverlapFactorization:
     """Factor pair (u_lc, u_cr) of an overlapping factorization.
 
-    The factors are stored on their own index groups (ascending ambient
-    order); embedding extends them by the identity elsewhere.  Their
+    The factors are stored on their own index groups, u_lc on lc x lc and
+    u_cr on cr x cr in ascending ambient order, and are never widened to
+    the ambient space: ``product()`` reads them on those groups.  Their
     unitarity certificates are kept once made: ``construct_overlap`` and
     ``cmv.standard_overlap`` hand theirs over, and a factorization built
     from bare arrays is certified on first use.
@@ -81,6 +79,12 @@ class OverlapFactorization:
     u_lc: np.ndarray
     u_cr: np.ndarray
     _certs: tuple = field(default=(), init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for name, group in (("u_lc", self.partition.lc), ("u_cr", self.partition.cr)):
+            shape = np.shape(getattr(self, name))
+            if shape != (len(group), len(group)):
+                raise ValueError(f"{name} has shape {shape}, not {len(group)}x{len(group)} like its index group")
 
     @classmethod
     def of_certified(cls, partition: SubspacePartition, u_lc: Unitary, u_cr: Unitary) -> OverlapFactorization:
@@ -100,9 +104,13 @@ class OverlapFactorization:
         return self._certs
 
     def product(self) -> np.ndarray:
-        part = self.partition
-        n = part.ambient_dim
-        return embed(self.u_lc, part.lc, n) @ embed(self.u_cr, part.cr, n)
+        """(U_LC + 1_R)(1_L + U_CR): U_CR written into an identity on
+        cr x cr, then the lc rows multiplied by U_LC."""
+        lc, cr = _index(self.partition.lc), _index(self.partition.cr)
+        out = np.eye(self.partition.ambient_dim, dtype=np.complex128)
+        out[cr[:, None], cr] = self.u_cr
+        out[lc] = self.u_lc @ out[lc]
+        return out
 
     def reconstruction_residual(self, U) -> float:
         return float(np.linalg.norm(self.product() - as_matrix(U)))
@@ -113,13 +121,9 @@ def check_overlap(U, partition: SubspacePartition) -> OverlapCheck:
     u = certify(U).matrix
     if u.shape[0] != partition.ambient_dim:
         raise ValueError("matrix size does not match the partition")
-    if partition.right and partition.left:
-        corner = u[np.ix_(partition.right, partition.left)]
-        corner_norm = float(np.linalg.norm(corner))
-    else:
-        corner_norm = 0.0
+    corner_norm = float(np.linalg.norm(_block(u, partition.right, partition.left)))
     corner_tol = CORNER_REL_TOL * float(np.linalg.norm(u))
-    k = u[np.ix_(partition.lc, partition.cr)]
+    k = _block(u, partition.lc, partition.cr)
     rank = numerical_rank(k) if k.size else 0
     center_dim = len(partition.center)
     ok = corner_norm <= corner_tol and rank == center_dim
@@ -149,7 +153,7 @@ def construct_overlap(U, partition: SubspacePartition) -> OverlapFactorization:
     u = cert.matrix
     left, center, right = partition.left, partition.center, partition.right
     lc, cr = partition.lc, partition.cr
-    k = u[np.ix_(lc, cr)]
+    k = _block(u, lc, cr)
     kdk = k.conj().T @ k
     proj_defect = float(np.linalg.norm(kdk @ kdk - kdk))
     scale = max(1.0, float(np.linalg.norm(u)))
@@ -174,11 +178,11 @@ def construct_overlap(U, partition: SubspacePartition) -> OverlapFactorization:
     # U_CR is 1_L + U_CR = P_L + W K^dagger K + P_R U read on cr x cr, and
     # U_LC is U_LC + 1_R = U P_L + K W^dagger P_C + P_R read on lc x lc
     u_cr = np.empty((len(cr), len(cr)), dtype=np.complex128)
-    u_cr[_positions(cr, center)] = w @ kdk
-    u_cr[_positions(cr, right)] = u[np.ix_(right, cr)]
+    u_cr[np.searchsorted(cr, center)] = w @ kdk
+    u_cr[np.searchsorted(cr, right)] = _block(u, right, cr)
     u_lc = np.empty((len(lc), len(lc)), dtype=np.complex128)
-    u_lc[:, _positions(lc, left)] = u[np.ix_(lc, left)]
-    u_lc[:, _positions(lc, center)] = k @ w.conj().T
+    u_lc[:, np.searchsorted(lc, left)] = _block(u, lc, left)
+    u_lc[:, np.searchsorted(lc, center)] = k @ w.conj().T
     fact = OverlapFactorization.of_certified(
         partition,
         certify(u_lc, what="left-center factor"),
@@ -190,9 +194,14 @@ def construct_overlap(U, partition: SubspacePartition) -> OverlapFactorization:
     return fact
 
 
-def _positions(whole: tuple[int, ...], part) -> list[int]:
-    table = {amb: t for t, amb in enumerate(whole)}
-    return [table[int(i)] for i in part]
+def _index(group) -> np.ndarray:
+    """An index group as an intp array; an empty group too stays an index."""
+    return np.asarray(group, dtype=np.intp)
+
+
+def _block(a: np.ndarray, rows, cols) -> np.ndarray:
+    """a's rows x cols block, gathered by broadcast indexing."""
+    return a[_index(rows)[:, None], _index(cols)]
 
 
 def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization) -> np.ndarray:
@@ -204,20 +213,20 @@ def verify_gauge(f1: OverlapFactorization, f2: OverlapFactorization) -> np.ndarr
     if f1.partition != f2.partition:
         raise ValueError("factorizations use different partitions")
     part = f1.partition
-    pc_lc = _positions(part.lc, part.center)
+    pc_lc = np.searchsorted(part.lc, part.center)
     g = f1.u_lc.conj().T @ f2.u_lc
     expected = np.eye(len(part.lc), dtype=np.complex128)
-    u_c = g[np.ix_(pc_lc, pc_lc)]
-    expected[np.ix_(pc_lc, pc_lc)] = u_c
+    u_c = _block(g, pc_lc, pc_lc)
+    expected[pc_lc[:, None], pc_lc] = u_c
     scale = max(1.0, float(np.linalg.norm(g)))
     if float(np.linalg.norm(g - expected)) > FACTOR_TOL * scale:
         raise ValueError("left factors are not related by a center gauge")
     certify(u_c, what="gauge")
 
-    pc_cr = _positions(part.cr, part.center)
+    pc_cr = np.searchsorted(part.cr, part.center)
     h = f2.u_cr @ f1.u_cr.conj().T
     expected = np.eye(len(part.cr), dtype=np.complex128)
-    expected[np.ix_(pc_cr, pc_cr)] = u_c.conj().T
+    expected[pc_cr[:, None], pc_cr] = u_c.conj().T
     if float(np.linalg.norm(h - expected)) > FACTOR_TOL * scale:
         raise ValueError("right factors do not carry the adjoint gauge")
     return u_c
@@ -278,8 +287,8 @@ def abstract_khrushchev_check(
     f_v = schur_of_subspace(u, ordered_v, order)
 
     u_lc, u_cr = fact.certified()
-    lc_local = _positions(partition.lc, vl + partition.center)
-    cr_local = _positions(partition.cr, partition.center + vr)
+    lc_local = np.searchsorted(partition.lc, vl + partition.center)
+    cr_local = np.searchsorted(partition.cr, partition.center + vr)
     f_left = schur_of_subspace(u_lc, lc_local, order)
     f_right = schur_of_subspace(u_cr, cr_local, order)
 

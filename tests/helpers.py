@@ -24,6 +24,19 @@ def direct_sum(*blocks) -> np.ndarray:
     return out
 
 
+def embed(m, positions, total_dim: int) -> np.ndarray:
+    """Place a small square matrix at the given index positions of an
+    identity of size total_dim; the positions pass index_tuple.  The dense
+    reference for ``OverlapFactorization.product``."""
+    a = as_matrix(m)
+    pos = index_tuple(total_dim, positions)
+    if a.shape != (len(pos), len(pos)):
+        raise ValueError("matrix size does not match the position list")
+    out = np.eye(total_dim, dtype=np.complex128)
+    out[np.ix_(pos, pos)] = a
+    return out
+
+
 def theta(alpha) -> np.ndarray:
     """The 2d x 2d unitary rotation [[alpha^dagger, rho^L], [rho^R, -alpha]]
     of one parameter, from the public defects."""

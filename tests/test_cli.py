@@ -24,7 +24,7 @@ from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import parameters_to_json, random_parameters
 from cmvkit.series import MatrixPowerSeries
 from cmvkit.spectral import first_return_amplitudes
-from helpers import grid_max_norm
+from helpers import embed, grid_max_norm
 
 MIXED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "mixed_campaign.json"
 POISONED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "poisoned_campaign.json"
@@ -220,7 +220,7 @@ class TestOverlapCommands:
         # so that its corner U[2, 0] is 1e-11 ||U||_F: inside CORNER_REL_TOL,
         # and a tighter global --tol does not tighten the corner test
         h = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-        u = linalg.embed(h, (0, 1), 3) @ linalg.embed(h, (1, 2), 3)
+        u = embed(h, (0, 1), 3) @ embed(h, (1, 2), 3)
         s = 1e-11 * np.sqrt(3.0) / abs(u[0, 0])
         turn = np.diag([np.sqrt(1.0 - s * s), 1.0, np.sqrt(1.0 - s * s)])
         turn[0, 2], turn[2, 0] = -s, s

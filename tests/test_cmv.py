@@ -19,7 +19,7 @@ from cmvkit.cmv import (
     window_spec,
 )
 from cmvkit.khrushchev import substitute_into_truncation
-from cmvkit.linalg import embed, is_unitary
+from cmvkit.linalg import is_unitary
 from cmvkit.overlap import check_overlap
 from cmvkit.schur import (
     SchurParameters,
@@ -32,7 +32,7 @@ from cmvkit.schur import (
 )
 from cmvkit.series import coeff_distance
 from cmvkit.spectral import first_return_amplitudes, schur_of_subspace
-from helpers import cmv_factors, direct_sum, random_contraction, theta
+from helpers import cmv_factors, direct_sum, embed, random_contraction, theta
 
 SQ3 = float(np.sqrt(3.0))
 

@@ -11,7 +11,6 @@ from cmvkit.linalg import (
     Unitary,
     as_matrix,
     certify,
-    embed,
     hermitian_psd_sqrt,
     index_tuple,
     is_unitary,
@@ -23,7 +22,7 @@ from cmvkit.linalg import (
     unitary_residuals,
 )
 from cmvkit.schur import random_parameters, random_unitary, rho_left, rho_right
-from helpers import column_selector, direct_sum, random_contraction
+from helpers import column_selector, direct_sum, embed, random_contraction
 
 
 class TestSubspace:

@@ -3,6 +3,7 @@ gauge freedom, and the abstract Schur-function factorization."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cmvkit import linalg
 from cmvkit.catalog import (
@@ -11,6 +12,7 @@ from cmvkit.catalog import (
     diffusion_center_schur,
     double_diffusion_five,
     double_diffusion_six,
+    grover_diffusion,
     hadamard_coin,
 )
 from cmvkit.cmv import standard_overlap, window_spec
@@ -28,7 +30,7 @@ from cmvkit.overlap import (
 from cmvkit.schur import random_parameters, random_unitary
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit.spectral import schur_of_subspace
-from helpers import direct_sum
+from helpers import direct_sum, embed
 
 
 def random_overlapping(rng, nl, nc, nr):
@@ -77,6 +79,42 @@ class TestPartition:
     def test_numpy_integers_are_indices(self):
         p = SubspacePartition(5, np.arange(2), np.arange(2, 3), np.arange(3, 5))
         assert (p.left, p.center, p.right) == ((0, 1), (2,), (3, 4))
+
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"])
+    def test_rejects_an_ambient_dim_that_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match=f"ambient_dim must be an integer, got {bad!r}"):
+            SubspacePartition(bad, (0,), (1,), (2,))
+
+    def test_a_numpy_ambient_dim_is_stored_as_an_int(self):
+        p = SubspacePartition(np.int64(3), (0,), (1,), (2,))
+        assert p.ambient_dim == 3 and type(p.ambient_dim) is int
+
+
+class TestFactorization:
+    @pytest.mark.parametrize("sizes", [(4, 4), (3, 3), (3, 5)])
+    def test_rejects_factors_that_do_not_fit_their_groups(self, sizes):
+        # double_diffusion_six has |lc| = 3 and |cr| = 4; the (4, 4) pair
+        # used to reach abstract_khrushchev_check as a failing residual
+        part = double_diffusion_six().partition
+        with pytest.raises(ValueError, match="like its index group"):
+            OverlapFactorization(part, *(grover_diffusion(s) for s in sizes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), nl=st.integers(0, 11), nc=st.integers(0, 11),
+           nr=st.integers(0, 11))
+    @example(seed=0, nl=0, nc=0, nr=0)
+    @example(seed=1, nl=0, nc=3, nr=0)
+    @example(seed=2, nl=4, nc=0, nr=5)
+    @example(seed=3, nl=11, nc=11, nr=11)
+    def test_product_matches_the_dense_embedded_product(self, seed, nl, nc, nr):
+        rng = np.random.default_rng(seed)
+        n = nl + nc + nr
+        order = rng.permutation(n)
+        part = SubspacePartition(n, order[:nl], order[nl : nl + nc], order[nl + nc :])
+        u_lc, u_cr = random_unitary(nl + nc, rng), random_unitary(nc + nr, rng)
+        fact = OverlapFactorization(part, u_lc, u_cr)
+        dense = embed(u_lc, part.lc, n) @ embed(u_cr, part.cr, n)
+        assert np.abs(fact.product() - dense).max(initial=0.0) <= 1e-15
 
 
 class TestCheckOverlap:

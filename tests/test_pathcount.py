@@ -26,11 +26,10 @@ from cmvkit.cmv import (
     build,
     window_spec,
 )
-from cmvkit.linalg import embed
 from cmvkit.pathcount import N_CAP, PRUNE_FLOOR, oracle_first_return
 from cmvkit.schur import random_parameters, random_unitary
 from cmvkit.spectral import first_return_amplitudes
-from helpers import scalar_first_return
+from helpers import embed, scalar_first_return
 
 
 def _per_length(u, v, n):
