@@ -34,7 +34,10 @@ class SubspacePartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "ambient_dim", as_integer(self.ambient_dim, "ambient_dim"))
+        n = as_integer(self.ambient_dim, "ambient_dim")
+        if n < 0:
+            raise ValueError(f"ambient_dim must be nonnegative, got {n}")
+        object.__setattr__(self, "ambient_dim", n)
         for name in ("left", "center", "right"):
             object.__setattr__(self, name, tuple(sorted(as_integer(i) for i in getattr(self, name))))
         seen = self.left + self.center + self.right

@@ -1,6 +1,6 @@
 """The matrix Schur algorithm.
 
-Forward direction: peel Schur parameters off a contractive series.
+Forward direction: peel Schur parameters off a series kept as N D^(-1).
 Backward direction: synthesize the series back from its parameters
 
     f_j = (1 + g a_j†)^(-1) (a_j + g),      g = z rR_j f_{j+1} rL_j^(-1),
@@ -314,25 +314,36 @@ def _series(p: SchurParameters, kind: str, m: int, order: int) -> MatrixPowerSer
 def schur_forward(f: MatrixPowerSeries, steps: int) -> SchurParameters:
     """Run the Schur algorithm, peeling off one parameter per step.
 
+    f is kept as a right fraction N D^(-1) with D_0 = 1, packed as one
+    (2d x (n+1)d) array [D; N] with column blocks [D_k; N_k], so the next
+    parameter a is N_0.  The step f' = z^(-1) rR^(-1) (f - a)(1 - a†f)^(-1) rL
+    is linear: [D'; z N'] = [rL^(-1) (D - a† N); rR^(-1) (N - a D)].  N'
+    then drops its factor z and every block is right-multiplied by D'_0^(-1).
+
     Stops early when a coefficient reaches the unit sphere, which closes
     the sequence with a unitary terminal.  The series order drops by one
-    per step, so steps must not exceed the order of f.
+    per step, so steps must not exceed the order of f.  Errors grow as
+    eps prod_j (1 - |a_j|^2)^(-1), to at most 28, 431 and 228 times that
+    at largest norms 0.5, 0.9 and 0.99 (2400 sets, d 1-4, lengths 1-20).
     """
+    steps = as_integer(steps, "steps")
     if steps < 0 or steps > f.order:
         raise ValueError(f"steps must lie in 0..{f.order}")
     d = f.block_dim
-    const = MatrixPowerSeries.constant
+    frac = np.concatenate([np.eye(d, (f.order + 1) * d), f.coeffs.transpose(1, 0, 2).reshape(d, -1)])
     alphas = []
-    cur = f
     for _ in range(steps):
-        a = np.array(cur.coeff(0))
-        norm = op_norm(a)
-        if norm > TERMINAL_DETECT:
+        a = frac[d:, :d].copy()
+        if op_norm(a) > TERMINAL_DETECT:
             # read as the terminal, which SchurParameters certifies unitary
             return SchurParameters(d, tuple(alphas), a)
         alphas.append(a)
-        nxt = ((cur - a) / (1 - const(a.conj().T, cur.order) * cur)).unshift(1, tol=np.inf)
-        cur = const(np.linalg.inv(rho_right(a)), nxt.order) * nxt * const(rho_left(a), nxt.order)
+        # D' on blocks 0..n-1; z N' on blocks 1..n, where block 0 vanishes
+        den = np.linalg.solve(rho_left(a), frac[:d, :-d] - a.conj().T @ frac[d:, :-d])
+        num = np.linalg.solve(rho_right(a), frac[d:, d:] - a @ frac[:d, d:])
+        # every block times D'_0^(-1): X D'_0 = B solved as D'_0^T X^T = B^T
+        blocks = np.concatenate([den, num]).reshape(-1, d)
+        frac = np.linalg.solve(den[:, :d].T, blocks.T).T.reshape(2 * d, -1)
     return SchurParameters(d, tuple(alphas), None)
 
 

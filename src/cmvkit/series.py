@@ -166,24 +166,9 @@ class MatrixPowerSeries:
                                self.coeffs[: n + 1].transpose(0, 2, 1))
         return MatrixPowerSeries(quotient.transpose(0, 2, 1))
 
-    def shift(self, k: int = 1) -> "MatrixPowerSeries":
-        """Multiply by z^k; the order grows by k."""
-        if k < 0:
-            raise ValueError("shift exponent must be nonnegative")
-        d = self.block_dim
-        pad = np.zeros((k, d, d), dtype=np.complex128)
-        return MatrixPowerSeries(np.concatenate([pad, self.coeffs]))
-
-    def unshift(self, k: int = 1, tol: float = 1e-12) -> "MatrixPowerSeries":
-        """Divide by z^k; the first k coefficients must vanish."""
-        if k < 0:
-            raise ValueError("unshift exponent must be nonnegative")
-        if k > self.order:
-            raise ValueError("unshift exceeds the series order")
-        head = float(np.abs(self.coeffs[:k]).max()) if k else 0.0
-        if head > tol:
-            raise ValueError(f"cannot divide by z^{k}: leading coefficient {head:.3e}")
-        return MatrixPowerSeries(self.coeffs[k:].copy())
+    def shift(self) -> "MatrixPowerSeries":
+        """Multiply by z; the order grows by one."""
+        return MatrixPowerSeries(np.concatenate([np.zeros_like(self.coeffs[:1]), self.coeffs]))
 
     def truncate(self, order: int) -> "MatrixPowerSeries":
         if order > self.order:
@@ -387,5 +372,5 @@ def caratheodory_to_schur(F: MatrixPowerSeries) -> MatrixPowerSeries:
     c0_defect = float(np.abs(F.coeffs[0] - np.eye(d)).max())
     if c0_defect > 1e-8:
         raise ValueError(f"constant term must be the identity (defect {c0_defect:.3e})")
-    one = MatrixPowerSeries.one(d, F.order)
-    return (F - one).unshift(1, tol=np.inf) / (F + one)
+    # z^(-1)(F - 1) is F without its constant term, the identity
+    return MatrixPowerSeries(F.coeffs[1:]) / (F + MatrixPowerSeries.one(d, F.order))

@@ -2,9 +2,16 @@
 
 import numpy as np
 
-from cmvkit.linalg import as_matrix, certify, index_tuple
+from cmvkit.linalg import as_matrix, certify, index_tuple, op_norm
 from cmvkit.pathcount import N_CAP, PRUNE_FLOOR
-from cmvkit.schur import GROWTH_BOUND, _random_contractions, rho_left, rho_right
+from cmvkit.schur import (
+    GROWTH_BOUND,
+    TERMINAL_DETECT,
+    SchurParameters,
+    _random_contractions,
+    rho_left,
+    rho_right,
+)
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
 
 
@@ -196,6 +203,30 @@ def stepwise_mobius_run(run, f, defects, norms, order: int) -> MatrixPowerSeries
         num[1:] += tail @ rl_inv
         growth *= kappa
     return MatrixPowerSeries(divided(den, num))
+
+
+def series_forward(f, steps: int) -> SchurParameters:
+    """The forward Schur algorithm in series algebra, one series quotient
+    per parameter,
+
+        f' = z^(-1) rR^(-1) (f - a)(1 - a†f)^(-1) rL,
+
+    with the same terminal detection as the library: the reference for
+    schur.schur_forward, which steps a packed fraction instead."""
+    d = f.block_dim
+    const = MatrixPowerSeries.constant
+    alphas = []
+    cur = f
+    for _ in range(steps):
+        a = np.array(cur.coeff(0))
+        if op_norm(a) > TERMINAL_DETECT:
+            return SchurParameters(d, tuple(alphas), a)
+        alphas.append(a)
+        # the quotient vanishes at 0; dropping that coefficient divides by z
+        quotient = (cur - a) / (1 - const(a.conj().T, cur.order) * cur)
+        nxt = MatrixPowerSeries(quotient.coeffs[1:])
+        cur = const(np.linalg.inv(rho_right(a)), nxt.order) * nxt * const(rho_left(a), nxt.order)
+    return SchurParameters(d, tuple(alphas), None)
 
 
 def random_contraction(d: int, rng) -> np.ndarray:

@@ -85,6 +85,10 @@ class TestPartition:
         with pytest.raises(ValueError, match=f"ambient_dim must be an integer, got {bad!r}"):
             SubspacePartition(bad, (0,), (1,), (2,))
 
+    def test_rejects_a_negative_ambient_dim(self):
+        with pytest.raises(ValueError, match="ambient_dim must be nonnegative, got -1"):
+            SubspacePartition(-1, (), (), ())
+
     def test_a_numpy_ambient_dim_is_stored_as_an_int(self):
         p = SubspacePartition(np.int64(3), (0,), (1,), (2,))
         assert p.ambient_dim == 3 and type(p.ambient_dim) is int

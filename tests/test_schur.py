@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cmvkit import linalg, schur
 from cmvkit.catalog import diffusion_center_schur, rational_series
@@ -26,7 +26,7 @@ from cmvkit.schur import (
     synthesize,
 )
 from cmvkit.series import MatrixPowerSeries, coeff_distance
-from helpers import grid_max_norm, loop_inverse, stepwise_mobius_run
+from helpers import grid_max_norm, loop_inverse, series_forward, stepwise_mobius_run
 
 
 def scalar_params(values, terminal=None):
@@ -138,6 +138,11 @@ class TestForward:
     def test_rejects_too_many_steps(self):
         with pytest.raises(ValueError):
             schur_forward(MatrixPowerSeries.zero(1, 3), 4)
+
+    @pytest.mark.parametrize("bad", [True, 2.0, "2"])
+    def test_rejects_steps_that_are_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {bad!r}$"):
+            schur_forward(MatrixPowerSeries.zero(1, 3), bad)
 
     @pytest.mark.parametrize("coeff", [[[2.0]], [[1.0, 0.0], [0.0, 0.5]]])
     def test_rejects_a_coefficient_that_is_not_a_contraction_or_unitary(self, coeff):
@@ -345,7 +350,10 @@ def _forward_step(f, alpha):
     const = MatrixPowerSeries.constant
     num = f - const(alpha, f.order)
     den = loop_inverse(1 - const(alpha.conj().T, f.order) * f)
-    g = (num * den).unshift(1, tol=1e-8)
+    g = num * den
+    head = float(np.abs(g.coeff(0)).max())
+    assert head <= 1e-8, f"the quotient does not vanish at 0: {head:.3e}"
+    g = MatrixPowerSeries(g.coeffs[1:])
     return const(np.linalg.inv(rho_right(alpha)), g.order) * g * const(rho_left(alpha), g.order)
 
 
@@ -431,6 +439,37 @@ class TestPackedRun:
         assert got.order == want.order == order
         scale = max(1.0, float(np.abs(want.coeffs).max()))
         assert coeff_distance(got, want) <= 1e-12 * scale
+
+
+def _recovered(p):
+    """The parameters of a set followed by its terminal, if it has one."""
+    return p.alphas + ((p.terminal,) if p.finite else ())
+
+
+class TestPackedForward:
+    """schur_forward's packed fraction [D; N] against the truth and the
+    series-algebra reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        length=st.integers(0, 12),
+        terminal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recovers_every_parameter(self, d, length, terminal, seed):
+        assume(length or terminal)
+        p = random_parameters(d, length, np.random.default_rng(seed), terminal)
+        f = synthesize(p, 64)
+        steps = length + terminal
+        got, ref = schur_forward(f, steps), series_forward(f, steps)
+        # the error grows with the condition of the defects
+        bound = 1e3 * np.finfo(float).eps / np.prod(1.0 - np.square(p._norms))
+        for back in (got, ref):
+            assert len(back) == length and back.finite == terminal
+        for ours, theirs, want in zip(_recovered(got), _recovered(ref), _recovered(p)):
+            assert np.abs(ours - want).max() <= bound
+            assert np.abs(ours - theirs).max() <= bound
 
 
 class TestBinaryTransform:
