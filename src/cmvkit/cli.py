@@ -176,6 +176,8 @@ def schur_params(ctx, coeffs_path, steps):
     try:
         series = MatrixPowerSeries.from_csv(coeffs_path).mark_schur()
         params = schur_forward(series, steps)
+    except ArithmeticError as exc:
+        _die(1, str(exc))
     except PARSE_ERRORS as exc:
         _die(2, str(exc))
     _emit(parameters_to_json(params), ctx.obj["out"])

@@ -43,6 +43,11 @@ STRICT_MARGIN = 1e-10
 # Forward algorithm: a coefficient at least this close to norm 1 is taken
 # as the unitary terminal of a finitely supported sequence.
 TERMINAL_DETECT = 1.0 - 1e-8
+# Forward algorithm: the k-th coefficient is read to within about
+# eps prod_{j<k} (1 - |a_j|^2)^(-1); one below TERMINAL_DETECT that is
+# within TERMINAL_GUARD times that of norm 1 cannot be told from a
+# terminal, and raises.
+TERMINAL_GUARD = 1e4
 # Backward run: a step over a grows the fraction's coefficients by at most
 # kappa(a) = (1 + |a|) / (1 - |a|^2)^(1/2); the fraction is divided out
 # before a step would take the product of kappas since the last division
@@ -62,6 +67,15 @@ def rho_right(alpha) -> np.ndarray:
     of a (..., d, d) stack in one batched pass."""
     a = as_stack(alpha)
     return hermitian_psd_sqrt(np.eye(a.shape[-2]) - a @ a.conj().swapaxes(-1, -2))
+
+
+def _defect_roots(stack: np.ndarray) -> tuple:
+    """(rho_L, rho_R) of each parameter of an (n, d, d) stack, from one
+    batched root of the (2n, d, d) stack [1 - a†a; 1 - aa†]; the same bits
+    as rho_left and rho_right."""
+    adj = stack.conj().swapaxes(-1, -2)
+    roots = hermitian_psd_sqrt(np.eye(stack.shape[-1]) - np.concatenate([adj @ stack, stack @ adj]))
+    return roots[: len(stack)], roots[len(stack) :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,10 +155,10 @@ class SchurParameters:
     def stacks(self) -> tuple:
         """(alpha, rho_L, rho_R, rho_L^-1, rho_R^-1) of every parameter as
         five read-only (len, d, d) stacks.  The defects are computed for the
-        whole set on first use: one batched root per side, checked Hermitian
-        and PSD, and one batched inverse per side."""
+        whole set on first use: one batched root of both sides, checked
+        Hermitian and PSD, and one batched inverse per side."""
         if not self._defects:
-            rl, rr = rho_left(self._stack), rho_right(self._stack)
+            rl, rr = _defect_roots(self._stack)
             defects = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
             for m in defects:
                 m.setflags(write=False)
@@ -325,22 +339,34 @@ def schur_forward(f: MatrixPowerSeries, steps: int) -> SchurParameters:
     per step, so steps must not exceed the order of f.  Errors grow as
     eps prod_j (1 - |a_j|^2)^(-1), to at most 28, 431 and 228 times that
     at largest norms 0.5, 0.9 and 0.99 (2400 sets, d 1-4, lengths 1-20).
+    A k-th coefficient at or below TERMINAL_DETECT but within
+    G eps prod_{j<k} (1 - |a_j|^2)^(-1) of norm 1, G = TERMINAL_GUARD, may
+    be a terminal lost to that error: it raises ArithmeticError rather
+    than read it as a strict contraction.
     """
     steps = as_integer(steps, "steps")
     if steps < 0 or steps > f.order:
         raise ValueError(f"steps must lie in 0..{f.order}")
     d = f.block_dim
     frac = np.concatenate([np.eye(d, (f.order + 1) * d), f.coeffs.transpose(1, 0, 2).reshape(d, -1)])
-    alphas = []
-    for _ in range(steps):
+    # G eps prod_{j<k} (1 - |a_j|^2)^(-1) at step k
+    alphas, guard = [], TERMINAL_GUARD * np.finfo(float).eps
+    for k in range(steps):
         a = frac[d:, :d].copy()
-        if op_norm(a) > TERMINAL_DETECT:
+        norm = op_norm(a)
+        if norm > TERMINAL_DETECT:
             # read as the terminal, which SchurParameters certifies unitary
             return SchurParameters(d, tuple(alphas), a)
+        if 1.0 - norm <= guard:
+            raise ArithmeticError(
+                f"Schur coefficient {k} has norm {norm:.12f}, within the forward error "
+                f"{guard:.3e} of the unit sphere: cannot tell it from a terminal")
         alphas.append(a)
+        guard /= 1.0 - norm * norm
         # D' on blocks 0..n-1; z N' on blocks 1..n, where block 0 vanishes
-        den = np.linalg.solve(rho_left(a), frac[:d, :-d] - a.conj().T @ frac[d:, :-d])
-        num = np.linalg.solve(rho_right(a), frac[d:, d:] - a @ frac[:d, d:])
+        rl, rr = _defect_roots(a[None])
+        den = np.linalg.solve(rl[0], frac[:d, :-d] - a.conj().T @ frac[d:, :-d])
+        num = np.linalg.solve(rr[0], frac[d:, d:] - a @ frac[:d, d:])
         # every block times D'_0^(-1): X D'_0 = B solved as D'_0^T X^T = B^T
         blocks = np.concatenate([den, num]).reshape(-1, d)
         frac = np.linalg.solve(den[:, :d].T, blocks.T).T.reshape(2 * d, -1)

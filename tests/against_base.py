@@ -1,0 +1,227 @@
+"""cmvkit at a base commit against cmvkit here, surface by surface.
+
+    PYTHONPATH=src python tests/against_base.py dump head-dump.npz
+    PYTHONPATH=base-tree/src python tests/against_base.py dump base-dump.npz head-dump.npz
+    python tests/against_base.py compare base-dump.npz head-dump.npz \\
+        BASE_BUNDLED_REPORT HEAD_BUNDLED_REPORT BASE_MIXED_REPORT HEAD_MIXED_REPORT
+
+``dump`` writes each surface below, of the same seeded inputs at any commit,
+to one .npz keyed "surface/group/name", and the signatures and each surface
+that raised to a .json beside it; the base takes amplitudes of the head's
+builds.  ``compare`` prints every check, then exits 1 on any that fails.
+"""
+
+import json
+import sys
+import traceback
+from pathlib import Path
+
+import numpy as np
+
+# surface -> largest allowed entry difference; None only prints
+BOUNDS = {"build": None, "amplitudes": 1e-13, "overlap": 1e-15, "forward": 1e-12}
+
+
+def builds():
+    """The four families at d 1-3 of seeded terminal sets of 0-8 parameters."""
+    from cmvkit.cmv import BlockOperatorSpec, build
+    from cmvkit.schur import random_parameters
+
+    for d in (1, 2, 3):
+        for length in range(9):
+            p = random_parameters(d, length, np.random.default_rng([d, length]), terminal=True)
+            for family in ("C", "Chat", "H", "Hhat"):
+                yield f"{family} d={d}", f"length={length}", build(BlockOperatorSpec(p, family, length + 1))
+
+
+def amplitudes(dumped):
+    """First-return amplitudes of dumped builds on every block range."""
+    from cmvkit.spectral import first_return_amplitudes
+
+    operators = [(*key.split("/")[1:], dumped[key]) for key in dumped if key.startswith("build/")]
+    if not operators:
+        raise LookupError("no builds to take amplitudes of")
+    for group, name, u in operators:
+        d = int(group.split()[1][2:])
+        blocks = u.shape[0] // d
+        for j in range(blocks):
+            for k in range(j, blocks):
+                v = tuple(range(j * d, (k + 1) * d))
+                for horizon in (48, 65):
+                    yield group, f"{name} v={j}-{k} h={horizon}", first_return_amplitudes(u, v, horizon)
+
+
+def overlaps():
+    """construct_overlap of a dense product, written here, of the factored
+    catalog fixtures and of seeded factors over permuted partitions."""
+    from cmvkit import catalog
+    from cmvkit.overlap import OverlapFactorization, SubspacePartition, construct_overlap
+    from cmvkit.schur import random_unitary
+
+    def dense(fact):
+        part, n = fact.partition, fact.partition.ambient_dim
+        lc, cr = np.eye(n, dtype=complex), np.eye(n, dtype=complex)
+        lc[np.ix_(part.lc, part.lc)] = fact.u_lc
+        cr[np.ix_(part.cr, part.cr)] = fact.u_cr
+        return lc @ cr
+
+    sources = {("catalog", name): getattr(catalog, name)() for name in (
+        "double_diffusion_six", "double_diffusion_five", "coined_walk_six", "coined_walk_six_alternate")}
+    for nl, nc, nr in np.ndindex(5, 5, 5):
+        rng = np.random.default_rng([nl, nc, nr])
+        order = rng.permutation(nl + nc + nr)
+        part = SubspacePartition(nl + nc + nr, order[:nl], order[nl : nl + nc], order[nl + nc :])
+        sources["random", f"{nl}{nc}{nr}"] = OverlapFactorization(
+            part, random_unitary(nl + nc, rng), random_unitary(nc + nr, rng))
+    for (kind, name), source in sources.items():
+        fact = construct_overlap(dense(source), source.partition)
+        for part, a in (("source product", source.product()), ("u_lc", fact.u_lc), ("u_cr", fact.u_cr),
+                        ("product", fact.product())):
+            yield f"{kind} {part}", name, a
+
+
+def forward():
+    """Parameters and terminal peeled off series of seeded open and terminal sets."""
+    from cmvkit.schur import random_parameters, schur_forward, synthesize
+
+    for d in (1, 2, 3):
+        for length in range(9):
+            for terminal in (False, True) if length else (True,):
+                p = random_parameters(d, length, np.random.default_rng([d, length, terminal]), terminal)
+                for order in (16, 64):
+                    back = schur_forward(synthesize(p, order), length + terminal)
+                    found = back.alphas + ((back.terminal,) if back.finite else ())
+                    yield f"d={d}", f"length={length} terminal={terminal} order={order}", np.array(found)
+
+
+def signatures():
+    """Signatures of cmvkit.__all__ and its classes' public methods, and
+    every command's options."""
+    import inspect
+
+    import click
+    import cmvkit
+    from cmvkit import cli
+
+    sigs = {}
+    for name in cmvkit.__all__:
+        obj = getattr(cmvkit, name)
+        fns = [(name, obj)]
+        if inspect.isclass(obj):
+            fns += [(f"{name}.{attr}", getattr(m, "__func__", m)) for attr, m in vars(obj).items()
+                    if not attr.startswith("_") and inspect.isfunction(getattr(m, "__func__", m))]
+        for key, fn in fns:
+            try:
+                sigs[key] = inspect.signature(fn)
+            except (TypeError, ValueError):
+                pass
+    options = {}
+
+    def walk(cmd, path):
+        for p in cmd.params:
+            if isinstance(p, click.Option):
+                options[f"{path} {'/'.join(p.opts)}"] = f"{p.type.name} default {p.default!r}"
+        for sub, child in sorted(getattr(cmd, "commands", {}).items()):
+            walk(child, f"{path} {sub}")
+
+    walk(cli.main, "cmvkit")
+    defaults = sum(p.default is not inspect.Parameter.empty for s in sigs.values() for p in s.parameters.values())
+    return {"signatures": {k: str(s) for k, s in sigs.items()}, "options": options, "defaults": defaults}
+
+
+def dump(path, builds_from=None):
+    """Every surface into path; one that raises is left out and named."""
+    arrays, meta = {}, {"failed": {}}
+
+    def run(surface, make):
+        try:
+            return make()
+        except Exception as exc:  # the commit under test may lack or break any surface
+            traceback.print_exc()
+            meta["failed"][surface] = f"{type(exc).__name__}: {exc}"
+            return {}
+
+    surfaces = {"build": builds, "amplitudes": lambda: amplitudes(np.load(builds_from) if builds_from else arrays),
+            "overlap": overlaps, "forward": forward}
+    for surface, items in surfaces.items():
+        arrays.update(run(surface, lambda: {f"{surface}/{group}/{name}": a for group, name, a in items()}))
+    meta.update(run("signatures", signatures))
+    np.savez(path, **arrays)
+    Path(path).with_suffix(".json").write_text(json.dumps(meta, indent=1, sort_keys=True))
+
+
+def compare_surface(surface, bound, old, new, failed):
+    """Print the largest difference per group of one surface; True if a
+    bounded surface fails.  ``failed`` names the sides where it raised."""
+    if failed:
+        print(f"{surface}: not dumped at the {' and '.join(failed)}")
+        return bound is not None
+    old_keys, new_keys = ({k for k in arrays if k.split("/")[0] == surface} for arrays in (old, new))
+    bad = old_keys != new_keys
+    if bad:
+        print(f"{surface}: {len(old_keys - new_keys)} keys only at the base, {len(new_keys - old_keys)} only here")
+    worst = {}
+    for key in (k for k in new if k in old_keys):
+        a, b = old[key], new[key]
+        if a.shape != b.shape:
+            print(f"{key}: shape {a.shape} at the base, {b.shape} here")
+            bad = True
+        else:
+            group = key.split("/")[1]
+            worst[group] = np.maximum(worst.get(group, 0.0), np.abs(b - a).max(initial=0.0))
+    for group, diff in worst.items():
+        print(f"{surface} {group}: largest difference {diff:.3e}")
+    return bound is not None and (bad or not all(diff <= bound for diff in worst.values()))
+
+
+def print_signatures(old, new):
+    if "signatures" not in old or "signatures" not in new:
+        print("signatures: not dumped at both commits")
+        return
+    for kind in ("signatures", "options"):
+        for key in sorted(old[kind].keys() | new[kind].keys()):
+            if old[kind].get(key) != new[kind].get(key):
+                print(f"{kind[:-1]} {key}: base {old[kind].get(key, '(none)')}, head {new[kind].get(key, '(none)')}")
+    for side, meta in (("base", old), ("head", new)):
+        print(f"{side}: {meta['defaults']} parameters with defaults over {len(meta['signatures'])} "
+              f"signatures; {len(meta['options'])} command options")
+
+
+def compare_campaign(name, base_report, head_report):
+    """True if the report count changed or a report passing at the base fails."""
+    old, new = ([r for job in json.loads(Path(p).read_text())["jobs"] for r in job.get("reports", [])]
+                for p in (base_report, head_report))
+    if len(old) != len(new):
+        print(f"{name}: {len(old)} reports at the base, {len(new)} here")
+        return True
+    moves = [abs(b["residual"] - a["residual"]) for a, b in zip(old, new) if b["residual"] != a["residual"]]
+    print(f"{name}: {len(new)} reports, {len(moves)} residuals moved, largest change {max(moves, default=0.0):.3e}")
+    other = [(i, keys) for i, (a, b) in enumerate(zip(old, new))
+             if (keys := sorted(k for k in a.keys() | b.keys() if k != "residual" and a.get(k) != b.get(k)))]
+    print(f"{name}: {len(other)} reports differ in a field other than residual")
+    for i, keys in other[:5]:
+        print(f"{name}: report {i} differs in {', '.join(keys)}: {new[i]['params']}")
+    broken = [i for i, (a, b) in enumerate(zip(old, new)) if a["pass"] and not b["pass"]]
+    for i in broken:
+        print(f"{name}: report {i} passes at the base and fails here: {new[i]['params']}")
+    return bool(broken)
+
+
+def compare(base_path, head_path, *reports):
+    """The exit status, once every surface, the signatures and the bundled
+    and mixed campaigns (base and head report paths of each) are printed."""
+    old_meta, new_meta = (json.loads(Path(p).with_suffix(".json").read_text()) for p in (base_path, head_path))
+    sides = (("base", old_meta), ("head", new_meta))
+    with np.load(base_path) as old, np.load(head_path) as new:
+        bad = [compare_surface(surface, bound, old, new, [side for side, meta in sides if surface in meta["failed"]])
+               for surface, bound in BOUNDS.items()]
+    print_signatures(old_meta, new_meta)
+    bad += [compare_campaign(name, *pair) for name, pair in zip(("bundled", "mixed"), zip(reports[::2], reports[1::2]))]
+    return int(any(bad))
+
+
+if __name__ == "__main__":
+    command, *paths = sys.argv[1:] or [""]
+    if (command, len(paths)) not in (("dump", 1), ("dump", 2), ("compare", 6)):
+        sys.exit(__doc__)
+    sys.exit(dump(*paths) if command == "dump" else compare(*paths))

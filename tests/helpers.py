@@ -9,8 +9,10 @@ from cmvkit.schur import (
     TERMINAL_DETECT,
     SchurParameters,
     _random_contractions,
+    random_unitary,
     rho_left,
     rho_right,
+    synthesize,
 )
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
 
@@ -227,6 +229,19 @@ def series_forward(f, steps: int) -> SchurParameters:
         nxt = MatrixPowerSeries(quotient.coeffs[1:])
         cur = const(np.linalg.inv(rho_right(a)), nxt.order) * nxt * const(rho_left(a), nxt.order)
     return SchurParameters(d, tuple(alphas), None)
+
+
+def lost_terminal_series() -> MatrixPowerSeries:
+    """Order-64 series of 14 scalar parameters, one of norm 0.99 and the
+    others of norm 0.99 U(0, 1), closed by a unimodular terminal.  Their
+    defects amplify rounding so much that the forward algorithm reads the
+    terminal's coefficient at norm below TERMINAL_DETECT."""
+    rng = np.random.default_rng([1, 14, 4])
+    g = rng.standard_normal((14, 1, 1)) + 1j * rng.standard_normal((14, 1, 1))
+    r = 0.99 * rng.uniform(0, 1, 14)
+    r[rng.integers(14)] = 0.99
+    g *= (r / np.linalg.norm(g, 2, axis=(1, 2)))[:, None, None]
+    return synthesize(SchurParameters(1, g, random_unitary(1, rng)), 64)
 
 
 def random_contraction(d: int, rng) -> np.ndarray:

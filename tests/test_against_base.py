@@ -1,0 +1,112 @@
+"""The base-versus-head comparer: bounds, key and shape checks, failed
+surfaces and campaign rules, on hand-written dumps; and one full dump."""
+
+import json
+
+import numpy as np
+import pytest
+
+from against_base import BOUNDS, compare, dump
+
+BASE = {
+    "build/C d=1/length=0": np.eye(2, dtype=complex),
+    "amplitudes/C d=1/length=0 v=0-0 h=48": np.full((3, 1, 1), 0.5 + 0.5j),
+    "overlap/random u_lc/012": np.eye(2, dtype=complex),
+    "forward/d=1/length=1 terminal=True order=16": np.array([[[0.3]], [[1.0]]], dtype=complex),
+}
+REPORTS = [{"pass": True, "residual": 1e-15, "params": {"j": 0}},
+           {"pass": False, "residual": 1.0, "params": {"j": 1}}]
+
+
+def write_dump(path, arrays, failed=()):
+    np.savez(path, **arrays)
+    path.with_suffix(".json").write_text(json.dumps({"failed": {s: "RuntimeError: no" for s in failed}}))
+    return path
+
+
+def write_reports(path, reports):
+    path.write_text(json.dumps({"jobs": [{"reports": reports}]}))
+    return path
+
+
+def run_compare(tmp_path, head, failed=(), base_failed=(), head_reports=REPORTS):
+    base_reports = write_reports(tmp_path / "base-report.json", REPORTS)
+    return compare(write_dump(tmp_path / "base.npz", BASE, base_failed),
+                   write_dump(tmp_path / "head.npz", head, failed),
+                   base_reports, write_reports(tmp_path / "head-report.json", head_reports),
+                   base_reports, write_reports(tmp_path / "mixed-report.json", REPORTS))
+
+
+def moved(key, by):
+    return {**BASE, key: BASE[key] + by}
+
+
+def test_identical_dumps_pass_and_print_every_group(tmp_path, capsys):
+    assert run_compare(tmp_path, BASE) == 0
+    out = capsys.readouterr().out
+    for line in ("build C d=1: largest difference 0.000e+00", "amplitudes C d=1: largest difference 0.000e+00",
+                 "overlap random u_lc: largest difference 0.000e+00", "forward d=1: largest difference 0.000e+00",
+                 "bundled: 2 reports, 0 residuals moved", "mixed: 0 reports differ in a field other than residual"):
+        assert line in out
+
+
+@pytest.mark.parametrize("key", [k for k in BASE if BOUNDS[k.split("/")[0]] is not None])
+def test_a_difference_above_its_bound_fails(tmp_path, capsys, key):
+    bound = BOUNDS[key.split("/")[0]]
+    assert run_compare(tmp_path, moved(key, bound / 2)) == 0
+    assert run_compare(tmp_path, moved(key, 2 * bound)) == 1
+    out = capsys.readouterr().out
+    # every surface is still printed after the one that fails
+    assert f"largest difference {2 * bound:.3e}" in out and "forward d=1:" in out and "mixed:" in out
+
+
+def test_a_build_difference_prints_and_passes(tmp_path, capsys):
+    assert run_compare(tmp_path, moved("build/C d=1/length=0", 1.0)) == 0
+    assert "build C d=1: largest difference 1.000e+00" in capsys.readouterr().out
+
+
+def test_a_missing_key_fails(tmp_path, capsys):
+    head = {k: a for k, a in BASE.items() if not k.startswith("overlap/")}
+    assert run_compare(tmp_path, head) == 1
+    assert "overlap: 1 keys only at the base, 0 only here" in capsys.readouterr().out
+
+
+def test_a_changed_shape_fails(tmp_path, capsys):
+    key = "forward/d=1/length=1 terminal=True order=16"
+    assert run_compare(tmp_path, {**BASE, key: BASE[key][:1]}) == 1
+    assert f"{key}: shape (2, 1, 1) at the base, (1, 1, 1) here" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("surface", [s for s, bound in BOUNDS.items() if bound is not None])
+def test_a_bounded_surface_not_dumped_fails(tmp_path, capsys, surface):
+    head = {k: a for k, a in BASE.items() if not k.startswith(surface + "/")}
+    assert run_compare(tmp_path, head, base_failed=[surface]) == 1
+    assert f"{surface}: not dumped at the base" in capsys.readouterr().out
+
+
+def test_builds_and_signatures_not_dumped_only_print(tmp_path, capsys):
+    assert run_compare(tmp_path, BASE, failed=["build", "signatures"]) == 0
+    out = capsys.readouterr().out
+    assert "build: not dumped at the head" in out and "signatures: not dumped at both commits" in out
+
+
+@pytest.mark.parametrize("head_reports", [REPORTS[:1], [REPORTS[1], REPORTS[1]]])
+def test_a_lost_report_or_a_newly_failing_one_fails(tmp_path, head_reports):
+    assert run_compare(tmp_path, BASE, head_reports=head_reports) == 1
+
+
+def test_a_report_that_starts_to_pass_is_kept(tmp_path, capsys):
+    assert run_compare(tmp_path, BASE, head_reports=[REPORTS[0], REPORTS[0]]) == 0
+    assert "bundled: report 1 differs in params, pass: {'j': 0}" in capsys.readouterr().out
+
+
+def test_dump_produces_every_surface(tmp_path):
+    path = tmp_path / "head.npz"
+    dump(path)
+    meta = json.loads(path.with_suffix(".json").read_text())
+    with np.load(path) as arrays:
+        counts = {s: sum(k.startswith(s + "/") for k in arrays.files) for s in BOUNDS}
+    path.unlink()
+    assert meta["failed"] == {}
+    assert counts == {"build": 108, "amplitudes": 3960, "overlap": 516, "forward": 102}
+    assert "schur_forward" in meta["signatures"] and meta["options"]

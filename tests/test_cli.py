@@ -24,7 +24,7 @@ from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import parameters_to_json, random_parameters
 from cmvkit.series import MatrixPowerSeries
 from cmvkit.spectral import first_return_amplitudes
-from helpers import embed, grid_max_norm
+from helpers import embed, grid_max_norm, lost_terminal_series
 
 MIXED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "mixed_campaign.json"
 POISONED_CAMPAIGN = Path(__file__).resolve().parent / "data" / "poisoned_campaign.json"
@@ -107,6 +107,13 @@ class TestSchurCommands:
         res = runner.invoke(main, ["schur", "params", "--coeffs", str(csv)])
         assert res.exit_code == 2
         assert "line 4" in res.output
+
+    def test_params_exits_one_on_a_lost_terminal(self, runner, tmp_path):
+        csv = tmp_path / "f.csv"
+        lost_terminal_series().to_csv(str(csv))
+        res = runner.invoke(main, ["schur", "params", "--coeffs", str(csv), "--steps", "15"])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert "error: Schur coefficient 14" in res.output and "from a terminal" in res.output
 
     def test_synthesize_round_trip(self, runner, tmp_path, rng):
         path = terminal_params_file(tmp_path, rng, length=2)

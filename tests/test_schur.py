@@ -26,7 +26,13 @@ from cmvkit.schur import (
     synthesize,
 )
 from cmvkit.series import MatrixPowerSeries, coeff_distance
-from helpers import grid_max_norm, loop_inverse, series_forward, stepwise_mobius_run
+from helpers import (
+    grid_max_norm,
+    lost_terminal_series,
+    loop_inverse,
+    series_forward,
+    stepwise_mobius_run,
+)
 
 
 def scalar_params(values, terminal=None):
@@ -150,6 +156,11 @@ class TestForward:
         # must then be unitary
         with pytest.raises(ValueError, match="terminal is not unitary"):
             schur_forward(MatrixPowerSeries.constant(coeff, 3), 2)
+
+    def test_a_terminal_lost_to_rounding_raises(self):
+        # read as a 15th strict contraction, the terminal would be lost
+        with pytest.raises(ArithmeticError, match=r"^Schur coefficient 14 .* cannot tell it from a terminal$"):
+            schur_forward(lost_terminal_series(), 15)
 
 
 class TestSynthesize:
@@ -314,7 +325,7 @@ class TestParameterMemo:
         self, d, length, rng, monkeypatch
     ):
         # every parameter's two roots are taken once, in one batched root
-        # per side over the whole set, and never again
+        # of both sides over the whole set, and never again
         p = random_parameters(d, length, rng, terminal=True)
         calls = []
         original = schur.hermitian_psd_sqrt
@@ -325,12 +336,12 @@ class TestParameterMemo:
 
         monkeypatch.setattr(schur, "hermitian_psd_sqrt", counting)
         iterate_series(p, 0, 7)
-        assert calls == [(length, d, d)] * 2
+        assert calls == [(2 * length, d, d)]
         for j in range(length + 1):
             iterate_series(p, j, 7)
             inverse_iterate_series(p, j, 7)
             [m[j % length] for m in p.stacks()[1:]]
-        assert calls == [(length, d, d)] * 2
+        assert calls == [(2 * length, d, d)]
 
     def test_shared_series_reject_out_of_range_indices(self):
         p = scalar_params([0.3, 0.2])
