@@ -9,7 +9,7 @@ one (h, k, k) stack whose entry n - 1 is a_n, the adjoint of f_V's z^{n-1}
 coefficient.
 Two independent computations are kept side by side: the amplitude
 recursion, and the resolvent compression P (U - z Q)^{-1} P sampled on a
-small disk.  Any disagreement is raised, never papered over.
+ring of eight points.  Any disagreement is raised, never papered over.
 
 The recursion permutes U once so that V comes first; a step is then one
 product with U's columns outside V, and a_n is the head of the result.
@@ -18,9 +18,13 @@ takes the first _CHUNK steps one at a time and the rest in stages, each
 applying one power of that block to the last _CHUNK Krylov blocks in one
 wide product.  Whether it stages reads the shape, never the horizon, and
 stages are whole, so a_n has the same bits at every horizon.  The
-resolvent solves at every sample point in one stacked ``np.linalg.solve``
-in the original basis.  A ``linalg.Unitary`` passes through both without
-another unitarity check.
+resolvent reads U's adjoint once in the same V-first order and takes all
+eight sample points from one solve: they are a ring, z_t = r w^t with
+w^8 = 1, so prod_t (1 - z_t x) = 1 - r^8 x^8 and every (1 - z_t E)^{-1}
+is a polynomial in E times the one inverse (1 - r^8 E^8)^{-1}.  E is a
+block of a unitary, so ||E|| <= 1 and that matrix has condition number
+at most (1 + 2^-8) / (1 - 2^-8) for every V, the empty one included.
+A ``linalg.Unitary`` passes through both without another unitarity check.
 """
 
 from __future__ import annotations
@@ -34,8 +38,13 @@ from .series import MatrixPowerSeries
 
 RESOLVENT_TOL = 1e-8
 # Eight sample points on |z| = 0.5.  At that radius a horizon of 48 leaves
-# a geometric tail below 1e-14, far inside RESOLVENT_TOL.
-RESOLVENT_SAMPLES = tuple(0.5 * np.exp(2j * np.pi * t / 8) for t in range(8))
+# a geometric tail below 1e-14, far inside RESOLVENT_TOL.  They are the
+# ring z_t = 0.5 w^t, w^8 = 1, so z_t^8 = 2^-8 at every point, and
+# resolvent_compression takes all eight from one solve with I - 2^-8 E^8.
+_RING_RADIUS = 0.5
+RESOLVENT_SAMPLES = tuple(_RING_RADIUS * np.exp(2j * np.pi * t / 8) for t in range(8))
+# z_t^{m+1} for m = 0..7: row t sums the terms C^dagger E^m X into f_V(z_t)
+_RING_POWERS = np.vander(np.array(RESOLVENT_SAMPLES), 9, increasing=True)[:, 1:]
 _CHECK_HORIZON = 48
 # the amplitude recursion's stage width, in blocks, and the two bounds
 # of _takes_stages
@@ -96,26 +105,42 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     return amps
 
 
-def resolvent_compression(U, v, z) -> np.ndarray:
-    """Direct evaluation P (U - z Q)^{-1} P, the closed form of f_V(z).
+def resolvent_compression(U, v) -> np.ndarray:
+    """Direct evaluation of f_V(z) = P (U - z Q)^{-1} P at the eight
+    RESOLVENT_SAMPLES, as an (8, k, k) stack whose entry t is f_V(z_t).
 
-    ``z`` is one point or a sequence of points; a sequence gives the values
-    stacked along a leading axis.  Every point goes through one stacked
-    solve, with U certified unitary once.
+    U's adjoint is read once in the V-first order of
+    first_return_amplitudes: with A = U[v, v], B = U[v, rest],
+    C = U[rest, v] and E = U[rest, rest]^dagger it is
+    [[A^dagger, C^dagger], [B^dagger, E]], and, U being unitary,
+    f_V(z) = A^dagger + z C^dagger (1 - z E)^{-1} B^dagger.  (For any
+    square U this last form is the sum of the amplitudes' Taylor series,
+    so the check reads the recursion; unitarity is certify's.)  On the ring
+    z_t^8 = r^8 (r = 0.5), so (1 - z_t E)^{-1} = (sum_{m<8} z_t^m E^m) X0
+    with X0 = (1 - r^8 E^8)^{-1}, shared by every point.  Three squarings
+    of [C^dagger E^0..C^dagger E^{p-1}; E^p], each one product, give the
+    rows C^dagger E^m, m < 8, and E^8 together; one solve gives
+    X = X0 B^dagger; and f_V(z_t) = A^dagger + sum_m z_t^{m+1} C^dagger E^m X
+    is one product and one 8 x 8 Vandermonde.  ||E|| <= 1, so the solved
+    matrix has condition number at most (1 + 2^-8) / (1 - 2^-8), V empty
+    (E = U^dagger) and V the whole space (E is 0 x 0) included.  U is
+    certified unitary once, unless it is already a Unitary.
     """
     u = certify(U).matrix
     n = u.shape[0]
     idx, rest = _split(n, v)
     k = idx.size
-    points = np.asarray(z, dtype=np.complex128)
-    zs = points.reshape(-1)
-    # U - z Q differs from U only on the diagonal outside V
-    shifted = np.repeat(u[None], zs.size, axis=0)
-    shifted.reshape(zs.size, n * n)[:, rest * (n + 1)] -= zs[:, None]
-    b = np.zeros((n, k), dtype=np.complex128)
-    b[idx, np.arange(k)] = 1.0
-    values = np.linalg.solve(shifted, np.broadcast_to(b, (zs.size, n, k)))[:, idx]
-    return values.reshape(points.shape + (k, k))
+    perm = np.concatenate((idx, rest))
+    adj = u.T[perm[:, None], perm]
+    np.conjugate(adj, out=adj)
+    krylov = adj[:, k:]  # [C^dagger; E]
+    for p in (1, 2, 4):  # [C^dagger E^0..E^{p-1}; E^p] -> the same up to 2p
+        krylov = np.concatenate((krylov[: p * k], krylov @ krylov[p * k :]))
+    shifted = krylov[8 * k :]  # E^8, made 1 - r^8 E^8 in place
+    shifted *= -(_RING_RADIUS**8)
+    shifted.reshape(-1)[:: n - k + 1] += 1.0
+    terms = krylov[: 8 * k] @ np.linalg.solve(shifted, adj[k:, :k])  # C^dagger E^m X
+    return adj[:k, :k] + (_RING_POWERS @ terms.reshape(8, k * k)).reshape(8, k, k)
 
 
 def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
@@ -132,7 +157,7 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     coeffs = np.ascontiguousarray(
         first_return_amplitudes(u, v, horizon).transpose(0, 2, 1).conj())
     taylor = MatrixPowerSeries(coeffs).values_at(RESOLVENT_SAMPLES)
-    worst = float(np.abs(taylor - resolvent_compression(u, v, RESOLVENT_SAMPLES)).max())
+    worst = float(np.abs(taylor - resolvent_compression(u, v)).max())
     if worst > RESOLVENT_TOL:
         raise ArithmeticError(
             "internal-consistency failure: Taylor and resolvent routes "

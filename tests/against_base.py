@@ -7,8 +7,8 @@
 
 ``dump`` writes each surface below, of the same seeded inputs at any commit,
 to one .npz keyed "surface/group/name", and the signatures and each surface
-that raised to a .json beside it; the base takes amplitudes of the head's
-builds.  ``compare`` prints every check, then exits 1 on any that fails.
+that raised to a .json beside it; the base takes amplitudes and resolvents
+of the head's builds.  ``compare`` prints every check, then exits 1 on any that fails.
 """
 
 import json
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 # surface -> largest allowed entry difference; None only prints
-BOUNDS = {"build": None, "amplitudes": 1e-13, "overlap": 1e-15, "forward": 1e-12}
+BOUNDS = {"build": None, "amplitudes": 1e-13, "resolvent": 1e-13, "overlap": 1e-15, "forward": 1e-12}
 
 
 def builds():
@@ -34,21 +34,39 @@ def builds():
                 yield f"{family} d={d}", f"length={length}", build(BlockOperatorSpec(p, family, length + 1))
 
 
-def amplitudes(dumped):
-    """First-return amplitudes of dumped builds on every block range."""
-    from cmvkit.spectral import first_return_amplitudes
-
+def block_ranges(dumped):
+    """Each dumped build with each of its block ranges j-k as a subspace."""
     operators = [(*key.split("/")[1:], dumped[key]) for key in dumped if key.startswith("build/")]
     if not operators:
-        raise LookupError("no builds to take amplitudes of")
+        raise LookupError("no builds to take subspaces of")
     for group, name, u in operators:
         d = int(group.split()[1][2:])
         blocks = u.shape[0] // d
         for j in range(blocks):
             for k in range(j, blocks):
-                v = tuple(range(j * d, (k + 1) * d))
-                for horizon in (48, 65):
-                    yield group, f"{name} v={j}-{k} h={horizon}", first_return_amplitudes(u, v, horizon)
+                yield group, f"{name} v={j}-{k}", u, tuple(range(j * d, (k + 1) * d))
+
+
+def amplitudes(dumped):
+    """First-return amplitudes of dumped builds on every block range."""
+    from cmvkit.spectral import first_return_amplitudes
+
+    for group, name, u, v in block_ranges(dumped):
+        for horizon in (48, 65):
+            yield group, f"{name} h={horizon}", first_return_amplitudes(u, v, horizon)
+
+
+def resolvents(dumped):
+    """The resolvent cross-check's values at RESOLVENT_SAMPLES, of dumped
+    builds on every block range."""
+    import inspect
+
+    from cmvkit.spectral import RESOLVENT_SAMPLES, resolvent_compression
+
+    # a base whose resolvent_compression still takes the points as ``z``
+    points = (RESOLVENT_SAMPLES,) if "z" in inspect.signature(resolvent_compression).parameters else ()
+    for group, name, u, v in block_ranges(dumped):
+        yield group, name, resolvent_compression(u, v, *points)
 
 
 def overlaps():
@@ -141,8 +159,11 @@ def dump(path, builds_from=None):
             meta["failed"][surface] = f"{type(exc).__name__}: {exc}"
             return {}
 
-    surfaces = {"build": builds, "amplitudes": lambda: amplitudes(np.load(builds_from) if builds_from else arrays),
-            "overlap": overlaps, "forward": forward}
+    def dumped():
+        return np.load(builds_from) if builds_from else arrays
+
+    surfaces = {"build": builds, "amplitudes": lambda: amplitudes(dumped()), "resolvent": lambda: resolvents(dumped()),
+                "overlap": overlaps, "forward": forward}
     for surface, items in surfaces.items():
         arrays.update(run(surface, lambda: {f"{surface}/{group}/{name}": a for group, name, a in items()}))
     meta.update(run("signatures", signatures))

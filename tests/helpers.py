@@ -127,6 +127,26 @@ def stepwise_first_return(U, v, horizon: int) -> np.ndarray:
     return amps
 
 
+def projector_resolvent(U, v, z) -> np.ndarray:
+    """P (U - z Q)^{-1} P in the original basis, ``z`` one point or a
+    sequence (stacked along a leading axis), every point in one stacked
+    solve.  The reference for spectral.resolvent_compression's ring."""
+    u = certify(U).matrix
+    n = u.shape[0]
+    idx = np.array(index_tuple(n, v), dtype=np.intp)
+    rest = np.setdiff1d(np.arange(n), idx)
+    k = idx.size
+    points = np.asarray(z, dtype=np.complex128)
+    zs = points.reshape(-1)
+    # U - z Q differs from U only on the diagonal outside V
+    shifted = np.repeat(u[None], zs.size, axis=0)
+    shifted.reshape(zs.size, n * n)[:, rest * (n + 1)] -= zs[:, None]
+    b = np.zeros((n, k), dtype=np.complex128)
+    b[idx, np.arange(k)] = 1.0
+    values = np.linalg.solve(shifted, np.broadcast_to(b, (zs.size, n, k)))[:, idx]
+    return values.reshape(points.shape + (k, k))
+
+
 def grid_max_norm(f) -> float:
     """Largest operator norm of the series' truncated sum on the
     contractivity sample grid."""

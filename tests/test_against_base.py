@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from against_base import BOUNDS, compare, dump
+from against_base import BOUNDS, compare, dump, resolvents
+from helpers import projector_resolvent
 
 BASE = {
     "build/C d=1/length=0": np.eye(2, dtype=complex),
     "amplitudes/C d=1/length=0 v=0-0 h=48": np.full((3, 1, 1), 0.5 + 0.5j),
+    "resolvent/C d=1/length=0 v=0-0": np.full((8, 1, 1), 0.25 - 0.5j),
     "overlap/random u_lc/012": np.eye(2, dtype=complex),
     "forward/d=1/length=1 terminal=True order=16": np.array([[[0.3]], [[1.0]]], dtype=complex),
 }
@@ -45,6 +47,7 @@ def test_identical_dumps_pass_and_print_every_group(tmp_path, capsys):
     assert run_compare(tmp_path, BASE) == 0
     out = capsys.readouterr().out
     for line in ("build C d=1: largest difference 0.000e+00", "amplitudes C d=1: largest difference 0.000e+00",
+                 "resolvent C d=1: largest difference 0.000e+00",
                  "overlap random u_lc: largest difference 0.000e+00", "forward d=1: largest difference 0.000e+00",
                  "bundled: 2 reports, 0 residuals moved", "mixed: 0 reports differ in a field other than residual"):
         assert line in out
@@ -100,6 +103,20 @@ def test_a_report_that_starts_to_pass_is_kept(tmp_path, capsys):
     assert "bundled: report 1 differs in params, pass: {'j': 0}" in capsys.readouterr().out
 
 
+def test_a_base_that_takes_the_points_gets_the_ring(monkeypatch):
+    # a base whose resolvent_compression(U, v, z) solves at the points given
+    from cmvkit import spectral
+    from cmvkit.schur import random_unitary
+
+    dumped = {f"build/C d={d}/length=1": random_unitary(2 * d, np.random.default_rng(d)) for d in (1, 2)}
+    head = {(group, name): a for group, name, a in resolvents(dumped)}
+    monkeypatch.setattr(spectral, "resolvent_compression", lambda U, v, z: projector_resolvent(U, v, z))
+    base = {(group, name): a for group, name, a in resolvents(dumped)}
+    assert base.keys() == head.keys() and len(head) == 6
+    assert all(a.shape == (8, *a.shape[1:]) for a in head.values())
+    assert max(np.abs(base[key] - head[key]).max() for key in head) <= BOUNDS["resolvent"]
+
+
 def test_dump_produces_every_surface(tmp_path):
     path = tmp_path / "head.npz"
     dump(path)
@@ -108,5 +125,5 @@ def test_dump_produces_every_surface(tmp_path):
         counts = {s: sum(k.startswith(s + "/") for k in arrays.files) for s in BOUNDS}
     path.unlink()
     assert meta["failed"] == {}
-    assert counts == {"build": 108, "amplitudes": 3960, "overlap": 516, "forward": 102}
+    assert counts == {"build": 108, "amplitudes": 3960, "resolvent": 1980, "overlap": 516, "forward": 102}
     assert "schur_forward" in meta["signatures"] and meta["options"]

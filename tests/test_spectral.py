@@ -10,12 +10,13 @@ from cmvkit.catalog import (
     hadamard_coin,
     hadamard_coin_schur,
 )
-from cmvkit.cmv import block_subspace, build, window_spec
+from cmvkit.cmv import BlockOperatorSpec, block_subspace, build, build_unitary, window_spec
+from cmvkit.linalg import UNITARY_TOL, certify, is_unitary
 from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import SchurParameters, random_parameters, random_unitary
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit import spectral
-from helpers import column_selector, selector_recursion, stepwise_first_return
+from helpers import column_selector, projector_resolvent, selector_recursion, stepwise_first_return
 from cmvkit.spectral import (
     RESOLVENT_SAMPLES,
     caratheodory_of_subspace,
@@ -109,13 +110,15 @@ class TestFirstReturn:
         assert kinds == {False, True}
 
     def test_resolvent_matches_the_projector_form(self, rng):
+        # the reference's stacked solve, one point at a time, against the
+        # dense projector form
         u = random_unitary(8, rng)
         for idx in [(2,), (6, 1, 3)]:
             b = column_selector(8, idx)
             q = np.eye(8) - b @ b.conj().T
             for z in RESOLVENT_SAMPLES:
                 want = b.conj().T @ np.linalg.solve(u - z * q, b)
-                assert np.array_equal(resolvent_compression(u, idx, z), want), (idx, z)
+                assert np.array_equal(projector_resolvent(u, idx, z), want), (idx, z)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200), k=st.integers(1, 8),
@@ -169,17 +172,39 @@ class TestFirstReturn:
         else:
             assert np.abs(got - want).max() <= 1e-14
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 100), k=st.integers(1, 6))
+    # the edges: V empty (E = U^dagger), V the whole space (E is 0 x 0),
+    # k = n - 1, and n = 1
+    @example(seed=1, n=7, k=0)
+    @example(seed=2, n=7, k=7)
+    @example(seed=3, n=7, k=6)
+    @example(seed=4, n=1, k=1)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150), k=st.integers(0, 150))
     def test_stacked_resolvent_matches_the_projector_form(self, seed, n, k):
+        # the ring from one solve against the eight solves it replaces: the
+        # worst of 300 draws over n 1-150, k 0..n was 6.4e-15
         rng = np.random.default_rng(seed)
         u = random_unitary(n, rng)
         idx = tuple(int(i) for i in rng.permutation(n)[: min(k, n)])
-        b = column_selector(n, idx)
-        q = np.eye(n) - b @ b.conj().T
-        stacked = resolvent_compression(u, idx, RESOLVENT_SAMPLES)
-        for z, value in zip(RESOLVENT_SAMPLES, stacked):
-            assert np.array_equal(value, b.conj().T @ np.linalg.solve(u - z * q, b)), z
+        got = resolvent_compression(u, idx)
+        want = projector_resolvent(u, idx, RESOLVENT_SAMPLES)
+        assert got.shape == want.shape == (8, len(idx), len(idx))
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13
+
+    @pytest.mark.parametrize("k", [0, 2, 5, 6])
+    def test_resolvent_of_a_barely_certified_input(self, rng, k):
+        # residual 0.9 UNITARY_TOL: the ring is the Taylor sum of this very
+        # matrix, while the projector form equals it only for a unitary, so
+        # the two differ by at most about the residual (0.08-0.4 of it measured)
+        u = random_unitary(6, rng)
+        g = 1e-6 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        near = certify(u + g * (0.9 * UNITARY_TOL / is_unitary(u + g).residual))
+        assert 0.8 * UNITARY_TOL < near.residual <= UNITARY_TOL
+        idx = tuple(int(i) for i in rng.permutation(6)[:k])
+        got = resolvent_compression(near, idx)
+        assert np.abs(got - projector_resolvent(near, idx, RESOLVENT_SAMPLES)).max(initial=0.0) <= near.residual
+        f = MatrixPowerSeries(first_return_amplitudes(near, idx, 200).transpose(0, 2, 1).conj())
+        assert np.abs(got - f.values_at(RESOLVENT_SAMPLES)).max(initial=0.0) <= 1e-13
 
     def test_whole_space_and_empty_subspace(self, rng):
         u = random_unitary(5, rng)
@@ -187,7 +212,10 @@ class TestFirstReturn:
         p = u[np.ix_((3, 0, 4, 1, 2), (3, 0, 4, 1, 2))]
         assert np.array_equal(amps[0], p) and not amps[1:].any()
         assert first_return_amplitudes(u, (), 4).shape == (4, 0, 0)
-        assert resolvent_compression(u, (), RESOLVENT_SAMPLES).shape == (8, 0, 0)
+        assert resolvent_compression(u, ()).shape == (8, 0, 0)
+        # V the whole space: f_V is the constant U^dagger, in V's order
+        ring = resolvent_compression(u, (3, 0, 4, 1, 2))
+        assert np.array_equal(ring, np.broadcast_to(p.conj().T, (8, 5, 5)))
 
     def test_amplitude_index_bounds(self):
         # entry n - 1 is a_n: a horizon h stack holds a_1..a_h, no more
@@ -230,15 +258,29 @@ class TestSchurOfSubspace:
         v = (2, 4)
         f = MatrixPowerSeries(first_return_amplitudes(u, v, 60).transpose(0, 2, 1).conj())
         z = 0.4 * np.exp(0.7j)
-        gap = np.abs(f.evaluate(z) - resolvent_compression(u, v, z)).max()
+        gap = np.abs(f.evaluate(z) - projector_resolvent(u, v, z)).max()
         assert gap < 1e-9
 
-    def test_resolvent_at_a_sequence_stacks_the_pointwise_values(self, rng):
-        u = random_unitary(6, rng)
-        stacked = resolvent_compression(u, (1, 3), RESOLVENT_SAMPLES)
-        assert stacked.shape == (len(RESOLVENT_SAMPLES), 2, 2)
-        for z, value in zip(RESOLVENT_SAMPLES, stacked):
-            assert np.array_equal(value, resolvent_compression(u, (1, 3), z))
+    @pytest.mark.parametrize("family", ["C", "Chat", "H", "Hhat"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ring_matches_the_taylor_sum_on_built_operators(self, family, d):
+        # two routes: the ring from one solve, and the Taylor sum of
+        # horizon-200 amplitudes (tail below 2^-199), on every block range
+        # of seeded terminal builds, one of them with every norm 0.999
+        rng = np.random.default_rng([d, len(family)])
+        sets = [random_parameters(d, length, rng, terminal=True) for length in (0, 3, 6)]
+        g = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        sets.append(SchurParameters(d, 0.999 * g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None],
+                                    random_unitary(d, rng)))
+        assert np.linalg.norm(sets[-1].alphas, 2, axis=(1, 2)) == pytest.approx([0.999] * 6)
+        for p in sets:
+            u = build_unitary(BlockOperatorSpec(p, family, len(p) + 1))
+            for j in range(len(p) + 1):
+                for k in range(j, len(p) + 1):
+                    v = tuple(range(j * d, (k + 1) * d))
+                    amps = first_return_amplitudes(u, v, 200)
+                    taylor = MatrixPowerSeries(amps.transpose(0, 2, 1).conj()).values_at(RESOLVENT_SAMPLES)
+                    assert np.abs(resolvent_compression(u, v) - taylor).max() <= 1e-13, (len(p), j, k)
 
     def test_cross_check_catches_a_perturbed_amplitude(self, rng, monkeypatch):
         u = random_unitary(6, rng)
@@ -254,13 +296,27 @@ class TestSchurOfSubspace:
         with pytest.raises(ArithmeticError, match="disagree"):
             schur_of_subspace(u, (1, 3), 8)
 
+    def test_cross_check_catches_a_perturbed_ring_value(self, rng, monkeypatch):
+        u = random_unitary(6, rng)
+        schur_of_subspace(u, (1, 3), 8)
+        honest = spectral.resolvent_compression
+
+        def perturbed(*args, **kwargs):
+            ring = honest(*args, **kwargs)
+            ring[5, 1, 0] += 1e-6
+            return ring
+
+        monkeypatch.setattr(spectral, "resolvent_compression", perturbed)
+        with pytest.raises(ArithmeticError, match="disagree"):
+            schur_of_subspace(u, (1, 3), 8)
+
     def test_non_unitary_matrix_is_refused(self, rng):
         u = random_unitary(5, rng)
         u[0, 0] += 1e-6
         with pytest.raises(ValueError, match="not unitary"):
             schur_of_subspace(u, (0, 2), 6)
         with pytest.raises(ValueError, match="not unitary"):
-            resolvent_compression(u, (0, 2), RESOLVENT_SAMPLES)
+            resolvent_compression(u, (0, 2))
 
     def test_series_are_contiguous_and_share_no_memory(self, rng):
         u = random_unitary(6, rng)
