@@ -14,7 +14,10 @@ Every built operator comes with a unitarity certificate bounded from its
 Theta blocks (see _assemble), so no caller re-checks the dense matrix.
 The Theta blocks of a parameter set and their residuals are computed once
 per set and kept on it; every build slices them, and the boundary's
-residual is read off its certificate.
+residual is read off its certificate.  The exact operator of a terminal
+set is assembled once per family and kept on the set too (build_unitary).
+Windows, unitary truncations and overlap factors are assembled on every
+call; only build_unitary reads or fills that memo.
 
 Every family is the same Theta rotations multiplied in its own order, and
 _rank states that order once: "C" = L M puts the even rotations first and
@@ -227,13 +230,23 @@ def _assemble(family: str, p: SchurParameters, lo: int, hi: int, closure: Unitar
 
 
 def build_unitary(spec: BlockOperatorSpec) -> Unitary:
-    """The spec's operator with its Theta-block unitarity certificate."""
+    """The spec's operator with its Theta-block unitarity certificate.
+
+    An exact build (a terminal set, always on len + 1 blocks) is assembled
+    once per family and kept on the set, so every later build of it
+    returns the same read-only Unitary.  A padded window is assembled
+    afresh on every call and never kept."""
     if spec.family in HESSENBERG_FAMILIES and spec.padded:
         raise ValueError(
             "Hessenberg matrices are full above the subdiagonal; only "
             "terminal (finitely supported) sequences build one exactly"
         )
-    return _assemble(spec.family, spec.params, 0, spec.n_blocks - 1, _boundary(spec))
+    p, hi = spec.params, spec.n_blocks - 1
+    if spec.padded:
+        return _assemble(spec.family, p, 0, hi, _boundary(spec))
+    if spec.family not in p._operators:
+        p._operators[spec.family] = _assemble(spec.family, p, 0, hi, _boundary(spec))
+    return p._operators[spec.family]
 
 
 def build(spec: BlockOperatorSpec) -> np.ndarray:

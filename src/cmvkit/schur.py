@@ -91,14 +91,17 @@ class SchurParameters:
     # and JSON: the operator norm of each parameter, the parameter stack
     # and, on first use, their defects as four more stacks, the Theta
     # blocks and their unitarity residuals (filled by cmv, which slices
-    # them for every operator it builds), and the synthesized iterates of
-    # p ("f") and of its reflection ("b") per (kind, order, m); and the
-    # terminal's unitarity certificate, which iterates hand on instead of
-    # certifying the terminal again.
+    # them for every operator it builds), the exact operator of each
+    # family as its certified Unitary (filled by cmv.build_unitary, never
+    # a window), and the synthesized iterates of p ("f") and of its
+    # reflection ("b") per (kind, order, m); and the terminal's unitarity
+    # certificate, which iterates hand on instead of certifying the
+    # terminal again.
     _norms: tuple = field(default=(), init=False, repr=False)
     _stack: np.ndarray = field(default=None, init=False, repr=False)
     _defects: tuple = field(default=(), init=False, repr=False)
     _thetas: tuple = field(default=(), init=False, repr=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False)
     _series: dict = field(default_factory=dict, init=False, repr=False)
     _certificate: Optional[Unitary] = field(default=None, init=False, repr=False)
 

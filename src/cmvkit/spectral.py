@@ -151,14 +151,15 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     since it would mean one of the two primary computations is wrong.
     ``U`` is certified once, here, unless it is already a Unitary.
     """
-    u, order = certify(U), as_integer(order, "order")
+    u, order = certify(U), _order(order)
     horizon = max(order + 1, _CHECK_HORIZON)
     # entry n of the stack is a_{n+1}, so its adjoints are f_V's coefficients
     coeffs = np.ascontiguousarray(
         first_return_amplitudes(u, v, horizon).transpose(0, 2, 1).conj())
     taylor = MatrixPowerSeries(coeffs).values_at(RESOLVENT_SAMPLES)
-    worst = float(np.abs(taylor - resolvent_compression(u, v)).max())
-    if worst > RESOLVENT_TOL:
+    # V empty compares empty stacks; a NaN fails
+    worst = float(np.abs(taylor - resolvent_compression(u, v)).max(initial=0.0))
+    if not worst <= RESOLVENT_TOL:
         raise ArithmeticError(
             "internal-consistency failure: Taylor and resolvent routes "
             f"disagree by {worst:.3e}"
@@ -168,7 +169,7 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
 
 def caratheodory_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     """F(z) = 1 + 2 sum_{n>=1} mu_n^dagger z^n built from spectral moments."""
-    u = certify(U).matrix
+    u, order = certify(U).matrix, _order(order)
     rows = np.array(index_tuple(u.shape[0], v), dtype=np.intp)
     k = rows.size
     coeffs = np.zeros((order + 1, k, k), dtype=np.complex128)
@@ -212,6 +213,14 @@ def _takes_stages(n: int, k: int) -> bool:
     The rule reads the shape only, never the horizon, so a_n keeps its
     bits at every horizon."""
     return n - k <= _POWER_RATIO * k and n <= _POWER_DIM
+
+
+def _order(order) -> int:
+    """A series order: an integer, and nonnegative."""
+    order = as_integer(order, "order")
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return order
 
 
 def _split(n: int, v) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from against_base import BOUNDS, compare, dump, resolvents
+from against_base import BOUNDS, amplitudes, compare, dump, resolvents
 from helpers import projector_resolvent
 
 BASE = {
@@ -117,6 +117,21 @@ def test_a_base_that_takes_the_points_gets_the_ring(monkeypatch):
     assert max(np.abs(base[key] - head[key]).max() for key in head) <= BOUNDS["resolvent"]
 
 
+def test_a_horizon_48_stack_off_the_horizon_65_prefix_fails_the_surface(monkeypatch):
+    # a library whose a_n depends on the horizon asked for
+    from cmvkit import spectral
+    from cmvkit.schur import random_unitary
+
+    dumped = {"build/C d=1/length=1": random_unitary(2, np.random.default_rng(0))}
+    assert [name for _, name, _ in amplitudes(dumped)] == ["length=1 v=0-0 h=65", "length=1 v=0-1 h=65",
+                                                           "length=1 v=1-1 h=65"]
+    exact = spectral.first_return_amplitudes
+    monkeypatch.setattr(spectral, "first_return_amplitudes",
+                        lambda U, v, horizon: exact(U, v, horizon) + 1e-12 * (horizon == 48))
+    with pytest.raises(AssertionError, match="horizon 48 is not the first 48 amplitudes of horizon 65"):
+        list(amplitudes(dumped))
+
+
 def test_dump_produces_every_surface(tmp_path):
     path = tmp_path / "head.npz"
     dump(path)
@@ -125,5 +140,5 @@ def test_dump_produces_every_surface(tmp_path):
         counts = {s: sum(k.startswith(s + "/") for k in arrays.files) for s in BOUNDS}
     path.unlink()
     assert meta["failed"] == {}
-    assert counts == {"build": 108, "amplitudes": 3960, "resolvent": 1980, "overlap": 516, "forward": 102}
+    assert counts == {"build": 108, "amplitudes": 1980, "resolvent": 1980, "overlap": 516, "forward": 102}
     assert "schur_forward" in meta["signatures"] and meta["options"]

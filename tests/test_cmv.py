@@ -25,6 +25,7 @@ from cmvkit.schur import (
     SchurParameters,
     inverse_iterate_series,
     iterate_series,
+    parameters_to_json,
     random_parameters,
     random_unitary,
     rho_left,
@@ -447,6 +448,64 @@ class TestStoredDefects:
             standard_overlap(spec, 3)
             substitute_into_truncation(p, family, 1, 4, 3)
         assert built == []
+
+
+class TestOperatorMemo:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_an_exact_build_is_assembled_once_per_family(self, d):
+        for length in range(9):
+            p = random_parameters(d, length, np.random.default_rng([d, length]), terminal=True)
+            for family in FAMILIES:
+                spec = BlockOperatorSpec(p, family, length + 1)
+                first = build_unitary(spec)
+                assert build_unitary(BlockOperatorSpec(p, family, length + 1)) is first
+                assert not first.matrix.flags.writeable
+                fresh = cmv._assemble(family, p, 0, length, p._certificate)
+                assert np.array_equal(first.matrix, fresh.matrix) and first.residual == fresh.residual
+            assert list(p._operators) == list(FAMILIES)
+
+    def test_windows_are_never_kept(self, rng):
+        p = random_parameters(2, 12, rng)
+        for family in ("C", "Chat"):
+            spec = window_spec(p, family, 2, 6)
+            first = build_unitary(spec)
+            again = build_unitary(spec)
+            assert again is not first and np.array_equal(again.matrix, first.matrix)
+        assert p._operators == {}
+
+    def test_the_formula_side_neither_reads_nor_fills_the_memo(self, rng):
+        # a poisoned memo would raise if a truncation or substitution read it
+        p = random_parameters(2, 6, rng, terminal=True)
+        q = SchurParameters(2, p.alphas, p.terminal)
+        p._operators.update(dict.fromkeys(FAMILIES, "poisoned"))
+        for family in FAMILIES:
+            assert np.array_equal(unitary_truncation(BlockOperatorSpec(p, family, 7), 1, 4),
+                                  unitary_truncation(BlockOperatorSpec(q, family, 7), 1, 4))
+            assert np.array_equal(substitute_into_truncation(p, family, 1, 4, 3).coeffs,
+                                  substitute_into_truncation(q, family, 1, 4, 3).coeffs)
+        assert q._operators == {}
+
+    def test_equality_repr_and_json_ignore_the_memo(self, rng):
+        p = random_parameters(2, 4, rng, terminal=True)
+        q = SchurParameters(2, p.alphas, p.terminal)
+        before = (repr(p), parameters_to_json(p))
+        for family in FAMILIES:
+            build_unitary(BlockOperatorSpec(p, family, 5))
+        assert len(p._operators) == 4 and q._operators == {}
+        assert p == q and q == p
+        assert (repr(p), parameters_to_json(p)) == before == (repr(q), parameters_to_json(q))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shuffled_hessenberg_checks_read_the_same_bits_as_fresh_sets(self, d):
+        rng = np.random.default_rng([30, d])
+        p = random_parameters(d, 5, rng, terminal=True)
+        cases = [(family, j, k) for family in ("H", "Hhat") for j in range(5) for k in range(j + 1, 6)]
+        for i in rng.permutation(len(cases)):
+            family, j, k = cases[i]
+            kept = khrushchev.verify_hessenberg_formula(p, family, j, k, 16).residual
+            fresh = SchurParameters(d, p.alphas, p.terminal)
+            assert kept == khrushchev.verify_hessenberg_formula(fresh, family, j, k, 16).residual
+        assert sorted(p._operators) == ["H", "Hhat"]
 
 
 class TestSubmatrixRange:

@@ -237,6 +237,15 @@ class TestSchurOfSubspace:
         with pytest.raises(ValueError, match=f"^order must be an integer, got {bad!r}"):
             schur_of_subspace(np.eye(3), (0,), bad)
 
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            schur_of_subspace(np.eye(3), (0,), -1)
+
+    @pytest.mark.parametrize("order", [0, 1, 12, 64])
+    def test_empty_subspace_gives_an_empty_series(self, order, rng):
+        f = schur_of_subspace(random_unitary(4, rng), (), order)
+        assert f.coeffs.shape == (order + 1, 0, 0)
+
     def test_whole_space_gives_constant_adjoint(self, rng):
         u = random_unitary(4, rng)
         f = schur_of_subspace(u, tuple(range(4)), 4)
@@ -348,6 +357,16 @@ class TestCaratheodoryPairing:
         u = random_unitary(4, rng)
         cf = caratheodory_of_subspace(u, (0, 3), 5)
         assert np.abs(cf.coeff(0) - np.eye(2)).max() < 1e-14
+
+    @pytest.mark.parametrize("bad", [True, 1.5, 2.0, "2"])
+    def test_order_must_be_an_integer(self, bad):
+        # True would otherwise give an order-1 series
+        with pytest.raises(ValueError, match=f"^order must be an integer, got {bad!r}"):
+            caratheodory_of_subspace(np.eye(3), (0,), bad)
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            caratheodory_of_subspace(np.eye(3), (0,), -1)
 
 
 class TestReturnStatistics:
