@@ -201,7 +201,7 @@ def mobius_step(
     [rR^-1 | rR^-1 a] and [rL^-1 a† | rL^-1], computed for the whole run
     in one batched product per side.  The fraction is divided out when
     the product of the kappas since the last division would pass
-    GROWTH_BOUND, and at the end.
+    GROWTH_BOUND, and at the end; an empty run returns its seed undivided.
 
     ``defects`` and ``norms`` give the run's (rho_L, rho_R, rho_L^-1,
     rho_R^-1) as four (r, d, d) stacks and its operator norms when a
@@ -222,6 +222,8 @@ def mobius_step(
         raise ValueError("order must be nonnegative")
     if n > f.order + len(run):
         raise ValueError(f"the run determines coefficients 0..{f.order + len(run)} only")
+    if not len(run):  # the seed, which 1^(-1) N would divide out bit for bit
+        return MatrixPowerSeries(f.coeffs[: n + 1].copy())
     # the step constants of the whole run, one batched product per side:
     # [D' | N'] = D [rR^-1 | rR^-1 a] + z N [rL^-1 a† | rL^-1]
     _, _, rl_inv, rr_inv = defects

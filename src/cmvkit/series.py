@@ -5,8 +5,9 @@ matrix.  Binary operations truncate to the shorter order, and every output
 coefficient depends only on input coefficients of the same or lower index,
 so fixed-order pipelines lose nothing below the truncation order.
 
-Every series product of two non-constant factors runs through one
-kernel, convolve, that forms all coefficient products in one GEMM.
+Every series product is one GEMM: convolve forms all coefficient
+products of two non-constant factors, and a constant factor multiplies
+the other factor's coefficients side by side.
 Every series quotient runs through one causal loop, left_divide (D^(-1) N),
 which scales both stacks by D_0^(-1) first and then spends one GEMM per
 coefficient: inverse() is D^(-1) 1, and a / b = a b^(-1) runs it on
@@ -134,14 +135,15 @@ class MatrixPowerSeries:
         o = self._promote(other, self.order)
         if o.block_dim != self.block_dim:
             raise ValueError("block dimension mismatch")
-        n = min(self.order, o.order)
-        # a constant factor makes every other product of the convolution
-        # an exact zero; adding 0.0 turns -0.0 into 0.0 as convolve does
-        if not o.coeffs[1 : n + 1].any():
-            return MatrixPowerSeries(self.coeffs[: n + 1] @ o.coeffs[0] + 0.0)
-        if not self.coeffs[1 : n + 1].any():
-            return MatrixPowerSeries(self.coeffs[0] @ o.coeffs[: n + 1] + 0.0)
-        return MatrixPowerSeries(convolve(self.coeffs[: n + 1], o.coeffs[: n + 1]))
+        m, d = min(self.order, o.order) + 1, self.block_dim
+        # a constant factor zeroes every other product of the convolution: one
+        # GEMM with the other factor's coefficients; + 0.0 turns -0.0 into 0.0
+        if not o.coeffs[1:m].any():
+            return MatrixPowerSeries((self.coeffs[:m].reshape(m * d, d) @ o.coeffs[0]).reshape(m, d, d) + 0.0)
+        if not self.coeffs[1:m].any():
+            row = self.coeffs[0] @ o.coeffs[:m].transpose(1, 0, 2).reshape(d, m * d)
+            return MatrixPowerSeries(np.add(row.reshape(d, m, d).transpose(1, 0, 2), 0.0, order="C"))
+        return MatrixPowerSeries(convolve(self.coeffs[:m], o.coeffs[:m]))
 
     def __rmul__(self, other) -> "MatrixPowerSeries":
         if np.isscalar(other):
@@ -186,11 +188,11 @@ class MatrixPowerSeries:
 
     def values_at(self, grid: Iterable[complex]) -> np.ndarray:
         """The truncated sum at each grid point, stacked along the first
-        axis: one GEMM of the grid's Vandermonde matrix (kept by _vandermonde)
+        axis: one GEMM of the grid's Vandermonde matrix (kept by vandermonde)
         with the coefficients, each flattened to a row of d^2 entries."""
         z = tuple(grid)
         m, d = self.order + 1, self.block_dim
-        values = _vandermonde(z, m) @ self.coeffs.reshape(m, d * d)
+        values = vandermonde(z, m) @ self.coeffs.reshape(m, d * d)
         return values.reshape(len(z), d, d)
 
     def mark_schur(self) -> "MatrixPowerSeries":
@@ -277,7 +279,7 @@ class MatrixPowerSeries:
 
 
 @lru_cache(maxsize=128)
-def _vandermonde(grid: tuple, m: int) -> np.ndarray:
+def vandermonde(grid: tuple, m: int) -> np.ndarray:
     """Powers 0..m-1 of the grid points as a read-only (len(grid), m) matrix,
     kept per (grid, m) since the sampling grids are fixed."""
     v = np.vander(np.asarray(grid, dtype=np.complex128), m, increasing=True)

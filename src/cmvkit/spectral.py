@@ -12,7 +12,7 @@ recursion, and the resolvent compression P (U - z Q)^{-1} P sampled on a
 ring of eight points.  Any disagreement is raised, never papered over.
 
 The recursion permutes U once so that V comes first; a step is then one
-product with U's columns outside V, and a_n is the head of the result.
+product with U's columns outside V into one buffer; a_n heads block n - 1.
 Where powers of the block outside V are cheap (see _takes_stages), it
 takes the first _CHUNK steps one at a time and the rest in stages, each
 applying one power of that block to the last _CHUNK Krylov blocks in one
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_integer, certify, index_tuple, unit_vector
-from .series import MatrixPowerSeries
+from .series import MatrixPowerSeries, vandermonde
 
 RESOLVENT_TOL = 1e-8
 # Eight sample points on |z| = 0.5.  At that radius a horizon of 48 leaves
@@ -45,6 +45,7 @@ _RING_RADIUS = 0.5
 RESOLVENT_SAMPLES = tuple(_RING_RADIUS * np.exp(2j * np.pi * t / 8) for t in range(8))
 # z_t^{m+1} for m = 0..7: row t sums the terms C^dagger E^m X into f_V(z_t)
 _RING_POWERS = np.vander(np.array(RESOLVENT_SAMPLES), 9, increasing=True)[:, 1:]
+_CONJ_SAMPLES = tuple(np.conj(RESOLVENT_SAMPLES))  # their powers sum the amplitudes to f_V's adjoint
 _CHECK_HORIZON = 48
 # the amplitude recursion's stage width, in blocks, and the two bounds
 # of _takes_stages
@@ -61,15 +62,16 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     rest ascending).  With B = U[v, rest], C = U[rest, v] and
     D = U[rest, rest], a_1 = U[v, v] and a_{c+1} = B D^{c-1} C; the Krylov
     block of step c is [a_{c+1}; D^c C], and m = [B; D] takes one to the
-    next.  Each step is one product of m with the previous block's tail,
-    and a_1.._CHUNK always come from such steps.  Where _takes_stages
-    admits powers of D and the horizon exceeds _CHUNK, the rest comes in
-    stages: m_CHUNK = [B D^{CHUNK-1}; D^CHUNK], formed by squarings
-    m_{2p} = m_p @ m_p[k:], takes the tails of the last _CHUNK blocks,
-    side by side, to the next _CHUNK in one product.  Stages are always
-    whole and sliced to the horizon, so a_n has the same bits at every
-    horizon, and a powered shape asked for at most _CHUNK amplitudes
-    costs what one-block steps cost.
+    next, in one product into the next block of one buffer.  Where
+    _takes_stages admits powers of D and the horizon exceeds _CHUNK, the
+    buffer holds the blocks side by side, block c in columns c k..(c+1) k - 1,
+    and after _CHUNK steps m_CHUNK = [B D^{CHUNK-1}; D^CHUNK], formed by
+    squarings m_{2p} = m_p @ m_p[k:], takes the last _CHUNK blocks' tails,
+    one slice, to the next _CHUNK in one product.  Otherwise it stacks
+    them, each contiguous for its step.  The heads are read out once, at
+    the end.  Stages are whole, so a_n has the same bits at every horizon,
+    and a powered shape asked for at most _CHUNK amplitudes costs what
+    one-block steps cost.
     """
     u = certify(U).matrix
     horizon = as_integer(horizon, "horizon")
@@ -80,29 +82,22 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     k = idx.size
     perm = np.concatenate((idx, rest))[:, None]
     m = u[perm, rest]
-    staged = horizon > _CHUNK and _takes_stages(n, k)
-    amps = np.empty((horizon, k, k), dtype=np.complex128)
-    # a ring of Krylov blocks: two for one-block steps, _CHUNK where stages
-    # follow, so that it ends holding blocks 0.._CHUNK-1, the first stage's input
-    ring = np.empty((_CHUNK if staged else 2, n, k), dtype=np.complex128)
-    ring[0] = u[perm, idx]
-    blocks = list(ring)
-    heads, tails = [b[:k] for b in blocks], [b[k:] for b in blocks]
-    amps[:1] = heads[0]  # a_1, unless the horizon is 0
-    for step in range(1, _CHUNK if staged else horizon):
-        np.matmul(m, tails[(step - 1) % len(ring)], out=blocks[step % len(ring)])
-        amps[step] = heads[step % len(ring)]
-    if not staged:
-        return amps
+    if not (horizon > _CHUNK and _takes_stages(n, k)):
+        krylov = np.empty((max(horizon, 1), n, k), dtype=np.complex128)
+        krylov[0] = u[perm, idx]
+        for c in range(1, horizon):
+            np.matmul(m, krylov[c - 1, k:], out=krylov[c])
+        return krylov[:horizon, :k].copy()
+    width = -(-horizon // _CHUNK) * _CHUNK  # whole stages
+    krylov = np.empty((n, width * k), dtype=np.complex128)
+    krylov[:, :k] = u[perm, idx]
+    for c in range(1, _CHUNK):
+        np.matmul(m, krylov[k:, (c - 1) * k : c * k], out=krylov[:, c * k : (c + 1) * k])
     for _ in range(_CHUNK.bit_length() - 1):  # m_{2p} = m_p @ m_p[k:], up to m_CHUNK
         m = m @ m[k:]
-    last = ring[:, k:].transpose(1, 0, 2).reshape(n - k, _CHUNK * k)
-    for done in range(_CHUNK, horizon, _CHUNK):
-        wide = m @ last
-        heads = wide[:k].reshape(k, _CHUNK, k)[:, : horizon - done]
-        amps[done : done + _CHUNK] = heads.transpose(1, 0, 2)
-        last = wide[k:]
-    return amps
+    for c in range(_CHUNK, horizon, _CHUNK):  # blocks c-CHUNK..c-1 to c..c+CHUNK-1
+        np.matmul(m, krylov[k:, (c - _CHUNK) * k : c * k], out=krylov[:, c * k : (c + _CHUNK) * k])
+    return krylov[:k].reshape(k, width, k)[:, :horizon].transpose(1, 0, 2).copy()
 
 
 def resolvent_compression(U, v) -> np.ndarray:
@@ -149,22 +144,23 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     The Taylor route is compared with the resolvent route at the standard
     sample points; a mismatch beyond RESOLVENT_TOL raises ArithmeticError,
     since it would mean one of the two primary computations is wrong.
+    Both sides read one amplitude stack: the Taylor sums at the points are
+    the adjoints of sum_n conj(z_t)^n a_{n+1}, one product with the stack.
     ``U`` is certified once, here, unless it is already a Unitary.
     """
     u, order = certify(U), _order(order)
-    horizon = max(order + 1, _CHECK_HORIZON)
-    # entry n of the stack is a_{n+1}, so its adjoints are f_V's coefficients
-    coeffs = np.ascontiguousarray(
-        first_return_amplitudes(u, v, horizon).transpose(0, 2, 1).conj())
-    taylor = MatrixPowerSeries(coeffs).values_at(RESOLVENT_SAMPLES)
+    amps = first_return_amplitudes(u, v, max(order + 1, _CHECK_HORIZON))
+    h, k = amps.shape[:2]
+    # entry n is a_{n+1}, the adjoint of f_V's z^n coefficient
+    taylor = (vandermonde(_CONJ_SAMPLES, h) @ amps.reshape(h, k * k)).reshape(8, k, k)
     # V empty compares empty stacks; a NaN fails
-    worst = float(np.abs(taylor - resolvent_compression(u, v)).max(initial=0.0))
+    worst = float(np.abs(resolvent_compression(u, v).transpose(0, 2, 1).conj() - taylor).max(initial=0.0))
     if not worst <= RESOLVENT_TOL:
         raise ArithmeticError(
             "internal-consistency failure: Taylor and resolvent routes "
             f"disagree by {worst:.3e}"
         )
-    return MatrixPowerSeries(coeffs[: order + 1].copy())
+    return MatrixPowerSeries(np.conjugate(amps[: order + 1].transpose(0, 2, 1), order="C"))
 
 
 def caratheodory_of_subspace(U, v, order: int) -> MatrixPowerSeries:

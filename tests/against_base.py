@@ -176,8 +176,8 @@ def dump(path, builds_from=None):
 
 
 def compare_surface(surface, bound, old, new, failed):
-    """Print the largest difference per group of one surface; True if a
-    bounded surface fails.  ``failed`` names the sides where it raised."""
+    """Print the largest difference per group of one surface and, if it is
+    bounded, how many entries differ at all; True if a bounded surface fails.  ``failed`` names the sides where it raised."""
     if failed:
         print(f"{surface}: not dumped at the {' and '.join(failed)}")
         return bound is not None
@@ -185,7 +185,7 @@ def compare_surface(surface, bound, old, new, failed):
     bad = old_keys != new_keys
     if bad:
         print(f"{surface}: {len(old_keys - new_keys)} keys only at the base, {len(new_keys - old_keys)} only here")
-    worst = {}
+    worst, differ, total = {}, 0, 0
     for key in (k for k in new if k in old_keys):
         a, b = old[key], new[key]
         if a.shape != b.shape:
@@ -194,8 +194,11 @@ def compare_surface(surface, bound, old, new, failed):
         else:
             group = key.split("/")[1]
             worst[group] = np.maximum(worst.get(group, 0.0), np.abs(b - a).max(initial=0.0))
+            differ, total = differ + np.count_nonzero(a != b), total + a.size
     for group, diff in worst.items():
         print(f"{surface} {group}: largest difference {diff:.3e}")
+    if bound is not None:
+        print(f"{surface}: {differ} of {total} entries differ")
     return bound is not None and (bad or not all(diff <= bound for diff in worst.values()))
 
 

@@ -15,6 +15,7 @@ from cmvkit.schur import (
     synthesize,
 )
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
+from cmvkit.spectral import _CHUNK, _takes_stages
 
 
 def direct_sum(*blocks) -> np.ndarray:
@@ -124,6 +125,44 @@ def stepwise_first_return(U, v, horizon: int) -> np.ndarray:
         np.matmul(m, x[k:], out=y)
         amps[step] = y[:k]
         x, y = y, x
+    return amps
+
+
+def ring_first_return(U, v, horizon: int) -> np.ndarray:
+    """spectral.first_return_amplitudes on a ring of Krylov blocks: two
+    for one-block steps, _CHUNK where stages follow, each step one
+    product into a contiguous n x k block and its head copied out at
+    once; the first stage's input is the ring's tails transposed side by
+    side, and each stage's heads are copied out as it ends.  The same
+    GEMMs on the same operands as the one-buffer kernel, which must
+    match it bit for bit."""
+    u = certify(U).matrix
+    n = u.shape[0]
+    idx = np.array(index_tuple(n, v), dtype=np.intp)
+    rest = np.setdiff1d(np.arange(n), idx)
+    k = idx.size
+    perm = np.concatenate((idx, rest))[:, None]
+    m = u[perm, rest]
+    staged = horizon > _CHUNK and _takes_stages(n, k)
+    amps = np.empty((horizon, k, k), dtype=np.complex128)
+    ring = np.empty((_CHUNK if staged else 2, n, k), dtype=np.complex128)
+    ring[0] = u[perm, idx]
+    blocks = list(ring)
+    heads, tails = [b[:k] for b in blocks], [b[k:] for b in blocks]
+    amps[:1] = heads[0]
+    for step in range(1, _CHUNK if staged else horizon):
+        np.matmul(m, tails[(step - 1) % len(ring)], out=blocks[step % len(ring)])
+        amps[step] = heads[step % len(ring)]
+    if not staged:
+        return amps
+    for _ in range(_CHUNK.bit_length() - 1):
+        m = m @ m[k:]
+    last = ring[:, k:].transpose(1, 0, 2).reshape(n - k, _CHUNK * k)
+    for done in range(_CHUNK, horizon, _CHUNK):
+        wide = m @ last
+        heads = wide[:k].reshape(k, _CHUNK, k)[:, : horizon - done]
+        amps[done : done + _CHUNK] = heads.transpose(1, 0, 2)
+        last = wide[k:]
     return amps
 
 

@@ -49,8 +49,11 @@ def test_identical_dumps_pass_and_print_every_group(tmp_path, capsys):
     for line in ("build C d=1: largest difference 0.000e+00", "amplitudes C d=1: largest difference 0.000e+00",
                  "resolvent C d=1: largest difference 0.000e+00",
                  "overlap random u_lc: largest difference 0.000e+00", "forward d=1: largest difference 0.000e+00",
-                 "bundled: 2 reports, 0 residuals moved", "mixed: 0 reports differ in a field other than residual"):
+                 "bundled: 2 reports, 0 residuals moved", "mixed: 0 reports differ in a field other than residual",
+                 "amplitudes: 0 of 3 entries differ", "resolvent: 0 of 8 entries differ",
+                 "overlap: 0 of 4 entries differ", "forward: 0 of 2 entries differ"):
         assert line in out
+    assert "build: 0 of" not in out
 
 
 @pytest.mark.parametrize("key", [k for k in BASE if BOUNDS[k.split("/")[0]] is not None])
@@ -61,6 +64,18 @@ def test_a_difference_above_its_bound_fails(tmp_path, capsys, key):
     out = capsys.readouterr().out
     # every surface is still printed after the one that fails
     assert f"largest difference {2 * bound:.3e}" in out and "forward d=1:" in out and "mixed:" in out
+    surface = key.split("/")[0]
+    assert f"{surface}: {BASE[key].size} of {BASE[key].size} entries differ" in out
+
+
+def test_a_bounded_surface_counts_the_entries_that_differ(tmp_path, capsys):
+    # one amplitude moved by one unit in the last place of its real part
+    key = "amplitudes/C d=1/length=0 v=0-0 h=48"
+    amps = BASE[key].copy()
+    amps[1, 0, 0] = np.nextafter(amps[1, 0, 0].real, 1.0) + 1j * amps[1, 0, 0].imag
+    assert run_compare(tmp_path, {**BASE, key: amps}) == 0
+    out = capsys.readouterr().out
+    assert "amplitudes: 1 of 3 entries differ" in out and "resolvent: 0 of 8 entries differ" in out
 
 
 def test_a_build_difference_prints_and_passes(tmp_path, capsys):

@@ -419,6 +419,43 @@ class TestMobiusStep:
             mobius_step(p.alphas, f, order=13)
 
 
+class TestEmptyRun:
+    """A run of no parameters returns its seed, the quotient its packed
+    fraction [1 | f] would divide out, without dividing."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 1, 12, 64])
+    def test_seed_is_the_divided_fraction_bit_for_bit(self, rng, d, order):
+        seeds = [MatrixPowerSeries.constant(random_unitary(d, rng), order), MatrixPowerSeries.one(d, order),
+                 MatrixPowerSeries.zero(d, order), synthesize(random_parameters(d, 3, rng), order)]
+        for f in seeds:
+            divided = schur._quotient(schur._fraction(f.coeffs, order, d), d)
+            got = mobius_step(np.empty((0, d, d)), f)
+            # bytes also tell 0.0 from -0.0
+            assert got.coeffs.tobytes() == divided.tobytes() == f.coeffs.tobytes()
+            assert not np.shares_memory(got.coeffs, f.coeffs)
+            assert mobius_step(np.empty((0, d, d)), f, order=order // 2).coeffs.tobytes() == \
+                f.coeffs[: order // 2 + 1].tobytes()
+        with pytest.raises(ValueError, match="determines coefficients 0..%d" % order):
+            mobius_step(np.empty((0, d, d)), f, order=order + 1)
+
+    @pytest.mark.parametrize("d, length", [(1, 0), (1, 4), (2, 3), (3, 6)])
+    def test_terminal_iterates_make_no_division(self, rng, monkeypatch, d, length):
+        p = random_parameters(d, length, rng, terminal=True)
+        divisions, marks = [], []
+        divide, mark = schur.left_divide, MatrixPowerSeries.mark_schur
+        monkeypatch.setattr(schur, "left_divide", lambda *a: divisions.append(a) or divide(*a))
+        monkeypatch.setattr(MatrixPowerSeries, "mark_schur", lambda f: marks.append(f) or mark(f))
+        for order in (0, 12, 64):
+            b_0, f_n = inverse_iterate_series(p, 0, order), iterate_series(p, length, order)
+            assert np.array_equal(b_0.coeffs, MatrixPowerSeries.one(d, order).coeffs)
+            assert np.array_equal(f_n.coeffs, MatrixPowerSeries.constant(p.terminal, order).coeffs)
+            assert marks[-2:] == [b_0, f_n]
+        assert divisions == []
+        iterate_series(p, 0, 12)
+        assert bool(divisions) == (length > 0)
+
+
 class TestPackedRun:
     """The packed run [D | N] of mobius_step against the stepwise
     broadcast reference, divisions included."""

@@ -10,10 +10,11 @@ from cmvkit.series import (
     MatrixPowerSeries,
     caratheodory_to_schur,
     coeff_distance,
+    convolve,
     left_divide,
     schur_to_caratheodory,
 )
-from helpers import direct_sum_series, loop_inverse, loop_product
+from helpers import direct_sum_series, loop_inverse
 
 
 def scalar(values):
@@ -55,21 +56,26 @@ class TestArithmetic:
         g = scalar([1.0, 1.0])
         assert (f * g).order == 1
 
-    def test_constant_factor_products_equal_the_loop_bit_for_bit(self, rng):
-        def loop(f, g):
-            n = min(f.order, g.order)
-            return loop_product(f.coeffs[: n + 1], g.coeffs[: n + 1])
-
+    def test_constant_factor_products_equal_convolve(self, rng):
+        # a constant factor is one GEMM with the other factor's coefficients
+        # side by side: within rounding of the convolution, exact with an
+        # identity or zero constant
         for d in range(1, 5):
             for order in range(65):
                 f = MatrixPowerSeries(rng.standard_normal((order + 1, d, d))
                                       + 1j * rng.standard_normal((order + 1, d, d)))
                 c = MatrixPowerSeries.constant(rng.standard_normal((d, d)) - 1j, order + order % 3)
-                zero = MatrixPowerSeries.zero(d, order)
-                for left, right in ((f, c), (c, f), (f, zero), (zero, f), (zero, zero), (c, c)):
-                    got, want = (left * right).coeffs, loop(left, right)
-                    # bytes also tell 0.0 from -0.0
-                    assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (d, order)
+                for left, right in ((f, c), (c, f), (c, c)):
+                    n = min(left.order, right.order)
+                    got = (left * right).coeffs
+                    want = convolve(left.coeffs[: n + 1], right.coeffs[: n + 1])
+                    assert got.flags.c_contiguous and np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+                one, zero = MatrixPowerSeries.one(d, order + 1), MatrixPowerSeries.zero(d, order)
+                # bytes also tell 0.0 from -0.0
+                for left, right, want in ((f, one, f.coeffs), (one, f, f.coeffs), (f, zero, zero.coeffs),
+                                          (zero, f, zero.coeffs), (zero, zero, zero.coeffs)):
+                    got = (left * right).coeffs
+                    assert got.tobytes() == (want + 0.0).tobytes(), (d, order)
 
 
 class TestInverse:

@@ -16,7 +16,13 @@ from cmvkit.pathcount import oracle_first_return
 from cmvkit.schur import SchurParameters, random_parameters, random_unitary
 from cmvkit.series import MatrixPowerSeries, coeff_distance
 from cmvkit import spectral
-from helpers import column_selector, projector_resolvent, selector_recursion, stepwise_first_return
+from helpers import (
+    column_selector,
+    projector_resolvent,
+    ring_first_return,
+    selector_recursion,
+    stepwise_first_return,
+)
 from cmvkit.spectral import (
     RESOLVENT_SAMPLES,
     caratheodory_of_subspace,
@@ -171,6 +177,21 @@ class TestFirstReturn:
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("horizon", [0, 1, 7, 8, 9, 13, 48, 65, 70])
+    def test_one_buffer_kernel_matches_the_ring_of_blocks(self, horizon):
+        # the same GEMMs on the same operands as the ring it replaces, so the
+        # same bits: staged and unstaged shapes on each side of both bounds
+        # of _takes_stages, V empty to V the whole space
+        rng = np.random.default_rng(horizon)
+        for n in (2, 3, 5, 8, 14, 24, 49, 50, 72, 73, 80):
+            u = random_unitary(n, rng)
+            for k in sorted({min(k, n) for k in (0, 1, 2, 4)} | {n // 2, n - 1, n}):
+                idx = tuple(int(i) for i in rng.permutation(n)[:k])
+                got, want = first_return_amplitudes(u, idx, horizon), ring_first_return(u, idx, horizon)
+                assert got.shape == want.shape == (horizon, k, k) and got.flags.c_contiguous
+                # bytes also tell 0.0 from -0.0
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (n, k)
 
     # the edges: V empty (E = U^dagger), V the whole space (E is 0 x 0),
     # k = n - 1, and n = 1
