@@ -277,7 +277,9 @@ def compress_to_vector(f_v: MatrixPowerSeries, psi) -> MatrixPowerSeries:
     """Scalar Schur function of the state psi inside the subspace of f_V.
 
     Route: Cayley transform to the moment-generating side, compress the
-    quadratic form <psi|F psi>, transform back.
+    quadratic form <psi|F psi>, transform back.  It is the Cayley
+    reference that the superposition checks' operator route, which reads
+    the state's own first returns, is tested against.
     """
     psi = unit_vector(psi)
     if psi.size != f_v.block_dim:
@@ -286,6 +288,25 @@ def compress_to_vector(f_v: MatrixPowerSeries, psi) -> MatrixPowerSeries:
     vals = np.einsum("i,nij,j->n", psi.conj(), big.coeffs, psi)
     scalar = MatrixPowerSeries(vals.reshape(-1, 1, 1))
     return caratheodory_to_schur(scalar)
+
+
+def _state_schur(params: SchurParameters, family: str, j: int, beta: complex, gamma: complex,
+                 order: int) -> MatrixPowerSeries:
+    """Schur function of the unit state psi = beta e_j + gamma e_{j+1}
+    (d = 1) read off the built operator: the generating function of psi's
+    own first returns.  A copy of the operator, whose kept exact build is
+    read-only, is rotated on coordinates j, j+1 by the unitary
+    W = [[beta, -conj(gamma)], [gamma, conj(beta)]], so that coordinate j
+    of W^dagger U W is psi; its Schur function is f_psi, with no series
+    divided.  schur_of_subspace certifies the rotated matrix and runs the
+    ring cross-check on it."""
+    spec = window_spec(params, family, j + 1, order)
+    v = list(block_subspace(spec, (j, j + 1)))  # d = 1: the coordinates j, j + 1
+    u = build_unitary(spec).matrix.copy()
+    w = np.array([[beta, -np.conj(gamma)], [gamma, np.conj(beta)]])
+    u[:, v] = u[:, v] @ w
+    u[v] = w.conj().T @ u[v]
+    return schur_of_subspace(u, v[:1], order)
 
 
 def _superposition_uv(alpha: complex, beta: complex, gamma: complex) -> tuple[complex, complex]:
@@ -313,6 +334,16 @@ def check_superposition(
     return beta, gamma
 
 
+def _unit_weights(params: SchurParameters, beta: complex, gamma: complex,
+                  hessenberg: bool = False) -> tuple[complex, complex]:
+    """check_superposition's weights scaled to the unit state psi / |psi|.
+    The check admits a norm within 1e-8 of 1; both routes compute on this
+    one unit state, so that defect never shows as a residual."""
+    beta, gamma = check_superposition(params, beta, gamma, hessenberg)
+    norm = float(np.hypot(abs(beta), abs(gamma)))
+    return beta / norm, gamma / norm
+
+
 SUPERPOSITION_ROUTES = ("formula", "operator_compress")
 
 
@@ -327,17 +358,18 @@ def scalar_superposition_schur(
     """Scalar Schur function of the state beta e_j + gamma e_{j+1} of a
     scalar five-diagonal matrix, formula route or operator route.
 
-    The formula route is the binary transform T_{u,v}(b_j, f_{j+1}) and
-    uses conjugated weights at odd j; the operator route computes on the
-    built matrix and involves no such rule, which is exactly what makes
-    it an oracle for the formula.
+    Both routes compute on the unit state psi / |psi|.  The formula route
+    is the binary transform T_{u,v}(b_j, f_{j+1}) and uses conjugated
+    weights at odd j; the operator route reads psi's own first returns
+    off the built matrix (_state_schur) and involves no such rule, which
+    is exactly what makes it an oracle for the formula.
     """
-    beta, gamma = check_superposition(params, beta, gamma)
+    beta, gamma = _unit_weights(params, beta, gamma)
     if route not in SUPERPOSITION_ROUTES:
         raise ValueError(f"route must be one of {SUPERPOSITION_ROUTES}")
 
     if route == "operator_compress":
-        return compress_to_vector(_operator_side(params, "C", j, j + 1, order), [beta, gamma])
+        return _state_schur(params, "C", j, beta, gamma, order)
 
     b = inverse_iterate_series(params, j, order)
     f = iterate_series(params, j + 1, order)
@@ -355,7 +387,9 @@ def hessenberg_superposition(
     route: str = "formula",
 ) -> MatrixPowerSeries:
     """Scalar Schur function of beta e_j + gamma e_{j+1} for the Hessenberg
-    family, formula route or operator route.
+    family, formula route or operator route, both on the unit state
+    psi / |psi|.  The operator route reads psi's own first returns off
+    the built matrix (_state_schur).
 
     Unlike the five-diagonal case the closed form holds for every j as
     displayed; the inverse iterate rides inside the rotation entries:
@@ -363,24 +397,30 @@ def hessenberg_superposition(
         h = [z b f + bc(beta a b + gamma r) + gc(beta r b - gamma ac) f]
             / [1 + z gamma (bc r - gc a b) + z beta (bc ac + gc r b) f]
 
-    with a = alpha_j, r = rho_j, bc/gc/ac the conjugates.
+    with a = alpha_j, r = rho_j, bc/gc/ac the conjugates.  It is computed
+    expanded over 1, b, f and b f, so b f is its one series product.
     """
-    beta, gamma = check_superposition(params, beta, gamma, hessenberg=True)
+    beta, gamma = _unit_weights(params, beta, gamma, hessenberg=True)
     if not 0 <= j < len(params):
         raise ValueError(f"need 0 <= j < {len(params)} so that blocks j, j+1 exist")
     if route not in SUPERPOSITION_ROUTES:
         raise ValueError(f"route must be one of {SUPERPOSITION_ROUTES}")
     if route == "operator_compress":
-        return compress_to_vector(_operator_side(params, "H", j, j + 1, order), [beta, gamma])
+        return _state_schur(params, "H", j, beta, gamma, order)
 
     b = inverse_iterate_series(params, j, order)
     f = iterate_series(params, j + 1, order)
+    bf = b * f
     a = complex(params.alpha(j)[0, 0])
     r = float(np.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
     bc, gc, ac = np.conj(beta), np.conj(gamma), np.conj(a)
-    num = (b * f).shift() + bc * (beta * a * b + gamma * r) + (gc * ((beta * r) * b - gamma * ac)) * f
-    den = 1 + (gamma * (bc * r - gc * a * b)).shift() + ((beta * (bc * ac + gc * r * b)).shift() * f)
-    return (num / den).mark_schur()
+    # each side's weights on 1, b, f and b f, applied in one product
+    basis = np.stack([np.eye(1, order + 1)[0], b.coeffs[:, 0, 0], f.coeffs[:, 0, 0], bf.coeffs[:, 0, 0]])
+    num, den = np.array([[bc * gamma * r, bc * beta * a, -gc * gamma * ac, gc * beta * r],
+                         [bc * gamma * r, -gc * gamma * a, bc * beta * ac, gc * beta * r]]) @ basis
+    num[1:] += basis[3, :-1]  # + z b f
+    den = np.concatenate(([1.0], den[:-1]))  # 1 + z (...)
+    return (MatrixPowerSeries(num) / MatrixPowerSeries(den)).mark_schur()
 
 
 def verify_superposition(params: SchurParameters, j: int, beta: complex, gamma: complex,

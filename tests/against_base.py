@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 # surface -> largest allowed entry difference; None only prints
-BOUNDS = {"build": None, "amplitudes": 1e-13, "resolvent": 1e-13, "overlap": 1e-15, "forward": 1e-12}
+BOUNDS = {"build": None, "amplitudes": 1e-13, "resolvent": 1e-13, "overlap": 1e-15, "forward": 1e-12,
+          "superposition": 1e-13}
 
 
 def builds():
@@ -116,6 +117,28 @@ def forward():
                     yield f"d={d}", f"length={length} terminal={terminal} order={order}", np.array(found)
 
 
+def superpositions():
+    """Both routes of both two-site superposition functions at orders 12
+    and 64, four weights each: the Hessenberg one at every j of seeded
+    terminal sets of 1-6 parameters, the five-diagonal one at j 0-3 of
+    seeded open sets."""
+    from cmvkit.khrushchev import SUPERPOSITION_ROUTES, hessenberg_superposition, scalar_superposition_schur
+    from cmvkit.schur import random_parameters
+
+    weights = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j), (0.28j, -0.96))
+    for order in (12, 64):
+        cases = [("H", f"length={n}", hessenberg_superposition, n,
+                  random_parameters(1, n, np.random.default_rng([n, order]), terminal=True)) for n in range(1, 7)]
+        cases += [("C", f"seed={seed}", scalar_superposition_schur, 4,
+                   random_parameters(1, order + 8, np.random.default_rng([seed, order]))) for seed in range(3)]
+        for family, name, fn, js, p in cases:
+            for j in range(js):
+                for w, (beta, gamma) in enumerate(weights):
+                    for route in SUPERPOSITION_ROUTES:
+                        yield f"{family} order={order}", f"{name} j={j} w={w} {route}", \
+                            fn(p, j, beta, gamma, order, route=route).coeffs
+
+
 def signatures():
     """Signatures of cmvkit.__all__ and its classes' public methods, and
     every command's options."""
@@ -167,7 +190,7 @@ def dump(path, builds_from=None):
         return np.load(builds_from) if builds_from else arrays
 
     surfaces = {"build": builds, "amplitudes": lambda: amplitudes(dumped()), "resolvent": lambda: resolvents(dumped()),
-                "overlap": overlaps, "forward": forward}
+                "overlap": overlaps, "forward": forward, "superposition": superpositions}
     for surface, items in surfaces.items():
         arrays.update(run(surface, lambda: {f"{surface}/{group}/{name}": a for group, name, a in items()}))
     meta.update(run("signatures", signatures))

@@ -270,8 +270,9 @@ def test_superposition_suite():
         p = random_parameters(1, 33, rng)
         p_fin = random_parameters(1, 6, rng, terminal=True)
         for j in range(4):
-            # the pair function is state independent, so the operator
-            # route shares one first-return computation per (seed, j)
+            # the third route, the Cayley reference: the pair function is
+            # state independent, so one first-return computation per
+            # (seed, j) is compressed to every state
             window = window_spec(p, "C", j + 1, order)
             f_pair = schur_of_subspace(build(window), (j, j + 1), order)
             b_j = inverse_iterate_series(p, j, order)
@@ -281,8 +282,10 @@ def test_superposition_suite():
 
             for beta, gamma in SUPERPOSITION_STATES:
                 formula = scalar_superposition_schur(p, j, beta, gamma, order, route="formula")
-                operator = compress_to_vector(f_pair, [beta, gamma])
+                operator = scalar_superposition_schur(p, j, beta, gamma, order, route="operator_compress")
+                cayley = compress_to_vector(f_pair, [beta, gamma])
                 assert coeff_distance(formula, operator) <= 1e-8
+                assert coeff_distance(formula, cayley) <= 1e-8
                 if (beta, gamma) == (1.0, 0.0):
                     assert coeff_distance(formula, b_j * f_j) <= 1e-8
                 if (beta, gamma) == (0.0, 1.0):

@@ -2,12 +2,13 @@
 two-site superposition Schur functions."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from cmvkit import khrushchev
-from cmvkit.cmv import BlockOperatorSpec, build, unitary_truncation
+from cmvkit import khrushchev, series
+from cmvkit.cmv import BlockOperatorSpec, build, build_unitary, unitary_truncation
 from cmvkit.khrushchev import (
     SUPERPOSITION_ROUTES,
     VerificationReport,
@@ -19,11 +20,14 @@ from cmvkit.khrushchev import (
     verify_hessenberg_formula,
     verify_range_formula,
     verify_site_formula,
+    verify_superposition,
 )
 from cmvkit.schur import (
     SchurParameters,
     inverse_iterate,
+    inverse_iterate_series,
     iterate,
+    iterate_series,
     random_parameters,
     synthesize,
 )
@@ -312,3 +316,109 @@ class TestHessenbergSuperposition:
         p = scalar_params([0.3], 1.0)
         with pytest.raises(ValueError):
             hessenberg_superposition(p, 1, 1.0, 0.0, 8)
+
+
+SUPERPOSITION_FUNCTIONS = {"C": scalar_superposition_schur, "H": hessenberg_superposition}
+FIXED_WEIGHTS = ((1.0, 0.0), (0.0, 1.0), (0.6, 0.8j))
+
+
+def cayley_reference(p, family, j, beta, gamma, order):
+    """The operator route the rotation replaced: the two-block Schur
+    function of the built operator compressed to the state through two
+    Caratheodory transforms."""
+    return compress_to_vector(khrushchev._operator_side(p, family, j, j + 1, order), [beta, gamma])
+
+
+def random_phase_weights(rng):
+    t, phases = rng.uniform(0.0, np.pi / 2), np.exp(2j * np.pi * rng.random(2))
+    return np.cos(t) * phases[0], np.sin(t) * phases[1]
+
+
+class TestStateSchur:
+    """The operator route of both superposition checks, psi's own first
+    returns off the rotated operator, against the Cayley round trip."""
+
+    @pytest.mark.parametrize("order", [0, 1, 12, 64])
+    @pytest.mark.parametrize("family, terminal", [("C", False), ("C", True), ("H", True)])
+    def test_matches_the_cayley_reference_at_every_j(self, family, terminal, order):
+        worst = 0.0
+        for seed in range(3):
+            rng = np.random.default_rng([seed, order, terminal])
+            # an open set has a window for j = 0..6; a terminal set builds
+            # every pair of blocks j, j + 1
+            p = random_parameters(1, order + 9 if not terminal else seed + 2, rng, terminal=terminal)
+            for j in range(7 if not terminal else len(p)):
+                for beta, gamma in (*FIXED_WEIGHTS, random_phase_weights(rng)):
+                    got = SUPERPOSITION_FUNCTIONS[family](p, j, beta, gamma, order, route="operator_compress")
+                    assert got.order == order
+                    worst = max(worst, coeff_distance(got, cayley_reference(p, family, j, beta, gamma, order)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("family", ["C", "H"])
+    def test_leaves_the_kept_operator_unchanged(self, rng, family):
+        p = random_parameters(1, 5, rng, terminal=True)
+        kept = build_unitary(BlockOperatorSpec(p, family, 6))
+        before = kept.matrix.copy()
+        for j in range(5):
+            SUPERPOSITION_FUNCTIONS[family](p, j, 0.6, 0.8j, 12, route="operator_compress")
+        if family == "H":
+            assert verify_superposition(p, 2, 0.6, 0.8j, 12, hessenberg=True).ok
+        assert build_unitary(BlockOperatorSpec(p, family, 6)) is kept
+        assert np.array_equal(kept.matrix, before) and not kept.matrix.flags.writeable
+
+
+class TestWeightsOffTheUnitSphere:
+    """check_superposition admits |beta|^2 + |gamma|^2 within 1e-8 of 1;
+    both routes compute on psi / |psi|, so the defect is no residual."""
+
+    S = np.sqrt(1 + 9e-9)
+
+    @pytest.mark.parametrize("hessenberg, p, j, beta, gamma", [
+        (True, random_parameters(1, 6, np.random.default_rng(0), terminal=True), 2, 0.6 * S, 0.8j * S),
+        (False, random_parameters(1, 33, np.random.default_rng(4)), 0, S, 0.0),
+    ])
+    def test_routes_agree_on_the_normalized_state(self, hessenberg, p, j, beta, gamma):
+        report = verify_superposition(p, j, beta, gamma, 12, hessenberg=hessenberg)
+        assert report.ok and report.residual <= 1e-13
+        # the report keeps the weights as given
+        assert report.params["beta"] == [complex(beta).real, complex(beta).imag]
+        assert report.params["gamma"] == [complex(gamma).real, complex(gamma).imag]
+        fn = hessenberg_superposition if hessenberg else scalar_superposition_schur
+        for route in SUPERPOSITION_ROUTES:
+            scaled = fn(p, j, beta, gamma, 12, route=route)
+            unit = fn(p, j, beta / self.S, gamma / self.S, 12, route=route)
+            assert coeff_distance(scaled, unit) <= 1e-15
+
+
+def displayed_hessenberg_form(p, j, beta, gamma, order):
+    """The Hessenberg closed form as displayed, with three series products."""
+    b = inverse_iterate_series(p, j, order)
+    f = iterate_series(p, j + 1, order)
+    a = complex(p.alpha(j)[0, 0])
+    r = float(np.sqrt(max(0.0, 1.0 - abs(a) ** 2)))
+    bc, gc, ac = np.conj(beta), np.conj(gamma), np.conj(a)
+    num = (b * f).shift() + bc * (beta * a * b + gamma * r) + (gc * ((beta * r) * b - gamma * ac)) * f
+    den = 1 + (gamma * (bc * r - gc * a * b)).shift() + ((beta * (bc * ac + gc * r * b)).shift() * f)
+    return num / den
+
+
+class TestHessenbergExpandedForm:
+    @pytest.mark.parametrize("order", [0, 1, 12, 64])
+    def test_matches_the_displayed_form(self, order):
+        worst = 0.0
+        for seed in range(6):
+            rng = np.random.default_rng([seed, order])
+            p = random_parameters(1, seed + 1, rng, terminal=True)
+            for j in range(len(p)):
+                for beta, gamma in (*FIXED_WEIGHTS, random_phase_weights(rng)):
+                    got = hessenberg_superposition(p, j, beta, gamma, order)
+                    assert got.order == order
+                    worst = max(worst, coeff_distance(got, displayed_hessenberg_form(p, j, beta, gamma, order)))
+        assert worst <= 1e-13
+
+    def test_forms_one_series_product(self, rng):
+        p = random_parameters(1, 5, rng, terminal=True)
+        hessenberg_superposition(p, 1, 0.6, 0.8j, 16)  # the iterates are kept on p
+        with mock.patch.object(series, "convolve", wraps=series.convolve) as spy:
+            hessenberg_superposition(p, 1, 0.6, 0.8j, 16)
+        assert spy.call_count == 1
