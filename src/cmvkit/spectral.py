@@ -13,23 +13,27 @@ ring of eight points.  Any disagreement is raised, never papered over.
 
 The recursion permutes U once so that V comes first; a step is then one
 product with U's columns outside V into one buffer; a_n heads block n - 1.
-Where powers of the block outside V are cheap (see _takes_stages), it
-takes the first _CHUNK steps one at a time and the rest in stages, each
-applying one power of that block to the last _CHUNK Krylov blocks in one
-wide product.  Whether it stages reads the shape, never the horizon, and
-stages are whole, so a_n has the same bits at every horizon.  The
-resolvent reads U's adjoint once in the same V-first order and takes all
-eight sample points from one solve: they are a ring, z_t = r w^t with
-w^8 = 1, so prod_t (1 - z_t x) = 1 - r^8 x^8 and every (1 - z_t E)^{-1}
-is a polynomial in E times the one inverse (1 - r^8 E^8)^{-1}.  E is a
-block of a unitary, so ||E|| <= 1 and that matrix has condition number
-at most (1 + 2^-8) / (1 - 2^-8) for every V, the empty one included.
+On a small operator (see _takes_stages) it takes the first _CHUNK steps
+one at a time and the rest in stages, each applying one power of the
+block outside V to the last _CHUNK Krylov blocks in one wide product.
+Whether it stages reads the shape, never the horizon, and stages are
+whole, so a_n has the same bits at every horizon.  The resolvent reads
+U's adjoint once in the same V-first order and takes all eight sample
+points from one solve: they are a ring, z_t = r w^t with w^8 = 1, so
+prod_t (1 - z_t x) = 1 - r^8 x^8 and every (1 - z_t E)^{-1} is a
+polynomial in E times the one inverse (1 - r^8 E^8)^{-1}.  E is a block
+of a unitary, so ||E|| <= 1 and that matrix has condition number at most
+(1 + 2^-8) / (1 - 2^-8) for every V, the empty one included.  On the
+ring z_t^{8q} = r^{8q}, so the same solve also gives f_V less its exact
+tail past a_{8q+1}, which schur_of_subspace compares with the Taylor sum
+of the first 8q + 1 >= order + 1 amplitudes, with nothing left over.
 A ``linalg.Unitary`` passes through both without another unitarity check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,21 +41,23 @@ from .linalg import as_integer, certify, index_tuple, unit_vector
 from .series import MatrixPowerSeries, vandermonde
 
 RESOLVENT_TOL = 1e-8
-# Eight sample points on |z| = 0.5.  At that radius a horizon of 48 leaves
-# a geometric tail below 1e-14, far inside RESOLVENT_TOL.  They are the
-# ring z_t = 0.5 w^t, w^8 = 1, so z_t^8 = 2^-8 at every point, and
-# resolvent_compression takes all eight from one solve with I - 2^-8 E^8.
+# Eight sample points on |z| = 0.5, the ring z_t = 0.5 w^t, w^8 = 1, so
+# z_t^8 = 2^-8 at every point, and resolvent_compression takes all eight
+# from one solve with I - 2^-8 E^8.
 _RING_RADIUS = 0.5
 RESOLVENT_SAMPLES = tuple(_RING_RADIUS * np.exp(2j * np.pi * t / 8) for t in range(8))
 # z_t^{m+1} for m = 0..7: row t sums the terms C^dagger E^m X into f_V(z_t)
 _RING_POWERS = np.vander(np.array(RESOLVENT_SAMPLES), 9, increasing=True)[:, 1:]
 _CONJ_SAMPLES = tuple(np.conj(RESOLVENT_SAMPLES))  # their powers sum the amplitudes to f_V's adjoint
+# From this horizon on (order 41 up) schur_of_subspace compares with the
+# whole ring, since at |z| = 0.5 a horizon of 48 leaves a geometric tail
+# below 1e-14, far inside RESOLVENT_TOL; below it, with the ring less its
+# exact tail.
 _CHECK_HORIZON = 48
-# the amplitude recursion's stage width, in blocks, and the two bounds
-# of _takes_stages
+# the amplitude recursion's stage width, in blocks, and the largest
+# operator that takes stages (see _takes_stages)
 _CHUNK = 8
-_POWER_RATIO = 48
-_POWER_DIM = 72
+_POWER_DIM = 14
 
 
 def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
@@ -100,9 +106,11 @@ def first_return_amplitudes(U, v, horizon: int) -> np.ndarray:
     return krylov[:k].reshape(k, width, k)[:, :horizon].transpose(1, 0, 2).copy()
 
 
-def resolvent_compression(U, v) -> np.ndarray:
+def resolvent_compression(U, v, horizon: int | None = None) -> np.ndarray:
     """Direct evaluation of f_V(z) = P (U - z Q)^{-1} P at the eight
-    RESOLVENT_SAMPLES, as an (8, k, k) stack whose entry t is f_V(z_t).
+    RESOLVENT_SAMPLES, as an (8, k, k) stack whose entry t is f_V(z_t);
+    given a horizon h = 8q + 1, f_V less its tail past a_h, which is the
+    Taylor sum of a_1..a_h at the points.
 
     U's adjoint is read once in the V-first order of
     first_return_amplitudes: with A = U[v, v], B = U[v, rest],
@@ -118,10 +126,18 @@ def resolvent_compression(U, v) -> np.ndarray:
     X = X0 B^dagger; and f_V(z_t) = A^dagger + sum_m z_t^{m+1} C^dagger E^m X
     is one product and one 8 x 8 Vandermonde.  ||E|| <= 1, so the solved
     matrix has condition number at most (1 + 2^-8) / (1 - 2^-8), V empty
-    (E = U^dagger) and V the whole space (E is 0 x 0) included.  U is
+    (E = U^dagger) and V the whole space (E is 0 x 0) included.  The tail
+    past a_{8q+1} is sum_{m>=8q+1} z^m C^dagger E^{m-1} B^dagger, which on
+    the ring is r^{8q} z C^dagger (1 - z E)^{-1} E^{8q} B^dagger: with a
+    horizon the one solve takes (1 - r^{8q} E^{8q}) B^dagger in place of
+    B^dagger, E^{8q} B^dagger being q thin products with E^8.  U is
     certified unitary once, unless it is already a Unitary.
     """
     u = certify(U).matrix
+    if horizon is not None:
+        horizon = as_integer(horizon, "horizon")
+        if horizon < 1 or (horizon - 1) % 8:
+            raise ValueError(f"horizon must be 8q + 1 for an integer q >= 0, got {horizon}")
     n = u.shape[0]
     idx, rest = _split(n, v)
     k = idx.size
@@ -132,9 +148,15 @@ def resolvent_compression(U, v) -> np.ndarray:
     for p in (1, 2, 4):  # [C^dagger E^0..E^{p-1}; E^p] -> the same up to 2p
         krylov = np.concatenate((krylov[: p * k], krylov @ krylov[p * k :]))
     shifted = krylov[8 * k :]  # E^8, made 1 - r^8 E^8 in place
+    rhs = adj[k:, :k]  # B^dagger
+    if horizon is not None:  # (1 - r^{8q} E^{8q}) B^dagger, q = horizon // 8
+        tail = rhs
+        for _ in range(horizon // 8):
+            tail = shifted @ tail
+        rhs = rhs - _RING_RADIUS ** (horizon - 1) * tail
     shifted *= -(_RING_RADIUS**8)
     shifted.reshape(-1)[:: n - k + 1] += 1.0
-    terms = krylov[: 8 * k] @ np.linalg.solve(shifted, adj[k:, :k])  # C^dagger E^m X
+    terms = krylov[: 8 * k] @ np.linalg.solve(shifted, rhs)  # C^dagger E^m X
     return adj[:k, :k] + (_RING_POWERS @ terms.reshape(8, k * k)).reshape(8, k, k)
 
 
@@ -146,15 +168,25 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     since it would mean one of the two primary computations is wrong.
     Both sides read one amplitude stack: the Taylor sums at the points are
     the adjoints of sum_n conj(z_t)^n a_{n+1}, one product with the stack.
-    ``U`` is certified once, here, unless it is already a Unitary.
+    The stack runs to h = 8q + 1, q = max(1, ceil(order / 8)), the first
+    such horizon past the order, and the ring returns f_V less its exact
+    tail past a_h, so the two agree to rounding and every returned
+    amplitude weighs 2^{1-n} in the comparison.  From order 41, where h
+    would reach _CHECK_HORIZON, the stack runs to max(order + 1, 48) and
+    the ring is whole.  ``U`` is certified once, and V validated once,
+    here, unless ``U`` is already a Unitary.
     """
     u, order = certify(U), _order(order)
-    amps = first_return_amplitudes(u, v, max(order + 1, _CHECK_HORIZON))
+    split = _split(u.matrix.shape[0], v)
+    exact = 8 * max(1, -(-order // 8)) + 1
+    horizon = exact if exact < _CHECK_HORIZON else None
+    amps = first_return_amplitudes(u, split, horizon or max(order + 1, _CHECK_HORIZON))
     h, k = amps.shape[:2]
     # entry n is a_{n+1}, the adjoint of f_V's z^n coefficient
     taylor = (vandermonde(_CONJ_SAMPLES, h) @ amps.reshape(h, k * k)).reshape(8, k, k)
     # V empty compares empty stacks; a NaN fails
-    worst = float(np.abs(resolvent_compression(u, v).transpose(0, 2, 1).conj() - taylor).max(initial=0.0))
+    ring = resolvent_compression(u, split, horizon)
+    worst = float(np.abs(ring.transpose(0, 2, 1).conj() - taylor).max(initial=0.0))
     if not worst <= RESOLVENT_TOL:
         raise ArithmeticError(
             "internal-consistency failure: Taylor and resolvent routes "
@@ -202,13 +234,15 @@ def _takes_stages(n: int, k: int) -> bool:
     """Whether first_return_amplitudes forms powers of D for a subspace of
     dimension k in dimension n.  The squarings to m_CHUNK cost
     3 n (n - k)^2 once, against the n (n - k) k of one step, so they are
-    repaid only on a small operator.  Both bounds are measured at the
-    cross-check horizon of 48: for k >= 2 stages win up to n = 68, break
-    even near n = 72 and lose by n = 88; for k = 1, whose steps are
-    matrix-vector products, they win up to n = 48 and lose from n = 56.
-    The rule reads the shape only, never the horizon, so a_n keeps its
-    bits at every horizon."""
-    return n - k <= _POWER_RATIO * k and n <= _POWER_DIM
+    repaid only on a small operator and a long horizon.  The bound is
+    measured over n 2-80, k 1-4 at the horizons schur_of_subspace asks
+    for: at 17, which every order 9-16 asks for, stages lose or break even
+    from n = 14 up at every k (1.14-1.35x the one-block time at k = 1); at
+    65, order 64's, they win up to n = 48 (k = 1) and n = 80 (k >= 2), and
+    the order-64 Hessenberg checks this keeps staged have n <= 14.
+    V empty never stages.  The rule reads the shape only, never the
+    horizon, so a_n keeps its bits at every horizon."""
+    return 0 < k and n <= _POWER_DIM
 
 
 def _order(order) -> int:
@@ -219,9 +253,20 @@ def _order(order) -> int:
     return order
 
 
-def _split(n: int, v) -> tuple[np.ndarray, np.ndarray]:
+class _Split(NamedTuple):
+    """V validated: its indices in V's order, and the other indices
+    ascending.  _split hands one back as it is, so the two routes of one
+    schur_of_subspace call validate V once."""
+
+    idx: np.ndarray
+    rest: np.ndarray
+
+
+def _split(n: int, v) -> _Split:
     """V's indices in V's order, and the other indices below n ascending."""
+    if isinstance(v, _Split):  # made by _split for this operator
+        return v
     idx = np.array(index_tuple(n, v), dtype=np.intp)
     keep = np.ones(n, dtype=bool)
     keep[idx] = False
-    return idx, np.flatnonzero(keep)
+    return _Split(idx, np.flatnonzero(keep))

@@ -48,16 +48,22 @@ def block_ranges(dumped):
                 yield group, f"{name} v={j}-{k}", u, tuple(range(j * d, (k + 1) * d))
 
 
+# horizons schur_of_subspace asks for, whose stacks must be prefixes of horizon 65's
+PREFIX_HORIZONS = (9, 17, 25, 48)
+
+
 def amplitudes(dumped):
     """First-return amplitudes of dumped builds on every block range at
-    horizon 65.  The horizon-48 stack must be their first 48 entries bit
-    for bit, so it is checked here, at each commit, and not dumped."""
+    horizon 65.  The stack at each of PREFIX_HORIZONS must be their first
+    entries bit for bit, so it is checked here, at each commit, and not
+    dumped."""
     from cmvkit.spectral import first_return_amplitudes
 
     for group, name, u, v in block_ranges(dumped):
         long = first_return_amplitudes(u, v, 65)
-        if not np.array_equal(first_return_amplitudes(u, v, 48), long[:48]):
-            raise AssertionError(f"{group} {name}: horizon 48 is not the first 48 amplitudes of horizon 65")
+        for h in PREFIX_HORIZONS:
+            if not np.array_equal(first_return_amplitudes(u, v, h), long[:h]):
+                raise AssertionError(f"{group} {name}: horizon {h} is not the first {h} amplitudes of horizon 65")
         yield group, f"{name} h=65", long
 
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from against_base import BOUNDS, amplitudes, compare, dump, resolvents
+from against_base import BOUNDS, PREFIX_HORIZONS, amplitudes, compare, dump, resolvents
 from helpers import projector_resolvent
 
 BASE = {
@@ -146,6 +146,21 @@ def test_a_horizon_48_stack_off_the_horizon_65_prefix_fails_the_surface(monkeypa
     monkeypatch.setattr(spectral, "first_return_amplitudes",
                         lambda U, v, horizon: exact(U, v, horizon) + 1e-12 * (horizon == 48))
     with pytest.raises(AssertionError, match="horizon 48 is not the first 48 amplitudes of horizon 65"):
+        list(amplitudes(dumped))
+
+
+@pytest.mark.parametrize("short", [9, 17, 25])
+def test_a_shorter_stack_off_the_horizon_65_prefix_fails_the_surface(monkeypatch, short):
+    # the horizons schur_of_subspace asks for below 48
+    from cmvkit import spectral
+    from cmvkit.schur import random_unitary
+
+    assert short in PREFIX_HORIZONS
+    dumped = {"build/C d=1/length=1": random_unitary(2, np.random.default_rng(0))}
+    exact = spectral.first_return_amplitudes
+    monkeypatch.setattr(spectral, "first_return_amplitudes",
+                        lambda U, v, horizon: exact(U, v, horizon) + 1e-12 * (horizon == short))
+    with pytest.raises(AssertionError, match=f"horizon {short} is not the first {short} amplitudes of horizon 65"):
         list(amplitudes(dumped))
 
 

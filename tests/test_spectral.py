@@ -1,5 +1,7 @@
 """First-return amplitudes, moments, subspace Schur functions, statistics."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -145,17 +147,17 @@ class TestFirstReturn:
         assert np.abs(got - want).max(initial=0.0) <= 1e-14
 
     # the edges: V the whole space (with and without stages) and V empty,
-    # horizons 0, 1, 8 and 9, and the shapes on each side of both bounds of
+    # horizons 0, 1, 8 and 9, and the shapes on each side of the bound of
     # _takes_stages
     @example(seed=1, n=5, k=None, horizon=3, extra=1)
     @example(seed=11, n=5, k=None, horizon=20, extra=5)
     @example(seed=2, n=5, k=0, horizon=2, extra=9)
     @example(seed=3, n=6, k=1, horizon=0, extra=17)
     @example(seed=4, n=6, k=2, horizon=1, extra=20)
-    @example(seed=5, n=49, k=1, horizon=17, extra=3)
-    @example(seed=6, n=50, k=1, horizon=17, extra=3)
-    @example(seed=7, n=72, k=2, horizon=33, extra=8)
-    @example(seed=8, n=73, k=2, horizon=33, extra=8)
+    @example(seed=5, n=14, k=1, horizon=17, extra=3)
+    @example(seed=6, n=15, k=1, horizon=17, extra=3)
+    @example(seed=7, n=14, k=2, horizon=33, extra=8)
+    @example(seed=8, n=15, k=2, horizon=33, extra=8)
     @example(seed=9, n=30, k=3, horizon=8, extra=1)
     @example(seed=10, n=30, k=3, horizon=9, extra=7)
     @settings(max_examples=60, deadline=None)
@@ -181,10 +183,10 @@ class TestFirstReturn:
     @pytest.mark.parametrize("horizon", [0, 1, 7, 8, 9, 13, 48, 65, 70])
     def test_one_buffer_kernel_matches_the_ring_of_blocks(self, horizon):
         # the same GEMMs on the same operands as the ring it replaces, so the
-        # same bits: staged and unstaged shapes on each side of both bounds
+        # same bits: staged and unstaged shapes on each side of the bound
         # of _takes_stages, V empty to V the whole space
         rng = np.random.default_rng(horizon)
-        for n in (2, 3, 5, 8, 14, 24, 49, 50, 72, 73, 80):
+        for n in (2, 3, 5, 8, 14, 15, 24, 49, 50, 72, 73, 80):
             u = random_unitary(n, rng)
             for k in sorted({min(k, n) for k in (0, 1, 2, 4)} | {n // 2, n - 1, n}):
                 idx = tuple(int(i) for i in rng.permutation(n)[:k])
@@ -226,6 +228,50 @@ class TestFirstReturn:
         assert np.abs(got - projector_resolvent(near, idx, RESOLVENT_SAMPLES)).max(initial=0.0) <= near.residual
         f = MatrixPowerSeries(first_return_amplitudes(near, idx, 200).transpose(0, 2, 1).conj())
         assert np.abs(got - f.values_at(RESOLVENT_SAMPLES)).max(initial=0.0) <= 1e-13
+
+    # the edges: V empty, V the whole space, n = 1
+    @example(seed=1, n=7, k=0)
+    @example(seed=2, n=7, k=7)
+    @example(seed=3, n=1, k=1)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(0, 40))
+    def test_ring_less_its_tail_is_the_taylor_sum(self, seed, n, k):
+        # f_V less its tail past a_h against the Taylor sum of a_1..a_h
+        rng = np.random.default_rng(seed)
+        u = random_unitary(n, rng)
+        idx = tuple(int(i) for i in rng.permutation(n)[: min(k, n)])
+        for h in (1, 9, 17, 25, 41):
+            got = resolvent_compression(u, idx, h)
+            taylor = MatrixPowerSeries(first_return_amplitudes(u, idx, h).transpose(0, 2, 1).conj())
+            assert got.shape == (8, len(idx), len(idx))
+            assert np.abs(got - taylor.values_at(RESOLVENT_SAMPLES)).max(initial=0.0) <= 1e-13, h
+
+    @pytest.mark.parametrize("family", ["C", "Chat", "H", "Hhat"])
+    def test_ring_less_its_tail_on_built_operators(self, family):
+        # every block range of seeded terminal builds, V empty and V the
+        # whole space among them
+        rng = np.random.default_rng(len(family))
+        for d in (1, 2):
+            p = random_parameters(d, 5, rng, terminal=True)
+            u = build_unitary(BlockOperatorSpec(p, family, 6))
+            n = u.matrix.shape[0]
+            ranges = [()] + [tuple(range(j * d, (k + 1) * d)) for j in range(6) for k in range(j, 6)]
+            assert tuple(range(n)) in ranges
+            for v in ranges:
+                for h in (1, 9, 17, 25, 41):
+                    taylor = MatrixPowerSeries(first_return_amplitudes(u, v, h).transpose(0, 2, 1).conj())
+                    got = resolvent_compression(u, v, h)
+                    assert np.abs(got - taylor.values_at(RESOLVENT_SAMPLES)).max(initial=0.0) <= 1e-13, (v, h)
+
+    @pytest.mark.parametrize("bad", [0, 2, 8, 10, 48, -7])
+    def test_ring_horizon_must_be_one_past_a_multiple_of_eight(self, bad):
+        with pytest.raises(ValueError, match=f"^horizon must be 8q \\+ 1 for an integer q >= 0, got {bad}$"):
+            resolvent_compression(np.eye(3), (0,), bad)
+
+    @pytest.mark.parametrize("bad", [True, 9.0, "9"])
+    def test_ring_horizon_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match=f"^horizon must be an integer, got {bad!r}"):
+            resolvent_compression(np.eye(3), (0,), bad)
 
     def test_whole_space_and_empty_subspace(self, rng):
         u = random_unitary(5, rng)
@@ -339,6 +385,58 @@ class TestSchurOfSubspace:
         monkeypatch.setattr(spectral, "resolvent_compression", perturbed)
         with pytest.raises(ArithmeticError, match="disagree"):
             schur_of_subspace(u, (1, 3), 8)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 8, 9, 12, 16, 40, 41, 64])
+    def test_cross_check_sees_every_returned_amplitude(self, order, rng, monkeypatch):
+        # 1e-6 2^{n-1} at a_n weighs 1e-6 at |z| = 0.5 wherever n falls,
+        # for each of the order + 1 amplitudes the call returns
+        u = random_unitary(7, rng)
+        schur_of_subspace(u, (5, 2), order)
+        honest = spectral.first_return_amplitudes
+        for n in range(1, order + 2):
+            def perturbed(*args, n=n, **kwargs):
+                amps = honest(*args, **kwargs)
+                amps[n - 1] += 1e-6 * 2.0 ** (n - 1)
+                return amps
+
+            monkeypatch.setattr(spectral, "first_return_amplitudes", perturbed)
+            with pytest.raises(ArithmeticError, match="disagree"):
+                schur_of_subspace(u, (5, 2), order)
+
+    @pytest.mark.parametrize("order, horizon, tail", [(0, 9, True), (8, 9, True), (9, 17, True), (12, 17, True),
+                                                      (40, 41, True), (41, 48, False), (64, 65, False)])
+    def test_check_horizon_and_tail(self, order, horizon, tail, rng, monkeypatch):
+        # the stack runs to the first 8q + 1 past the order and the ring
+        # drops its tail past it, up to order 40; from order 41 the stack
+        # runs to max(order + 1, 48) and the ring is whole
+        seen = []
+        amps, ring = spectral.first_return_amplitudes, spectral.resolvent_compression
+        monkeypatch.setattr(spectral, "first_return_amplitudes",
+                            lambda U, v, h: seen.append(("amps", h)) or amps(U, v, h))
+        monkeypatch.setattr(spectral, "resolvent_compression",
+                            lambda U, v, h=None: seen.append(("ring", h)) or ring(U, v, h))
+        schur_of_subspace(random_unitary(6, rng), (4, 1), order)
+        assert seen == [("amps", horizon), ("ring", horizon if tail else None)]
+
+    def test_v_is_validated_once(self, rng, monkeypatch):
+        u = random_unitary(6, rng)
+        calls = []
+        real = spectral.index_tuple
+        monkeypatch.setattr(spectral, "index_tuple", lambda n, v: calls.append(v) or real(n, v))
+        for order in (0, 12, 64):
+            calls.clear()
+            schur_of_subspace(u, (4, 1), order)
+            assert calls == [(4, 1)]
+
+    @pytest.mark.parametrize("bad", [(1, 1), (0, 6), (0, -1), (0, 1.5), (True,)])
+    def test_v_errors_are_those_of_index_tuple(self, bad, rng):
+        u = random_unitary(6, rng)
+        with pytest.raises(ValueError) as want:
+            index_tuple(6, bad)
+        for call in (lambda: schur_of_subspace(u, bad, 12), lambda: first_return_amplitudes(u, bad, 9),
+                     lambda: resolvent_compression(u, bad, 9)):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                call()
 
     def test_non_unitary_matrix_is_refused(self, rng):
         u = random_unitary(5, rng)
