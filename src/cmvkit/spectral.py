@@ -26,7 +26,8 @@ of a unitary, so ||E|| <= 1 and that matrix has condition number at most
 (1 + 2^-8) / (1 - 2^-8) for every V, the empty one included.  On the
 ring z_t^{8q} = r^{8q}, so the same solve also gives f_V less its exact
 tail past a_{8q+1}, which schur_of_subspace compares with the Taylor sum
-of the first 8q + 1 >= order + 1 amplitudes, with nothing left over.
+of the first 8q + 1 >= order + 1 amplitudes, with nothing left over, at
+every order.
 A ``linalg.Unitary`` passes through both without another unitarity check.
 """
 
@@ -49,11 +50,6 @@ RESOLVENT_SAMPLES = tuple(_RING_RADIUS * np.exp(2j * np.pi * t / 8) for t in ran
 # z_t^{m+1} for m = 0..7: row t sums the terms C^dagger E^m X into f_V(z_t)
 _RING_POWERS = np.vander(np.array(RESOLVENT_SAMPLES), 9, increasing=True)[:, 1:]
 _CONJ_SAMPLES = tuple(np.conj(RESOLVENT_SAMPLES))  # their powers sum the amplitudes to f_V's adjoint
-# From this horizon on (order 41 up) schur_of_subspace compares with the
-# whole ring, since at |z| = 0.5 a horizon of 48 leaves a geometric tail
-# below 1e-14, far inside RESOLVENT_TOL; below it, with the ring less its
-# exact tail.
-_CHECK_HORIZON = 48
 # the amplitude recursion's stage width, in blocks, and the largest
 # operator that takes stages (see _takes_stages)
 _CHUNK = 8
@@ -130,8 +126,9 @@ def resolvent_compression(U, v, horizon: int | None = None) -> np.ndarray:
     past a_{8q+1} is sum_{m>=8q+1} z^m C^dagger E^{m-1} B^dagger, which on
     the ring is r^{8q} z C^dagger (1 - z E)^{-1} E^{8q} B^dagger: with a
     horizon the one solve takes (1 - r^{8q} E^{8q}) B^dagger in place of
-    B^dagger, E^{8q} B^dagger being q thin products with E^8.  U is
-    certified unitary once, unless it is already a Unitary.
+    B^dagger, E^{8q} B^dagger being q thin products with E^8; without one
+    it is the whole ring, f_V itself.  U is certified unitary once, unless
+    it is already a Unitary.
     """
     u = certify(U).matrix
     if horizon is not None:
@@ -171,16 +168,13 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     The stack runs to h = 8q + 1, q = max(1, ceil(order / 8)), the first
     such horizon past the order, and the ring returns f_V less its exact
     tail past a_h, so the two agree to rounding and every returned
-    amplitude weighs 2^{1-n} in the comparison.  From order 41, where h
-    would reach _CHECK_HORIZON, the stack runs to max(order + 1, 48) and
-    the ring is whole.  ``U`` is certified once, and V validated once,
-    here, unless ``U`` is already a Unitary.
+    amplitude weighs 2^{1-n} in the comparison.  ``U`` is certified
+    once, and V validated once, here, unless ``U`` is already a Unitary.
     """
     u, order = certify(U), _order(order)
     split = _split(u.matrix.shape[0], v)
-    exact = 8 * max(1, -(-order // 8)) + 1
-    horizon = exact if exact < _CHECK_HORIZON else None
-    amps = first_return_amplitudes(u, split, horizon or max(order + 1, _CHECK_HORIZON))
+    horizon = 8 * max(1, -(-order // 8)) + 1
+    amps = first_return_amplitudes(u, split, horizon)
     h, k = amps.shape[:2]
     # entry n is a_{n+1}, the adjoint of f_V's z^n coefficient
     taylor = (vandermonde(_CONJ_SAMPLES, h) @ amps.reshape(h, k * k)).reshape(8, k, k)
@@ -234,12 +228,17 @@ def _takes_stages(n: int, k: int) -> bool:
     """Whether first_return_amplitudes forms powers of D for a subspace of
     dimension k in dimension n.  The squarings to m_CHUNK cost
     3 n (n - k)^2 once, against the n (n - k) k of one step, so they are
-    repaid only on a small operator and a long horizon.  The bound is
-    measured over n 2-80, k 1-4 at the horizons schur_of_subspace asks
-    for: at 17, which every order 9-16 asks for, stages lose or break even
-    from n = 14 up at every k (1.14-1.35x the one-block time at k = 1); at
-    65, order 64's, they win up to n = 48 (k = 1) and n = 80 (k >= 2), and
-    the order-64 Hessenberg checks this keeps staged have n <= 14.
+    repaid only on a small operator and a long horizon, and the rule sees
+    no horizon.  Staged over one-block time, n 2-80, k 1-4 (BENCH_33.json
+    regimes): at horizon 17, which every order 9-16 asks for, a median
+    1.25x at k = 1 and 1.00x at k >= 2 up to n = 14, and a loss at every k
+    from n = 17; at 65, order 64's, a median 0.61x (0.35-1.01x) over
+    n 15-72 at k >= 2, and ahead up to n = 48 at k = 1.  The bound is no
+    knee of that table (n = 14 and n = 15 measure the same): it is the
+    largest operator of the order-64 Hessenberg checks on sets of at most
+    6 blocks with d <= 2, (6 + 1) * 2 coordinates, which it keeps staged.
+    An order >= 24 check on a larger operator takes one-block steps, at a
+    median 1.6x the staged time at horizon 65 for k >= 2.
     V empty never stages.  The rule reads the shape only, never the
     horizon, so a_n keeps its bits at every horizon."""
     return 0 < k and n <= _POWER_DIM

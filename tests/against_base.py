@@ -48,8 +48,10 @@ def block_ranges(dumped):
                 yield group, f"{name} v={j}-{k}", u, tuple(range(j * d, (k + 1) * d))
 
 
-# horizons schur_of_subspace asks for, whose stacks must be prefixes of horizon 65's
-PREFIX_HORIZONS = (9, 17, 25, 48)
+# horizons whose stacks must be prefixes of horizon 65's: every 8q + 1
+# that schur_of_subspace asks for below order 57, and 48, which it asked
+# for at every order up to 47 before its exact-tail ring check
+PREFIX_HORIZONS = (9, 17, 25, 33, 41, 48, 49, 57)
 
 
 def amplitudes(dumped):

@@ -149,9 +149,9 @@ def test_a_horizon_48_stack_off_the_horizon_65_prefix_fails_the_surface(monkeypa
         list(amplitudes(dumped))
 
 
-@pytest.mark.parametrize("short", [9, 17, 25])
+@pytest.mark.parametrize("short", [9, 17, 25, 33, 41, 49, 57])
 def test_a_shorter_stack_off_the_horizon_65_prefix_fails_the_surface(monkeypatch, short):
-    # the horizons schur_of_subspace asks for below 48
+    # the horizons schur_of_subspace asks for below 65
     from cmvkit import spectral
     from cmvkit.schur import random_unitary
 

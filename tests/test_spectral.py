@@ -240,7 +240,7 @@ class TestFirstReturn:
         rng = np.random.default_rng(seed)
         u = random_unitary(n, rng)
         idx = tuple(int(i) for i in rng.permutation(n)[: min(k, n)])
-        for h in (1, 9, 17, 25, 41):
+        for h in (1, 9, 17, 25, 41, 49, 65):
             got = resolvent_compression(u, idx, h)
             taylor = MatrixPowerSeries(first_return_amplitudes(u, idx, h).transpose(0, 2, 1).conj())
             assert got.shape == (8, len(idx), len(idx))
@@ -258,7 +258,7 @@ class TestFirstReturn:
             ranges = [()] + [tuple(range(j * d, (k + 1) * d)) for j in range(6) for k in range(j, 6)]
             assert tuple(range(n)) in ranges
             for v in ranges:
-                for h in (1, 9, 17, 25, 41):
+                for h in (1, 9, 17, 25, 41, 49, 65):
                     taylor = MatrixPowerSeries(first_return_amplitudes(u, v, h).transpose(0, 2, 1).conj())
                     got = resolvent_compression(u, v, h)
                     assert np.abs(got - taylor.values_at(RESOLVENT_SAMPLES)).max(initial=0.0) <= 1e-13, (v, h)
@@ -403,12 +403,11 @@ class TestSchurOfSubspace:
             with pytest.raises(ArithmeticError, match="disagree"):
                 schur_of_subspace(u, (5, 2), order)
 
-    @pytest.mark.parametrize("order, horizon, tail", [(0, 9, True), (8, 9, True), (9, 17, True), (12, 17, True),
-                                                      (40, 41, True), (41, 48, False), (64, 65, False)])
-    def test_check_horizon_and_tail(self, order, horizon, tail, rng, monkeypatch):
-        # the stack runs to the first 8q + 1 past the order and the ring
-        # drops its tail past it, up to order 40; from order 41 the stack
-        # runs to max(order + 1, 48) and the ring is whole
+    @pytest.mark.parametrize("order, horizon", [(0, 9), (8, 9), (9, 17), (12, 17), (40, 41), (41, 49), (48, 49),
+                                                (64, 65)])
+    def test_check_horizon_and_tail(self, order, horizon, rng, monkeypatch):
+        # at every order the stack runs to the first 8q + 1 past the order
+        # and the ring drops its tail past it
         seen = []
         amps, ring = spectral.first_return_amplitudes, spectral.resolvent_compression
         monkeypatch.setattr(spectral, "first_return_amplitudes",
@@ -416,7 +415,7 @@ class TestSchurOfSubspace:
         monkeypatch.setattr(spectral, "resolvent_compression",
                             lambda U, v, h=None: seen.append(("ring", h)) or ring(U, v, h))
         schur_of_subspace(random_unitary(6, rng), (4, 1), order)
-        assert seen == [("amps", horizon), ("ring", horizon if tail else None)]
+        assert seen == [("amps", horizon), ("ring", horizon)]
 
     def test_v_is_validated_once(self, rng, monkeypatch):
         u = random_unitary(6, rng)
