@@ -18,16 +18,21 @@ one at a time and the rest in stages, each applying one power of the
 block outside V to the last _CHUNK Krylov blocks in one wide product.
 Whether it stages reads the shape, never the horizon, and stages are
 whole, so a_n has the same bits at every horizon.  The resolvent reads
-U's adjoint once in the same V-first order and takes all eight sample
-points from one solve: they are a ring, z_t = r w^t with w^8 = 1, so
-prod_t (1 - z_t x) = 1 - r^8 x^8 and every (1 - z_t E)^{-1} is a
-polynomial in E times the one inverse (1 - r^8 E^8)^{-1}.  E is a block
-of a unitary, so ||E|| <= 1 and that matrix has condition number at most
-(1 + 2^-8) / (1 - 2^-8) for every V, the empty one included.  On the
-ring z_t^{8q} = r^{8q}, so the same solve also gives f_V less its exact
-tail past a_{8q+1}, which schur_of_subspace compares with the Taylor sum
-of the first 8q + 1 >= order + 1 amplitudes, with nothing left over, at
-every order.
+U's adjoint once in the same V-first order.  Its eight sample points
+are a ring, z_t = r w^t with w^8 = 1, so prod_t (1 - z_t x) = 1 - r^8 x^8
+and every (1 - z_t E)^{-1} is a polynomial in E times the one inverse
+(1 - r^8 E^8)^{-1}.  The whole ring, f_V itself, takes all eight points
+from one solve with 1 - r^8 E^8; E is a block of a unitary, so
+||E|| <= 1 and that matrix has condition number at most
+(1 + 2^-8) / (1 - 2^-8) for every V, the empty one included.  f_V less
+its exact tail past a_{8q+1} needs no solve: on the ring
+z_t^{8q} = r^{8q}, and since 1 - x^q = (1 - x)(1 + x + ... + x^{q-1})
+the inverse cancels, leaving the finite geometric sum
+sum_{j<q} (r^8 E^8)^j.  schur_of_subspace compares that form with the
+Taylor sum of the first 8q + 1 >= order + 1 amplitudes, with nothing
+left over, at every order, so its check inverts nothing.  For any square
+U the ring form is the amplitudes' Taylor sum, so the check reads the
+recursion's code, never U's unitarity, which certify vouches for.
 A ``linalg.Unitary`` passes through both without another unitarity check.
 """
 
@@ -44,7 +49,8 @@ from .series import MatrixPowerSeries, vandermonde
 RESOLVENT_TOL = 1e-8
 # Eight sample points on |z| = 0.5, the ring z_t = 0.5 w^t, w^8 = 1, so
 # z_t^8 = 2^-8 at every point, and resolvent_compression takes all eight
-# from one solve with I - 2^-8 E^8.
+# from one solve with I - 2^-8 E^8, or, less the tail, from a finite sum
+# of powers of 2^-8 E^8.
 _RING_RADIUS = 0.5
 RESOLVENT_SAMPLES = tuple(_RING_RADIUS * np.exp(2j * np.pi * t / 8) for t in range(8))
 # z_t^{m+1} for m = 0..7: row t sums the terms C^dagger E^m X into f_V(z_t)
@@ -118,17 +124,20 @@ def resolvent_compression(U, v, horizon: int | None = None) -> np.ndarray:
     z_t^8 = r^8 (r = 0.5), so (1 - z_t E)^{-1} = (sum_{m<8} z_t^m E^m) X0
     with X0 = (1 - r^8 E^8)^{-1}, shared by every point.  Three squarings
     of [C^dagger E^0..C^dagger E^{p-1}; E^p], each one product, give the
-    rows C^dagger E^m, m < 8, and E^8 together; one solve gives
-    X = X0 B^dagger; and f_V(z_t) = A^dagger + sum_m z_t^{m+1} C^dagger E^m X
-    is one product and one 8 x 8 Vandermonde.  ||E|| <= 1, so the solved
-    matrix has condition number at most (1 + 2^-8) / (1 - 2^-8), V empty
-    (E = U^dagger) and V the whole space (E is 0 x 0) included.  The tail
-    past a_{8q+1} is sum_{m>=8q+1} z^m C^dagger E^{m-1} B^dagger, which on
-    the ring is r^{8q} z C^dagger (1 - z E)^{-1} E^{8q} B^dagger: with a
-    horizon the one solve takes (1 - r^{8q} E^{8q}) B^dagger in place of
-    B^dagger, E^{8q} B^dagger being q thin products with E^8; without one
-    it is the whole ring, f_V itself.  U is certified unitary once, unless
-    it is already a Unitary.
+    rows C^dagger E^m, m < 8, and E^8 together; then
+    f_V(z_t) = A^dagger + sum_m z_t^{m+1} C^dagger E^m X is one product and
+    one 8 x 8 Vandermonde.  Without a horizon, the whole ring, one solve
+    gives X = X0 B^dagger; ||E|| <= 1, so the solved matrix has condition
+    number at most (1 + 2^-8) / (1 - 2^-8), V empty (E = U^dagger) and V
+    the whole space (E is 0 x 0) included.  The tail past a_{8q+1} is
+    sum_{m>=8q+1} z^m C^dagger E^{m-1} B^dagger, which on the ring is
+    r^{8q} z C^dagger (1 - z E)^{-1} E^{8q} B^dagger, so with a horizon
+    X = X0 (1 - r^{8q} E^{8q}) B^dagger, and as
+    1 - x^q = (1 - x)(1 + x + ... + x^{q-1}) that is the finite sum
+    X = sum_{j<q} (r^8 E^8)^j B^dagger: no solve, q - 1 thin products with
+    r^8 E^8 by Horner from X = B^dagger, and X = 0 at q = 0, where every
+    point reads A^dagger.  U is certified unitary once, unless it is
+    already a Unitary.
     """
     u = certify(U).matrix
     if horizon is not None:
@@ -144,16 +153,18 @@ def resolvent_compression(U, v, horizon: int | None = None) -> np.ndarray:
     krylov = adj[:, k:]  # [C^dagger; E]
     for p in (1, 2, 4):  # [C^dagger E^0..E^{p-1}; E^p] -> the same up to 2p
         krylov = np.concatenate((krylov[: p * k], krylov @ krylov[p * k :]))
-    shifted = krylov[8 * k :]  # E^8, made 1 - r^8 E^8 in place
+    power = krylov[8 * k :]  # E^8
     rhs = adj[k:, :k]  # B^dagger
-    if horizon is not None:  # (1 - r^{8q} E^{8q}) B^dagger, q = horizon // 8
-        tail = rhs
-        for _ in range(horizon // 8):
-            tail = shifted @ tail
-        rhs = rhs - _RING_RADIUS ** (horizon - 1) * tail
-    shifted *= -(_RING_RADIUS**8)
-    shifted.reshape(-1)[:: n - k + 1] += 1.0
-    terms = krylov[: 8 * k] @ np.linalg.solve(shifted, rhs)  # C^dagger E^m X
+    if horizon is None:  # X = (1 - r^8 E^8)^{-1} B^dagger, 1 - r^8 E^8 made in place
+        power *= -(_RING_RADIUS**8)
+        power.reshape(-1)[:: n - k + 1] += 1.0
+        x = np.linalg.solve(power, rhs)
+    else:  # X = sum_{j<q} (r^8 E^8)^j B^dagger by Horner, q = horizon // 8; 0 at q = 0
+        power *= _RING_RADIUS**8  # r^8 = 2^-8, so exact
+        x = rhs if horizon > 1 else np.zeros_like(rhs)
+        for _ in range(horizon // 8 - 1):
+            x = rhs + power @ x
+    terms = krylov[: 8 * k] @ x  # C^dagger E^m X
     return adj[:k, :k] + (_RING_POWERS @ terms.reshape(8, k * k)).reshape(8, k, k)
 
 
@@ -167,9 +178,12 @@ def schur_of_subspace(U, v, order: int) -> MatrixPowerSeries:
     the adjoints of sum_n conj(z_t)^n a_{n+1}, one product with the stack.
     The stack runs to h = 8q + 1, q = max(1, ceil(order / 8)), the first
     such horizon past the order, and the ring returns f_V less its exact
-    tail past a_h, so the two agree to rounding and every returned
-    amplitude weighs 2^{1-n} in the comparison.  ``U`` is certified
-    once, and V validated once, here, unless ``U`` is already a Unitary.
+    tail past a_h, a finite geometric sum in E^8 with no solve, so the two
+    agree to rounding and every returned amplitude weighs 2^{1-n} in the
+    comparison.  The ring form is the amplitudes' Taylor sum for any
+    square U, so the check reads the recursion, not U's unitarity, which
+    certify vouches for.  ``U`` is certified once, and V validated once,
+    here, unless ``U`` is already a Unitary.
     """
     u, order = certify(U), _order(order)
     split = _split(u.matrix.shape[0], v)

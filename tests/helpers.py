@@ -15,7 +15,7 @@ from cmvkit.schur import (
     synthesize,
 )
 from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
-from cmvkit.spectral import _CHUNK, _takes_stages
+from cmvkit.spectral import _CHUNK, RESOLVENT_SAMPLES, _takes_stages
 
 
 def direct_sum(*blocks) -> np.ndarray:
@@ -184,6 +184,32 @@ def projector_resolvent(U, v, z) -> np.ndarray:
     b[idx, np.arange(k)] = 1.0
     values = np.linalg.solve(shifted, np.broadcast_to(b, (zs.size, n, k)))[:, idx]
     return values.reshape(points.shape + (k, k))
+
+
+def ring_less_tail_by_solve(U, v, horizon: int) -> np.ndarray:
+    """f_V less its tail past a_h at the eight RESOLVENT_SAMPLES, h = 8q + 1,
+    from one solve of (1 - r^8 E^8) X = (1 - r^{8q} E^{8q}) B^dagger, E^{8q}
+    B^dagger being q thin products with E^8: the form that
+    spectral.resolvent_compression's finite geometric sum replaces."""
+    u = certify(U).matrix
+    n = u.shape[0]
+    idx = np.array(index_tuple(n, v), dtype=np.intp)
+    rest = np.setdiff1d(np.arange(n), idx)
+    k = idx.size
+    perm = np.concatenate((idx, rest))
+    adj = u[np.ix_(perm, perm)].conj().T  # [[A^dagger, C^dagger], [B^dagger, E]]
+    krylov = adj[:, k:]
+    for p in (1, 2, 4):
+        krylov = np.concatenate((krylov[: p * k], krylov @ krylov[p * k :]))
+    e8, rhs = krylov[8 * k :], adj[k:, :k]
+    tail = rhs
+    for _ in range(horizon // 8):
+        tail = e8 @ tail
+    r = abs(RESOLVENT_SAMPLES[0])
+    x = np.linalg.solve(np.eye(n - k) - r**8 * e8, rhs - r ** (horizon - 1) * tail)
+    terms = (krylov[: 8 * k] @ x).reshape(8, k * k)
+    powers = np.vander(np.array(RESOLVENT_SAMPLES), 9, increasing=True)[:, 1:]
+    return adj[:k, :k] + (powers @ terms).reshape(8, k, k)
 
 
 def grid_max_norm(f) -> float:

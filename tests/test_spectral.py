@@ -22,6 +22,7 @@ from helpers import (
     column_selector,
     projector_resolvent,
     ring_first_return,
+    ring_less_tail_by_solve,
     selector_recursion,
     stepwise_first_return,
 )
@@ -249,7 +250,8 @@ class TestFirstReturn:
     @pytest.mark.parametrize("family", ["C", "Chat", "H", "Hhat"])
     def test_ring_less_its_tail_on_built_operators(self, family):
         # every block range of seeded terminal builds, V empty and V the
-        # whole space among them
+        # whole space among them, against the Taylor sum and against the
+        # solve that the finite geometric sum replaces
         rng = np.random.default_rng(len(family))
         for d in (1, 2):
             p = random_parameters(d, 5, rng, terminal=True)
@@ -262,6 +264,7 @@ class TestFirstReturn:
                     taylor = MatrixPowerSeries(first_return_amplitudes(u, v, h).transpose(0, 2, 1).conj())
                     got = resolvent_compression(u, v, h)
                     assert np.abs(got - taylor.values_at(RESOLVENT_SAMPLES)).max(initial=0.0) <= 1e-13, (v, h)
+                    assert np.abs(got - ring_less_tail_by_solve(u, v, h)).max(initial=0.0) <= 1e-13, (v, h)
 
     @pytest.mark.parametrize("bad", [0, 2, 8, 10, 48, -7])
     def test_ring_horizon_must_be_one_past_a_multiple_of_eight(self, bad):
@@ -272,6 +275,30 @@ class TestFirstReturn:
     def test_ring_horizon_must_be_an_integer(self, bad):
         with pytest.raises(ValueError, match=f"^horizon must be an integer, got {bad!r}"):
             resolvent_compression(np.eye(3), (0,), bad)
+
+    # the edges: V empty, V the whole space, n = 1
+    @example(seed=1, n=7, k=0)
+    @example(seed=2, n=7, k=7)
+    @example(seed=3, n=1, k=1)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), k=st.integers(0, 40))
+    def test_geometric_sum_matches_the_solve_it_replaces(self, seed, n, k):
+        # sum_{j<q} (r^8 E^8)^j B^dagger against the solve of
+        # (1 - r^8 E^8) X = (1 - r^{8q} E^{8q}) B^dagger
+        rng = np.random.default_rng(seed)
+        u = random_unitary(n, rng)
+        idx = tuple(int(i) for i in rng.permutation(n)[: min(k, n)])
+        for h in (1, 9, 17, 25, 41, 49, 65):
+            got, want = resolvent_compression(u, idx, h), ring_less_tail_by_solve(u, idx, h)
+            assert got.shape == want.shape == (8, len(idx), len(idx))
+            assert np.abs(got - want).max(initial=0.0) <= 1e-13, h
+
+    @pytest.mark.parametrize("n, v", [(1, (0,)), (1, ()), (6, ()), (6, (4, 1)), (6, (5, 0, 3, 1, 2, 4))])
+    def test_ring_at_horizon_one_is_a_dagger(self, n, v, rng):
+        # q = 0: no amplitude past a_1, so f_V less its tail is A^dagger at every point
+        u = random_unitary(n, rng)
+        a = u[np.ix_(v, v)]
+        assert np.array_equal(resolvent_compression(u, v, 1), np.broadcast_to(a.conj().T, (8, len(v), len(v))))
 
     def test_whole_space_and_empty_subspace(self, rng):
         u = random_unitary(5, rng)
@@ -416,6 +443,20 @@ class TestSchurOfSubspace:
                             lambda U, v, h=None: seen.append(("ring", h)) or ring(U, v, h))
         schur_of_subspace(random_unitary(6, rng), (4, 1), order)
         assert seen == [("amps", horizon), ("ring", horizon)]
+
+    def test_only_the_whole_ring_solves(self, rng, monkeypatch):
+        # the hot path inverts nothing: the horizon form is a finite sum
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+        u = random_unitary(9, rng)
+        for order in (0, 12, 64):
+            schur_of_subspace(u, (4, 1), order)
+        for h in (1, 9, 17, 65):
+            resolvent_compression(u, (4, 1), h)
+        assert solves == []
+        resolvent_compression(u, (4, 1))
+        assert solves == [1]
 
     def test_v_is_validated_once(self, rng, monkeypatch):
         u = random_unitary(6, rng)
