@@ -180,13 +180,16 @@ def _assemble(family: str, p: SchurParameters, lo: int, hi: int, closure: Unitar
     boundary in the layer whose rank it shares; a Hessenberg family
     applies one rotation at a time.
 
-    The certificate bounds the dense residual without forming U^dagger U:
-    a parity layer is block diagonal, so its residual is the
-    root-sum-square of its blocks' residuals, and the residual of a
-    product is at most the sum of its factors' to first order.  The
-    Hessenberg product uses the plain sum of the Theta residuals.  Both
-    add the boundary's residual, read off its certificate.  The Theta
-    blocks and their residuals are slices of the ones kept on p.
+    The certificate bounds the dense residual ||U^dagger U - 1||_F (equal
+    to ||U U^dagger - 1||_F, both being ||S^2 - 1||_F for U = W S V^dagger)
+    without forming U^dagger U: a parity layer is block diagonal, so its
+    residual is the root-sum-square of its blocks' residuals, and the
+    residual of a product is at most the sum of its factors' to first
+    order.  The Hessenberg product uses the plain sum of the Theta
+    residuals.  Both add the boundary's residual, read off its
+    certificate, and a bound that is not at most UNITARY_TOL, NaN
+    included, is refused.  The Theta blocks and their residuals are
+    slices of the ones kept on p.
     """
     thetas, res = (a[lo:hi] for a in _theta_blocks(p))
     m, d, closing = len(thetas), closure.matrix.shape[0], closure.residual
@@ -219,7 +222,7 @@ def _assemble(family: str, p: SchurParameters, lo: int, hi: int, closure: Unitar
         bound = float(np.sum(res))
         what = "built Hessenberg matrix"
     bound += closing
-    if bound > UNITARY_TOL:
+    if not bound <= UNITARY_TOL:
         if res.size and res.max() >= closing:
             worst = f"the Theta block of alpha_{lo + int(res.argmax())}, residual {res.max():.3e}"
         else:

@@ -150,16 +150,12 @@ def numerical_rank(m) -> int:
 
 
 def unitary_residuals(stack) -> np.ndarray:
-    """is_unitary's residual, max(||M^dagger M - 1||_F, ||M M^dagger - 1||_F),
-    of each matrix M in a (k, n, n) stack, in one batched pass; is_unitary
-    evaluates the same formula on one matrix without the stack axis."""
+    """is_unitary's residual ||M†M - 1||_F of each matrix M in a (k, n, n)
+    stack, in one batched pass; with M = UΣV† it is ||Σ² - 1||_F = ||MM† - 1||_F."""
     s = np.asarray(stack, dtype=np.complex128)
-    adj = s.conj().swapaxes(-1, -2)
-    eye = np.eye(s.shape[-1])
-    return np.maximum(
-        np.linalg.norm(adj @ s - eye, axis=(-2, -1)),
-        np.linalg.norm(s @ adj - eye, axis=(-2, -1)),
-    )
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise ValueError("unitarity is only defined for square matrices")
+    return np.linalg.norm(s.conj().swapaxes(-1, -2) @ s - np.eye(s.shape[-1]), axis=(-2, -1))
 
 
 class UnitaryCheck(NamedTuple):
@@ -168,20 +164,23 @@ class UnitaryCheck(NamedTuple):
 
 
 def is_unitary(m) -> UnitaryCheck:
-    """Check M†M = MM† = 1 to UNITARY_TOL in Frobenius norm, with the residual."""
+    """Check M†M = 1 to UNITARY_TOL in Frobenius norm, with the residual
+    ||M†M - 1||_F.  For square M = UΣV† it equals ||MM† - 1||_F: both are
+    ||Σ² - 1||_F, as M†M - 1 = V(Σ² - 1)V† and MM† - 1 = U(Σ² - 1)U†."""
     a = as_matrix(m)
-    n, k = a.shape
-    if n != k:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("unitarity is only defined for square matrices")
-    adj, eye = a.conj().T, np.eye(n)
-    residual = max(float(np.linalg.norm(adj @ a - eye)), float(np.linalg.norm(a @ adj - eye)))
+    gram = a.conj().T @ a
+    np.fill_diagonal(gram, gram.diagonal() - 1.0)
+    residual = float(np.linalg.norm(gram))
     return UnitaryCheck(residual <= UNITARY_TOL, residual)
 
 
 @dataclass(frozen=True, eq=False)
 class Unitary:
     """A matrix certified unitary once: a read-only array and a bound on
-    its is_unitary residual.  Made only by ``certify``, by
+    its is_unitary residual ||M†M - 1||_F (which is ||MM† - 1||_F, M being
+    square).  A NaN bound certifies nothing.  Made only by ``certify``, by
     ``certified_identity`` and by the operator assembler in ``cmv``, which
     bounds the residual from its Theta blocks."""
 
@@ -200,14 +199,13 @@ def certify(m, what: str = "matrix") -> Unitary:
     """The is_unitary test, kept with its matrix; a Unitary passes through
     without recomputing anything."""
     if isinstance(m, Unitary):
-        if m.residual > UNITARY_TOL:
+        if not m.residual <= UNITARY_TOL:  # a NaN residual fails too
             raise ValueError(f"{what} is not unitary (residual {m.residual:.3e})")
         return m
-    a = as_matrix(m)
-    check = is_unitary(a)
+    check = is_unitary(m)  # validates m as as_matrix does
     if not check.ok:
         raise ValueError(f"{what} is not unitary (residual {check.residual:.3e})")
-    a = a.copy()
+    a = np.array(m, dtype=np.complex128)
     a.flags.writeable = False
     return Unitary(a, check.residual)
 

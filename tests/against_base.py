@@ -8,7 +8,8 @@
 ``dump`` writes each surface below, of the same seeded inputs at any commit,
 to one .npz keyed "surface/group/name", and the signatures and each surface
 that raised to a .json beside it; the base takes amplitudes and resolvents
-of the head's builds.  ``compare`` prints every check, then exits 1 on any that fails.
+of the head's builds and certifies the head's overlap arrays.  ``compare``
+prints every check, then exits 1 on any that fails.
 """
 
 import json
@@ -19,20 +20,28 @@ from pathlib import Path
 import numpy as np
 
 # surface -> largest allowed entry difference; None only prints
-BOUNDS = {"build": None, "amplitudes": 1e-13, "resolvent": 1e-13, "overlap": 1e-15, "forward": 1e-12,
-          "superposition": 1e-13}
+BOUNDS = {"build": None, "amplitudes": 1e-13, "resolvent": 1e-13, "overlap": 1e-15, "certificate": 1e-14,
+          "forward": 1e-12, "superposition": 1e-13}
 
 
-def builds():
+def build_specs():
     """The four families at d 1-3 of seeded terminal sets of 0-8 parameters."""
-    from cmvkit.cmv import BlockOperatorSpec, build
+    from cmvkit.cmv import BlockOperatorSpec
     from cmvkit.schur import random_parameters
 
     for d in (1, 2, 3):
         for length in range(9):
             p = random_parameters(d, length, np.random.default_rng([d, length]), terminal=True)
             for family in ("C", "Chat", "H", "Hhat"):
-                yield f"{family} d={d}", f"length={length}", build(BlockOperatorSpec(p, family, length + 1))
+                yield f"{family} d={d}", f"length={length}", BlockOperatorSpec(p, family, length + 1)
+
+
+def builds():
+    """The matrix of each operator of build_specs."""
+    from cmvkit.cmv import build
+
+    for group, name, spec in build_specs():
+        yield group, name, build(spec)
 
 
 def block_ranges(dumped):
@@ -109,6 +118,20 @@ def overlaps():
         for part, a in (("source product", source.product()), ("u_lc", fact.u_lc), ("u_cr", fact.u_cr),
                         ("product", fact.product())):
             yield f"{kind} {part}", name, a
+
+
+def certificates(dumped):
+    """Unitarity residuals: build_unitary's Theta-block bound of each
+    build, and certify's residual of each dumped overlap array (the source
+    product, both factors and their product)."""
+    from cmvkit.cmv import build_unitary
+    from cmvkit.linalg import certify
+
+    for group, name, spec in build_specs():
+        yield f"build {group}", name, np.array(build_unitary(spec).residual)
+    for key in (k for k in dumped if k.startswith("overlap/")):
+        _, group, name = key.split("/")
+        yield f"overlap {group}", name, np.array(certify(dumped[key]).residual)
 
 
 def forward():
@@ -198,7 +221,8 @@ def dump(path, builds_from=None):
         return np.load(builds_from) if builds_from else arrays
 
     surfaces = {"build": builds, "amplitudes": lambda: amplitudes(dumped()), "resolvent": lambda: resolvents(dumped()),
-                "overlap": overlaps, "forward": forward, "superposition": superpositions}
+                "overlap": overlaps, "certificate": lambda: certificates(dumped()), "forward": forward,
+                "superposition": superpositions}
     for surface, items in surfaces.items():
         arrays.update(run(surface, lambda: {f"{surface}/{group}/{name}": a for group, name, a in items()}))
     meta.update(run("signatures", signatures))

@@ -329,6 +329,14 @@ def lost_terminal_series() -> MatrixPowerSeries:
     return synthesize(SchurParameters(1, g, random_unitary(1, rng)), 64)
 
 
+def two_sided_unitary_residual(m) -> float:
+    """max(||M^dagger M - 1||_F, ||M M^dagger - 1||_F), the reference for
+    linalg.is_unitary and linalg.unitary_residuals, which form only M^dagger M."""
+    a = as_matrix(m)
+    adj, eye = a.conj().T, np.eye(len(a))
+    return max(float(np.linalg.norm(adj @ a - eye)), float(np.linalg.norm(a @ adj - eye)))
+
+
 def random_contraction(d: int, rng) -> np.ndarray:
     """Complex Gaussian matrix rescaled to operator norm 0.9 r, r ~ U(0,1):
     the one-parameter case of the library's batched draw."""

@@ -6,14 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from against_base import BOUNDS, PREFIX_HORIZONS, amplitudes, compare, dump, resolvents
-from helpers import projector_resolvent
+from against_base import BOUNDS, PREFIX_HORIZONS, amplitudes, certificates, compare, dump, resolvents
+from helpers import projector_resolvent, two_sided_unitary_residual
 
 BASE = {
     "build/C d=1/length=0": np.eye(2, dtype=complex),
     "amplitudes/C d=1/length=0 v=0-0 h=48": np.full((3, 1, 1), 0.5 + 0.5j),
     "resolvent/C d=1/length=0 v=0-0": np.full((8, 1, 1), 0.25 - 0.5j),
     "overlap/random u_lc/012": np.eye(2, dtype=complex),
+    "certificate/overlap random u_lc/012": np.array(2.5e-16),
     "forward/d=1/length=1 terminal=True order=16": np.array([[[0.3]], [[1.0]]], dtype=complex),
     "superposition/H order=12/length=1 j=0 w=0 formula": np.full((13, 1, 1), 0.125j),
 }
@@ -53,6 +54,7 @@ def test_identical_dumps_pass_and_print_every_group(tmp_path, capsys):
                  "bundled: 2 reports, 0 residuals moved", "mixed: 0 reports differ in a field other than residual",
                  "amplitudes: 0 of 3 entries differ", "resolvent: 0 of 8 entries differ",
                  "overlap: 0 of 4 entries differ", "forward: 0 of 2 entries differ",
+                 "certificate overlap random u_lc: largest difference 0.000e+00", "certificate: 0 of 1 entries differ",
                  "superposition H order=12: largest difference 0.000e+00", "superposition: 0 of 13 entries differ"):
         assert line in out
     assert "build: 0 of" not in out
@@ -164,6 +166,25 @@ def test_a_shorter_stack_off_the_horizon_65_prefix_fails_the_surface(monkeypatch
         list(amplitudes(dumped))
 
 
+def test_a_base_with_the_two_sided_residual_reads_the_same_certificates(monkeypatch):
+    # a base whose is_unitary and unitary_residuals take max(||M^dagger M - 1||_F, ||M M^dagger - 1||_F)
+    from cmvkit import cmv, linalg
+    from cmvkit.schur import random_unitary
+
+    rng = np.random.default_rng(0)
+    dumped = {f"overlap/random u_lc/{n}": random_unitary(n, rng) for n in (1, 4, 9)}
+    head = {(group, name): a for group, name, a in certificates(dumped)}
+    monkeypatch.setattr(linalg, "is_unitary", lambda m: linalg.UnitaryCheck(
+        (r := two_sided_unitary_residual(m)) <= linalg.UNITARY_TOL, r))
+    monkeypatch.setattr(cmv, "unitary_residuals", lambda s: np.array([two_sided_unitary_residual(m) for m in s]))
+    base = {(group, name): a for group, name, a in certificates(dumped)}
+    assert base.keys() == head.keys() and len(head) == 108 + 3
+    assert all(a.shape == () for a in head.values())
+    assert max(abs(base[key] - head[key]) for key in head) <= BOUNDS["certificate"]
+    # the Theta residuals were taken afresh from the replaced formula, not read off a memo
+    assert any(base[key] != head[key] for key in head if key[0].startswith("build"))
+
+
 def test_dump_produces_every_surface(tmp_path):
     path = tmp_path / "head.npz"
     dump(path)
@@ -172,6 +193,6 @@ def test_dump_produces_every_surface(tmp_path):
         counts = {s: sum(k.startswith(s + "/") for k in arrays.files) for s in BOUNDS}
     path.unlink()
     assert meta["failed"] == {}
-    assert counts == {"build": 108, "amplitudes": 1980, "resolvent": 1980, "overlap": 516, "forward": 102,
-                      "superposition": 528}
+    assert counts == {"build": 108, "amplitudes": 1980, "resolvent": 1980, "overlap": 516, "certificate": 624,
+                      "forward": 102, "superposition": 528}
     assert "schur_forward" in meta["signatures"] and meta["options"]

@@ -803,6 +803,13 @@ class TestCertificate:
         with pytest.raises(ValueError, match="not unitary.*alpha_3"):
             build(BlockOperatorSpec(p, family, 7))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_a_nan_boundary_certificate_is_refused(self, family, rng):
+        # a NaN bound is not at most UNITARY_TOL, so it fails like a large one
+        p = random_parameters(1, 3, rng)
+        with pytest.raises(ValueError, match="not unitary.*the boundary unitary, residual nan"):
+            cmv._assemble(family, p, 0, 3, linalg.Unitary(np.eye(1), float("nan")))
+
     def test_verifiers_make_no_dense_unitarity_check(self, rng, monkeypatch):
         shapes = []
         original = linalg.is_unitary

@@ -3,6 +3,7 @@ unitarity, and the JSON wire format."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmvkit import cmv, linalg
 from cmvkit.catalog import double_diffusion_six
@@ -22,7 +23,7 @@ from cmvkit.linalg import (
     unitary_residuals,
 )
 from cmvkit.schur import random_parameters, random_unitary, rho_left, rho_right
-from helpers import column_selector, direct_sum, embed, random_contraction
+from helpers import column_selector, direct_sum, embed, random_contraction, two_sided_unitary_residual
 
 
 class TestSubspace:
@@ -150,6 +151,27 @@ class TestIsUnitary:
             single = is_unitary(m).residual
             assert abs(single - unitary_residuals(m[None])[0]) <= 1e-15 * max(1.0, single)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), kind=st.sampled_from(["haar", "near", "scaled", "ones", "gaussian"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_gram_product_matches_the_two_sided_residual(self, n, kind, seed):
+        # ||M^dagger M - 1||_F = ||M M^dagger - 1||_F = ||S^2 - 1||_F for square M = W S V^dagger
+        rng = np.random.default_rng(seed)
+        m = {"haar": lambda: random_unitary(n, rng), "near": lambda: random_unitary(n, rng) + 1e-6 * np.eye(n),
+             "scaled": lambda: 1.1 * np.eye(n), "ones": lambda: np.ones((n, n)),
+             "gaussian": lambda: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))}[kind]()
+        want = two_sided_unitary_residual(m)
+        check = is_unitary(m)
+        for got in (check.residual, unitary_residuals(m[None])[0]):
+            assert abs(got - want) <= 1e-14 * max(1.0, want), (got, want)
+        assert check.ok == (want <= UNITARY_TOL)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 1), (1, 3), (0, 2)])
+    def test_a_non_square_matrix_raises(self, shape):
+        for residual in (is_unitary, lambda m: unitary_residuals(m[None])):
+            with pytest.raises(ValueError, match="only defined for square matrices"):
+                residual(np.ones(shape))
+
     def test_theta_stacks_take_the_batched_path(self, rng, monkeypatch):
         # the build certifies its Theta blocks as one stack and reads the
         # boundary's residual off its certificate, never through is_unitary
@@ -187,6 +209,10 @@ class TestCertify:
             certify(Unitary(cert.matrix, 2 * UNITARY_TOL), what="gauge")
         with pytest.raises(ValueError, match="^matrix is not unitary"):
             certify(1.01 * cert.matrix)
+
+    def test_a_nan_certificate_is_refused(self):
+        with pytest.raises(ValueError, match=r"^matrix is not unitary \(residual nan\)"):
+            certify(Unitary(np.eye(2), float("nan")))
 
 
 class TestIntertwining:
