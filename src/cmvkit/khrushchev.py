@@ -43,7 +43,7 @@ from .cmv import (
     unitary_truncation,
     window_spec,
 )
-from .linalg import unit_vector
+from .linalg import Unitary, is_unitary, unit_vector
 from .overlap import (
     SubspacePartition,
     abstract_khrushchev_check,
@@ -298,15 +298,20 @@ def _state_schur(params: SchurParameters, family: str, j: int, beta: complex, ga
     read-only, is rotated on coordinates j, j+1 by the unitary
     W = [[beta, -conj(gamma)], [gamma, conj(beta)]], so that coordinate j
     of W^dagger U W is psi; its Schur function is f_psi, with no series
-    divided.  schur_of_subspace certifies the rotated matrix and runs the
-    ring cross-check on it."""
+    divided.  schur_of_subspace runs the ring cross-check on the rotated
+    matrix, handed over as a Unitary: W^dagger U W is a product of three
+    unitaries, so to first order its residual is at most U's certificate
+    plus W's residual twice (W^dagger's equals W's), as cmv._assemble
+    bounds a product, and no n x n Gram product is formed."""
     spec = window_spec(params, family, j + 1, order)
     v = list(block_subspace(spec, (j, j + 1)))  # d = 1: the coordinates j, j + 1
-    u = build_unitary(spec).matrix.copy()
+    kept = build_unitary(spec)
+    u = kept.matrix.copy()
     w = np.array([[beta, -np.conj(gamma)], [gamma, np.conj(beta)]])
     u[:, v] = u[:, v] @ w
     u[v] = w.conj().T @ u[v]
-    return schur_of_subspace(u, v[:1], order)
+    u.flags.writeable = False
+    return schur_of_subspace(Unitary(u, kept.residual + 2.0 * is_unitary(w).residual), v[:1], order)
 
 
 def _superposition_uv(alpha: complex, beta: complex, gamma: complex) -> tuple[complex, complex]:

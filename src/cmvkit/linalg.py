@@ -181,8 +181,12 @@ class Unitary:
     """A matrix certified unitary once: a read-only array and a bound on
     its is_unitary residual ||M†M - 1||_F (which is ||MM† - 1||_F, M being
     square).  A NaN bound certifies nothing.  Made only by ``certify``, by
-    ``certified_identity`` and by the operator assembler in ``cmv``, which
-    bounds the residual from its Theta blocks."""
+    ``certified_identity``, by the operator assembler in ``cmv``, which
+    bounds the residual from its Theta blocks, by the superposition route
+    in ``khrushchev``, which rotates a certified operator by a 2 x 2
+    unitary and adds that rotation's residual, and by
+    ``schur.schur_forward``, which hands on the is_unitary residual of the
+    terminal it reads."""
 
     matrix: np.ndarray
     residual: float

@@ -11,7 +11,11 @@ the other factor's coefficients side by side.
 Every series quotient runs through one causal loop, left_divide (D^(-1) N),
 which scales both stacks by D_0^(-1) first and then spends one GEMM per
 coefficient: inverse() is D^(-1) 1, and a / b = a b^(-1) runs it on
-transposes.  Sampling on a grid (values_at) is one GEMM as well.
+transposes.  A stack of quotients of one length shares the loop, one
+batched GEMM per coefficient over its members, each member's quotient
+the bits of its own call; a single quotient, a stack with no leading
+axes, runs the same loop on plain matrices.
+Sampling on a grid (values_at) is one GEMM as well.
 
 The scalar case is d = 1 with 1x1 coefficient matrices; nothing is
 special-cased for it.
@@ -330,21 +334,30 @@ def left_divide(den: np.ndarray, num: np.ndarray) -> np.ndarray:
         X_k = N~_k - sum_{i=1..k} D~_i X_{k-i},
 
     one GEMM and one subtraction in place per coefficient.  Every series
-    quotient runs here."""
-    n, d = len(num) - 1, num.shape[1]
+    quotient runs here.
+
+    ``den`` and ``num`` are (n+1, d, d) stacks, or (..., n+1, d, d) stacks
+    of quotients of one length, which share the loop: each GEMM is one
+    batched product over the members, and each member's quotient is the
+    same bits as its own call.  A single quotient is a stack with no
+    leading axes, so it runs the same loop on plain matrices."""
+    lead, (m, d) = num.shape[:-3], num.shape[-3:-1]
+    n = m - 1
     try:
-        inv0 = np.linalg.inv(den[0])
+        inv0 = np.linalg.inv(den[..., 0, :, :])
     except np.linalg.LinAlgError:
         raise ValueError("constant term is singular; series has no inverse") from None
-    row = inv0 @ den[1:].transpose(1, 0, 2).reshape(d, n * d)  # [D~_1 ... D~_n]
-    rhs = inv0 @ num.transpose(1, 0, 2).reshape(d, (n + 1) * d)  # [N~_0 ... N~_n]
-    # rev[n - k] = X_k, so X_{k-1}, ..., X_0 is one contiguous slice; it
-    # starts as N~ and each coefficient subtracts its sum in place
-    rev = rhs.reshape(d, n + 1, d)[:, ::-1].transpose(1, 0, 2).copy()
-    for k in range(1, n + 1):
-        x = rev[n - k]
-        np.subtract(x, row[:, : k * d] @ rev[n - k + 1 :].reshape(k * d, d), out=x)
-    return rev[::-1].copy()
+    row = inv0 @ den[..., 1:, :, :].swapaxes(-3, -2).reshape(*lead, d, n * d)  # [D~_1 ... D~_n]
+    rhs = inv0 @ num.swapaxes(-3, -2).reshape(*lead, d, m * d)  # [N~_0 ... N~_n]
+    # rows (n - k)d..(n - k + 1)d - 1 of rev hold X_k, so X_{k-1}, ..., X_0
+    # is one contiguous slice of each member; it starts as N~ and each
+    # coefficient subtracts its sum in place
+    rev = rhs.reshape(*lead, d, m, d)[..., ::-1, :].swapaxes(-3, -2).copy().reshape(*lead, m * d, d)
+    for k in range(1, m):
+        lo = (n - k) * d
+        x = rev[..., lo : lo + d, :]
+        np.subtract(x, row[..., : k * d] @ rev[..., lo + d :, :], out=x)
+    return np.ascontiguousarray(rev.reshape(*lead, m, d, d)[..., ::-1, :, :])
 
 
 def coeff_distance(a: MatrixPowerSeries, b: MatrixPowerSeries) -> float:

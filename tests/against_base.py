@@ -21,7 +21,7 @@ import numpy as np
 
 # surface -> largest allowed entry difference; None only prints
 BOUNDS = {"build": None, "amplitudes": 1e-13, "resolvent": 1e-13, "overlap": 1e-15, "certificate": 1e-14,
-          "forward": 1e-12, "superposition": 1e-13}
+          "forward": 1e-12, "superposition": 1e-13, "iterates": 1e-14}
 
 
 def build_specs():
@@ -148,6 +148,24 @@ def forward():
                     yield f"d={d}", f"length={length} terminal={terminal} order={order}", np.array(found)
 
 
+def iterates():
+    """Every iterate_series and inverse_iterate_series of seeded terminal
+    sets of 0-8 parameters and open sets of 1-8 and 20 (d 1-3), at orders
+    0, 1, 12 and 64, each order's requests in a seeded shuffled order."""
+    from cmvkit.schur import inverse_iterate_series, iterate_series, random_parameters
+
+    sets = [(length, True) for length in range(9)] + [(length, False) for length in (*range(1, 9), 20)]
+    for d in (1, 2, 3):
+        for length, terminal in sets:
+            p = random_parameters(d, length, np.random.default_rng([d, length, terminal, 36]), terminal)
+            for order in (0, 1, 12, 64):
+                requests = [("f", j) for j in range(length + terminal)] + [("b", j) for j in range(length + 1)]
+                np.random.default_rng([d, length, terminal, order]).shuffle(requests)
+                for kind, j in requests:
+                    fn = iterate_series if kind == "f" else inverse_iterate_series
+                    yield f"d={d}", f"length={length} terminal={terminal} order={order} {kind}_{j}", fn(p, j, order).coeffs
+
+
 def superpositions():
     """Both routes of both two-site superposition functions at orders 12
     and 64, four weights each: the Hessenberg one at every j of seeded
@@ -222,7 +240,7 @@ def dump(path, builds_from=None):
 
     surfaces = {"build": builds, "amplitudes": lambda: amplitudes(dumped()), "resolvent": lambda: resolvents(dumped()),
                 "overlap": overlaps, "certificate": lambda: certificates(dumped()), "forward": forward,
-                "superposition": superpositions}
+                "superposition": superpositions, "iterates": iterates}
     for surface, items in surfaces.items():
         arrays.update(run(surface, lambda: {f"{surface}/{group}/{name}": a for group, name, a in items()}))
     meta.update(run("signatures", signatures))

@@ -2,11 +2,12 @@
 
 import numpy as np
 
-from cmvkit.linalg import as_matrix, certify, index_tuple, op_norm
+from cmvkit.linalg import UNITARY_TOL, as_matrix, certify, index_tuple, is_unitary, op_norm
 from cmvkit.pathcount import N_CAP, PRUNE_FLOOR
 from cmvkit.schur import (
     GROWTH_BOUND,
     TERMINAL_DETECT,
+    TERMINAL_GUARD,
     SchurParameters,
     _random_contractions,
     random_unitary,
@@ -298,8 +299,10 @@ def series_forward(f, steps: int) -> SchurParameters:
 
         f' = z^(-1) rR^(-1) (f - a)(1 - a†f)^(-1) rL,
 
-    with the same terminal detection as the library: the reference for
-    schur.schur_forward, which steps a packed fraction instead."""
+    with the same terminal detection as the library, a terminal read off
+    the unit sphere within the forward error taken as its polar factor:
+    the reference for schur.schur_forward, which steps a packed fraction
+    instead."""
     d = f.block_dim
     const = MatrixPowerSeries.constant
     alphas = []
@@ -307,6 +310,10 @@ def series_forward(f, steps: int) -> SchurParameters:
     for _ in range(steps):
         a = np.array(cur.coeff(0))
         if op_norm(a) > TERMINAL_DETECT:
+            guard = TERMINAL_GUARD * np.finfo(float).eps / np.prod([1.0 - op_norm(b) ** 2 for b in alphas])
+            u, sigma, vh = np.linalg.svd(a)
+            if is_unitary(a).residual > UNITARY_TOL and np.abs(sigma - 1.0).max() <= guard:
+                a = u @ vh
             return SchurParameters(d, tuple(alphas), a)
         alphas.append(a)
         # the quotient vanishes at 0; dropping that coefficient divides by z

@@ -17,6 +17,7 @@ BASE = {
     "certificate/overlap random u_lc/012": np.array(2.5e-16),
     "forward/d=1/length=1 terminal=True order=16": np.array([[[0.3]], [[1.0]]], dtype=complex),
     "superposition/H order=12/length=1 j=0 w=0 formula": np.full((13, 1, 1), 0.125j),
+    "iterates/d=1/length=1 terminal=True order=12 f_0": np.full((13, 1, 1), -0.375j),
 }
 REPORTS = [{"pass": True, "residual": 1e-15, "params": {"j": 0}},
            {"pass": False, "residual": 1.0, "params": {"j": 1}}]
@@ -55,7 +56,8 @@ def test_identical_dumps_pass_and_print_every_group(tmp_path, capsys):
                  "amplitudes: 0 of 3 entries differ", "resolvent: 0 of 8 entries differ",
                  "overlap: 0 of 4 entries differ", "forward: 0 of 2 entries differ",
                  "certificate overlap random u_lc: largest difference 0.000e+00", "certificate: 0 of 1 entries differ",
-                 "superposition H order=12: largest difference 0.000e+00", "superposition: 0 of 13 entries differ"):
+                 "superposition H order=12: largest difference 0.000e+00", "superposition: 0 of 13 entries differ",
+                 "iterates d=1: largest difference 0.000e+00", "iterates: 0 of 13 entries differ"):
         assert line in out
     assert "build: 0 of" not in out
 
@@ -67,7 +69,7 @@ def test_a_difference_above_its_bound_fails(tmp_path, capsys, key):
     assert run_compare(tmp_path, moved(key, 2 * bound)) == 1
     out = capsys.readouterr().out
     # every surface is still printed after the one that fails
-    assert f"largest difference {2 * bound:.3e}" in out and "superposition H order=12:" in out and "mixed:" in out
+    assert f"largest difference {2 * bound:.3e}" in out and "iterates d=1:" in out and "mixed:" in out
     surface = key.split("/")[0]
     assert f"{surface}: {BASE[key].size} of {BASE[key].size} entries differ" in out
 
@@ -194,5 +196,5 @@ def test_dump_produces_every_surface(tmp_path):
     path.unlink()
     assert meta["failed"] == {}
     assert counts == {"build": 108, "amplitudes": 1980, "resolvent": 1980, "overlap": 516, "certificate": 624,
-                      "forward": 102, "superposition": 528}
+                      "forward": 102, "superposition": 528, "iterates": 2532}
     assert "schur_forward" in meta["signatures"] and meta["options"]

@@ -21,7 +21,7 @@ from cmvkit.cli import main
 from cmvkit.cmv import block_subspace, build, window_spec
 from cmvkit.linalg import is_unitary, matrix_from_json, matrix_to_json
 from cmvkit.pathcount import oracle_first_return
-from cmvkit.schur import parameters_to_json, random_parameters
+from cmvkit.schur import parameters_from_json, parameters_to_json, random_parameters, synthesize
 from cmvkit.series import MatrixPowerSeries
 from cmvkit.spectral import first_return_amplitudes
 from helpers import embed, grid_max_norm, lost_terminal_series
@@ -114,6 +114,18 @@ class TestSchurCommands:
         res = runner.invoke(main, ["schur", "params", "--coeffs", str(csv), "--steps", "15"])
         assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
         assert "error: Schur coefficient 14" in res.output and "from a terminal" in res.output
+
+    def test_params_reads_a_terminal_off_the_unit_sphere_within_the_error(self, runner, tmp_path):
+        # the terminal comes back with residual 1.45e-9, above UNITARY_TOL
+        # and within the forward error: it is read as its polar factor
+        p = random_parameters(1, 20, np.random.default_rng(1), terminal=True)
+        csv, out = tmp_path / "f.csv", tmp_path / "p.json"
+        synthesize(p, 64).to_csv(str(csv))
+        res = runner.invoke(main, ["--out", str(out), "schur", "params", "--coeffs", str(csv), "--steps", "64"])
+        assert res.exit_code == 0, res.output
+        back = parameters_from_json(json.loads(out.read_text()))
+        assert len(back) == 20 and back.finite
+        assert np.abs(back.terminal - p.terminal).max() <= 1e-9
 
     def test_synthesize_round_trip(self, runner, tmp_path, rng):
         path = terminal_params_file(tmp_path, rng, length=2)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from cmvkit import khrushchev, series
+from cmvkit import khrushchev, linalg, series
 from cmvkit.cmv import BlockOperatorSpec, build, build_unitary, unitary_truncation
 from cmvkit.khrushchev import (
     SUPERPOSITION_ROUTES,
@@ -353,6 +353,25 @@ class TestStateSchur:
                     assert got.order == order
                     worst = max(worst, coeff_distance(got, cayley_reference(p, family, j, beta, gamma, order)))
         assert worst <= 1e-13
+
+    @pytest.mark.parametrize("family, terminal", [("C", False), ("C", True), ("H", True)])
+    def test_the_rotated_certificate_bounds_its_dense_residual(self, family, terminal, monkeypatch):
+        handed = []
+        original = khrushchev.schur_of_subspace
+        monkeypatch.setattr(khrushchev, "schur_of_subspace",
+                            lambda u, v, order: handed.append(u) or original(u, v, order))
+        for seed in range(4):
+            rng = np.random.default_rng([seed, terminal, 7])
+            p = random_parameters(1, 21 if not terminal else seed + 2, rng, terminal=terminal)
+            for j in range(7 if not terminal else len(p)):
+                for beta, gamma in (*FIXED_WEIGHTS, random_phase_weights(rng)):
+                    handed.clear()
+                    SUPERPOSITION_FUNCTIONS[family](p, j, beta, gamma, 12, route="operator_compress")
+                    (u,) = handed
+                    assert isinstance(u, linalg.Unitary) and not u.matrix.flags.writeable
+                    # a first-order bound, as the assembler's: rounding of
+                    # the matrix itself sits far below UNITARY_TOL
+                    assert linalg.is_unitary(u.matrix).residual <= u.residual + 1e-13, (j, u.residual)
 
     @pytest.mark.parametrize("family", ["C", "H"])
     def test_leaves_the_kept_operator_unchanged(self, rng, family):

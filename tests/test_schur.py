@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cmvkit import linalg, schur
 from cmvkit.catalog import diffusion_center_schur, rational_series
@@ -489,6 +489,90 @@ class TestPackedRun:
         assert coeff_distance(got, want) <= 1e-12 * scale
 
 
+def _run_reference(q, seed):
+    """The per-iterate run: synthesize(q, seed.order) as one mobius_step
+    over every parameter of q, from the given seed."""
+    return mobius_step(q.stacks()[0], seed, q.stacks()[1:], q._norms, seed.order)
+
+
+class TestOneRun:
+    """A set of n <= order + 1 parameters synthesizes every f_m and b_j of
+    one kind and order from one backward run and one stacked quotient."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 4),
+        length=st.integers(0, 14),
+        top=st.sampled_from([0.3, 0.9, 0.99, 0.999]),
+        extra=st.integers(0, 50),
+        terminal=st.booleans(),
+        sense=st.sampled_from(["ascending", "descending", "shuffled"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_iterate_is_its_own_run_bit_for_bit(self, d, length, top, extra, terminal, sense, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((length, d, d)) + 1j * rng.standard_normal((length, d, d))
+        norms = top * rng.uniform(0.0, 1.0, length)
+        if length:
+            norms[rng.integers(length)] = top
+        term = random_unitary(d, rng) if terminal else None
+        p = SchurParameters(d, g * (norms / np.linalg.norm(g, 2, axis=(1, 2)))[:, None, None], term)
+        order = max(0, length - 1) + extra
+        requests = [(kind, j) for j in range(length + 1) for kind in "fb" if terminal or kind == "b" or j < length]
+        if sense == "descending":
+            requests.reverse()
+        elif sense == "shuffled":
+            rng.shuffle(requests)
+        for kind, j in requests:
+            if kind == "f":
+                got = iterate_series(p, j, order)
+                q = iterate(p, j)
+                seed_series = MatrixPowerSeries.constant(term, order) if terminal else MatrixPowerSeries.zero(d, order)
+            else:
+                got = inverse_iterate_series(p, j, order)
+                q = inverse_iterate(p, j)
+                seed_series = MatrixPowerSeries.one(d, order)
+            # bytes also tell 0.0 from -0.0
+            assert got.coeffs.tobytes() == _run_reference(q, seed_series).coeffs.tobytes(), (kind, j)
+
+    @pytest.mark.parametrize("d, length, terminal", [(1, 1, True), (1, 6, False), (2, 5, True), (3, 13, True)])
+    def test_one_stacked_division_per_kind_and_order(self, rng, monkeypatch, d, length, terminal):
+        # norms at most 0.3 keep the product of kappas under GROWTH_BOUND
+        # over 13 steps, so no run divides early
+        p = SchurParameters(d, 0.3 * random_parameters(d, length, rng)._stack / 0.9,
+                            random_unitary(d, rng) if terminal else None)
+        divisions = []
+        divide = schur.left_divide
+        monkeypatch.setattr(schur, "left_divide", lambda *a: divisions.append(a[0].shape) or divide(*a))
+        for order in (12, 64):
+            for j in range(length + 1):
+                if terminal or j < length:
+                    iterate_series(p, j, order)
+                inverse_iterate_series(p, j, order)
+        assert divisions == [(length, 13, d, d)] * 2 + [(length, 65, d, d)] * 2
+
+    def test_each_handed_out_iterate_is_marked_once(self, rng, monkeypatch):
+        p = random_parameters(2, 6, rng, terminal=True)
+        marks = []
+        mark = MatrixPowerSeries.mark_schur
+        monkeypatch.setattr(MatrixPowerSeries, "mark_schur", lambda f: marks.append(f) or mark(f))
+        asked = [iterate_series(p, 2, 12), inverse_iterate_series(p, 4, 12), iterate_series(p, 0, 12)]
+        assert [iterate_series(p, 2, 12), inverse_iterate_series(p, 4, 12), iterate_series(p, 0, 12)] == asked
+        # the run made all six of each kind it was asked for; three were handed out
+        assert marks == asked
+        assert [len(p._runs[key]) for key in (("f", 12), ("b", 12))] == [6, 6]
+
+    def test_a_long_set_keeps_one_run_per_iterate(self, rng, monkeypatch):
+        p = random_parameters(2, 14, rng, terminal=True)
+        divisions = []
+        divide = schur.left_divide
+        monkeypatch.setattr(schur, "left_divide", lambda *a: divisions.append(a[0].shape) or divide(*a))
+        for j in range(15):
+            iterate_series(p, j, 12)
+        assert not p._runs
+        assert all(len(shape) == 3 for shape in divisions) and len(divisions) >= 14
+
+
 def _recovered(p):
     """The parameters of a set followed by its terminal, if it has one."""
     return p.alphas + ((p.terminal,) if p.finite else ())
@@ -505,6 +589,10 @@ class TestPackedForward:
         terminal=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # terminals read just off the unit sphere (residuals 1.2e-10 and
+    # 4.6e-10, above UNITARY_TOL and within the forward error)
+    @example(d=1, length=12, terminal=True, seed=113)
+    @example(d=1, length=12, terminal=True, seed=315)
     def test_recovers_every_parameter(self, d, length, terminal, seed):
         assume(length or terminal)
         p = random_parameters(d, length, np.random.default_rng(seed), terminal)
@@ -518,6 +606,40 @@ class TestPackedForward:
         for ours, theirs, want in zip(_recovered(got), _recovered(ref), _recovered(p)):
             assert np.abs(ours - want).max() <= bound
             assert np.abs(ours - theirs).max() <= bound
+
+
+class TestTerminalReadBack:
+    """schur_forward reads a terminal to within the forward error, as it
+    reads every parameter: over the seeded grid of terminal sets (seeds
+    0-399, d 1-2, lengths 8, 12, 16 and 20), where 121 of 3200 terminals
+    come back off the unit sphere by more than UNITARY_TOL, none raises."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 2), length=st.sampled_from([8, 12, 16, 20]), seed=st.integers(0, 399))
+    # terminals read with residuals 1.45e-9 and 2.85e-10
+    @example(d=1, length=20, seed=1)
+    @example(d=2, length=20, seed=32)
+    def test_the_terminal_grid_reads_back_within_the_bound(self, d, length, seed):
+        p = random_parameters(d, length, np.random.default_rng(seed), terminal=True)
+        back = schur_forward(synthesize(p, 64), 64)
+        bound = 1e3 * np.finfo(float).eps / np.prod(1.0 - np.square(p._norms))
+        assert len(back) == length and back.finite
+        for ours, want in zip(_recovered(back), _recovered(p)):
+            assert np.abs(ours - want).max() <= bound
+
+    def test_a_terminal_within_the_error_is_its_polar_factor(self, monkeypatch):
+        checked = []
+        original = schur.is_unitary
+        monkeypatch.setattr(schur, "is_unitary", lambda m: checked.append(m.copy()) or original(m))
+        p = random_parameters(1, 12, np.random.default_rng(113), terminal=True)
+        back = schur_forward(synthesize(p, 64), 13)
+        # the coefficient read as the terminal is off the unit sphere by
+        # more than UNITARY_TOL; its polar factor, checked once, is kept
+        read, polar = checked
+        assert original(read).residual > linalg.UNITARY_TOL
+        u, _, vh = np.linalg.svd(read)
+        assert np.array_equal(polar, u @ vh) and np.array_equal(back.terminal, polar)
+        assert back._certificate.residual == original(polar).residual <= 1e-15
 
 
 class TestBinaryTransform:

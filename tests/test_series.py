@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmvkit.catalog import diffusion_center_schur, rational_series
 from cmvkit.series import (
@@ -161,6 +162,44 @@ class TestDivision:
                 f / bad
         with pytest.raises(TypeError):
             2 / f
+
+
+class TestStackedDivision:
+    """left_divide on a (members, n+1, d, d) stack: one causal loop for
+    every member, each member's quotient the bits of its own call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        members=st.integers(1, 8),
+        d=st.integers(1, 4),
+        length=st.integers(1, 65),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_member_is_its_own_quotient_bit_for_bit(self, members, d, length, seed):
+        rng = np.random.default_rng(seed)
+        shape = (members, length, d, d)
+        den = 0.3 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        den[:, 0] += 3 * np.eye(d)
+        num = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = left_divide(den, num)
+        assert got.shape == shape and got.flags.c_contiguous
+        for member in range(members):
+            # bytes also tell 0.0 from -0.0
+            assert got[member].tobytes() == left_divide(den[member], num[member]).tobytes()
+
+    @pytest.mark.parametrize("members, singular", [(1, 0), (3, 0), (3, 2), (8, 5)])
+    def test_a_singular_member_raises(self, rng, members, singular):
+        den = rng.standard_normal((members, 5, 2, 2)) + 0j
+        den[:, 0] += 3 * np.eye(2)
+        den[singular, 0] = [[1.0, 2.0], [2.0, 4.0]]  # exactly singular
+        with pytest.raises(ValueError, match="constant term is singular"):
+            left_divide(den, den)
+
+    def test_a_single_quotient_keeps_its_shape(self, rng):
+        den = rng.standard_normal((7, 3, 3)) + 3 * np.eye(3)
+        got = left_divide(den, den[::-1])
+        assert got.shape == (7, 3, 3) and got.flags.c_contiguous
+        assert got.tobytes() == left_divide(den[None], den[None, ::-1])[0].tobytes()
 
 
 class TestTransforms:
