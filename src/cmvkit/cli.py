@@ -12,8 +12,12 @@ or `khrushchev.CLOSED_FORM_CASES`.  A new theorem tag is one row here
 plus one verifier there; `catalog` stays data.
 
 Exit codes: 0 all checks pass, 1 a verification or a campaign job failed,
-2 bad input (unparseable files, broken invariants, missing options); a
-campaign checks every job before it runs any, so 2 means nothing ran.
+2 bad input (unparseable files, broken invariants, missing options, an
+`--out` that names a directory or sits in a missing one); a campaign checks
+every job before it runs any, so a refusal at parse time means nothing
+ran.  Commands raise and never exit on an error: `_ExitCodes`, the class
+of `main`, runs every command and turns an `ArithmeticError` into exit 1
+and a `PARSE_ERRORS` member into exit 2, printing `error: <message>`.
 """
 
 from __future__ import annotations
@@ -44,16 +48,11 @@ PARSE_ERRORS = (ValueError, KeyError, TypeError, IndexError, OSError,
                 json.JSONDecodeError)
 
 
-def _die(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text())
     except PARSE_ERRORS as exc:
-        _die(2, f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _emit(payload, out: str | None) -> None:
@@ -106,7 +105,18 @@ def _as_complex(job, key: str, default: float) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """The one exit-code policy: every command runs inside `invoke`."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ArithmeticError, *PARSE_ERRORS) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1 if isinstance(exc, ArithmeticError) else 2)
+
+
+@click.group(cls=_ExitCodes)
 @click.option("--tol", type=float, default=khrushchev.DEFAULT_TOL, show_default=True,
               help="default verification tolerance")
 @click.option("--order", type=int, default=16, show_default=True,
@@ -119,9 +129,12 @@ def _as_complex(job, key: str, default: float) -> complex:
 def main(ctx, tol, order, seed, out):
     """Schur functions of unitary operators and their factorizations."""
     if order < 0:
-        _die(2, "--order must be nonnegative")
+        raise ValueError("--order must be nonnegative")
     if not (math.isfinite(tol) and tol >= 0):
-        _die(2, "--tol must be finite and nonnegative")
+        raise ValueError("--tol must be finite and nonnegative")
+    # refused before any command runs, so no work is lost on a bad path
+    if out and (Path(out).is_dir() or not Path(out).absolute().parent.is_dir()):
+        raise ValueError(f"--out must name a file in an existing directory, got {out!r}")
     ctx.obj = {"tol": tol, "order": order, "seed": seed, "out": out}
 
 
@@ -144,16 +157,13 @@ def cmv():
 @click.pass_context
 def cmv_build(ctx, params_path, family, blocks):
     """Build the operator matrix and print it as JSON."""
-    try:
-        params = parameters_from_json(_load_json(params_path))
-        if blocks is None:
-            if not params.finite:
-                _die(2, "open-ended sequences need an explicit --blocks")
-            blocks = len(params) + 1
-        spec = BlockOperatorSpec(params, family, blocks)
-        matrix = build(spec)
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+    params = parameters_from_json(_load_json(params_path))
+    if blocks is None:
+        if not params.finite:
+            raise ValueError("open-ended sequences need an explicit --blocks")
+        blocks = len(params) + 1
+    spec = BlockOperatorSpec(params, family, blocks)
+    matrix = build(spec)
     _emit(matrix_to_json(matrix), ctx.obj["out"])
 
 
@@ -173,13 +183,8 @@ def schur():
 @click.pass_context
 def schur_params(ctx, coeffs_path, steps):
     """Run the parameter recursion on a series read from CSV."""
-    try:
-        series = MatrixPowerSeries.from_csv(coeffs_path).mark_schur()
-        params = schur_forward(series, steps)
-    except ArithmeticError as exc:
-        _die(1, str(exc))
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+    series = MatrixPowerSeries.from_csv(coeffs_path).mark_schur()
+    params = schur_forward(series, steps)
     _emit(parameters_to_json(params), ctx.obj["out"])
 
 
@@ -188,11 +193,8 @@ def schur_params(ctx, coeffs_path, steps):
 @click.pass_context
 def schur_synthesize(ctx, params_path):
     """Rebuild the series from a parameter sequence; CSV output."""
-    try:
-        params = parameters_from_json(_load_json(params_path))
-        series = synthesize(params, ctx.obj["order"])
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+    params = parameters_from_json(_load_json(params_path))
+    series = synthesize(params, ctx.obj["order"])
     buf = io.StringIO()
     series.to_csv(buf)
     _emit_text(buf.getvalue(), ctx.obj["out"])
@@ -220,25 +222,22 @@ def walk():
 @click.pass_context
 def walk_return(ctx, matrix_path, indices, state, horizon):
     """Return probabilities, their cumulative sum and the partial mean time."""
-    try:
-        u = certify(matrix_from_json(_load_json(matrix_path)))
-        v = _indices(indices)
-        if not v:
-            _die(2, "--indices must name at least one index")
-        if state is None:
-            psi = np.zeros(len(v), dtype=np.complex128)
-            psi[0] = 1.0
-        else:
-            psi = np.array([complex(tok) for tok in state.split(",")],
-                           dtype=np.complex128)
-            norm = float(np.linalg.norm(psi))
-            if not 0.0 < norm < math.inf:  # NaN fails too
-                _die(2, "--state must be a nonzero finite vector")
-            psi = psi / norm
-        h = horizon if horizon is not None else ctx.obj["order"]
-        stats = return_statistics(u, v, psi, h)
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+    u = certify(matrix_from_json(_load_json(matrix_path)))
+    v = _indices(indices)
+    if not v:
+        raise ValueError("--indices must name at least one index")
+    if state is None:
+        psi = np.zeros(len(v), dtype=np.complex128)
+        psi[0] = 1.0
+    else:
+        psi = np.array([complex(tok) for tok in state.split(",")],
+                       dtype=np.complex128)
+        norm = float(np.linalg.norm(psi))
+        if not 0.0 < norm < math.inf:  # NaN fails too
+            raise ValueError("--state must be a nonzero finite vector")
+        psi = psi / norm
+    h = horizon if horizon is not None else ctx.obj["order"]
+    stats = return_statistics(u, v, psi, h)
     payload = {
         "schema": SCHEMA_VERSION,
         "indices": list(v),
@@ -273,13 +272,10 @@ def _checked_partition(matrix_path, left, center, right):
     """Read and certify the matrix, read the partition, and run the corner
     and rank test; returns the certified matrix and the partition with the
     test's JSON payload."""
-    try:
-        u = certify(matrix_from_json(_load_json(matrix_path)))
-        part = SubspacePartition(u.matrix.shape[0], _indices(left),
-                                 _indices(center), _indices(right))
-        chk = check_overlap(u, part)
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+    u = certify(matrix_from_json(_load_json(matrix_path)))
+    part = SubspacePartition(u.matrix.shape[0], _indices(left),
+                             _indices(center), _indices(right))
+    chk = check_overlap(u, part)
     payload = {
         "schema": SCHEMA_VERSION,
         "ok": bool(chk.ok),
@@ -310,10 +306,7 @@ def overlap_construct(ctx, matrix_path, left, center, right):
     if not ok:
         _emit(payload, ctx.obj["out"])
         sys.exit(1)
-    try:
-        fact = construct_overlap(u, part)
-    except ArithmeticError as exc:
-        _die(1, str(exc))
+    fact = construct_overlap(u, part)
     residual = float(fact.reconstruction_residual(u.matrix))
     payload = {
         "schema": SCHEMA_VERSION,
@@ -345,7 +338,7 @@ def _job_params(job, terminal: bool):
     if "file" in source:
         if not isinstance(source["file"], str):
             raise ValueError(f"'source.file' must be a path string, got {source['file']!r}")
-        return parameters_from_json(json.loads(Path(source["file"]).read_text()))
+        return parameters_from_json(_load_json(source["file"]))
     if "random" in source:
         r = _object(source["random"], "'random'")
         if "seed" not in r:
@@ -489,24 +482,19 @@ def verify(ctx, theorem, params_path, random_spec, family, j_index, k_index,
             z = complex(text)
             job[key] = [z.real, z.imag]
     except ValueError as exc:
-        _die(2, f"bad --beta/--gamma: {exc}")
+        raise ValueError(f"bad --beta/--gamma: {exc}") from None
     if params_path:
         job["source"] = {"file": params_path}
     elif random_spec:
         try:
             d, length = (int(t) for t in random_spec.split(","))
         except ValueError:
-            _die(2, "--random expects 'd,length'")
+            raise ValueError("--random expects 'd,length'") from None
         job["source"] = {"random": {"d": d, "length": length,
                                     "seed": ctx.obj["seed"]}}
     else:
-        _die(2, "provide --params or --random")
-    try:
-        reports = [case() for case in _parse_job(job, ctx.obj)]
-    except ArithmeticError as exc:
-        _die(1, str(exc))
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+        raise ValueError("provide --params or --random")
+    reports = [case() for case in _parse_job(job, ctx.obj)]
     for rep in reports:
         click.echo(rep.summary(), err=True)
     ok = all(r.ok for r in reports)
@@ -532,18 +520,15 @@ def _bundled_campaign() -> dict:
 @click.pass_context
 def campaign(ctx, action, config_path):
     """Run a batch of verification jobs and write one merged report."""
-    try:
-        config = _load_json(config_path) if config_path else _bundled_campaign()
-        _object(config, "campaign config")
-        if as_integer(config.get("schema", SCHEMA_VERSION), "'schema'") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema {config['schema']!r}")
-        jobs = config.get("jobs", [])
-        if not isinstance(jobs, list) or not all(isinstance(jb, dict) for jb in jobs):
-            raise ValueError("'jobs' must be a list of JSON objects")
-        defaults = {**ctx.obj, **_object(config.get("defaults", {}), "'defaults'")}
-        defaults["tol"] = _tolerance(defaults["tol"], "'tol'")
-    except PARSE_ERRORS as exc:
-        _die(2, str(exc))
+    config = _load_json(config_path) if config_path else _bundled_campaign()
+    _object(config, "campaign config")
+    if as_integer(config.get("schema", SCHEMA_VERSION), "'schema'") != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {config['schema']!r}")
+    jobs = config.get("jobs", [])
+    if not isinstance(jobs, list) or not all(isinstance(jb, dict) for jb in jobs):
+        raise ValueError("'jobs' must be a list of JSON objects")
+    defaults = {**ctx.obj, **_object(config.get("defaults", {}), "'defaults'")}
+    defaults["tol"] = _tolerance(defaults["tol"], "'tol'")
 
     planned = []
     for index, jb in enumerate(jobs):
@@ -554,7 +539,7 @@ def campaign(ctx, action, config_path):
         try:
             planned.append((jb, name, _parse_job(jb, defaults)))
         except PARSE_ERRORS as exc:
-            _die(2, f"job {index} ({name}): {exc}")
+            raise ValueError(f"job {index} ({name}): {exc}") from None
 
     entries, n_pass, n_fail = [], 0, 0
     for jb, name, cases in planned:

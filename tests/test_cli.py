@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -932,6 +933,100 @@ class TestGlobalFlags:
                                    "--j", "0", "--beta", "nan"])
         assert res.exit_code == 2
         assert "'beta' must be" in res.output
+
+
+# every subcommand, with the library call it makes; "{name}" is an input file
+OVERLAP_SPLIT = ["--matrix", "{matrix}", "--left", "0,1", "--center", "2", "--right", "3,4,5"]
+POLICY_COMMANDS = {
+    "cmv build": (["--params", "{params}"], "cmvkit.cli.build"),
+    "schur params": (["--coeffs", "{coeffs}"], "cmvkit.cli.schur_forward"),
+    "schur synthesize": (["--params", "{params}"], "cmvkit.cli.synthesize"),
+    "walk return": (["--matrix", "{matrix}", "--indices", "2"], "cmvkit.cli.return_statistics"),
+    "overlap check": (OVERLAP_SPLIT, "cmvkit.cli.check_overlap"),
+    "overlap construct": (OVERLAP_SPLIT, "cmvkit.cli.construct_overlap"),
+    "verify": (["--theorem", "site", "--params", "{params}", "--j", "1"],
+               "cmvkit.khrushchev.verify_site_formula"),
+    "campaign": (["run"], "cmvkit.cli._bundled_campaign"),
+}
+
+
+def _leaf_commands(group, prefix=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, (*prefix, name))
+        else:
+            yield " ".join((*prefix, name))
+
+
+class TestExitCodePolicy:
+    def test_the_policy_test_covers_every_subcommand(self):
+        assert sorted(_leaf_commands(main)) == sorted(POLICY_COMMANDS)
+
+    @pytest.mark.parametrize("error, code", [(ArithmeticError("cannot converge"), 1),
+                                             (ValueError("not a valid input"), 2)])
+    @pytest.mark.parametrize("command", POLICY_COMMANDS)
+    def test_an_error_of_the_library_call_maps_to_its_exit_code(
+            self, runner, tmp_path, rng, monkeypatch, command, error, code):
+        files = {"params": terminal_params_file(tmp_path, rng),
+                 "matrix": write_json(tmp_path / "u.json",
+                                      matrix_to_json(double_diffusion_six().product())),
+                 "coeffs": str(tmp_path / "f.csv")}
+        diffusion_center_schur(24).to_csv(files["coeffs"])
+        args, target = POLICY_COMMANDS[command]
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target, fail)
+        res = runner.invoke(main, [*command.split(), *(a.format(**files) for a in args)])
+        assert res.exit_code == code and isinstance(res.exception, SystemExit)
+        assert res.stderr == f"error: {error}\n"
+
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    @pytest.mark.parametrize("command", [
+        ["campaign", "run"],
+        ["verify", "--theorem", "site", "--random", "1,20", "--j", "1"],
+        ["cmv", "build", "--params", "{params}"],
+    ])
+    def test_an_out_that_cannot_be_written_exits_two_before_the_command_runs(
+            self, runner, tmp_path, rng, command, where):
+        params = terminal_params_file(tmp_path, rng)
+        reports = tmp_path / "reports"
+        if where == "directory":
+            reports.mkdir()
+            out = reports
+        else:
+            out = reports / "r.json"
+        res = runner.invoke(main, ["--out", str(out),
+                                   *(a.format(params=params) for a in command)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        # nothing ran: a run prints its summaries to stderr first
+        assert res.stderr == ("error: --out must name a file in an existing "
+                              f"directory, got {str(out)!r}\n")
+        assert not reports.exists() or list(reports.iterdir()) == []
+
+    def test_a_write_that_fails_after_the_checks_exits_two(self, runner, tmp_path, monkeypatch):
+        def full(self, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        res = runner.invoke(main, ["--order", "4", "--out", str(tmp_path / "r.json"), "verify",
+                                   "--theorem", "site", "--random", "1,20", "--j", "1"])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr.endswith("error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("text", ["not json", '{"alphas": '])
+    def test_a_parameter_file_that_cannot_be_read_is_named(self, runner, tmp_path, text):
+        bad = tmp_path / "p.json"
+        bad.write_text(text)
+        job = {"theorem": "site", "j": 0, "order": 4, "source": {"file": str(bad)}}
+        cfg = write_json(tmp_path / "c.json", {"jobs": [job]})
+        res = runner.invoke(main, ["campaign", "run", "--config", cfg])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: job 0 (site): cannot read {bad}: Expecting value")
+        res = runner.invoke(main, ["verify", "--theorem", "site", "--params", str(bad), "--j", "0"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: cannot read {bad}: Expecting value")
 
 
 PACKAGE_MODULES = sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py"))
