@@ -13,11 +13,11 @@ it starts (see window_spec).
 Every built operator comes with a unitarity certificate bounded from its
 Theta blocks (see _assemble), so no caller re-checks the dense matrix.
 The Theta blocks of a parameter set and their residuals are computed once
-per set and kept on it; every build slices them, and the boundary's
-residual is read off its certificate.  The exact operator of a terminal
-set is assembled once per family and kept on the set too (build_unitary).
-Windows, unitary truncations and overlap factors are assembled on every
-call; only build_unitary reads or fills that memo.
+per set and kept in its memo under "thetas"; every build slices them, and
+the boundary's residual is read off its certificate.  build_unitary keeps
+the exact operator of a terminal set per family, under ("operator",
+family); windows, unitary truncations and overlap factors are assembled
+on every call.
 
 Every family is the same Theta rotations multiplied in its own order, and
 _rank states that order once: "C" = L M puts the even rotations first and
@@ -56,7 +56,8 @@ def _theta_blocks(p: SchurParameters) -> tuple[np.ndarray, np.ndarray]:
     Filling the stack only copies, conjugates and negates the stored
     defects, so the operator route shares only those values with the
     formula route."""
-    if not p._thetas:
+    blocks = p._memo.get("thetas")
+    if blocks is None:
         alphas, rl, rr, _, _ = p.stacks()
         d = p.block_dim
         thetas = np.empty((len(alphas), 2 * d, 2 * d), dtype=np.complex128)
@@ -67,8 +68,8 @@ def _theta_blocks(p: SchurParameters) -> tuple[np.ndarray, np.ndarray]:
         residuals = unitary_residuals(thetas)
         thetas.setflags(write=False)
         residuals.setflags(write=False)
-        object.__setattr__(p, "_thetas", (thetas, residuals))
-    return p._thetas
+        blocks = p._memo["thetas"] = (thetas, residuals)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -247,9 +248,11 @@ def build_unitary(spec: BlockOperatorSpec) -> Unitary:
     p, hi = spec.params, spec.n_blocks - 1
     if spec.padded:
         return _assemble(spec.family, p, 0, hi, _boundary(spec))
-    if spec.family not in p._operators:
-        p._operators[spec.family] = _assemble(spec.family, p, 0, hi, _boundary(spec))
-    return p._operators[spec.family]
+    key = ("operator", spec.family)
+    op = p._memo.get(key)
+    if op is None:
+        op = p._memo[key] = _assemble(spec.family, p, 0, hi, _boundary(spec))
+    return op
 
 
 def build(spec: BlockOperatorSpec) -> np.ndarray:

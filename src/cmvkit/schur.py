@@ -22,6 +22,10 @@ at an order, or its inverse iterates b_1..b_n, from one run over the
 whole set, whose fraction after each parameter is kept and divided in one
 stacked left_divide; each iterate of a longer set is a run of its own,
 over the order + 1 parameters its coefficients reach (see _series).
+
+A set keeps what it computes once in one dict, its memo: "defects"
+(stacks), ("iterate", kind, order, m) and ("run", kind, order) (_series)
+here, and cmv's own keys.
 """
 
 from __future__ import annotations
@@ -95,25 +99,14 @@ class SchurParameters:
     block_dim: int
     alphas: tuple
     terminal: Optional[np.ndarray] = None
-    # Derived data, computed once per parameter set and kept out of repr
-    # and JSON: the operator norm of each parameter, the parameter stack
-    # and, on first use, their defects as four more stacks, the Theta
-    # blocks and their unitarity residuals (filled by cmv, which slices
-    # them for every operator it builds), the exact operator of each
-    # family as its certified Unitary (filled by cmv.build_unitary, never
-    # a window), the synthesized iterates of p ("f") and of its
-    # reflection ("b") handed out, per (kind, order, m), and those of a
-    # short set's one run, unmarked, per (kind, order); and the terminal's
-    # unitarity certificate, which iterates hand on instead of certifying
-    # the terminal again.
+    # Derived data, kept out of repr and JSON: the operator norm of each
+    # parameter, the parameter stack, the terminal's unitarity certificate
+    # (which iterates hand on), and the memo, one dict in which stacks,
+    # _series and cmv each keep what they compute once per set.
     _norms: tuple = field(default=(), init=False, repr=False)
     _stack: np.ndarray = field(default=None, init=False, repr=False)
-    _defects: tuple = field(default=(), init=False, repr=False)
-    _thetas: tuple = field(default=(), init=False, repr=False)
-    _operators: dict = field(default_factory=dict, init=False, repr=False)
-    _series: dict = field(default_factory=dict, init=False, repr=False)
-    _runs: dict = field(default_factory=dict, init=False, repr=False)
     _certificate: Optional[Unitary] = field(default=None, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         d = as_integer(self.block_dim, "block_dim")
@@ -170,18 +163,19 @@ class SchurParameters:
         five read-only (len, d, d) stacks.  The defects are computed for the
         whole set on first use: one batched root of both sides, checked
         Hermitian and PSD, and one batched inverse per side."""
-        if not self._defects:
+        defects = self._memo.get("defects")
+        if defects is None:
             rl, rr = _defect_roots(self._stack)
-            defects = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
+            defects = self._memo["defects"] = (rl, rr, np.linalg.inv(rl), np.linalg.inv(rr))
             for m in defects:
                 m.setflags(write=False)
-            object.__setattr__(self, "_defects", defects)
-        return (self._stack, *self._defects)
+        return (self._stack, *defects)
 
 
 def iterate(p: SchurParameters, j: int) -> SchurParameters:
     """Parameters of the j-th Schur iterate: drop the first j entries.  The
     terminal keeps the parent's certificate."""
+    j = as_integer(j, "iterate index")
     if j < 0 or j > len(p):
         raise ValueError(f"iterate index {j} outside 0..{len(p)}")
     return SchurParameters(p.block_dim, p._stack[j:], p._certificate)
@@ -191,6 +185,7 @@ def inverse_iterate(p: SchurParameters, j: int) -> SchurParameters:
     """Parameters of the j-th inverse iterate:
     (-a_{j-1}†, ..., -a_0†) closed by the identity terminal, which comes
     with its exact certificate."""
+    j = as_integer(j, "inverse iterate index")
     if j < 0 or j > len(p):
         raise ValueError(f"inverse iterate index {j} outside 0..{len(p)}")
     rev = -p._stack[:j][::-1].conj().swapaxes(1, 2)
@@ -234,7 +229,7 @@ def mobius_step(
         norms = p._norms
     else:
         run = as_stack(alpha)
-    n = f.order + len(run) if order is None else order
+    n = f.order + len(run) if order is None else as_integer(order, "order")
     if n < 0:
         raise ValueError("order must be nonnegative")
     if n > f.order + len(run):
@@ -291,6 +286,7 @@ def synthesize(p: SchurParameters, order: int) -> MatrixPowerSeries:
 
 def iterate_series(p: SchurParameters, j: int, order: int) -> MatrixPowerSeries:
     """synthesize(iterate(p, j), order), memoized on p."""
+    j = as_integer(j, "iterate index")
     if j < 0 or j > len(p):
         raise ValueError(f"iterate index {j} outside 0..{len(p)}")
     if j == len(p) and p.terminal is None:
@@ -300,6 +296,7 @@ def iterate_series(p: SchurParameters, j: int, order: int) -> MatrixPowerSeries:
 
 def inverse_iterate_series(p: SchurParameters, j: int, order: int) -> MatrixPowerSeries:
     """synthesize(inverse_iterate(p, j), order), memoized on p."""
+    j = as_integer(j, "inverse iterate index")
     if j < 0 or j > len(p):
         raise ValueError(f"inverse iterate index {j} outside 0..{len(p)}")
     return _series(p, "b", len(p) - j, order)
@@ -333,22 +330,23 @@ def _series(p: SchurParameters, kind: str, m: int, order: int) -> MatrixPowerSer
     per second in one process (faster in 3 of 30 cycles), so a longer set
     keeps one run per iterate.  The seed, m = n, takes no run.
     """
+    order = as_integer(order, "order")
     if order < 0:
         raise ValueError("order must be nonnegative")
-    key = (kind, order, m)
-    hit = p._series.get(key)
+    key = ("iterate", kind, order, m)
+    hit = p._memo.get(key)
     if hit is not None:
         return hit
     n = len(p)
     if m < n <= order + 1:
-        run = p._runs.get((kind, order))
+        run = p._memo.get(("run", kind, order))
         if run is None:
-            run = p._runs[kind, order] = _run(p, kind, 0, n, order, every=True)
+            run = p._memo["run", kind, order] = _run(p, kind, 0, n, order, every=True)
         f = run[m]
     else:
         f = _run(p, kind, m, min(n, m + order + 1), order)
     f.mark_schur().coeffs.setflags(write=False)
-    p._series[key] = f
+    p._memo[key] = f
     return f
 
 

@@ -24,6 +24,8 @@ special-cased for it.
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import nullcontext
 from functools import lru_cache
 from typing import Iterable
 
@@ -229,10 +231,10 @@ class MatrixPowerSeries:
     # -- CSV ------------------------------------------------------------------
 
     def to_csv(self, path_or_file) -> None:
-        """Write coefficients as rows n,row,col,re,im."""
-        own = isinstance(path_or_file, (str, bytes))
-        fh = open(path_or_file, "w", newline="") if own else path_or_file
-        try:
+        """Write coefficients as rows n,row,col,re,im to a path (str, bytes
+        or os.PathLike) or to an open text file, which is left open."""
+        path = isinstance(path_or_file, (str, bytes, os.PathLike))
+        with open(path_or_file, "w", newline="") if path else nullcontext(path_or_file) as fh:
             w = csv.writer(fh)
             w.writerow(["n", "row", "col", "re", "im"])
             for n in range(self.order + 1):
@@ -240,19 +242,14 @@ class MatrixPowerSeries:
                     for c in range(self.block_dim):
                         v = self.coeffs[n, r, c]
                         w.writerow([n, r, c, repr(float(v.real)), repr(float(v.imag))])
-        finally:
-            if own:
-                fh.close()
 
     @classmethod
     def from_csv(cls, path_or_file) -> "MatrixPowerSeries":
-        own = isinstance(path_or_file, (str, bytes))
-        fh = open(path_or_file, "r", newline="") if own else path_or_file
-        try:
+        """Read rows n,row,col,re,im, as to_csv writes them, from a path or
+        an open text file; entries not listed are zero."""
+        path = isinstance(path_or_file, (str, bytes, os.PathLike))
+        with open(path_or_file, newline="") if path else nullcontext(path_or_file) as fh:
             rows = list(csv.reader(fh))
-        finally:
-            if own:
-                fh.close()
         if not rows or [h.strip() for h in rows[0]] != ["n", "row", "col", "re", "im"]:
             raise ValueError("coefficient CSV must start with header n,row,col,re,im")
         entries = {}
@@ -276,6 +273,8 @@ class MatrixPowerSeries:
             entries[(n, r, c)] = value
             max_n = max(max_n, n)
             max_d = max(max_d, r + 1, c + 1)
+        if not entries:
+            raise ValueError("coefficient CSV has no coefficient rows")
         coeffs = np.zeros((max_n + 1, max_d, max_d), dtype=np.complex128)
         for (n, r, c), v in entries.items():
             coeffs[n, r, c] = v

@@ -109,6 +109,14 @@ class TestSchurCommands:
         assert res.exit_code == 2
         assert "line 4" in res.output
 
+    @pytest.mark.parametrize("steps", ["0", "2"])
+    def test_params_refuses_a_header_only_csv(self, runner, tmp_path, steps):
+        csv = tmp_path / "empty.csv"
+        csv.write_text("n,row,col,re,im\n")
+        res = runner.invoke(main, ["schur", "params", "--coeffs", str(csv), "--steps", steps])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.stderr == "error: coefficient CSV has no coefficient rows\n"
+
     def test_params_exits_one_on_a_lost_terminal(self, runner, tmp_path):
         csv = tmp_path / "f.csv"
         lost_terminal_series().to_csv(str(csv))
@@ -1027,6 +1035,36 @@ class TestExitCodePolicy:
         res = runner.invoke(main, ["verify", "--theorem", "site", "--params", str(bad), "--j", "0"])
         assert res.exit_code == 2
         assert res.stderr.startswith(f"error: cannot read {bad}: Expecting value")
+
+
+CLI_REFUSALS = {
+    "empty walk indices": (["walk", "return", "--matrix", "{matrix}", "--indices", ""],
+                           "--indices must name at least one index"),
+    "random without a length": (["verify", "--theorem", "site", "--random", "1", "--j", "0"],
+                                "--random expects 'd,length'"),
+    "beta that is no number": (["verify", "--theorem", "site", "--random", "1,4", "--j", "0",
+                                "--beta", "x"],
+                               "bad --beta/--gamma: complex() arg is a malformed string"),
+    "job source of neither kind": (["campaign", "run", "--config", "{no_source}"],
+                                   "job 0 (site): source must name a file or a random block"),
+    "job without j": (["campaign", "run", "--config", "{no_j}"], "job 0 (site): missing 'j'"),
+    "job with an empty j range": (["campaign", "run", "--config", "{empty_j}"],
+                                  "job 0 (site): empty j range"),
+}
+
+
+@pytest.mark.parametrize("refusal", CLI_REFUSALS)
+def test_bad_command_input_exits_two_with_one_error_line(runner, tmp_path, refusal):
+    random = {"random": {"d": 1, "length": 4, "seed": 0}}
+    files = {"matrix": write_json(tmp_path / "u.json", matrix_to_json(np.eye(3)))}
+    for name, job in (("no_source", {"theorem": "site", "j": 0, "source": {}}),
+                      ("no_j", {"theorem": "site", "source": random}),
+                      ("empty_j", {"theorem": "site", "j": [3, 1], "source": random})):
+        files[name] = write_json(tmp_path / f"{name}.json", {"jobs": [job]})
+    args, message = CLI_REFUSALS[refusal]
+    res = runner.invoke(main, [a.format(**files) for a in args])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.stderr == f"error: {message}\n"
 
 
 PACKAGE_MODULES = sorted(path.stem for path in Path(cli.__file__).parent.glob("*.py"))

@@ -395,7 +395,7 @@ class TestStoredDefects:
             spec = BlockOperatorSpec(p, family, n_blocks)
             want = _from_public_theta(spec)
             assert np.array_equal(build(spec), want)
-            assert p._defects
+            assert p._memo["defects"]
             assert np.array_equal(build(spec), want)
 
     def test_operator_route_reads_no_series(self, rng):
@@ -406,8 +406,8 @@ class TestStoredDefects:
         q = random_parameters(1, 4, rng, terminal=True)
         for family in ("H", "Hhat"):
             schur_of_subspace(build(BlockOperatorSpec(q, family, 5)), (1, 2), 4)
-        assert p._defects and q._defects
-        assert p._series == {} and q._series == {}
+        assert p._memo["defects"] and q._memo["defects"]
+        assert not any(k[0] == "iterate" for k in p._memo) and not any(k[0] == "iterate" for k in q._memo)
 
     def test_theta_residuals_are_evaluated_once_per_set(self, rng, monkeypatch):
         # every (family, j <= 5) window of one set, one truncation and one
@@ -462,7 +462,7 @@ class TestOperatorMemo:
                 assert not first.matrix.flags.writeable
                 fresh = cmv._assemble(family, p, 0, length, p._certificate)
                 assert np.array_equal(first.matrix, fresh.matrix) and first.residual == fresh.residual
-            assert list(p._operators) == list(FAMILIES)
+            assert [k[1] for k in p._memo if k[0] == "operator"] == list(FAMILIES)
 
     def test_windows_are_never_kept(self, rng):
         p = random_parameters(2, 12, rng)
@@ -471,19 +471,19 @@ class TestOperatorMemo:
             first = build_unitary(spec)
             again = build_unitary(spec)
             assert again is not first and np.array_equal(again.matrix, first.matrix)
-        assert p._operators == {}
+        assert not any(k[0] == "operator" for k in p._memo)
 
     def test_the_formula_side_neither_reads_nor_fills_the_memo(self, rng):
         # a poisoned memo would raise if a truncation or substitution read it
         p = random_parameters(2, 6, rng, terminal=True)
         q = SchurParameters(2, p.alphas, p.terminal)
-        p._operators.update(dict.fromkeys(FAMILIES, "poisoned"))
+        p._memo.update(dict.fromkeys([("operator", family) for family in FAMILIES], "poisoned"))
         for family in FAMILIES:
             assert np.array_equal(unitary_truncation(BlockOperatorSpec(p, family, 7), 1, 4),
                                   unitary_truncation(BlockOperatorSpec(q, family, 7), 1, 4))
             assert np.array_equal(substitute_into_truncation(p, family, 1, 4, 3).coeffs,
                                   substitute_into_truncation(q, family, 1, 4, 3).coeffs)
-        assert q._operators == {}
+        assert not any(k[0] == "operator" for k in q._memo)
 
     def test_equality_repr_and_json_ignore_the_memo(self, rng):
         p = random_parameters(2, 4, rng, terminal=True)
@@ -491,7 +491,7 @@ class TestOperatorMemo:
         before = (repr(p), parameters_to_json(p))
         for family in FAMILIES:
             build_unitary(BlockOperatorSpec(p, family, 5))
-        assert len(p._operators) == 4 and q._operators == {}
+        assert sum(k[0] == "operator" for k in p._memo) == 4 and not any(k[0] == "operator" for k in q._memo)
         assert p == q and q == p
         assert (repr(p), parameters_to_json(p)) == before == (repr(q), parameters_to_json(q))
 
@@ -505,7 +505,7 @@ class TestOperatorMemo:
             kept = khrushchev.verify_hessenberg_formula(p, family, j, k, 16).residual
             fresh = SchurParameters(d, p.alphas, p.terminal)
             assert kept == khrushchev.verify_hessenberg_formula(fresh, family, j, k, 16).residual
-        assert sorted(p._operators) == ["H", "Hhat"]
+        assert sorted(k[1] for k in p._memo if k[0] == "operator") == ["H", "Hhat"]
 
 
 class TestSubmatrixRange:
@@ -799,7 +799,7 @@ class TestCertificate:
         _, rl, *rest = p.stacks()
         rl = rl.copy()
         rl[3] *= 1.01
-        object.__setattr__(p, "_defects", (rl, *rest))
+        p._memo["defects"] = (rl, *rest)
         with pytest.raises(ValueError, match="not unitary.*alpha_3"):
             build(BlockOperatorSpec(p, family, 7))
 

@@ -441,3 +441,32 @@ class TestHessenbergExpandedForm:
         with mock.patch.object(series, "convolve", wraps=series.convolve) as spy:
             hessenberg_superposition(p, 1, 0.6, 0.8j, 16)
         assert spy.call_count == 1
+
+
+REFUSALS = {
+    "site formula on H": (lambda p: verify_site_formula(p, "H", 0, 4),
+                          r"^site formula covers families \('C', 'Chat'\), got 'H'$"),
+    "site formula at j = -1": (lambda p: verify_site_formula(p, "C", -1, 4),
+                               "^site index must be nonnegative$"),
+    "range formula on H": (lambda p: verify_range_formula(p, "H", 0, 2, 4),
+                           r"^range formula covers families \('C', 'Chat'\), got 'H'$"),
+    "hessenberg formula on C": (lambda p: verify_hessenberg_formula(p, "C", 0, 2, 4),
+                                r"^hessenberg formula covers families \('H', 'Hhat'\), got 'C'$"),
+    "substitution into an unknown family": (lambda p: substitute_into_truncation(p, "X", 0, 2, 4),
+                                            "^unknown family 'X'$"),
+    "state of the wrong length": (lambda p: compress_to_vector(synthesize(p, 4), [1.0, 0.0]),
+                                  "^state length does not match the series block dimension$"),
+    "scalar superposition route": (
+        lambda p: scalar_superposition_schur(p, 0, 0.6, 0.8, 4, route="bogus"),
+        r"^route must be one of \('formula', 'operator_compress'\)$"),
+    "hessenberg superposition route": (
+        lambda p: hessenberg_superposition(p, 0, 0.6, 0.8, 4, route="bogus"),
+        r"^route must be one of \('formula', 'operator_compress'\)$"),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS)
+def test_verifiers_and_inputs_refuse_what_they_do_not_cover(call):
+    run, message = REFUSALS[call]
+    with pytest.raises(ValueError, match=message):
+        run(scalar_params([0.3, -0.2j, 0.5], terminal=1j))

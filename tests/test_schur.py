@@ -281,6 +281,35 @@ class TestIterates:
             assert parameters_to_json(q) == parameters_to_json(fresh)
 
 
+INTEGER_ARGUMENTS = {
+    "iterate j": (lambda p, bad: iterate(p, bad), "iterate index"),
+    "inverse_iterate j": (lambda p, bad: inverse_iterate(p, bad), "inverse iterate index"),
+    "iterate_series j": (lambda p, bad: iterate_series(p, bad, 3), "iterate index"),
+    "iterate_series order": (lambda p, bad: iterate_series(p, 1, bad), "order"),
+    "inverse_iterate_series j": (lambda p, bad: inverse_iterate_series(p, bad, 3), "inverse iterate index"),
+    "inverse_iterate_series order": (lambda p, bad: inverse_iterate_series(p, 1, bad), "order"),
+    "synthesize order": (lambda p, bad: synthesize(p, bad), "order"),
+    "mobius_step order": (lambda p, bad: mobius_step(p.alpha(0), MatrixPowerSeries.zero(1, 3), order=bad),
+                          "order"),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [True, 1.0, 2.0, "2"])
+    @pytest.mark.parametrize("call", INTEGER_ARGUMENTS)
+    def test_indices_and_orders_must_be_integers(self, call, bad):
+        # True would otherwise read as 1, and a float would reach numpy
+        run, what = INTEGER_ARGUMENTS[call]
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got {bad!r}$"):
+            run(scalar_params([0.3, -0.2j, 0.5], terminal=1j), bad)
+
+    def test_numpy_integers_reach_the_same_memo_entries(self):
+        p = scalar_params([0.3, -0.2j, 0.5], terminal=1j)
+        assert iterate_series(p, np.int64(1), np.int32(3)) is iterate_series(p, 1, 3)
+        assert inverse_iterate_series(p, np.int64(2), np.int64(3)) is inverse_iterate_series(p, 2, 3)
+        assert iterate(p, np.int64(2)) == iterate(p, 2)
+
+
 class TestParameterMemo:
     def test_memo_leaves_equality_repr_and_json_alone(self):
         p = scalar_params([0.3, -0.2j, 0.5], terminal=1j)
@@ -289,7 +318,7 @@ class TestParameterMemo:
         p.stacks()
         iterate_series(p, 1, 6)
         inverse_iterate_series(p, 2, 6)
-        assert p._defects and p._series
+        assert p._memo["defects"] and any(k[0] == "iterate" for k in p._memo)
         assert p == fresh
         assert (repr(p), parameters_to_json(p)) == before
 
@@ -560,7 +589,7 @@ class TestOneRun:
         assert [iterate_series(p, 2, 12), inverse_iterate_series(p, 4, 12), iterate_series(p, 0, 12)] == asked
         # the run made all six of each kind it was asked for; three were handed out
         assert marks == asked
-        assert [len(p._runs[key]) for key in (("f", 12), ("b", 12))] == [6, 6]
+        assert [len(p._memo["run", *key]) for key in (("f", 12), ("b", 12))] == [6, 6]
 
     def test_a_long_set_keeps_one_run_per_iterate(self, rng, monkeypatch):
         p = random_parameters(2, 14, rng, terminal=True)
@@ -569,7 +598,7 @@ class TestOneRun:
         monkeypatch.setattr(schur, "left_divide", lambda *a: divisions.append(a[0].shape) or divide(*a))
         for j in range(15):
             iterate_series(p, j, 12)
-        assert not p._runs
+        assert not any(k[0] == "run" for k in p._memo)
         assert all(len(shape) == 3 for shape in divisions) and len(divisions) >= 14
 
 

@@ -298,6 +298,17 @@ class TestCsv:
         f.to_csv(path)
         assert coeff_distance(MatrixPowerSeries.from_csv(path), f) == 0.0
 
+    def test_round_trip_through_a_path(self, tmp_path, rng):
+        f = MatrixPowerSeries(rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2)))
+        path = tmp_path / "series.csv"
+        f.to_csv(path)
+        assert coeff_distance(MatrixPowerSeries.from_csv(path), f) == 0.0
+
+    @pytest.mark.parametrize("text", ["n,row,col,re,im\n", "n,row,col,re,im\n\n\n"])
+    def test_rejects_a_table_without_coefficient_rows(self, text):
+        with pytest.raises(ValueError, match="coefficient CSV has no coefficient rows"):
+            MatrixPowerSeries.from_csv(io.StringIO(text))
+
     def test_rejects_wrong_header(self):
         with pytest.raises(ValueError):
             MatrixPowerSeries.from_csv(io.StringIO("a,b,c\n"))
