@@ -43,7 +43,7 @@ from .cmv import (
     unitary_truncation,
     window_spec,
 )
-from .linalg import Unitary, is_unitary, unit_vector
+from .linalg import Unitary, as_integer, is_unitary, unit_vector
 from .overlap import (
     SubspacePartition,
     abstract_khrushchev_check,
@@ -128,6 +128,7 @@ def verify_site_formula(
     """V_j Schur function of a five-diagonal family against b_j f_j / f_j b_j."""
     if family not in CMV_FAMILIES:
         raise ValueError(f"site formula covers families {CMV_FAMILIES}, got {family!r}")
+    j, order = as_integer(j, "j"), as_integer(order, "order")
     if j < 0:
         raise ValueError("site index must be nonnegative")
     operator_side = _operator_side(params, family, j, j, order)
@@ -154,6 +155,7 @@ def verify_path_count(params: SchurParameters, family: str, j: int, order: int,
     paths run over the operator's d x d blocks.  The operator is certified
     once, at its assembly.
     """
+    j, order = as_integer(j, "j"), as_integer(order, "order")
     horizon = min(order + 1, 6, N_CAP)
     spec = window_spec(params, family, j, horizon - 1)
     op = build_unitary(spec)
@@ -223,6 +225,7 @@ def _range_report(
     tolerance: float,
 ) -> VerificationReport:
     """Blocks j..k of the built operator against the substitution series."""
+    j, k, order = as_integer(j, "j"), as_integer(k, "k"), as_integer(order, "order")
     operator_side = _operator_side(params, family, j, k, order)
     formula_side = substitute_into_truncation(params, family, j, k, order)
     return VerificationReport(
@@ -433,6 +436,7 @@ def verify_superposition(params: SchurParameters, j: int, beta: complex, gamma: 
                          hessenberg: bool = False) -> VerificationReport:
     """Formula route against operator route for the state beta e_j +
     gamma e_{j+1} of the scalar five-diagonal or Hessenberg family."""
+    j, order = as_integer(j, "j"), as_integer(order, "order")
     beta, gamma = check_superposition(params, beta, gamma, hessenberg)
     schur_fn = hessenberg_superposition if hessenberg else scalar_superposition_schur
     formula, operator = (schur_fn(params, j, beta, gamma, order, route=r)

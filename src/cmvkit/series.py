@@ -17,6 +17,17 @@ the bits of its own call; a single quotient, a stack with no leading
 axes, runs the same loop on plain matrices.
 Sampling on a grid (values_at) is one GEMM as well.
 
+The contractivity check, mark_schur, does not sample through values_at:
+one GEMM of [1; V], V the Vandermonde matrix of CONTRACTIVITY_GRID, gives
+every coefficient and every grid value as one stack with one limit per
+member.  A screen in three tiers decides each member against its limit:
+its Frobenius norm clears it, or one batched Cholesky factorization of
+(L (1 - delta))^2 1 - M^dagger M clears every d >= 2 member left, and
+only when that raises do those members get SVD norms.  The margin
+delta = 256 eps covers the rounding of both clearing tiers up to
+d = 8 (_screened_norms has the argument), so the verdicts and the
+messages are those of SVD norms taken for every member.
+
 The scalar case is d = 1 with 1x1 coefficient matrices; nothing is
 special-cased for it.
 """
@@ -41,10 +52,12 @@ CONTRACTIVITY_GRID: tuple[complex, ...] = tuple(
     r * np.exp(2j * np.pi * k / 8) for r in _RINGS for k in range(8)
 )
 CONTRACTIVITY_TOL = 1e-6
-# relative margin below a limit under which a Frobenius norm clears a
-# matrix without its SVD: it covers the rounding of both norms, so the
-# cleared matrices are ones whose SVD norm is below the limit as well
+# relative margin below a limit under which a matrix is cleared without
+# its SVD, by its Frobenius norm or by a Cholesky certificate; see
+# _screened_norms for the rounding it covers
 _CLEAR_MARGIN = 256 * np.finfo(np.float64).eps
+# largest block dimension whose rounding the margin covers in a certificate
+_CERTIFIED_DIM = 8
 
 
 class MatrixPowerSeries:
@@ -207,24 +220,24 @@ class MatrixPowerSeries:
         Two necessary conditions are sampled, both exact for truncations:
         every coefficient is a contraction, and on each sample ring the
         values stay within 1 plus CONTRACTIVITY_TOL plus the truncation tail.
+        One GEMM of [1; V] (_contractivity_rows) with the coefficients gives
+        both as one stack, screened in one pass; a coefficient over its
+        limit is reported before the first grid point over its own.
         """
-        coeff_worst = float(_screened_norms(self.coeffs, 1.0 + CONTRACTIVITY_TOL).max())
-        if coeff_worst > 1.0 + CONTRACTIVITY_TOL:
+        m, d = self.order + 1, self.block_dim
+        rows, limits = _contractivity_rows(m, CONTRACTIVITY_TOL)
+        stack = (rows @ self.coeffs.reshape(m, d * d)).reshape(len(rows), d, d)
+        norms = _screened_norms(stack, limits)
+        failing = np.flatnonzero(norms > limits)
+        if failing.size and failing[0] < m:
             raise ValueError(
-                f"series has a coefficient of norm {coeff_worst:.6f}; "
+                f"series has a coefficient of norm {norms[:m].max():.6f}; "
                 "a Schur function's coefficients are contractions"
             )
-        # a contractive function has coefficient norms <= 1, so truncating
-        # at order N can push |f| above 1 on |z| = r by at most
-        # r^{N+1}/(1-r); sampling must grant exactly that much slack
-        radii = np.repeat(_RINGS, 8)
-        limits = 1.0 + CONTRACTIVITY_TOL + radii ** (self.order + 1) / (1.0 - radii)
-        values = _screened_norms(self.values_at(CONTRACTIVITY_GRID), limits)
-        failing = np.flatnonzero(values > limits)
         if failing.size:
             raise ValueError(
                 f"series is not contractive on the sample grid "
-                f"({values[failing[0]]:.6f} at |z| = {radii[failing[0]]})"
+                f"({norms[failing[0]]:.6f} at |z| = {_RINGS[(failing[0] - m) // 8]})"
             )
         return self
 
@@ -290,16 +303,66 @@ def vandermonde(grid: tuple, m: int) -> np.ndarray:
     return v
 
 
-def _screened_norms(stack: np.ndarray, limit) -> np.ndarray:
-    """Operator norms of a (k, d, d) stack as far as a comparison with the
-    limit (a number or one per member) needs them: a member whose Frobenius
-    norm, an upper bound, is below the limit by _CLEAR_MARGIN keeps that
-    bound; every other member gets its SVD norm.  Which members exceed the
-    limit, and the values of those that do, are the SVD norms' own."""
-    norms = np.linalg.norm(stack, axis=(1, 2))
-    near = np.flatnonzero(norms > np.multiply(limit, 1.0 - _CLEAR_MARGIN))
-    if near.size:
-        norms[near] = np.linalg.norm(stack[near], ord=2, axis=(1, 2))
+@lru_cache(maxsize=128)
+def _contractivity_rows(m: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (m + 16) x m matrix [1; V], V the Vandermonde matrix of
+    CONTRACTIVITY_GRID, which takes m coefficients to themselves and to
+    the grid values, and the limit of each of its rows: 1 + tol for a
+    coefficient, and for a grid value on |z| = r that plus the most that
+    truncating a contractive function at order m - 1 can add there,
+    r^m / (1 - r), since its coefficients are contractions.  Kept per
+    (m, tol), read-only."""
+    radii = np.repeat(_RINGS, 8)
+    rows = np.concatenate((np.eye(m), vandermonde(CONTRACTIVITY_GRID, m)))
+    limits = np.concatenate((np.full(m, 1.0 + tol), 1.0 + tol + radii**m / (1.0 - radii)))
+    rows.flags.writeable = limits.flags.writeable = False
+    return rows, limits
+
+
+def _screened_norms(stack: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Operator norms of a (k, d, d) stack as far as a comparison with one
+    limit per member needs them, in three tiers.  A member whose Frobenius
+    norm, an upper bound, is below its limit L by the margin
+    delta = _CLEAR_MARGIN keeps that bound.  The rest, at 2 <= d <=
+    _CERTIFIED_DIM, are cleared together when one batched Cholesky
+    factorization of s 1 - M^dagger M, s = (L (1 - delta))^2, succeeds;
+    each keeps L (1 - delta).  Only when it raises does every one of them
+    get its SVD norm, as do the rest at d = 1, where the Frobenius norm is
+    the operator norm, and at d > _CERTIFIED_DIM.  So which members exceed
+    their limit, and the values of those that do, are the SVD norms' own.
+
+    Why delta suffices, with u = 2^-53.  A Frobenius norm is within
+    about d^2 u of its value, far inside delta = 512 u at small d.  For the
+    certificate, a factorization R^dagger R = A + dA of the computed
+    A = fl(s 1 - fl(M^dagger M)) proves s 1 - M^dagger M >= -(|dG| + |dS|
+    + |dA|), with the Gram rounding |dG| <= d gamma_{d+2} ||M||^2, the
+    diagonal's |dS| <= u (s + ||M||^2), and Cholesky's backward error
+    |dA| <= gamma_{d+1} ||R||_F^2 <= d gamma_{d+1} s (1 + u) / (1 -
+    gamma_{d+1}) (Higham, Accuracy and Stability of Numerical Algorithms,
+    3.6 and 10.1).  With s rounded in two operations this gives
+    ||M|| <= L (1 - delta)(1 + (d^2 + 2d + 3) u) to first order, at most
+    L (1 - 429 u) for d <= 8, which leaves over 400 u for the SVD's own
+    rounding: a cleared member's SVD norm is below its limit as well."""
+    k, d = stack.shape[:2]
+    # Frobenius norms from the real and imaginary parts as one real row each
+    parts = stack.view(np.float64).reshape(k, 2 * d * d)
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    bounds = limits * (1.0 - _CLEAR_MARGIN)
+    near = np.flatnonzero(norms > bounds)
+    if not near.size:
+        return norms
+    near_stack = stack[near]
+    if 2 <= d <= _CERTIFIED_DIM:
+        shifted = np.negative(near_stack.conj().transpose(0, 2, 1) @ near_stack)
+        shifted.reshape(near.size, d * d)[:, :: d + 1] += np.square(bounds[near])[:, None]
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            norms[near] = bounds[near]
+            return norms
+    norms[near] = np.linalg.norm(near_stack, ord=2, axis=(1, 2))
     return norms
 
 

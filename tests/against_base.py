@@ -21,7 +21,7 @@ import numpy as np
 
 # surface -> largest allowed entry difference; None only prints
 BOUNDS = {"build": None, "amplitudes": 1e-13, "resolvent": 1e-13, "overlap": 1e-15, "certificate": 1e-14,
-          "forward": 1e-12, "superposition": 1e-13, "iterates": 1e-14}
+          "forward": 1e-12, "superposition": 1e-13, "iterates": 1e-14, "contractivity": 0.0}
 
 
 def build_specs():
@@ -166,6 +166,39 @@ def iterates():
                     yield f"d={d}", f"length={length} terminal={terminal} order={order} {kind}_{j}", fn(p, j, order).coeffs
 
 
+# relative distances from a limit of the scaled copies on the contractivity surface
+CONTRACTIVITY_OFFSETS = (-1e-9, -1e-12, 1e-12, 1e-9)
+
+
+def contractivity():
+    """mark_schur's verdict on each series of the iterates surface and on
+    copies of it scaled to CONTRACTIVITY_OFFSETS from the limit of its
+    largest coefficient or grid value, measured by SVD norms: 0 for a
+    pass, otherwise the norm its ValueError names."""
+    import re
+
+    from cmvkit.series import CONTRACTIVITY_GRID, CONTRACTIVITY_TOL, MatrixPowerSeries
+
+    radii = np.repeat((0.45, 0.9), 8)
+
+    def verdict(f):
+        try:
+            f.mark_schur()
+        except ValueError as exc:
+            return np.array(float(re.search(r"\d+\.\d+", str(exc)).group()))
+        return np.array(0.0)
+
+    for group, name, c in iterates():
+        f = MatrixPowerSeries(c)
+        yield group, name, verdict(f)
+        grid_limits = 1.0 + CONTRACTIVITY_TOL + radii ** len(c) / (1.0 - radii)
+        worst = max(np.linalg.norm(c, ord=2, axis=(1, 2)).max() / (1.0 + CONTRACTIVITY_TOL),
+                    (np.linalg.norm(f.values_at(CONTRACTIVITY_GRID), ord=2, axis=(1, 2)) / grid_limits).max())
+        if worst:
+            for offset in CONTRACTIVITY_OFFSETS:
+                yield group, f"{name} at {offset:+.0e}", verdict(MatrixPowerSeries(c * ((1.0 + offset) / worst)))
+
+
 def superpositions():
     """Both routes of both two-site superposition functions at orders 12
     and 64, four weights each: the Hessenberg one at every j of seeded
@@ -240,7 +273,7 @@ def dump(path, builds_from=None):
 
     surfaces = {"build": builds, "amplitudes": lambda: amplitudes(dumped()), "resolvent": lambda: resolvents(dumped()),
                 "overlap": overlaps, "certificate": lambda: certificates(dumped()), "forward": forward,
-                "superposition": superpositions, "iterates": iterates}
+                "superposition": superpositions, "iterates": iterates, "contractivity": contractivity}
     for surface, items in surfaces.items():
         arrays.update(run(surface, lambda: {f"{surface}/{group}/{name}": a for group, name, a in items()}))
     meta.update(run("signatures", signatures))

@@ -18,6 +18,7 @@ BASE = {
     "forward/d=1/length=1 terminal=True order=16": np.array([[[0.3]], [[1.0]]], dtype=complex),
     "superposition/H order=12/length=1 j=0 w=0 formula": np.full((13, 1, 1), 0.125j),
     "iterates/d=1/length=1 terminal=True order=12 f_0": np.full((13, 1, 1), -0.375j),
+    "contractivity/d=1/length=1 terminal=True order=12 f_0 at +1e-12": np.array(1.000001),
 }
 REPORTS = [{"pass": True, "residual": 1e-15, "params": {"j": 0}},
            {"pass": False, "residual": 1.0, "params": {"j": 1}}]
@@ -57,12 +58,13 @@ def test_identical_dumps_pass_and_print_every_group(tmp_path, capsys):
                  "overlap: 0 of 4 entries differ", "forward: 0 of 2 entries differ",
                  "certificate overlap random u_lc: largest difference 0.000e+00", "certificate: 0 of 1 entries differ",
                  "superposition H order=12: largest difference 0.000e+00", "superposition: 0 of 13 entries differ",
-                 "iterates d=1: largest difference 0.000e+00", "iterates: 0 of 13 entries differ"):
+                 "iterates d=1: largest difference 0.000e+00", "iterates: 0 of 13 entries differ",
+                 "contractivity d=1: largest difference 0.000e+00", "contractivity: 0 of 1 entries differ"):
         assert line in out
     assert "build: 0 of" not in out
 
 
-@pytest.mark.parametrize("key", [k for k in BASE if BOUNDS[k.split("/")[0]] is not None])
+@pytest.mark.parametrize("key", [k for k in BASE if BOUNDS[k.split("/")[0]]])
 def test_a_difference_above_its_bound_fails(tmp_path, capsys, key):
     bound = BOUNDS[key.split("/")[0]]
     assert run_compare(tmp_path, moved(key, bound / 2)) == 0
@@ -72,6 +74,13 @@ def test_a_difference_above_its_bound_fails(tmp_path, capsys, key):
     assert f"largest difference {2 * bound:.3e}" in out and "iterates d=1:" in out and "mixed:" in out
     surface = key.split("/")[0]
     assert f"{surface}: {BASE[key].size} of {BASE[key].size} entries differ" in out
+
+
+def test_a_surface_bounded_by_zero_fails_on_any_difference(tmp_path, capsys):
+    key = next(k for k in BASE if BOUNDS[k.split("/")[0]] == 0.0)
+    assert run_compare(tmp_path, moved(key, np.spacing(BASE[key]))) == 1
+    out = capsys.readouterr().out
+    assert "contractivity: 1 of 1 entries differ" in out and "mixed:" in out
 
 
 def test_a_bounded_surface_counts_the_entries_that_differ(tmp_path, capsys):
@@ -193,8 +202,11 @@ def test_dump_produces_every_surface(tmp_path):
     meta = json.loads(path.with_suffix(".json").read_text())
     with np.load(path) as arrays:
         counts = {s: sum(k.startswith(s + "/") for k in arrays.files) for s in BOUNDS}
+        verdicts = {k: float(arrays[k]) for k in arrays.files if k.startswith("contractivity/")}
     path.unlink()
+    # every series passes, and a copy fails exactly when scaled above its limit
+    assert all((v > 0) == k.endswith(("+1e-12", "+1e-09")) for k, v in verdicts.items())
     assert meta["failed"] == {}
     assert counts == {"build": 108, "amplitudes": 1980, "resolvent": 1980, "overlap": 516, "certificate": 624,
-                      "forward": 102, "superposition": 528, "iterates": 2532}
+                      "forward": 102, "superposition": 528, "iterates": 2532, "contractivity": 5 * 2532}
     assert "schur_forward" in meta["signatures"] and meta["options"]

@@ -18,6 +18,7 @@ from cmvkit.khrushchev import (
     scalar_superposition_schur,
     substitute_into_truncation,
     verify_hessenberg_formula,
+    verify_path_count,
     verify_range_formula,
     verify_site_formula,
     verify_superposition,
@@ -470,3 +471,31 @@ def test_verifiers_and_inputs_refuse_what_they_do_not_cover(call):
     run, message = REFUSALS[call]
     with pytest.raises(ValueError, match=message):
         run(scalar_params([0.3, -0.2j, 0.5], terminal=1j))
+
+
+OPEN = scalar_params([0.3, -0.2j, 0.5, 0.1] * 6)
+TERMINAL = scalar_params([0.3, -0.2j, 0.5], terminal=1j)
+# each verifier, and the index arguments of one call that passes
+INDEXED = {
+    "site formula": (lambda j, order: verify_site_formula(OPEN, "C", j, order), {"j": 1, "order": 4}),
+    "range formula": (lambda j, k, order: verify_range_formula(OPEN, "C", j, k, order),
+                      {"j": 1, "k": 2, "order": 4}),
+    "hessenberg formula": (lambda j, k, order: verify_hessenberg_formula(TERMINAL, "H", j, k, order),
+                           {"j": 1, "k": 2, "order": 4}),
+    "path count": (lambda j, order: verify_path_count(OPEN, "Chat", j, order), {"j": 1, "order": 4}),
+    "superposition": (lambda j, order: verify_superposition(TERMINAL, j, 0.6, 0.8j, order, hessenberg=True),
+                      {"j": 1, "order": 4}),
+}
+
+
+@pytest.mark.parametrize("name, index", [(name, i) for name, (_, args) in INDEXED.items() for i in args])
+def test_verifiers_take_integer_indices_only(name, index):
+    run, args = INDEXED[name]
+    want = run(**args)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^{index} must be an integer, got {bad!r}$"):
+            run(**{**args, index: bad})
+    # a numpy integer is the Python int in the report
+    got = run(**{**args, index: np.int64(args[index])})
+    assert got.summary() == want.summary()
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())

@@ -606,3 +606,60 @@ def test_mark_schur_decides_as_the_svd_check(seed, d, order, at, rank_one, offse
     with mock.patch.object(series, "CONTRACTIVITY_TOL", tol):
         got = _outcome(MatrixPowerSeries.mark_schur, f)
     assert got == _outcome(mark_schur_by_svd, f, tol)
+
+
+# relative offsets on both sides of the screen's margin below a limit,
+# and a few ulps from the limit itself, where rounding decides
+_MARGIN = series._CLEAR_MARGIN
+_EDGE_OFFSETS = st.floats(-1e-13, 1e-13) | st.sampled_from(
+    [-_MARGIN * (1.0 + 2.0**-20), -_MARGIN, -_MARGIN * (1.0 - 2.0**-20)]
+    + [k * 2.0**-52 for k in range(-4, 5)])
+
+
+def _limit_ratios(c, tol):
+    """SVD norm over limit of each coefficient and of each grid value."""
+    radii = np.repeat((0.45, 0.9), 8)
+    coeff = np.linalg.norm(c, ord=2, axis=(1, 2)) / (1.0 + tol)
+    values = MatrixPowerSeries(c).values_at(CONTRACTIVITY_GRID)
+    grid = np.linalg.norm(values, ord=2, axis=(1, 2)) / (1.0 + tol + radii ** len(c) / (1.0 - radii))
+    return {"coefficient": coeff, "grid": grid, "either": np.concatenate((coeff, grid))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds, d=st.integers(0, 4), order=st.integers(0, 64),
+       at=st.sampled_from(["coefficient", "grid", "either"]), rank_one=st.booleans(),
+       offset=_EDGE_OFFSETS, tol=st.sampled_from([1e-6, 0.0]))
+def test_mark_schur_decides_as_the_svd_check_at_the_screen_edge(seed, d, order, at, rank_one, offset, tol):
+    # the largest member of one kind within 1e-13 of its limit, about the
+    # margin under which the Frobenius and Cholesky tiers clear a member
+    rng = np.random.default_rng(seed)
+    decay = 0.8 ** np.arange(order + 1)
+    if rank_one:
+        c = np.einsum("n,i,j->nij", _complex_stack(rng, order + 1),
+                      _complex_stack(rng, d), _complex_stack(rng, d).conj())
+    else:
+        c = _complex_stack(rng, (order + 1, d, d))
+    c = c * decay[:, None, None]
+    scale = 1.0 / _limit_ratios(c, tol)[at].max() if d else 1.0
+    f = MatrixPowerSeries(c * (scale * (1.0 + offset)))
+    with mock.patch.object(series, "CONTRACTIVITY_TOL", tol):
+        got = _outcome(MatrixPowerSeries.mark_schur, f)
+    assert got == _outcome(mark_schur_by_svd, f, tol)
+
+
+def test_marking_contractive_iterates_takes_no_svd():
+    # f_j and b_j of open sets at d >= 2, whose Frobenius norms often
+    # pass the limit, are cleared by the Cholesky tier
+    marked = [MatrixPowerSeries(fn(p, j, 12).coeffs)
+              for d in (2, 3, 4) for seed in range(4)
+              for p in [random_parameters(d, 33, np.random.default_rng([seed, d, 39]))]
+              for fn in (iterate_series, inverse_iterate_series) for j in range(6)]
+    with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm, \
+            mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
+        for f in marked:
+            f.mark_schur()
+        assert cholesky.call_count and not [c for c in norm.call_args_list if c.kwargs.get("ord") == 2]
+        # the spy sees the SVD of a member the screen cannot clear
+        with pytest.raises(ValueError, match="coefficient of norm 2.000000"):
+            MatrixPowerSeries(2.0 * np.eye(2)[None]).mark_schur()
+        assert [c for c in norm.call_args_list if c.kwargs.get("ord") == 2]
